@@ -1,6 +1,8 @@
 #include "core/chaos.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "core/system.h"
@@ -455,9 +457,20 @@ bool load_chaos_repro(std::istream& is, ChaosScenarioConfig& config,
   fault::FaultPlanMeta meta;
   if (!fault::parse_fault_plan_jsonl(is, plan, meta, error)) return false;
   ChaosScenarioConfig defaults;
+  const double vehicles =
+      meta.get("vehicles", static_cast<double>(defaults.vehicles));
+  if (!(vehicles >= 0.0 &&
+        vehicles <= std::numeric_limits<int>::max() &&
+        vehicles == std::floor(vehicles))) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(meta.line) +
+               ": \"vehicles\": expected a non-negative integer, got " +
+               obs::json_number(vehicles);
+    }
+    return false;
+  }
   config.seed = meta.seed;
-  config.vehicles = static_cast<int>(
-      meta.get("vehicles", static_cast<double>(defaults.vehicles)));
+  config.vehicles = static_cast<int>(vehicles);
   config.duration = meta.get("duration", defaults.duration);
   config.drain = meta.get("drain", defaults.drain);
   config.intensity = meta.get("intensity", defaults.intensity);

@@ -1,9 +1,7 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -430,163 +428,83 @@ bool parse_kind(const std::string& name, FaultKind& out) {
   return true;
 }
 
-// Flat single-line JSON object scanner (same shape trace_analysis parses):
-// string or numeric values only, no nesting.
-bool parse_flat_object(const std::string& line,
-                       std::vector<std::pair<std::string, std::string>>& strs,
-                       std::vector<std::pair<std::string, double>>& nums,
-                       std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  };
-  const auto eat = [&](char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  const auto read_string = [&](std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) out += line[pos++];
-      else out += c;
-    }
-    return false;
-  };
-  if (!eat('{')) return fail("line does not start with '{'");
-  bool first = true;
-  while (true) {
-    if (eat('}')) return true;
-    if (!first && !eat(',')) return fail("expected ',' between members");
-    first = false;
-    std::string key;
-    if (!read_string(key) || !eat(':')) return fail("malformed key");
-    skip_ws();
-    if (pos < line.size() && line[pos] == '"') {
-      std::string value;
-      if (!read_string(value)) return fail("unterminated string value");
-      strs.emplace_back(std::move(key), std::move(value));
-      continue;
-    }
-    const char* start = line.c_str() + pos;
-    char* end = nullptr;
-    const double num = std::strtod(start, &end);
-    if (end == start) return fail("malformed value");
-    pos += static_cast<std::size_t>(end - start);
-    nums.emplace_back(std::move(key), num);
-  }
-}
-
 }  // namespace
 
 bool parse_fault_plan_jsonl(std::istream& is, FaultPlan& plan,
                             FaultPlanMeta& meta, std::string* error) {
   plan.clear();
   meta = FaultPlanMeta{};
-  const auto fail = [error](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::string line;
-  bool saw_meta = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::vector<std::pair<std::string, std::string>> strs;
-    std::vector<std::pair<std::string, double>> nums;
-    std::string parse_error;
-    if (!parse_flat_object(line, strs, nums, &parse_error)) {
-      return fail("line " + std::to_string(line_no) + ": " + parse_error);
+  const auto record = [&](const obs::JsonValue& obj, std::size_t line,
+                          std::string& why) {
+    obs::JsonFields f(obj);
+    if (obj.find("meta") != nullptr) {
+      const std::string schema = f.str("meta");
+      if (f.ok() && schema != "vcl-fault-plan-v1") {
+        why = "unsupported schema '" + schema + "'";
+        return false;
+      }
+      meta.line = line;
+      meta.seed = f.u64("seed");
+      for (const auto& [key, value] : obj.members) {
+        if (key != "meta" && key != "seed" && key != "events") {
+          meta.extra.emplace_back(key, f.number(key));
+        }
+      }
+      why = f.error();
+      return f.ok();
     }
-    const auto str_of = [&](const char* key) -> const std::string* {
-      for (const auto& [k, v] : strs) {
-        if (k == key) return &v;
-      }
-      return nullptr;
-    };
-    const auto num_of = [&](const char* key, double fallback) {
-      for (const auto& [k, v] : nums) {
-        if (k == key) return v;
-      }
-      return fallback;
-    };
-    if (const std::string* m = str_of("meta"); m != nullptr) {
-      if (*m != "vcl-fault-plan-v1") {
-        return fail("unsupported schema '" + *m + "'");
-      }
-      saw_meta = true;
-      for (const auto& [k, v] : nums) {
-        if (k == "seed") meta.seed = static_cast<std::uint64_t>(v);
-        else if (k != "events") meta.extra.emplace_back(k, v);
-      }
-      continue;
-    }
-    const std::string* kind_name = str_of("kind");
-    if (kind_name == nullptr) {
-      return fail("line " + std::to_string(line_no) + ": missing \"kind\"");
+    if (obj.find("kind") == nullptr) {
+      why = "missing \"kind\"";
+      return false;
     }
     FaultEvent e;
-    if (!parse_kind(*kind_name, e.kind)) {
-      return fail("line " + std::to_string(line_no) + ": unknown kind '" +
-                  *kind_name + "'");
+    const std::string kind_name = f.str("kind");
+    if (!parse_kind(kind_name, e.kind)) {
+      why = f.ok() ? "unknown kind '" + kind_name + "'" : f.error();
+      return false;
     }
-    e.at = num_of("at", 0.0);
+    e.at = f.number("at");
     switch (e.kind) {
-      case FaultKind::kVehicleCrash: {
-        const double v = num_of("vehicle", -1.0);
-        if (v >= 0.0) e.vehicle = VehicleId{static_cast<std::uint64_t>(v)};
-        e.storage_tag =
-            static_cast<std::uint64_t>(num_of("storage_tag", 0.0));
-        e.dag_tag = static_cast<std::uint64_t>(num_of("dag_tag", 0.0));
+      case FaultKind::kVehicleCrash:
+        e.vehicle = VehicleId{f.u64("vehicle", VehicleId::kInvalid)};
+        e.storage_tag = f.u64("storage_tag");
+        e.dag_tag = f.u64("dag_tag");
         break;
-      }
       case FaultKind::kBrokerCrash:
         break;
-      case FaultKind::kRsuOutage: {
-        const double r = num_of("rsu", -1.0);
-        if (r >= 0.0) e.rsu = RsuId{static_cast<std::uint64_t>(r)};
-        e.repair_after = num_of("repair_after", 0.0);
+      case FaultKind::kRsuOutage:
+        e.rsu = RsuId{f.u64("rsu", RsuId::kInvalid)};
+        e.repair_after = f.number("repair_after");
         break;
-      }
       case FaultKind::kRadioBlackout:
-        e.center = {num_of("x", 0.0), num_of("y", 0.0)};
-        e.radius = num_of("radius", 0.0);
-        e.duration = num_of("duration", 0.0);
+        e.center = {f.number("x"), f.number("y")};
+        e.radius = f.number("radius");
+        e.duration = f.number("duration");
         break;
       case FaultKind::kSybilJoin:
-        e.attack_tag = static_cast<std::uint64_t>(num_of("attack_tag", 0.0));
+        e.attack_tag = f.u64("attack_tag");
         break;
-      case FaultKind::kRevokeIdentity: {
-        const double v = num_of("vehicle", -1.0);
-        if (v >= 0.0) e.vehicle = VehicleId{static_cast<std::uint64_t>(v)};
+      case FaultKind::kRevokeIdentity:
+        e.vehicle = VehicleId{f.u64("vehicle", VehicleId::kInvalid)};
         break;
-      }
       case FaultKind::kCrlDeliver:
-        e.crl_horizon_after = num_of("horizon_after", 0.0);
+        e.crl_horizon_after = f.number("horizon_after");
         break;
       case FaultKind::kReplayInject:
-        e.attack_tag = static_cast<std::uint64_t>(num_of("attack_tag", 0.0));
-        e.replay_age = num_of("age", 0.0);
+        e.attack_tag = f.u64("attack_tag");
+        e.replay_age = f.number("age");
         break;
     }
-    e.group = static_cast<std::uint64_t>(num_of("group", 0.0));
-    plan.push_back(e);
+    e.group = f.u64("group");
+    why = f.error();
+    if (f.ok()) plan.push_back(e);
+    return f.ok();
+  };
+  if (!obs::read_jsonl(is, record, error)) return false;
+  if (meta.line == 0) {
+    if (error != nullptr) *error = "missing vcl-fault-plan-v1 meta record";
+    return false;
   }
-  if (!saw_meta) return fail("missing vcl-fault-plan-v1 meta record");
   return true;
 }
 

@@ -161,6 +161,9 @@ class ChaosPlanner {
 struct FaultPlanMeta {
   std::uint64_t seed = 0;
   std::vector<std::pair<std::string, double>> extra;
+  // Line of the meta record in the parsed file (0 = not parsed), so callers
+  // that validate `extra` can point their errors at it.
+  std::size_t line = 0;
 
   // Convenience lookup; `fallback` when the key is absent.
   [[nodiscard]] double get(const std::string& key, double fallback) const;

@@ -1,8 +1,6 @@
 #include "obs/incident.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -20,113 +18,6 @@ std::string exact_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-// ---- flat single-line scanner ----------------------------------------------
-// Keys map to either a string or a raw (unparsed) number token; keeping
-// the token lets integer ids re-parse through strtoull without a double
-// round-trip.
-
-struct FlatValue {
-  bool is_string = false;
-  std::string text;
-};
-
-using FlatObject = std::vector<std::pair<std::string, FlatValue>>;
-
-bool scan_flat_object(const std::string& line, FlatObject& out,
-                      std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  };
-  const auto eat = [&](char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  const auto read_string = [&](std::string& s) {
-    if (!eat('"')) return false;
-    s.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) {
-        const char esc = line[pos++];
-        switch (esc) {
-          case 'n': s += '\n'; break;
-          case 't': s += '\t'; break;
-          default: s += esc; break;
-        }
-      } else {
-        s += c;
-      }
-    }
-    return false;
-  };
-  if (!eat('{')) return fail("line does not start with '{'");
-  bool first = true;
-  while (true) {
-    if (eat('}')) return true;
-    if (!first && !eat(',')) return fail("expected ',' between members");
-    first = false;
-    std::string key;
-    if (!read_string(key) || !eat(':')) return fail("malformed key");
-    skip_ws();
-    FlatValue value;
-    if (pos < line.size() && line[pos] == '"') {
-      value.is_string = true;
-      if (!read_string(value.text)) return fail("unterminated string value");
-    } else {
-      const std::size_t start = pos;
-      while (pos < line.size() && line[pos] != ',' && line[pos] != '}' &&
-             !std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-      }
-      if (pos == start) return fail("malformed value");
-      value.text = line.substr(start, pos - start);
-    }
-    out.emplace_back(std::move(key), std::move(value));
-  }
-}
-
-const FlatValue* find(const FlatObject& obj, const char* key) {
-  for (const auto& [k, v] : obj) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::string get_str(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && v->is_string ? v->text : std::string();
-}
-
-double get_num(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && !v->is_string ? std::strtod(v->text.c_str(), nullptr)
-                                       : 0.0;
-}
-
-std::uint64_t get_u64(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && !v->is_string
-             ? std::strtoull(v->text.c_str(), nullptr, 10)
-             : 0;
-}
-
-bool get_flag(const FlatObject& obj, const char* key) {
-  return get_u64(obj, key) != 0;
 }
 
 }  // namespace
@@ -288,120 +179,113 @@ void write_incident_bundle(const IncidentBundle& b, std::ostream& os) {
 bool parse_incident_bundle(std::istream& is, IncidentBundle& b,
                            std::string* error) {
   b = IncidentBundle{};
-  const auto fail = [error](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::string line;
-  std::size_t lineno = 0;
   bool have_meta = false;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    FlatObject obj;
-    std::string why;
-    if (!scan_flat_object(line, obj, &why)) {
-      return fail("line " + std::to_string(lineno) + ": " + why);
-    }
+  const auto record = [&](const JsonValue& obj, std::size_t,
+                          std::string& why) {
+    JsonFields f(obj);
     if (!have_meta) {
-      if (get_str(obj, "meta") != "vcl-incident-v1") {
-        return fail("line 1: not a vcl-incident-v1 meta record");
+      if (f.str("meta") != "vcl-incident-v1") {
+        why = "not a vcl-incident-v1 meta record";
+        return false;
       }
-      b.seed = get_u64(obj, "seed");
-      b.captured_at = get_num(obj, "captured_at");
-      b.trigger = get_str(obj, "trigger");
-      b.flight_recorded = get_u64(obj, "flight_recorded");
-      b.flight_overwritten = get_u64(obj, "flight_overwritten");
-      b.broker = get_u64(obj, "broker");
-      b.pending = get_u64(obj, "pending");
+      b.seed = f.u64("seed");
+      b.captured_at = f.number("captured_at");
+      b.trigger = f.str("trigger");
+      b.flight_recorded = f.u64("flight_recorded");
+      b.flight_overwritten = f.u64("flight_overwritten");
+      b.broker = f.u64("broker");
+      b.pending = f.u64("pending");
       have_meta = true;
-      continue;
-    }
-    const std::string rec = get_str(obj, "rec");
-    if (rec == "violation") {
+    } else if (const std::string rec = f.str("rec"); rec == "violation") {
       IncidentViolation v;
-      v.t = get_num(obj, "t");
-      v.invariant = get_str(obj, "invariant");
-      v.detail = get_str(obj, "detail");
-      v.task = get_u64(obj, "task");
+      v.t = f.number("t");
+      v.invariant = f.str("invariant");
+      v.detail = f.str("detail");
+      v.task = f.u64("task");
       b.violations.push_back(std::move(v));
     } else if (rec == "flight") {
       IncidentFlightEvent e;
-      e.t = get_num(obj, "t");
-      e.seq = get_u64(obj, "seq");
-      e.cat = get_str(obj, "cat");
-      e.name = get_str(obj, "name");
-      e.a = get_u64(obj, "a");
-      e.b = get_u64(obj, "b");
-      e.x = get_num(obj, "x");
+      e.t = f.number("t");
+      e.seq = f.u64("seq");
+      e.cat = f.str("cat");
+      e.name = f.str("name");
+      e.a = f.u64("a");
+      e.b = f.u64("b");
+      e.x = f.number("x");
       b.flight.push_back(std::move(e));
     } else if (rec == "window") {
       IncidentWindow w;
-      w.start = get_num(obj, "start");
-      w.end = get_num(obj, "end");
-      w.x = get_num(obj, "x");
-      w.y = get_num(obj, "y");
-      w.radius = get_num(obj, "radius");
-      w.active = get_flag(obj, "active");
+      w.start = f.number("start");
+      w.end = f.number("end");
+      w.x = f.number("x");
+      w.y = f.number("y");
+      w.radius = f.number("radius");
+      w.active = f.u64("active") != 0;
       b.windows.push_back(w);
     } else if (rec == "span") {
       IncidentOpenSpan s;
-      s.begin = get_num(obj, "begin");
-      s.cat = get_str(obj, "cat");
-      s.name = get_str(obj, "name");
-      s.trace_id = get_u64(obj, "trace");
-      s.span_id = get_u64(obj, "span");
+      s.begin = f.number("begin");
+      s.cat = f.str("cat");
+      s.name = f.str("name");
+      s.trace_id = f.u64("trace");
+      s.span_id = f.u64("span");
       b.open_spans.push_back(std::move(s));
     } else if (rec == "worker") {
       IncidentWorker w;
-      w.id = get_u64(obj, "id");
-      w.crashed = get_flag(obj, "crashed");
-      w.tracked = get_flag(obj, "tracked");
+      w.id = f.u64("id");
+      w.crashed = f.u64("crashed") != 0;
+      w.tracked = f.u64("tracked") != 0;
       b.workers.push_back(w);
     } else if (rec == "task") {
       IncidentTask t;
-      t.id = get_u64(obj, "id");
-      t.state = get_str(obj, "state");
-      t.progress = get_num(obj, "progress");
-      t.work = get_num(obj, "work");
-      t.checkpoint = get_num(obj, "checkpoint");
-      t.worker = get_u64(obj, "worker");
-      t.trace_id = get_u64(obj, "trace");
+      t.id = f.u64("id");
+      t.state = f.str("state");
+      t.progress = f.number("progress");
+      t.work = f.number("work");
+      t.checkpoint = f.number("checkpoint");
+      t.worker = f.u64("worker");
+      t.trace_id = f.u64("trace");
       b.tasks.push_back(std::move(t));
     } else if (rec == "object") {
       IncidentObject o;
-      o.id = get_u64(obj, "id");
-      o.acked_version = get_u64(obj, "acked_version");
+      o.id = f.u64("id");
+      o.acked_version = f.u64("acked_version");
       b.objects.push_back(o);
     } else if (rec == "replica") {
       IncidentReplica r;
-      r.object = get_u64(obj, "object");
-      r.holder = get_u64(obj, "holder");
-      r.version = get_u64(obj, "version");
-      r.alive = get_flag(obj, "alive");
-      r.lease_held = get_flag(obj, "lease");
+      r.object = f.u64("object");
+      r.holder = f.u64("holder");
+      r.version = f.u64("version");
+      r.alive = f.u64("alive") != 0;
+      r.lease_held = f.u64("lease") != 0;
       b.replicas.push_back(r);
     } else if (rec == "graph") {
       IncidentDagGraph g;
-      g.id = get_u64(obj, "id");
-      g.terminal = get_flag(obj, "terminal");
-      g.completed = get_flag(obj, "completed");
-      g.intermediates_held = get_u64(obj, "intermediates");
+      g.id = f.u64("id");
+      g.terminal = f.u64("terminal") != 0;
+      g.completed = f.u64("completed") != 0;
+      g.intermediates_held = f.u64("intermediates");
       b.graphs.push_back(g);
     } else if (rec == "dagnode") {
       IncidentDagNode n;
-      n.graph = get_u64(obj, "graph");
-      n.node = get_u64(obj, "node");
-      n.submitted = get_flag(obj, "submitted");
-      n.succeeded = get_flag(obj, "succeeded");
-      n.live_attempts = get_u64(obj, "live");
+      n.graph = f.u64("graph");
+      n.node = f.u64("node");
+      n.submitted = f.u64("submitted") != 0;
+      n.succeeded = f.u64("succeeded") != 0;
+      n.live_attempts = f.u64("live");
       b.dag_nodes.push_back(n);
-    } else {
-      return fail("line " + std::to_string(lineno) + ": unknown record \"" +
-                  rec + "\"");
+    } else if (f.ok()) {
+      why = "unknown record \"" + rec + "\"";
+      return false;
     }
+    why = f.error();
+    return f.ok();
+  };
+  if (!read_jsonl(is, record, error)) return false;
+  if (!have_meta) {
+    if (error != nullptr) *error = "empty input (no meta record)";
+    return false;
   }
-  if (!have_meta) return fail("empty input (no meta record)");
   return true;
 }
 

@@ -1,10 +1,9 @@
 #include "obs/report.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.h"
 #include "util/table.h"
@@ -12,141 +11,6 @@
 namespace vcl::obs {
 
 namespace {
-
-// ---- minimal JSON value parser ---------------------------------------------
-// Just enough for our own exports (sketches.json, violations.jsonl): no
-// surrogate pairs, no exotic numbers. Malformed input returns false rather
-// than guessing.
-
-struct Jv {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Jv> arr;
-  std::vector<std::pair<std::string, Jv>> obj;
-
-  [[nodiscard]] const Jv* find(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] double num_or(const std::string& key, double def) const {
-    const Jv* v = find(key);
-    return v != nullptr && v->kind == kNum ? v->num : def;
-  }
-  [[nodiscard]] std::string str_or(const std::string& key,
-                                   const std::string& def) const {
-    const Jv* v = find(key);
-    return v != nullptr && v->kind == kStr ? v->str : def;
-  }
-};
-
-struct JsonParser {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  explicit JsonParser(const std::string& t) : text(t) {}
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            pos = std::min(pos + 4, text.size());
-            out += '?';
-            break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parse(Jv& out) {
-    skip_ws();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out.kind = Jv::kObj;
-      if (eat('}')) return true;
-      while (true) {
-        std::string key;
-        Jv value;
-        if (!parse_string(key) || !eat(':') || !parse(value)) return false;
-        out.obj.emplace_back(std::move(key), std::move(value));
-        if (eat('}')) return true;
-        if (!eat(',')) return false;
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out.kind = Jv::kArr;
-      if (eat(']')) return true;
-      while (true) {
-        Jv value;
-        if (!parse(value)) return false;
-        out.arr.push_back(std::move(value));
-        if (eat(']')) return true;
-        if (!eat(',')) return false;
-      }
-    }
-    if (c == '"') {
-      out.kind = Jv::kStr;
-      return parse_string(out.str);
-    }
-    if (text.compare(pos, 4, "null") == 0) {
-      out.kind = Jv::kNull;
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 4, "true") == 0) {
-      out.kind = Jv::kBool;
-      out.b = true;
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      out.kind = Jv::kBool;
-      pos += 5;
-      return true;
-    }
-    const char* start = text.c_str() + pos;
-    char* end = nullptr;
-    out.num = std::strtod(start, &end);
-    if (end == start) return false;
-    out.kind = Jv::kNum;
-    pos += static_cast<std::size_t>(end - start);
-    return true;
-  }
-};
 
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream is(path, std::ios::binary);
@@ -202,36 +66,46 @@ bool load_sketches_json(const std::string& path, RunHealth& h,
                         std::string* error) {
   std::string text;
   if (!read_file(path, text)) return fail(error, path + ": unreadable");
-  JsonParser parser(text);
-  Jv doc;
-  if (!parser.parse(doc) || doc.kind != Jv::kObj) {
-    return fail(error, path + ": malformed JSON");
+  JsonValue doc;
+  std::string why;
+  if (!parse_json_object(text, doc, &why)) {
+    return fail(error, path + ": " + why);
   }
-  const Jv* sketches = doc.find("sketches");
-  if (sketches == nullptr || sketches->kind != Jv::kArr) {
+  const JsonValue* sketches = doc.find("sketches");
+  if (sketches == nullptr || sketches->kind != JsonValue::Kind::kArray) {
     return fail(error, path + ": no \"sketches\" array");
   }
-  for (const Jv& s : sketches->arr) {
-    if (s.kind != Jv::kObj) return fail(error, path + ": non-object sketch");
-    const std::string name = s.str_or("name", "");
-    if (name.empty()) return fail(error, path + ": sketch without a name");
-    const double alpha = s.num_or("relative_error", 0.01);
-    const auto max_buckets =
-        static_cast<std::size_t>(s.num_or("max_buckets", 2048));
-    QuantileSketch sketch(alpha, max_buckets);
-    sketch.add_zero(static_cast<std::uint64_t>(s.num_or("zero_count", 0)));
-    const Jv* buckets = s.find("buckets");
-    if (buckets != nullptr && buckets->kind == Jv::kArr) {
-      for (const Jv& b : buckets->arr) {
-        if (b.kind != Jv::kArr || b.arr.size() != 2) {
-          return fail(error, path + ": malformed bucket in " + name);
-        }
-        sketch.add_bucket(static_cast<std::int32_t>(b.arr[0].num),
-                          static_cast<std::uint64_t>(b.arr[1].num));
-      }
+  for (const JsonValue& s : sketches->items) {
+    if (s.kind != JsonValue::Kind::kObject) {
+      return fail(error, path + ": non-object sketch");
     }
-    auto [it, inserted] = h.sketches.try_emplace(name, sketch);
-    if (!inserted) it->second.merge(sketch);
+    JsonFields f(s);
+    const std::string name = f.str("name");
+    if (name.empty()) return fail(error, path + ": sketch without a name");
+    const std::string where = path + ": sketch " + name + ": ";
+    const double alpha = f.number("relative_error", 0.01);
+    const std::uint64_t max_buckets = f.u64("max_buckets", 2048);
+    const std::uint64_t zero_count = f.u64("zero_count");
+    if (!f.ok()) return fail(error, where + f.error());
+    try {
+      QuantileSketch sketch(alpha, max_buckets);
+      sketch.add_zero(zero_count);
+      if (const JsonValue* buckets = s.find("buckets"); buckets != nullptr) {
+        for (const JsonValue& b : buckets->items) {
+          std::int32_t index = 0;
+          std::uint64_t count = 0;
+          if (b.items.size() != 2 || !b.items[0].get(index) ||
+              !b.items[1].get(count)) {
+            return fail(error, where + "bucket is not [int32, uint64]");
+          }
+          sketch.add_bucket(index, count);
+        }
+      }
+      auto [it, inserted] = h.sketches.try_emplace(name, sketch);
+      if (!inserted) it->second.merge(sketch);
+    } catch (const std::invalid_argument& e) {
+      return fail(error, where + e.what());
+    }
   }
   return true;
 }
@@ -239,31 +113,26 @@ bool load_sketches_json(const std::string& path, RunHealth& h,
 bool load_violations_jsonl(const std::string& path, RunHealth& h,
                            std::string* error) {
   std::ifstream is(path);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    JsonParser parser(line);
-    Jv doc;
-    if (!parser.parse(doc) || doc.kind != Jv::kObj) {
-      return fail(error,
-                  path + ": line " + std::to_string(lineno) + " malformed");
+  const auto record = [&h](const JsonValue& obj, std::size_t,
+                           std::string& why) {
+    JsonFields f(obj);
+    if (obj.find("meta") != nullptr) {
+      h.checks_run += f.u64("checks_run");
+      h.violation_count += f.u64("violations");
+    } else {
+      ReportViolation v;
+      v.t = f.number("t");
+      v.invariant = f.str("invariant", "?");
+      v.detail = f.str("detail");
+      v.task = f.number("task", -1.0);
+      v.seed = f.u64("seed");
+      if (f.ok()) h.violations.push_back(std::move(v));
     }
-    if (doc.find("meta") != nullptr) {
-      h.checks_run += static_cast<std::uint64_t>(doc.num_or("checks_run", 0));
-      h.violation_count +=
-          static_cast<std::uint64_t>(doc.num_or("violations", 0));
-      continue;
-    }
-    ReportViolation v;
-    v.t = doc.num_or("t", 0.0);
-    v.invariant = doc.str_or("invariant", "?");
-    v.detail = doc.str_or("detail", "");
-    v.task = doc.num_or("task", -1.0);
-    v.seed = static_cast<std::uint64_t>(doc.num_or("seed", 0));
-    h.violations.push_back(std::move(v));
-  }
+    why = f.error();
+    return f.ok();
+  };
+  std::string why;
+  if (!read_jsonl(is, record, &why)) return fail(error, path + ": " + why);
   return true;
 }
 

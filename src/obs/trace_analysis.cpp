@@ -1,9 +1,7 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/json.h"
 #include "util/table.h"
@@ -11,143 +9,6 @@
 namespace vcl::obs {
 
 namespace {
-
-// ---- flat JSONL line scanner ------------------------------------------------
-
-struct Scanner {
-  const std::string& line;
-  std::size_t pos = 0;
-
-  explicit Scanner(const std::string& l) : line(l) {}
-
-  void skip_ws() {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos < line.size() ? line[pos] : '\0';
-  }
-
-  bool read_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) {
-        const char esc = line[pos++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            // Decoded only far enough to stay in sync; recorder names are
-            // ASCII string literals so this never fires in practice.
-            pos = std::min(pos + 4, line.size());
-            out += '?';
-            break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool read_number(double& out) {
-    skip_ws();
-    const char* start = line.c_str() + pos;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    pos += static_cast<std::size_t>(end - start);
-    return true;
-  }
-};
-
-bool parse_line(const std::string& line, ParsedEvent& ev, bool& is_meta,
-                TraceMeta& meta, std::string* error) {
-  Scanner s(line);
-  if (!s.eat('{')) {
-    if (error != nullptr) *error = "line does not start with '{'";
-    return false;
-  }
-  is_meta = false;
-  bool first = true;
-  while (true) {
-    if (s.eat('}')) break;
-    if (!first && !s.eat(',')) {
-      if (error != nullptr) *error = "expected ',' between members";
-      return false;
-    }
-    first = false;
-    std::string key;
-    if (!s.read_string(key) || !s.eat(':')) {
-      if (error != nullptr) *error = "malformed key";
-      return false;
-    }
-    if (s.peek() == '"') {
-      std::string value;
-      if (!s.read_string(value)) {
-        if (error != nullptr) *error = "unterminated string value";
-        return false;
-      }
-      if (key == "cat") {
-        ev.cat = value;
-      } else if (key == "name") {
-        ev.name = value;
-      } else if (key == "ph") {
-        ev.ph = value.empty() ? 'i' : value[0];
-      } else if (key == "meta") {
-        is_meta = true;
-      }
-      continue;
-    }
-    double num = 0.0;
-    if (std::isalpha(static_cast<unsigned char>(s.peek()))) {
-      // Tolerate null/true/false values: consume the word, keep nothing.
-      while (s.pos < line.size() &&
-             std::isalpha(static_cast<unsigned char>(line[s.pos]))) {
-        ++s.pos;
-      }
-      continue;
-    }
-    if (!s.read_number(num)) {
-      if (error != nullptr) *error = "malformed value for key '" + key + "'";
-      return false;
-    }
-    if (key == "t") {
-      ev.t = num;
-    } else if (key == "trace") {
-      ev.trace_id = static_cast<std::uint64_t>(num);
-    } else if (key == "span") {
-      ev.span_id = static_cast<std::uint64_t>(num);
-    } else if (key == "parent") {
-      ev.parent_id = static_cast<std::uint64_t>(num);
-    } else if (key == "capacity") {
-      meta.capacity = static_cast<std::uint64_t>(num);
-    } else if (key == "recorded") {
-      meta.recorded = static_cast<std::uint64_t>(num);
-    } else if (key == "retained") {
-      meta.retained = static_cast<std::uint64_t>(num);
-    } else if (key == "overwritten") {
-      meta.overwritten = static_cast<std::uint64_t>(num);
-    } else if (key == "dropped_fields") {
-      meta.dropped_fields = static_cast<std::uint64_t>(num);
-    } else {
-      ev.fields[key] = num;
-    }
-  }
-  return true;
-}
 
 std::string outcome_label(double code) {
   if (code == kOutcomeCompleted) return "completed";
@@ -160,27 +21,42 @@ std::string outcome_label(double code) {
 
 bool parse_trace_jsonl(std::istream& is, std::vector<ParsedEvent>& out,
                        TraceMeta& meta, std::string* error) {
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    ParsedEvent ev;
-    bool is_meta = false;
-    std::string why;
-    if (!parse_line(line, ev, is_meta, meta, &why)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " + why;
-      }
-      return false;
-    }
-    if (is_meta) {
+  const auto record = [&](const JsonValue& obj, std::size_t,
+                          std::string& why) {
+    JsonFields f(obj);
+    if (obj.find("meta") != nullptr) {
       meta.present = true;
-      continue;
+      meta.capacity = f.u64("capacity");
+      meta.recorded = f.u64("recorded");
+      meta.retained = f.u64("retained");
+      meta.overwritten = f.u64("overwritten");
+      meta.dropped_fields = f.u64("dropped_fields");
+      why = f.error();
+      return f.ok();
     }
-    out.push_back(std::move(ev));
-  }
-  return true;
+    ParsedEvent ev;
+    ev.t = f.number("t");
+    ev.cat = f.str("cat");
+    ev.name = f.str("name");
+    const std::string ph = f.str("ph");
+    if (!ph.empty()) ev.ph = ph[0];
+    ev.trace_id = f.u64("trace");
+    ev.span_id = f.u64("span");
+    ev.parent_id = f.u64("parent");
+    // Every other numeric member is a payload field; null (a non-finite
+    // value at export) and non-numeric members carry nothing.
+    for (const auto& [key, value] : obj.members) {
+      if (value.kind != JsonValue::Kind::kNumber || key == "t" ||
+          key == "trace" || key == "span" || key == "parent") {
+        continue;
+      }
+      ev.fields[key] = f.number(key);
+    }
+    why = f.error();
+    if (f.ok()) out.push_back(std::move(ev));
+    return f.ok();
+  };
+  return read_jsonl(is, record, error);
 }
 
 TraceAnalysis::TraceAnalysis(const std::vector<ParsedEvent>& events) {

@@ -9,9 +9,9 @@
 // and reduces each tree to one breakdown row whose legs sum to the
 // end-to-end latency. `tools/vcl_traceview` is a thin CLI over this.
 //
-// The parser understands exactly the flat JSONL the TraceRecorder writes
-// (one object per line, string/number values, a leading metadata record) —
-// it is not a general JSON parser.
+// The JSONL the TraceRecorder writes (one object per line, a leading
+// metadata record) reads back through the shared strict reader in
+// obs/json.h.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,9 @@ struct TraceMeta {
 };
 
 // Parses recorder-shaped JSONL. Returns false (with `error` set) on a
-// malformed line; unknown keys are kept as numeric fields when numeric and
-// ignored otherwise.
+// malformed line, including an id or meta count that is not an unsigned
+// integer; unknown keys are kept as numeric fields when numeric and ignored
+// otherwise (null included: json_number writes it for non-finite values).
 bool parse_trace_jsonl(std::istream& is, std::vector<ParsedEvent>& out,
                        TraceMeta& meta, std::string* error = nullptr);
 

@@ -291,6 +291,14 @@ TEST(FaultPlanJsonl, RoundTripsPlanAndMeta) {
   EXPECT_DOUBLE_EQ(parsed_meta.get("vehicles", 0.0), 40.0);
   EXPECT_DOUBLE_EQ(parsed_meta.get("intensity", 0.0), 1.5);
   EXPECT_DOUBLE_EQ(parsed_meta.get("absent", -1.0), -1.0);
+
+  // Seeds are read from the raw token: 2^53 + 1 has no double.
+  meta.seed = (std::uint64_t{1} << 53) + 1;
+  std::stringstream big;
+  write_fault_plan_jsonl(plan, meta, big);
+  ASSERT_TRUE(parse_fault_plan_jsonl(big, parsed, parsed_meta, &error))
+      << error;
+  EXPECT_EQ(parsed_meta.seed, meta.seed);
 }
 
 TEST(FaultPlanJsonl, RoundTripsAttackEventsAndGroups) {
@@ -484,6 +492,13 @@ TEST(ChaosEpisode, ReproFileRoundTrips) {
   EXPECT_DOUBLE_EQ(loaded.intensity, cfg.intensity);
   EXPECT_FALSE(loaded.storms);
   EXPECT_EQ(loaded_plan.size(), plan.size());
+
+  // A replay must run the seed that was written, even one past 2^53.
+  cfg.seed = (std::uint64_t{1} << 53) + 1;
+  std::stringstream big;
+  write_chaos_repro(cfg, plan, big);
+  ASSERT_TRUE(load_chaos_repro(big, loaded, loaded_plan, &error)) << error;
+  EXPECT_EQ(loaded.seed, cfg.seed);
 }
 
 // Adversary scenario knobs ride in the repro meta record too: one file

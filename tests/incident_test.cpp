@@ -124,7 +124,8 @@ IncidentBundle sample_bundle() {
   b.flight_overwritten = 3;
   b.broker = 5;
   b.pending = 2;
-  b.violations.push_back({59.0, "task-conservation", "task \"lost\"\n", 84});
+  b.violations.push_back(
+      {59.0, "task-conservation", "task \"lost\"\n\r\x01", 84});
   b.flight.push_back({50.7175, 9, "fault", "fault.broker.crash", 0, 0, 0.0});
   b.flight.push_back(
       {58.0, 10, "detector", "detector.evict", 0, 1, 7.282512345678901});
@@ -157,7 +158,7 @@ TEST(IncidentBundle, RoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.seed, 42u);
   EXPECT_EQ(parsed.trigger, "task-conservation");
   ASSERT_EQ(parsed.violations.size(), 1u);
-  EXPECT_EQ(parsed.violations[0].detail, "task \"lost\"\n");
+  EXPECT_EQ(parsed.violations[0].detail, "task \"lost\"\n\r\x01");
   ASSERT_EQ(parsed.flight.size(), 2u);
   EXPECT_EQ(parsed.flight[1].name, "detector.evict");
   ASSERT_EQ(parsed.workers.size(), 2u);

@@ -2,14 +2,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/system.h"
+#include "fault/chaos.h"
 #include "obs/bench_output.h"
+#include "obs/incident.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -974,6 +978,83 @@ TEST(RunHealth, EmptyDirectoryIsAnErrorNotAnEmptyReport) {
   std::string error;
   EXPECT_FALSE(build_run_health({dir}, h, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---- shared JSON reader -----------------------------------------------------
+
+// Every loader reads through obs/json.h, so the same malformed record must
+// fail cleanly in each, with the line it sits on — never cast, never guess.
+TEST(JsonReader, MalformedRecordsFailCleanlyInEveryLoader) {
+  struct Loader {
+    const char* name;
+    std::string header;  // valid lines before the record under test
+    std::string prefix;  // the record up to its integer field's value
+    std::function<bool(const std::string& text, std::string* error)> load;
+  };
+  const std::string dir = ::testing::TempDir() + "vcl_json_reader";
+  std::filesystem::create_directories(dir);
+  const std::vector<Loader> loaders = {
+      {"fault plan", R"({"meta":"vcl-fault-plan-v1","seed":1,"events":1})",
+       R"({"kind":"vehicle_crash","at":1,"vehicle":)",
+       [](const std::string& text, std::string* error) {
+         std::istringstream is(text);
+         fault::FaultPlan plan;
+         fault::FaultPlanMeta meta;
+         return fault::parse_fault_plan_jsonl(is, plan, meta, error);
+       }},
+      {"chaos repro", "",
+       R"({"meta":"vcl-fault-plan-v1","seed":1,"events":0,"vehicles":)",
+       [](const std::string& text, std::string* error) {
+         std::istringstream is(text);
+         core::ChaosScenarioConfig config;
+         fault::FaultPlan plan;
+         return core::load_chaos_repro(is, config, plan, error);
+       }},
+      {"incident bundle", R"({"meta":"vcl-incident-v1","seed":1})",
+       R"({"rec":"worker","id":)",
+       [](const std::string& text, std::string* error) {
+         std::istringstream is(text);
+         IncidentBundle bundle;
+         return parse_incident_bundle(is, bundle, error);
+       }},
+      {"trace", R"({"meta":"vcl-trace-v1","capacity":8,"recorded":1})",
+       R"({"t":1,"cat":"task","name":"task.life","ph":"B","trace":)",
+       [](const std::string& text, std::string* error) {
+         std::istringstream is(text);
+         std::vector<ParsedEvent> events;
+         TraceMeta meta;
+         return parse_trace_jsonl(is, events, meta, error);
+       }},
+      {"violations", R"({"meta":"vcl-violations-v1","seed":1,"violations":1})",
+       R"({"t":1,"invariant":"x","detail":"d","seed":)",
+       [&dir](const std::string& text, std::string* error) {
+         std::ofstream(dir + "/violations.jsonl") << text;
+         RunHealth h;
+         return build_run_health({dir}, h, error);
+       }},
+  };
+  // {value of the integer field, bytes after the closing brace}
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"1e30", ""},  {"-5", ""},       {"1.5", ""},           {"\"7\"", ""},
+      {"{\"x\":1}", ""}, {"[7]", ""}, {"7", " trailing junk"}, {"7", "}"},
+      {"7,", ""},    {"07", ""},       {"18446744073709551616", ""},
+  };
+  for (const Loader& l : loaders) {
+    const std::string lead = l.header.empty() ? "" : l.header + "\n";
+    const std::string line = l.header.empty() ? "line 1:" : "line 2:";
+    std::string error;
+    for (const char* ok : {"7", "null"}) {
+      EXPECT_TRUE(l.load(lead + l.prefix + ok + "}\n", &error))
+          << l.name << " rejected a valid record: " << error;
+    }
+    for (const auto& [value, tail] : malformed) {
+      error.clear();
+      EXPECT_FALSE(l.load(lead + l.prefix + value + "}" + tail + "\n", &error))
+          << l.name << " accepted " << value << tail;
+      EXPECT_NE(error.find(line), std::string::npos)
+          << l.name << " on " << value << tail << ": " << error;
+    }
+  }
 }
 
 }  // namespace
