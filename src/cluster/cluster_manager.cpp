@@ -40,14 +40,24 @@ std::vector<VehicleId> ClusterManager::members_of(VehicleId head) const {
 
 std::vector<std::pair<VehicleId, std::vector<VehicleId>>>
 ClusterManager::clusters() const {
-  std::vector<std::pair<VehicleId, std::vector<VehicleId>>> out;
+  // One pass groups every affiliated vehicle under the head it names; only
+  // groups whose head currently holds the head role become clusters. Each
+  // list equals members_of(head), without a scan per head.
+  std::unordered_map<std::uint64_t, std::vector<VehicleId>> groups;
+  std::vector<VehicleId> heads;
   for (const auto& [vid, a] : assignments_) {
-    if (a.role == ClusterRole::kHead) {
-      out.emplace_back(VehicleId{vid}, members_of(VehicleId{vid}));
-    }
+    if (a.role == ClusterRole::kFree) continue;
+    groups[a.head.value()].push_back(VehicleId{vid});
+    if (a.role == ClusterRole::kHead) heads.push_back(VehicleId{vid});
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(heads.begin(), heads.end());
+  std::vector<std::pair<VehicleId, std::vector<VehicleId>>> out;
+  out.reserve(heads.size());
+  for (const VehicleId head : heads) {
+    std::vector<VehicleId>& members = groups[head.value()];
+    std::sort(members.begin(), members.end());
+    out.emplace_back(head, std::move(members));
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "dag/scheduler.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -248,6 +249,9 @@ void DagScheduler::close_graph_trace(GraphRun& g, SimTime now,
 
 void DagScheduler::reliability_scan() {
   const SimTime now = net_.simulator().now();
+  // The cloud region is read once per scan, on the first running attempt:
+  // no simulated time passes during the scan, so it cannot move.
+  std::optional<vcloud::CloudRegion> region;
   for (auto& [gid, g] : graphs_) {
     if (g.terminal()) continue;
     for (std::size_t i = 0; i < g.nodes.size(); ++i) {
@@ -273,7 +277,8 @@ void DagScheduler::reliability_scan() {
             profile != nullptr && profile->compute > 0.0 ? profile->compute
                                                          : 1.0;
         const double expected_remaining = task->remaining() / rate;
-        const double dwell = cloud_.worker_dwell(task->worker);
+        if (!region) region = cloud_.region();
+        const double dwell = cloud_.worker_dwell(task->worker, *region);
         if (dwell < config_.dwell_margin * expected_remaining) {
           at_risk = true;
           break;

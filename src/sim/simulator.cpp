@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -10,7 +11,8 @@ namespace vcl::sim {
 EventHandle Simulator::schedule_at(SimTime at, std::function<void()> fn,
                                    const char* label) {
   const std::uint64_t seq = next_seq_++;
-  queue_.push(Event{std::max(at, now_), seq, label, std::move(fn)});
+  queue_.push_back(Event{std::max(at, now_), seq, label, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   high_water_ = std::max(high_water_, queue_.size());
   return EventHandle{seq};
 }
@@ -25,17 +27,22 @@ EventHandle Simulator::schedule_every(SimTime period, std::function<void()> fn,
   const std::uint64_t rid = next_seq_++;  // identity of the recurrence
   auto shared_fn = std::make_shared<std::function<void()>>(std::move(fn));
   // The tick looks itself up in recurring_ rather than capturing itself:
-  // cancellation is the map erase, and there is no ownership cycle.
+  // cancellation is the map erase, and there is no ownership cycle. Each
+  // queued occurrence holds only a shared_ptr to the tick, so a period
+  // re-schedules a pointer instead of copying the closure; it also keeps
+  // the tick alive while it runs, should fn cancel its own recurrence.
   auto tick = std::make_shared<std::function<void()>>();
   *tick = [this, rid, period, label, shared_fn]() {
     if (recurring_.find(rid) == recurring_.end()) return;  // cancelled
     (*shared_fn)();
     auto it = recurring_.find(rid);  // fn may have cancelled the recurrence
-    if (it != recurring_.end()) schedule_after(period, *it->second, label);
+    if (it != recurring_.end()) {
+      schedule_after(period, [tick = it->second] { (*tick)(); }, label);
+    }
   };
   recurring_[rid] = tick;
   const SimTime start = first >= 0.0 ? first : now_ + period;
-  schedule_at(start, *tick, label);
+  schedule_at(start, [tick] { (*tick)(); }, label);
   return EventHandle{rid};
 }
 
@@ -50,9 +57,10 @@ void Simulator::cancel(EventHandle h) {
 
 bool Simulator::step(SimTime until) {
   while (!queue_.empty()) {
-    if (queue_.top().at > until) return false;
-    Event ev = queue_.top();
-    queue_.pop();
+    if (queue_.front().at > until) return false;
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     if (!cancelled_.empty() && cancelled_.erase(ev.seq) != 0) {
       continue;  // skip cancelled event
     }

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -111,7 +110,10 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Binary min-heap by (time, sequence), kept with std::push_heap and
+  // std::pop_heap so step() can move the popped event (and its closure)
+  // out rather than copy it.
+  std::vector<Event> queue_;
   std::unordered_set<std::uint64_t> cancelled_;
   // Live recurring activities, keyed by their handle id. Owning the tick
   // closure here (instead of the closure owning itself) avoids a

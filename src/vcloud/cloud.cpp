@@ -89,14 +89,17 @@ void VehicularCloud::attach() {
   }
 }
 
-double VehicularCloud::dwell_of(VehicleId v) {
-  const CloudRegion region = region_fn_();
+double VehicularCloud::worker_dwell(VehicleId v,
+                                    const CloudRegion& region) const {
   if (region.radius <= 0.0) return 0.0;
   return estimate_dwell(net_.traffic(), v, region.center, region.radius,
                         config_.dwell_mode);
 }
 
-std::vector<WorkerView> VehicularCloud::views() {
+std::vector<WorkerView> VehicularCloud::views() const {
+  // A dynamic cloud's region walks the cluster table and sums a centroid,
+  // so it is read once here rather than once per worker.
+  const CloudRegion region = region_fn_();
   std::vector<WorkerView> out;
   out.reserve(workers_.size());
   for (const auto& [vid, w] : workers_) {
@@ -104,13 +107,19 @@ std::vector<WorkerView> VehicularCloud::views() {
     view.id = VehicleId{vid};
     view.profile = w.profile;
     view.busy = w.running.valid();
-    view.dwell_seconds = dwell_of(view.id);
+    view.dwell_seconds = worker_dwell(view.id, region);
     out.push_back(view);
   }
   // Deterministic order (unordered_map iteration is not).
   std::sort(out.begin(), out.end(),
             [](const WorkerView& a, const WorkerView& b) { return a.id < b.id; });
   return out;
+}
+
+void VehicularCloud::reread_busy(std::vector<WorkerView>& worker_views) const {
+  for (WorkerView& view : worker_views) {
+    view.busy = workers_.at(view.id.value()).running.valid();
+  }
 }
 
 std::vector<VehicleId> VehicularCloud::worker_ids() const {
@@ -410,6 +419,13 @@ void VehicularCloud::attempt_result_send(TaskId id, std::uint64_t epoch,
 
 void VehicularCloud::dispatch() {
   if (net_.simulator().now() < dispatch_hold_until_) return;
+  // Views are built once per round: no simulated time passes inside it and
+  // no member joins or leaves, so the region and every dwell estimate stay
+  // fixed. Busy flags do not: assignment and replication take workers, and
+  // a dispatch send that exhausts its retries frees one and re-queues its
+  // task, so they are re-read from workers_ before each pick.
+  std::vector<WorkerView> worker_views;
+  bool built = false;
   while (!pending_.empty()) {
     const TaskId tid = pending_.front();
     auto task_it = tasks_.find(tid.value());
@@ -418,7 +434,12 @@ void VehicularCloud::dispatch() {
       continue;
     }
     Task& task = task_it->second;
-    const auto worker_views = views();
+    if (built) {
+      reread_busy(worker_views);
+    } else {
+      worker_views = views();
+      built = true;
+    }
     const VehicleId pick = scheduler_->pick(task, worker_views, rng_);
     if (!pick.valid()) return;  // no idle worker: stay queued
     auto worker_it = workers_.find(pick.value());
@@ -430,17 +451,18 @@ void VehicularCloud::dispatch() {
     stats_.queue_delay.add(queued);
     stats_.queue_delay_tail.add(queued);
     assign(task, worker_it->second, pick, /*charge_input=*/true);
-    maybe_replicate(task);
+    maybe_replicate(task, worker_views);
   }
 }
 
-void VehicularCloud::maybe_replicate(Task& task) {
+void VehicularCloud::maybe_replicate(Task& task,
+                                     std::vector<WorkerView>& worker_views) {
   const SpeculationConfig& spec = config_.dependability.speculation;
   if (!spec.enabled || task.deadline <= 0.0) return;
   if (replicas_.find(task.id.value()) != replicas_.end()) return;
   if (!pending_.empty()) return;  // speculation must never starve the queue
 
-  const auto worker_views = views();
+  reread_busy(worker_views);  // the primary's worker was just taken
   std::size_t idle = 0;
   for (const WorkerView& w : worker_views) idle += w.busy ? 0 : 1;
   if (idle <= spec.min_spare_workers) return;
@@ -1226,11 +1248,15 @@ VehicularCloud::RegionFn rsu_region(const net::Network& net, RsuId rsu) {
 VehicularCloud::MembershipFn largest_cluster_membership(
     const cluster::ClusterManager& manager) {
   return [&manager] {
-    std::vector<VehicleId> best;
-    for (const auto& [head, members] : manager.clusters()) {
-      if (members.size() > best.size()) best = members;
-    }
-    return best;
+    // On a size tie the lowest head id wins (max_element keeps the first
+    // maximum); only the winner's member list leaves the call.
+    auto all = manager.clusters();
+    const auto best = std::max_element(
+        all.begin(), all.end(), [](const auto& a, const auto& b) {
+          return a.second.size() < b.second.size();
+        });
+    return best == all.end() ? std::vector<VehicleId>{}
+                             : std::move(best->second);
   };
 }
 

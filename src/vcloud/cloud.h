@@ -251,11 +251,13 @@ class VehicularCloud {
   [[nodiscard]] CloudId id() const { return id_; }
   // Compute profile of a current member (nullptr when not a member).
   [[nodiscard]] const ResourceProfile* worker_profile(VehicleId v) const;
-  // Estimated dwell of `v` in the cloud's current region, under the
-  // configured DwellMode: +inf for parked vehicles, 0 for departed or
-  // despawned (crashed) ones. The DAG replication policy predicts host
-  // departure with this.
-  [[nodiscard]] double worker_dwell(VehicleId v) { return dwell_of(v); }
+  // Estimated dwell of `v` in `region` (the cloud's current region(), read
+  // once per round by the caller), under the configured DwellMode: +inf for
+  // parked vehicles, 0 for departed or despawned (crashed) ones and for an
+  // empty region. The DAG replication policy predicts host departure with
+  // this.
+  [[nodiscard]] double worker_dwell(VehicleId v,
+                                    const CloudRegion& region) const;
 
   // True when every submitted task reached a terminal state.
   [[nodiscard]] bool drained() const;
@@ -291,7 +293,7 @@ class VehicularCloud {
   // Shared cleanup when a worker is lost abruptly (declared dead) or
   // departs while holding a replica.
   void handle_worker_loss(VehicleId v, const WorkerState& state);
-  void maybe_replicate(Task& task);
+  void maybe_replicate(Task& task, std::vector<WorkerView>& worker_views);
   void on_replica_complete(TaskId id, std::uint64_t epoch);
   // Aborts a live replica (loser / deadline abort); counts its work as
   // redundancy and frees its worker.
@@ -302,9 +304,12 @@ class VehicularCloud {
   [[nodiscard]] static double earned_by_replica(const ReplicaState& r,
                                                 const ResourceProfile& profile,
                                                 const Task& task, SimTime now);
-  [[nodiscard]] std::vector<WorkerView> views();
+  // One view per worker, sorted by id; the region is read once per build.
+  [[nodiscard]] std::vector<WorkerView> views() const;
+  // Re-reads the busy flags of views built earlier in the same dispatch
+  // round (the worker set cannot change within a round).
+  void reread_busy(std::vector<WorkerView>& worker_views) const;
   [[nodiscard]] std::vector<std::uint64_t> sorted_worker_ids() const;
-  [[nodiscard]] double dwell_of(VehicleId v);
 
   // --- causal span tracing (all no-ops when tracing is off) ------------------
   // Allocates the task's trace id, opens its root span and the first queue

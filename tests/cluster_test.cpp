@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "cluster/fuzzy_clustering.h"
 #include "cluster/moving_zone.h"
 #include "cluster/passive_clustering.h"
 #include "cluster/speed_clustering.h"
 #include "cluster/stability.h"
+#include "vcloud/cloud.h"
 
 namespace vcl::cluster {
 namespace {
@@ -248,6 +252,130 @@ TEST_F(ClusterFixture, MembersOfReturnsSortedMembers) {
   const auto members = mgr.members_of(head);
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
   EXPECT_EQ(members.size(), 3u);
+}
+
+// ---- clusters(): one pass, same result as one members_of() per head -------
+
+using ClusterList = std::vector<std::pair<VehicleId, std::vector<VehicleId>>>;
+
+// The per-head construction clusters() replaced: every head's members found
+// by a full members_of() scan, then sorted by head id.
+ClusterList reference_clusters(const ClusterManager& m) {
+  ClusterList out;
+  for (const auto& [vid, a] : m.assignments()) {
+    if (a.role == ClusterRole::kHead) {
+      out.emplace_back(VehicleId{vid}, m.members_of(VehicleId{vid}));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+// The largest cluster as the dynamic cloud picks it: the first strictly
+// larger one in head-id order.
+std::vector<VehicleId> reference_largest(const ClusterList& clusters) {
+  std::vector<VehicleId> best;
+  for (const auto& [head, members] : clusters) {
+    if (members.size() > best.size()) best = members;
+  }
+  return best;
+}
+
+// An assignment table written directly, so it can hold what no protocol
+// produces today: free vehicles, members naming a non-head or a vanished
+// head, heads that name another vehicle.
+class TableClusters final : public ClusterManager {
+ public:
+  using ClusterManager::ClusterManager;
+  [[nodiscard]] const char* name() const override { return "table"; }
+  void update() override {}
+  void set(std::uint64_t v, std::uint64_t head, ClusterRole role) {
+    assignments_[v] = ClusterAssignment{VehicleId{head}, role, 0.0};
+  }
+};
+
+TEST_F(ClusterFixture, OnePassClustersMatchPerHeadConstruction) {
+  // Seeded random cities: moving and parked vehicles, several protocols,
+  // a few mobility steps each. Isolated vehicles give singleton zones.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    geo::RoadNetwork road = geo::make_manhattan_grid(4, 4, 250.0);
+    sim::Simulator sim;
+    mobility::TrafficModel traffic(road, Rng(seed));
+    net::Network net(sim, traffic, net::ChannelConfig{}, Rng(seed + 100));
+    Rng rng(seed + 200);
+    for (int i = 0; i < 40; ++i) {
+      const LinkId link{static_cast<std::uint64_t>(rng.index(road.link_count()))};
+      if (rng.uniform() < 0.3) {
+        traffic.spawn_parked(link, rng.uniform(0.0, 240.0));
+      } else {
+        traffic.spawn({link}, rng.uniform(0.0, 15.0));
+      }
+    }
+    std::vector<std::unique_ptr<ClusterManager>> managers;
+    managers.push_back(std::make_unique<SpeedClustering>(net));
+    managers.push_back(std::make_unique<PassiveClustering>(net));
+    managers.push_back(std::make_unique<FuzzyClustering>(net));
+    managers.push_back(std::make_unique<MovingZone>(net));
+    for (int round = 0; round < 3; ++round) {
+      net.refresh();
+      for (auto& m : managers) {
+        m->update();
+        const ClusterList expected = reference_clusters(*m);
+        EXPECT_EQ(m->clusters(), expected)
+            << m->name() << " seed " << seed << " round " << round;
+        EXPECT_EQ(vcloud::largest_cluster_membership(*m)(),
+                  reference_largest(expected))
+            << m->name() << " seed " << seed << " round " << round;
+      }
+      traffic.step(2.0);
+    }
+  }
+}
+
+TEST_F(ClusterFixture, OnePassClustersMatchOnRandomAssignmentTables) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    TableClusters table(net_);
+    const int n = 1 + static_cast<int>(rng.index(60));
+    for (int v = 1; v <= n; ++v) {
+      const double r = rng.uniform();
+      const auto other = 1 + static_cast<std::uint64_t>(rng.index(n + 5));
+      if (r < 0.15) {
+        table.set(v, other, ClusterRole::kFree);  // stale head, ignored
+      } else if (r < 0.45) {
+        // Mostly self-headed; now and then a head naming someone else.
+        table.set(v, rng.uniform() < 0.9 ? v : other, ClusterRole::kHead);
+      } else {
+        table.set(v, other, ClusterRole::kMember);  // may name a non-head
+      }
+    }
+    const ClusterList expected = reference_clusters(table);
+    EXPECT_EQ(table.clusters(), expected) << "seed " << seed;
+    EXPECT_EQ(vcloud::largest_cluster_membership(table)(),
+              reference_largest(expected))
+        << "seed " << seed;
+  }
+}
+
+TEST_F(ClusterFixture, LargestClusterTieGoesToLowestHeadId) {
+  TableClusters table(net_);
+  // Heads 9 and 4 both lead three vehicles, head 2 leads one, 7 is free.
+  for (const std::uint64_t v : {9, 10, 11}) {
+    table.set(v, 9, v == 9 ? ClusterRole::kHead : ClusterRole::kMember);
+  }
+  for (const std::uint64_t v : {4, 5, 12}) {
+    table.set(v, 4, v == 4 ? ClusterRole::kHead : ClusterRole::kMember);
+  }
+  table.set(2, 2, ClusterRole::kHead);
+  table.set(7, 4, ClusterRole::kFree);
+  const ClusterList clusters = table.clusters();
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters, reference_clusters(table));
+  const std::vector<VehicleId> expected{VehicleId{4}, VehicleId{5},
+                                        VehicleId{12}};
+  EXPECT_EQ(vcloud::largest_cluster_membership(table)(), expected);
+  EXPECT_EQ(reference_largest(clusters), expected);
 }
 
 }  // namespace

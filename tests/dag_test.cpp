@@ -346,7 +346,8 @@ TEST(DagScheduler, ReliabilityAwareBacksUpACrashedHost) {
   // dwell prediction is already zero.
   system.cloud().crash_worker(worker);
   system.scenario().traffic().despawn(worker);
-  EXPECT_DOUBLE_EQ(system.cloud().worker_dwell(worker), 0.0);
+  EXPECT_DOUBLE_EQ(
+      system.cloud().worker_dwell(worker, system.cloud().region()), 0.0);
 
   // The next reliability scan flags the doomed attempt and launches a
   // backup before the detector declares the worker dead.

@@ -497,6 +497,46 @@ TEST_F(CloudFixture, DynamicCloudFollowsCluster) {
   EXPECT_GT(cloud.region().radius, 0.0);
 }
 
+TEST_F(CloudFixture, RegionIsReadOncePerRoundNotOncePerWorker) {
+  // W parked workers under a region that counts its evaluations. One
+  // dispatch round (a submit, a completion, a refresh) may read the region
+  // a bounded number of times, independent of W; reading it per worker
+  // per pending task costs k * W calls for k submits alone.
+  constexpr std::size_t kWorkers = 60;
+  constexpr std::size_t kTasks = 80;  // more than workers: some queue
+  std::vector<VehicleId> parked;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    parked.push_back(traffic_.spawn_parked(LinkId{0}, 3.0 * i));
+  }
+  net_.refresh();
+  std::size_t region_calls = 0;
+  VehicularCloud cloud(
+      CloudId{4}, net_, [parked] { return parked; },
+      [&region_calls] {
+        ++region_calls;
+        return CloudRegion{{100, 0}, 400.0};
+      },
+      std::make_unique<DwellAwareScheduler>(), {}, Rng(6));
+  std::size_t refreshes = 0;
+  cloud.set_refresh_hook([&refreshes](SimTime) { ++refreshes; });
+  cloud.refresh();
+  cloud.attach();
+  ASSERT_EQ(cloud.member_count(), kWorkers);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    Task t;
+    t.work = 10.0;
+    cloud.submit(t);
+  }
+  EXPECT_GT(cloud.pending_count(), 0u);
+  sim_.run_until(60.0);
+  EXPECT_EQ(cloud.stats().completed, kTasks);
+  ASSERT_GT(refreshes, 50u);
+  // Per submit: one views build. Per refresh: the broker election and a
+  // dispatch round. Per completion: one dispatch round.
+  EXPECT_LE(region_calls, 2 * (kTasks + refreshes));
+  EXPECT_LT(region_calls, kTasks * kWorkers);
+}
+
 // ---- Dependability: crashes, heartbeats, retry, checkpoints, replicas ---------
 
 TEST_F(CloudFixture, CrashWithoutDetectorHangsForever) {
@@ -637,6 +677,49 @@ TEST_F(CloudFixture, DispatchRetriesUnderBlackoutThenCompletes) {
   sim_.run_until(200.0);
   EXPECT_EQ(cloud->find_task(id)->state, TaskState::kCompleted);
   EXPECT_GT(cloud->stats().retries, 1u);
+}
+
+TEST_F(CloudFixture, RetryExhaustionFreesWorkerForTheSameRound) {
+  // One attempt per dispatch over a lossy channel: each lost send frees its
+  // worker and re-queues the task in the middle of the dispatch round. The
+  // round must see the freed worker as idle again, and a worker that took
+  // a task as busy, until every task holds a worker of its own; no
+  // simulated time passes.
+  CloudConfig config;
+  config.dependability.retry.enabled = true;
+  config.dependability.retry.max_attempts = 1;
+  std::vector<VehicleId> members;
+  VehicularCloud cloud(CloudId{5}, net_, [&members] { return members; },
+                       fixed_region({100, 0}, 400.0),
+                       std::make_unique<GreedyResourceScheduler>(), config,
+                       Rng(7));
+  constexpr std::size_t kTasks = 3;
+  std::vector<TaskId> ids;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    Task t;
+    t.work = 10.0;
+    ids.push_back(cloud.submit(t));  // no members yet: all queue
+  }
+  ASSERT_EQ(cloud.pending_count(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    members.push_back(traffic_.spawn_parked(LinkId{0}, 10.0 * i));
+  }
+  net_.refresh();
+  net_.channel().config().base_loss = 0.9;
+  cloud.refresh();  // the members arrive; one round dispatches the queue
+  ASSERT_GE(cloud.stats().retries, 1u);  // the round freed a worker
+  EXPECT_EQ(cloud.pending_count(), 0u);
+  std::set<std::uint64_t> holders;
+  for (const TaskId id : ids) {
+    const Task* task = cloud.find_task(id);
+    ASSERT_NE(task, nullptr);
+    EXPECT_EQ(task->state, TaskState::kRunning);
+    ASSERT_TRUE(task->worker.valid());
+    EXPECT_EQ(cloud.running_on(task->worker), id);
+    holders.insert(task->worker.value());
+  }
+  EXPECT_EQ(holders.size(), kTasks);
+  EXPECT_EQ(sim_.now(), 0.0);
 }
 
 TEST_F(CloudFixture, SpeculativeReplicaFirstFinisherWins) {
