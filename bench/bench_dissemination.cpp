@@ -93,8 +93,10 @@ int main(int argc, char** argv) {
   cloud.refresh();
 
   vcloud::IncentiveLedger ledger;
-  cloud.set_completion_hook([&](const vcloud::Task& t) {
-    ledger.reward(t.worker.value(), t.work);
+  cloud.set_terminal_hook([&](const vcloud::Task& t, SimTime) {
+    if (t.state == vcloud::TaskState::kCompleted) {
+      ledger.reward(t.worker.value(), t.work);
+    }
   });
 
   // Two requester populations: lenders are also cloud members (they earn);

@@ -1,7 +1,6 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -332,18 +331,6 @@ void FaultPlanMeta::set(const std::string& key, double value) {
   extra.emplace_back(key, value);
 }
 
-namespace {
-
-// Event times/durations must survive write -> parse bit-exactly (a repro
-// file IS the episode), so they bypass json_number's lossy %.12g.
-std::string exact_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 void write_fault_plan_jsonl(const FaultPlan& plan, const FaultPlanMeta& meta,
                             std::ostream& os) {
   {
@@ -353,7 +340,7 @@ void write_fault_plan_jsonl(const FaultPlan& plan, const FaultPlanMeta& meta,
         .key("seed").value(static_cast<std::uint64_t>(meta.seed))
         .key("events").value(static_cast<std::uint64_t>(plan.size()));
     for (const auto& [key, value] : meta.extra) {
-      w.key(key).value_raw(exact_number(value));
+      w.key(key).value_raw(obs::exact_number(value));
     }
     w.end_object();
   }
@@ -362,7 +349,7 @@ void write_fault_plan_jsonl(const FaultPlan& plan, const FaultPlanMeta& meta,
     obs::JsonWriter w(os);
     w.begin_object()
         .key("kind").value(to_string(e.kind))
-        .key("at").value_raw(exact_number(e.at));
+        .key("at").value_raw(obs::exact_number(e.at));
     switch (e.kind) {
       case FaultKind::kVehicleCrash:
         if (e.vehicle.valid()) {
@@ -381,13 +368,13 @@ void write_fault_plan_jsonl(const FaultPlan& plan, const FaultPlanMeta& meta,
         if (e.rsu.valid()) {
           w.key("rsu").value(static_cast<std::uint64_t>(e.rsu.value()));
         }
-        w.key("repair_after").value_raw(exact_number(e.repair_after));
+        w.key("repair_after").value_raw(obs::exact_number(e.repair_after));
         break;
       case FaultKind::kRadioBlackout:
-        w.key("x").value_raw(exact_number(e.center.x));
-        w.key("y").value_raw(exact_number(e.center.y));
-        w.key("radius").value_raw(exact_number(e.radius));
-        w.key("duration").value_raw(exact_number(e.duration));
+        w.key("x").value_raw(obs::exact_number(e.center.x));
+        w.key("y").value_raw(obs::exact_number(e.center.y));
+        w.key("radius").value_raw(obs::exact_number(e.radius));
+        w.key("duration").value_raw(obs::exact_number(e.duration));
         break;
       case FaultKind::kSybilJoin:
         w.key("attack_tag").value(static_cast<std::uint64_t>(e.attack_tag));
@@ -398,11 +385,12 @@ void write_fault_plan_jsonl(const FaultPlan& plan, const FaultPlanMeta& meta,
         }
         break;
       case FaultKind::kCrlDeliver:
-        w.key("horizon_after").value_raw(exact_number(e.crl_horizon_after));
+        w.key("horizon_after")
+            .value_raw(obs::exact_number(e.crl_horizon_after));
         break;
       case FaultKind::kReplayInject:
         w.key("attack_tag").value(static_cast<std::uint64_t>(e.attack_tag));
-        w.key("age").value_raw(exact_number(e.replay_age));
+        w.key("age").value_raw(obs::exact_number(e.replay_age));
         break;
     }
     if (e.group != 0) {

@@ -1,6 +1,5 @@
 #include "obs/incident.h"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -8,19 +7,6 @@
 #include "obs/json.h"
 
 namespace vcl::obs {
-
-namespace {
-
-// Sim times and payloads must survive write → parse bit-exactly (the
-// bundle-determinism tests compare serialized bytes), so they bypass
-// json_number's lossy %.12g — same contract as fault-plan repro files.
-std::string exact_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 void append_flight_tail(IncidentBundle& bundle,
                         const std::vector<FlightEvent>& tail) {

@@ -40,6 +40,12 @@ std::string json_number(double v) {
   return buf;
 }
 
+std::string exact_number(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 void JsonWriter::comma() {
   if (key_pending_) return;  // key() already placed the separator
   if (!wrote_element_.empty()) {

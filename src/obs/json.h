@@ -41,6 +41,13 @@ std::string json_escape(const std::string& s);
 // trailing ".0" garbage tail, non-finite values degrade to null.
 std::string json_number(double v);
 
+// Formats a double with %.17g, so it survives write -> parse bit-exactly.
+// Fault-plan repro files (a repro file IS the episode) and incident bundles
+// (the bundle-determinism tests compare serialized bytes) format event
+// times and payloads with it, through JsonWriter::value_raw, bypassing
+// json_number's lossy %.12g.
+std::string exact_number(double v);
+
 // Stack-based writer: begin/end calls must pair; commas and key/value
 // ordering are handled internally. Misuse (value with no pending key inside
 // an object) is a programming error and asserts in debug builds.
@@ -69,7 +76,7 @@ class JsonWriter {
 
   // Emits a preformatted token verbatim (no quoting, no reformatting).
   // For callers whose numbers must round-trip bit-exactly — json_number's
-  // %.12g is lossy by design; fault-plan repro files format with %.17g.
+  // %.12g is lossy by design; those format with exact_number.
   JsonWriter& value_raw(const std::string& token);
 
  private:

@@ -357,11 +357,7 @@ void VehicularCloud::attempt_dispatch_send(TaskId id, std::uint64_t epoch,
     // re-queue; the next dispatch round will try elsewhere.
     worker_it->second.running = TaskId{};
     ++task_epoch_[id.value()];
-    task.state = TaskState::kPending;
-    task.worker = VehicleId{};
-    task.run_started = 0.0;
-    pending_.push_back(id);
-    trace_open_leg(task, "leg.queue");
+    requeue(task, TaskState::kPending);
     net_.simulator().schedule_after(delay, [this] { dispatch(); },
                                     "cloud.dispatch");
     return;
@@ -600,18 +596,45 @@ void VehicularCloud::finalize_completion(Task& task) {
   const SimTime now = net_.simulator().now();
   task.progress = task.work;
   task.completed_at = now;
+  const bool late = task.deadline > 0.0 && now > task.deadline;
+  // Last use of `task`: the terminal hook may submit follow-up tasks (DAG
+  // children), rehashing tasks_ and invalidating the reference.
+  retire(task, late ? TaskState::kExpired : TaskState::kCompleted, now);
+  dispatch();
+}
+
+void VehicularCloud::retire(Task& task, TaskState state, SimTime now,
+                            std::vector<TaskId>* deferred) {
+  ++task_epoch_[task.id.value()];  // invalidate completion/migration events
   auto worker_it = workers_.find(task.worker.value());
   if (worker_it != workers_.end() && worker_it->second.running == task.id) {
     worker_it->second.running = TaskId{};
   }
   abort_replica(task.id);  // the losing replica, if one is still computing
-  if (task.deadline > 0.0 && now > task.deadline) {
-    task.state = TaskState::kExpired;
+  task.state = state;
+  const double id = static_cast<double>(task.id.value());
+  if (state == TaskState::kCompleted) {
+    const SimTime latency = now - task.created;
+    ++stats_.completed;
+    stats_.latency.add(latency);
+    stats_.latency_tail.add(latency);
+    if (trace_ != nullptr) {
+      trace_->record(now, obs::TraceCategory::kTask, "task.complete",
+                     task.trace,
+                     {{"task", id},
+                      {"worker", static_cast<double>(task.worker.value())},
+                      {"latency", latency}});
+    }
+    trace_task_end(task, obs::kOutcomeCompleted);
+    if (flight_ != nullptr) {
+      flight_->record(now, obs::FlightCategory::kTask, "task.complete",
+                      task.id.value(), task.worker.value(), latency);
+    }
+  } else {
     ++stats_.expired;
     if (trace_ != nullptr) {
       trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                     task.trace,
-                     {{"task", static_cast<double>(task.id.value())}});
+                     task.trace, {{"task", id}});
     }
     trace_task_end(task, obs::kOutcomeExpired);
     if (flight_ != nullptr) {
@@ -619,31 +642,26 @@ void VehicularCloud::finalize_completion(Task& task) {
                       task.id.value(),
                       task.worker.valid() ? task.worker.value() : 0);
     }
-  } else {
-    task.state = TaskState::kCompleted;
-    ++stats_.completed;
-    stats_.latency.add(now - task.created);
-    stats_.latency_tail.add(now - task.created);
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kTask, "task.complete",
-                     task.trace,
-                     {{"task", static_cast<double>(task.id.value())},
-                      {"worker", static_cast<double>(task.worker.value())},
-                      {"latency", now - task.created}});
-    }
-    trace_task_end(task, obs::kOutcomeCompleted);
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kTask, "task.complete",
-                      task.id.value(), task.worker.value(),
-                      now - task.created);
-    }
-    if (completion_hook_) completion_hook_(task);
   }
   if (oracle_ != nullptr) oracle_->on_terminal(task, now);
-  // Last use of `task`: the terminal hook may submit follow-up tasks (DAG
-  // children), rehashing tasks_ and invalidating the reference.
-  if (terminal_hook_) terminal_hook_(task, now);
-  dispatch();
+  if (!terminal_hook_) return;
+  if (deferred != nullptr) {
+    deferred->push_back(task.id);
+  } else {
+    terminal_hook_(task, now);
+  }
+}
+
+void VehicularCloud::requeue(Task& task, TaskState state) {
+  task.state = state;
+  task.worker = VehicleId{};
+  task.run_started = 0.0;
+  if (state == TaskState::kPending ||
+      !config_.dependability.test_drop_crash_requeue) {
+    pending_.push_back(task.id);
+  }  // else: DELIBERATE test-only bug — the crash-recovering task strands
+     // un-queued forever
+  trace_open_leg(task, "leg.queue");
 }
 
 void VehicularCloud::interrupt_and_recover(Task& task,
@@ -698,9 +716,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
         if (w == workers_.end()) {
           // Target vanished during the transfer: back to the queue with
           // progress preserved (the checkpoint still exists at the broker).
-          t.state = TaskState::kPending;
-          pending_.push_back(t.id);
-          trace_open_leg(t, "leg.queue");
+          requeue(t, TaskState::kPending);
           dispatch();
           return;
         }
@@ -709,10 +725,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
       return;
     }
     // No target: keep the checkpoint, re-queue with progress preserved.
-    task.state = TaskState::kPending;
-    task.worker = VehicleId{};
-    pending_.push_back(task.id);
-    trace_open_leg(task, "leg.queue");
+    requeue(task, TaskState::kPending);
     return;
   }
 
@@ -724,10 +737,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
   stats_.wasted_work += std::max(0.0, task.progress - resume);
   ++stats_.reallocations;
   task.progress = resume;
-  task.state = TaskState::kPending;
-  task.worker = VehicleId{};
-  pending_.push_back(task.id);
-  trace_open_leg(task, "leg.queue");
+  requeue(task, TaskState::kPending);
 }
 
 void VehicularCloud::recover_from_crash(Task& task) {
@@ -742,15 +752,9 @@ void VehicularCloud::recover_from_crash(Task& task) {
   stats_.wasted_work += std::max(0.0, task.progress - resume);
   if (resume <= 0.0 && task.progress > 0.0) ++stats_.reallocations;
   task.progress = resume;
-  task.state = TaskState::kCrashRecovering;
-  task.worker = VehicleId{};
-  task.run_started = 0.0;
-  if (!config_.dependability.test_drop_crash_requeue) {
-    pending_.push_back(task.id);
-  }  // else: DELIBERATE test-only bug — the task strands un-queued forever
   // Ends the recover leg opened at the crash: the span's duration is the
   // crash -> declared-dead -> requeued detection latency.
-  trace_open_leg(task, "leg.queue");
+  requeue(task, TaskState::kCrashRecovering);
 }
 
 void VehicularCloud::crash_worker(VehicleId v) {
@@ -798,7 +802,8 @@ void VehicularCloud::crash_worker(VehicleId v) {
 }
 
 void VehicularCloud::handle_worker_loss(VehicleId v,
-                                        const WorkerState& state) {
+                                        const WorkerState& state,
+                                        bool graceful) {
   if (!state.running.valid()) return;
   auto it = tasks_.find(state.running.value());
   if (it == tasks_.end() || it->second.terminal()) return;
@@ -807,9 +812,10 @@ void VehicularCloud::handle_worker_loss(VehicleId v,
 
   auto rep = replicas_.find(task.id.value());
   if (rep != replicas_.end() && rep->second.worker == v) {
-    // Lost a replica: discard its work; the primary carries on. Only a
-    // replica-inherit task (kRunning, no worker) needs the requeue — a task
-    // already back in the queue would end up queued twice (chaos oracle).
+    // Lost a replica (departed or dead): discard its work; the primary
+    // carries on. Only a replica-inherit task (kRunning, no worker) needs
+    // the requeue — a task already back in the queue would end up queued
+    // twice (chaos oracle).
     stats_.redundant_work +=
         earned_by_replica(rep->second, state.profile, task, now);
     replicas_.erase(rep);
@@ -819,6 +825,10 @@ void VehicularCloud::handle_worker_loss(VehicleId v,
     return;
   }
   if (task.worker != v) return;
+  if (graceful) {
+    interrupt_and_recover(task, state);
+    return;
+  }
 
   const double earned = earned_progress(task, state.profile, now);
   ++task_epoch_[task.id.value()];  // the primary's events are now stale
@@ -872,7 +882,7 @@ void VehicularCloud::declare_dead(VehicleId v) {
   }
   const WorkerState state = it->second;
   workers_.erase(it);
-  handle_worker_loss(v, state);
+  handle_worker_loss(v, state, /*graceful=*/false);
   dispatch();
 }
 
@@ -960,7 +970,7 @@ void VehicularCloud::refresh() {
   }
   for (const std::uint64_t vid : departed) {
     const VehicleId v{vid};
-    WorkerState state = workers_[vid];
+    const WorkerState state = workers_[vid];
     workers_.erase(vid);
     detector_.forget(v);
     if (trace_ != nullptr) {
@@ -968,26 +978,7 @@ void VehicularCloud::refresh() {
                      {{"worker", static_cast<double>(vid)},
                       {"members", static_cast<double>(workers_.size())}});
     }
-    if (state.running.valid()) {
-      auto it = tasks_.find(state.running.value());
-      if (it != tasks_.end() && !it->second.terminal()) {
-        Task& task = it->second;
-        auto rep = replicas_.find(task.id.value());
-        if (rep != replicas_.end() && rep->second.worker == v) {
-          // A replica holder left gracefully: the hedge is gone. Requeue
-          // only from replica-inherit (kRunning, no worker) — an already
-          // queued task must not be queued a second time (chaos oracle).
-          stats_.redundant_work +=
-              earned_by_replica(rep->second, state.profile, task, now);
-          replicas_.erase(rep);
-          if (task.state == TaskState::kRunning && !task.worker.valid()) {
-            recover_from_crash(task);
-          }
-        } else if (task.worker == v) {
-          interrupt_and_recover(task, state);
-        }
-      }
-    }
+    handle_worker_loss(v, state, /*graceful=*/true);
   }
 
   // Arrivals. With admission control wired, refresh consults the RSU-side
@@ -1029,7 +1020,7 @@ void VehicularCloud::refresh() {
                         {"members", static_cast<double>(workers_.size())}});
       }
       if (!admission_->config().test_drop_revoked_requeue) {
-        handle_worker_loss(v, state);
+        handle_worker_loss(v, state, /*graceful=*/false);
       }
       // else: DELIBERATE test-only bug — the held task strands kRunning on
       // a worker the cloud no longer has (task-conservation catches it).
@@ -1060,26 +1051,14 @@ void VehicularCloud::refresh() {
   // Expire pending tasks past their deadlines. Terminal-hook calls are
   // deferred past both expiry loops: the hook may submit follow-up tasks
   // (DAG children), which would invalidate the deque/map iterators here.
+  // A queued entry can already be terminal (a replica completed the task
+  // after it was re-queued); dispatch reaps it, it must not expire twice.
   std::vector<TaskId> reaped;
   for (auto it = pending_.begin(); it != pending_.end();) {
     auto task_it = tasks_.find(it->value());
-    if (task_it != tasks_.end() && task_it->second.deadline > 0.0 &&
-        now > task_it->second.deadline) {
-      task_it->second.state = TaskState::kExpired;
-      ++stats_.expired;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                       task_it->second.trace,
-                       {{"task", static_cast<double>(task_it->first)}});
-      }
-      trace_task_end(task_it->second, obs::kOutcomeExpired);
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kTask, "task.expire",
-                        task_it->first);
-      }
-      abort_replica(task_it->second.id);
-      if (oracle_ != nullptr) oracle_->on_terminal(task_it->second, now);
-      if (terminal_hook_) reaped.push_back(task_it->second.id);
+    if (task_it != tasks_.end() && !task_it->second.terminal() &&
+        task_it->second.deadline > 0.0 && now > task_it->second.deadline) {
+      retire(task_it->second, TaskState::kExpired, now, &reaped);
       it = pending_.erase(it);
     } else {
       ++it;
@@ -1088,32 +1067,10 @@ void VehicularCloud::refresh() {
   // Abort running/migrating tasks past their deadlines: finishing them
   // late has no value and blocks the worker.
   for (auto& [tid, task] : tasks_) {
-    if (task.terminal() || task.deadline <= 0.0 || now <= task.deadline) {
-      continue;
-    }
-    if (task.state == TaskState::kRunning ||
-        task.state == TaskState::kMigrating) {
-      ++task_epoch_[tid];  // invalidate completion/migration events
-      abort_replica(task.id);
-      auto worker_it = workers_.find(task.worker.value());
-      if (worker_it != workers_.end() &&
-          worker_it->second.running == task.id) {
-        worker_it->second.running = TaskId{};
-      }
-      task.state = TaskState::kExpired;
-      ++stats_.expired;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                       task.trace,
-                       {{"task", static_cast<double>(tid)}});
-      }
-      trace_task_end(task, obs::kOutcomeExpired);
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kTask, "task.expire", tid,
-                        task.worker.valid() ? task.worker.value() : 0);
-      }
-      if (oracle_ != nullptr) oracle_->on_terminal(task, now);
-      if (terminal_hook_) reaped.push_back(task.id);
+    if ((task.state == TaskState::kRunning ||
+         task.state == TaskState::kMigrating) &&
+        task.deadline > 0.0 && now > task.deadline) {
+      retire(task, TaskState::kExpired, now, &reaped);
     }
   }
   for (const TaskId id : reaped) {

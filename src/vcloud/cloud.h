@@ -136,13 +136,6 @@ class VehicularCloud {
     return crashed_.count(v.value()) > 0;
   }
 
-  // Invoked when a task completes successfully (after state/stat updates);
-  // the incentive ledger and aggregation layers hook in here.
-  using CompletionHook = std::function<void(const Task&)>;
-  void set_completion_hook(CompletionHook hook) {
-    completion_hook_ = std::move(hook);
-  }
-
   // Invoked whenever the broker hears a worker's heartbeat (including its
   // own trivial self-beat). The storage layer renews replica leases here —
   // lease liveness rides the existing heartbeat path rather than adding a
@@ -159,13 +152,15 @@ class VehicularCloud {
   using RefreshHook = std::function<void(SimTime)>;
   void set_refresh_hook(RefreshHook hook) { refresh_hook_ = std::move(hook); }
 
-  // Invoked on EVERY task terminal transition (completed, expired, failed),
-  // after state/stat updates and the oracle's terminal hook. The DAG
-  // scheduler routes attempt terminals back to their graph node here. The
-  // hook may submit follow-up tasks (which rehashes the task table), so it
-  // is always the last use of the terminal task's reference and is never
-  // fired while the cloud iterates its task structures. Unset = one branch
-  // per terminal (inertness contract).
+  // Invoked on EVERY task terminal transition (completed or expired; the
+  // cloud never produces kFailed), after state/stat updates and the
+  // oracle's terminal hook. The DAG scheduler routes attempt terminals back
+  // to their graph node here; the incentive ledger rewards completions by
+  // filtering on TaskState::kCompleted. The hook may submit follow-up tasks
+  // (which rehashes the task table), so it is always the last use of the
+  // terminal task's reference and is never fired while the cloud iterates
+  // its task structures. Unset = one branch per terminal (inertness
+  // contract).
   using TerminalHook = std::function<void(const Task&, SimTime)>;
   void set_terminal_hook(TerminalHook hook) {
     terminal_hook_ = std::move(hook);
@@ -284,15 +279,30 @@ class VehicularCloud {
   void attempt_result_send(TaskId id, std::uint64_t epoch, int attempt);
   void on_complete(TaskId id, std::uint64_t epoch);
   void finalize_completion(Task& task);
+  // The one terminal transition (kCompleted or kExpired): stales the task's
+  // scheduled events, frees its worker slot and any live replica, sets the
+  // state and stats, then records trace instant -> leg/root span end ->
+  // flight -> oracle -> terminal hook, in that order. With `deferred` the
+  // hook is not fired but its id appended, for callers still iterating the
+  // task structures.
+  void retire(Task& task, TaskState state, SimTime now,
+              std::vector<TaskId>* deferred = nullptr);
+  // The one way back to the queue: sets `state` (kPending or
+  // kCrashRecovering), clears the worker and opens the queue leg. Only the
+  // test_drop_crash_requeue fixture bug keeps a kCrashRecovering task out.
+  void requeue(Task& task, TaskState state);
   void interrupt_and_recover(Task& task, const WorkerState& departed);
   // Crash path: roll back to the last broker-held checkpoint and re-queue.
   void recover_from_crash(Task& task);
   void heartbeat_round();
   void checkpoint_round();
   void declare_dead(VehicleId v);
-  // Shared cleanup when a worker is lost abruptly (declared dead) or
-  // departs while holding a replica.
-  void handle_worker_loss(VehicleId v, const WorkerState& state);
+  // The one worker-loss path, for graceful departures, revocation evictions
+  // and detector evictions alike (`state` is the worker's last state, already
+  // removed from workers_). A lost replica holder only drops the hedge; a
+  // lost primary hands over (graceful) or goes through crash recovery.
+  void handle_worker_loss(VehicleId v, const WorkerState& state,
+                          bool graceful);
   void maybe_replicate(Task& task, std::vector<WorkerView>& worker_views);
   void on_replica_complete(TaskId id, std::uint64_t epoch);
   // Aborts a live replica (loser / deadline abort); counts its work as
@@ -352,7 +362,6 @@ class VehicularCloud {
   bool heartbeat_rtt_enabled_ = false;
   InvariantOracle* oracle_ = nullptr;
   AdmissionControl* admission_ = nullptr;
-  CompletionHook completion_hook_;
   HeartbeatHook heartbeat_hook_;
   RefreshHook refresh_hook_;
   TerminalHook terminal_hook_;

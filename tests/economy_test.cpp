@@ -152,8 +152,10 @@ TEST(Incentive, CloudCompletionRewardsWorkers) {
   cloud.refresh();
 
   vcloud::IncentiveLedger ledger;
-  cloud.set_completion_hook([&](const vcloud::Task& t) {
-    ledger.reward(t.worker.value(), t.work);
+  cloud.set_terminal_hook([&](const vcloud::Task& t, SimTime) {
+    if (t.state == vcloud::TaskState::kCompleted) {
+      ledger.reward(t.worker.value(), t.work);
+    }
   });
   const std::uint64_t requester = 9999;
   vcloud::Task t;

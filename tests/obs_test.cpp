@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -830,6 +831,132 @@ TEST(SystemTelemetry, CrashedTaskKeepsOneCausalTreeAcrossRecovery) {
   }
   EXPECT_GE(in_tree, 10u);
   EXPECT_TRUE(saw_recover);
+}
+
+// ---- golden side-channel digest ---------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The test's own %.17g rather than obs::exact_number, so the digest test
+// also compiles against trees without that helper and pins their output.
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// One fixed-seed run of a moving dynamic cloud with every dependability
+// mechanism, crash faults, the oracle and tracing on. Returns the bytes of
+// every side channel the task/worker lifecycle feeds: trace JSONL, the
+// flight tail, the oracle's counts and the cloud stats. Kernel-profile wall
+// time is host-dependent and stays out.
+std::string lifecycle_side_channels(bool handover, vcloud::CloudStats& stats,
+                                    std::size_t& pending_expiry,
+                                    std::size_t& running_expiry,
+                                    std::size_t& late_completion) {
+  core::SystemConfig config;
+  config.scenario.seed = 11;
+  config.scenario.vehicles = 60;  // moving city fleet: clusters churn
+  config.architecture = core::CloudArchitecture::kDynamic;
+  config.cloud.handover.enabled = handover;
+  config.cloud.dependability.detector.enabled = true;
+  config.cloud.dependability.retry.enabled = true;
+  config.cloud.dependability.checkpoint.enabled = true;
+  config.cloud.dependability.speculation.enabled = true;
+  config.faults.vehicle_crash_rate = 0.08;
+  config.faults.broker_crash_rate = 0.01;
+  config.faults.horizon = 90.0;
+  config.invariant_oracle = true;
+  config.telemetry.tracing = true;
+  core::VehicularCloudSystem system(config);
+  system.start();
+
+  vcloud::WorkloadConfig workload;
+  workload.mean_work = 40.0;
+  workload.relative_deadline = 25.0;
+  for (int round = 0; round < 6; ++round) {
+    system.submit_workload(workload, 15);
+    system.run_for(15.0);
+  }
+  system.run_for(30.0);
+  stats = system.cloud().stats();
+
+  // Classify expiries: a late completion stamps completed_at; otherwise the
+  // leg closed right after the task.expire instant tells a queued task
+  // (leg.queue) from one reaped while assigned.
+  pending_expiry = running_expiry = late_completion = 0;
+  system.cloud().for_each_task([&](const vcloud::Task& t) {
+    if (t.state == vcloud::TaskState::kExpired && t.completed_at > 0.0) {
+      ++late_completion;
+    }
+  });
+  const std::vector<TraceRecorder::Event> events =
+      system.telemetry()->trace.events();
+  for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+    const TraceRecorder::Event& leg = events[i + 1];
+    if (std::string(events[i].name) != "task.expire" ||
+        leg.phase != TracePhase::kEnd || leg.trace_id != events[i].trace_id) {
+      continue;
+    }
+    if (std::string(leg.name) == "leg.queue") {
+      ++pending_expiry;
+    } else if (std::string(leg.name) != "leg.result") {
+      ++running_expiry;
+    }
+  }
+
+  std::ostringstream out;
+  system.telemetry()->trace.write_jsonl(out);
+  for (const FlightEvent& e : system.flight().tail()) {
+    out << exact(e.t) << ' ' << to_string(e.cat) << ' ' << e.name << ' '
+        << e.a << ' ' << e.b << ' ' << exact(e.x) << ' ' << e.seq << '\n';
+  }
+  const vcloud::InvariantOracle* oracle = system.oracle();
+  out << oracle->checks_run() << ' ' << oracle->violation_count() << '\n';
+  const vcloud::CloudStats& s = stats;
+  out << s.submitted << ' ' << s.completed << ' ' << s.failed << ' '
+      << s.expired << ' ' << s.migrations << ' ' << s.reallocations << ' '
+      << s.retries << ' ' << s.crash_kills << ' ' << s.false_positive_kills
+      << ' ' << s.checkpoints << ' ' << s.replicas_launched << ' '
+      << s.broker_resyncs << ' ' << exact(s.wasted_work) << ' '
+      << exact(s.redundant_work) << ' ' << exact(s.checkpoint_mb) << ' '
+      << exact(s.latency.sum()) << ' ' << exact(s.queue_delay.sum()) << ' '
+      << exact(s.detection_latency.sum()) << '\n';
+  return out.str();
+}
+
+TEST(SystemTelemetry, LifecycleSideChannelsMatchGoldenDigest) {
+  // Any reordered, dropped or extra side-channel record, or a changed stat,
+  // changes the digest; re-pin it only for a deliberate output change.
+  vcloud::CloudStats s;
+  std::size_t pending_expiry = 0, running_expiry = 0, late_completion = 0;
+  std::string bytes = lifecycle_side_channels(
+      /*handover=*/true, s, pending_expiry, running_expiry, late_completion);
+  // Every route fired: completion, the three expiry paths, dispatch
+  // retries, handover migration, crash recovery from zero, detector kills.
+  EXPECT_GT(s.completed, 0u);
+  EXPECT_GT(pending_expiry, 0u);
+  EXPECT_GT(running_expiry, 0u);
+  EXPECT_GT(late_completion, 0u);
+  EXPECT_GT(s.retries, 0u);
+  EXPECT_GT(s.migrations, 0u);
+  EXPECT_GT(s.reallocations, 0u);
+  EXPECT_GT(s.crash_kills, 0u);
+
+  // Without handover a departing worker's task is dropped and recomputed.
+  bytes += lifecycle_side_channels(/*handover=*/false, s, pending_expiry,
+                                   running_expiry, late_completion);
+  EXPECT_EQ(s.migrations, 0u);
+  EXPECT_GT(s.reallocations, s.crash_kills);
+
+  EXPECT_EQ(fnv1a(bytes), 0x6382acec9169d1acULL);
 }
 
 // ---- write_telemetry --------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "cluster/moving_zone.h"
 #include "vcloud/cloud.h"
+#include "vcloud/invariant_oracle.h"
 #include "vcloud/replication.h"
 
 namespace vcl::vcloud {
@@ -758,6 +759,50 @@ TEST_F(CloudFixture, ReplicaRescuesCrashedPrimary) {
   EXPECT_EQ(cloud->find_task(id)->state, TaskState::kCompleted);
   EXPECT_EQ(cloud->stats().crash_kills, 1u);
   EXPECT_EQ(cloud->stats().replicas_launched, 1u);
+}
+
+TEST_F(CloudFixture, ReplicaCompletingAQueuedTaskRetiresItOnce) {
+  // The primary departs with no idle handover target, so the task goes back
+  // to the queue behind two others while its replica keeps computing. The
+  // replica then completes it, and the completed entry stays queued until
+  // dispatch reaches it. Passing the deadline later must not expire it a
+  // second time.
+  CloudConfig config;
+  config.handover.enabled = true;
+  config.dependability.speculation.enabled = true;
+  config.dependability.speculation.min_spare_workers = 1;
+  auto cloud = make_stationary_cloud(3, config);
+  InvariantOracle oracle;
+  cloud->set_oracle(&oracle);
+  std::size_t terminals = 0;
+  cloud->set_terminal_hook([&](const Task&, SimTime) { ++terminals; });
+  Task hedged;
+  hedged.work = 20.0;
+  hedged.deadline = 200.0;
+  const TaskId id = cloud->submit(hedged);
+  ASSERT_TRUE(cloud->has_replica(id));
+  for (int i = 0; i < 3; ++i) {  // one takes the last idle worker, two queue
+    Task blocker;
+    blocker.work = 1e6;
+    cloud->submit(blocker);
+  }
+  traffic_.despawn(cloud->find_task(id)->worker);
+  cloud->refresh();
+  ASSERT_EQ(cloud->find_task(id)->state, TaskState::kPending);
+  ASSERT_EQ(cloud->pending_count(), 3u);
+  sim_.run_until(150.0);
+  ASSERT_EQ(cloud->find_task(id)->state, TaskState::kCompleted);
+  ASSERT_EQ(cloud->pending_count(), 2u);  // the completed entry is still queued
+
+  sim_.run_until(250.0);
+  cloud->refresh();
+  EXPECT_EQ(cloud->find_task(id)->state, TaskState::kCompleted);
+  EXPECT_EQ(cloud->stats().completed, 1u);
+  EXPECT_EQ(cloud->stats().expired, 0u);
+  EXPECT_EQ(terminals, 1u);
+  EXPECT_TRUE(oracle.ok()) << (oracle.violations().empty()
+                                   ? std::string()
+                                   : oracle.violations()[0].to_string());
 }
 
 TEST_F(CloudFixture, StatsReportingIsWellFormed) {

@@ -19,11 +19,14 @@
 // 2 = usage/IO error.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,13 +59,18 @@ struct Options {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --episodes N      seeded episodes to soak (default 50)\n"
-      << "  --seed S          base seed; episode i uses S+i (default 1)\n"
-      << "  --vehicles N      parked fleet size per episode (default 40)\n"
-      << "  --duration SEC    load window per episode (default 120)\n"
-      << "  --intensity X     fault/storm rate multiplier (default 1.0)\n"
+      << "  --episodes N      seeded episodes to soak, 1..1000000\n"
+      << "                    (default 50)\n"
+      << "  --seed S          base seed, 0..2^64-1; episode i uses S+i\n"
+      << "                    (default 1)\n"
+      << "  --vehicles N      parked fleet size per episode, 1..100000\n"
+      << "                    (default 40)\n"
+      << "  --duration SEC    load window per episode, (0, 1e6] (default 120)\n"
+      << "  --intensity X     fault/storm rate multiplier, [0, 1000]\n"
+      << "                    (default 1.0)\n"
       << "  --no-storms       independent Poisson background only\n"
-      << "  --jobs J          parallel episodes (default: hardware)\n"
+      << "  --jobs J          parallel episodes, 0..1024 (default 0 =\n"
+      << "                    hardware)\n"
       << "  --out DIR         repro + trace + incident-bundle output dir\n"
       << "                    (default chaos-out; a failing episode writes\n"
       << "                    incident.jsonl there — render with vcl_incident)\n"
@@ -98,6 +106,21 @@ int usage(const char* argv0) {
       << "               3 = the repro still reproduces the violation\n"
       << "               2 = usage or I/O error\n";
   return 2;
+}
+
+// A numeric flag value must be one whole token (no sign on unsigned
+// flags, no trailing bytes), finite and inside [lo, hi]; anything else is a
+// usage error, never an exception, a wrap-around or a NaN-length run.
+template <typename T>
+bool parse_flag(const char* text, T lo, T hi, T& out) {
+  if (text == nullptr) return false;
+  const std::string_view s(text);
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size()) return false;
+  if (!(v >= lo && v <= hi)) return false;  // also rejects NaN
+  out = v;
+  return true;
 }
 
 core::ChaosScenarioConfig episode_config(const Options& opt,
@@ -330,29 +353,31 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--episodes") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.episodes = static_cast<std::size_t>(std::stoull(v));
+      if (!parse_flag<std::size_t>(next(), 1, 1000000, opt.episodes)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.seed = static_cast<std::uint64_t>(std::stoull(v));
+      if (!parse_flag<std::uint64_t>(
+              next(), 0, std::numeric_limits<std::uint64_t>::max(),
+              opt.seed)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--vehicles") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.vehicles = std::stoi(v);
+      if (!parse_flag(next(), 1, 100000, opt.vehicles)) return usage(argv[0]);
     } else if (arg == "--duration") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.duration = std::stod(v);
+      // A zero-length window has no load; a NaN one never ends.
+      if (!parse_flag(next(), std::numeric_limits<double>::min(), 1e6,
+                      opt.duration)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--intensity") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.intensity = std::stod(v);
+      if (!parse_flag(next(), 0.0, 1000.0, opt.intensity)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.jobs = static_cast<std::size_t>(std::stoull(v));
+      if (!parse_flag<std::size_t>(next(), 0, 1024, opt.jobs)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -384,7 +409,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (opt.episodes == 0) return usage(argv[0]);
   if (!opt.repro_path.empty()) return run_repro(opt);
   return run_soak(opt);
 }
