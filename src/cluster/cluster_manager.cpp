@@ -102,7 +102,11 @@ void ClusterManager::elect_by_score(
   };
 
   // Pass 1: a vehicle declares itself head when no neighbor outscores it.
+  // elected_ flags this round's heads by vehicle id.
   std::vector<VehicleId> heads;
+  const auto elected = [this](VehicleId v) {
+    return v.value() < elected_.size() && elected_[v.value()] != 0;
+  };
   for (const auto& [vid, v] : net_.traffic().vehicles()) {
     const double own = biased(v.id);
     bool is_max = true;
@@ -116,19 +120,18 @@ void ClusterManager::elect_by_score(
     if (is_max) {
       assign(v.id, v.id, ClusterRole::kHead);
       heads.push_back(v.id);
+      if (vid >= elected_.size()) elected_.resize(vid + 1, 0);
+      elected_[vid] = 1;
     }
   }
 
   // Pass 2: everyone else joins the best head in its neighbor table.
   for (const auto& [vid, v] : net_.traffic().vehicles()) {
-    if (role(v.id) == ClusterRole::kHead &&
-        std::find(heads.begin(), heads.end(), v.id) != heads.end()) {
-      continue;
-    }
+    if (elected(v.id)) continue;
     VehicleId best_head;
     double best_score = -1e300;
     for (const net::NeighborEntry& n : net_.neighbors(v.id)) {
-      if (std::find(heads.begin(), heads.end(), n.id) == heads.end()) continue;
+      if (!elected(n.id)) continue;
       const double s = biased(n.id);
       if (s > best_score) {
         best_score = s;
@@ -141,6 +144,7 @@ void ClusterManager::elect_by_score(
       assign(v.id, v.id, ClusterRole::kHead);  // isolated: own cluster
     }
   }
+  for (const VehicleId h : heads) elected_[h.value()] = 0;
 }
 
 }  // namespace vcl::cluster

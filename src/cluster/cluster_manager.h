@@ -68,6 +68,10 @@ class ClusterManager {
 
   net::Network& net_;
   std::unordered_map<std::uint64_t, ClusterAssignment> assignments_;
+
+ private:
+  // elect_by_score scratch: 1 for this round's heads, by vehicle id.
+  std::vector<std::uint8_t> elected_;
 };
 
 }  // namespace vcl::cluster

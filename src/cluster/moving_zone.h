@@ -30,7 +30,17 @@ class MovingZone final : public ClusterManager {
   [[nodiscard]] bool compatible(geo::Vec2 vel_a, geo::Vec2 vel_b) const;
 
  private:
+  // compatible() with both speeds (the velocity norms) already computed.
+  [[nodiscard]] bool compatible(geo::Vec2 vel_a, double speed_a,
+                                geo::Vec2 vel_b, double speed_b) const;
+
   MovingZoneConfig config_;
+  // update() scratch, indexed by slot (position in vehicles() order) or,
+  // for slot_by_id_, by vehicle id; kept to reuse the allocations.
+  std::vector<const mobility::VehicleState*> vehicle_;
+  std::vector<double> speed_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> slot_by_id_;
 };
 
 }  // namespace vcl::cluster

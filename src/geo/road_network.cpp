@@ -17,8 +17,10 @@ LinkId RoadNetwork::add_link(NodeId from, NodeId to, double speed_limit,
                              int lanes) {
   assert(from.value() < nodes_.size() && to.value() < nodes_.size());
   const LinkId id{links_.size()};
-  const double len = distance(nodes_[from.value()].pos, nodes_[to.value()].pos);
-  links_.push_back(RoadLink{id, from, to, len, speed_limit, lanes});
+  const Vec2 a = nodes_[from.value()].pos;
+  const Vec2 b = nodes_[to.value()].pos;
+  links_.push_back(RoadLink{id, from, to, distance(a, b), speed_limit, lanes});
+  link_dirs_.push_back((b - a).normalized());
   nodes_[from.value()].out_links.push_back(id);
   nodes_[to.value()].in_links.push_back(id);
   return id;
@@ -39,11 +41,6 @@ Vec2 RoadNetwork::position_on_link(LinkId id, double offset) const {
   if (l.length <= 0.0) return a;
   const double t = std::clamp(offset / l.length, 0.0, 1.0);
   return a + (b - a) * t;
-}
-
-Vec2 RoadNetwork::link_direction(LinkId id) const {
-  const RoadLink& l = link(id);
-  return (node(l.to).pos - node(l.from).pos).normalized();
 }
 
 std::optional<std::vector<LinkId>> RoadNetwork::shortest_path(

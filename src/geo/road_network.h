@@ -46,8 +46,10 @@ class RoadNetwork {
 
   // World position at longitudinal offset along a link (clamped to length).
   [[nodiscard]] Vec2 position_on_link(LinkId id, double offset) const;
-  // Unit direction of travel on a link.
-  [[nodiscard]] Vec2 link_direction(LinkId id) const;
+  // Unit direction of travel on a link (computed once, in add_link).
+  [[nodiscard]] Vec2 link_direction(LinkId id) const {
+    return link_dirs_.at(id.value());
+  }
 
   // Dijkstra shortest path (by travel time) from node `from` to node `to`;
   // returns the list of links, or nullopt when unreachable.
@@ -60,6 +62,7 @@ class RoadNetwork {
  private:
   std::vector<RoadNode> nodes_;
   std::vector<RoadLink> links_;
+  std::vector<Vec2> link_dirs_;  // by link id
 };
 
 // ---- Generators -----------------------------------------------------------

@@ -86,25 +86,30 @@ void TrafficModel::refresh_world_frame(VehicleState& v) const {
 }
 
 void TrafficModel::rebuild_lane_index() {
+  for (std::vector<LaneSlot>& bucket : lane_buckets_) bucket.clear();
   lane_index_.clear();
   for (auto& [vid, v] : vehicles_) {
     // Parked vehicles sit curbside (stalls/shoulder), not in the travel
     // lane: they radio-participate but do not block traffic.
     if (v.parked) continue;
-    lane_index_[lane_key(v.link, v.lane)].push_back(v.id);
+    // A new key takes the next bucket.
+    const auto next = static_cast<std::uint32_t>(lane_index_.size());
+    const std::uint32_t b =
+        lane_index_.try_emplace(lane_key(v.link, v.lane), next).first->second;
+    if (b == lane_buckets_.size()) lane_buckets_.emplace_back();
+    lane_buckets_[b].push_back(LaneSlot{v.offset, &v});
   }
-  for (auto& [key, ids] : lane_index_) {
-    std::sort(ids.begin(), ids.end(), [this](VehicleId a, VehicleId b) {
-      const double oa = vehicles_.at(a.value()).offset;
-      const double ob = vehicles_.at(b.value()).offset;
-      if (oa != ob) return oa > ob;  // leader (largest offset) first
-      return a.value() < b.value();
-    });
+  for (const auto& [key, b] : lane_index_) {
+    std::sort(lane_buckets_[b].begin(), lane_buckets_[b].end(),
+              [](const LaneSlot& x, const LaneSlot& y) {
+                if (x.offset != y.offset) return x.offset > y.offset;  // leader
+                return x.v->id.value() < y.v->id.value();
+              });
   }
 }
 
 void TrafficModel::advance_vehicle(VehicleState& v, double dt,
-                                   const std::vector<VehicleId>& lane_order,
+                                   const std::vector<LaneSlot>& lane_order,
                                    std::size_t pos_in_lane) {
   const geo::RoadLink& link = net_.link(v.link);
   IdmParams p = idm_;
@@ -113,8 +118,7 @@ void TrafficModel::advance_vehicle(VehicleState& v, double dt,
   double gap = kInf;
   double approach = 0.0;
   if (pos_in_lane > 0) {
-    const VehicleState& leader =
-        vehicles_.at(lane_order[pos_in_lane - 1].value());
+    const VehicleState& leader = *lane_order[pos_in_lane - 1].v;
     gap = leader.offset - leader.length - v.offset;
     approach = v.speed - leader.speed;
   }
@@ -125,7 +129,8 @@ void TrafficModel::advance_vehicle(VehicleState& v, double dt,
   if (gap < 10.0 && link.lanes > 1 && rng_.bernoulli(0.1)) {
     const int target = v.lane + (v.lane + 1 < link.lanes ? 1 : -1);
     const auto it = lane_index_.find(lane_key(v.link, target));
-    const std::size_t target_n = it == lane_index_.end() ? 0 : it->second.size();
+    const std::size_t target_n =
+        it == lane_index_.end() ? 0 : lane_buckets_[it->second].size();
     if (target_n + 1 < lane_order.size()) {
       v.lane = target;
       gap = kInf;  // treat as free after the hop; corrected next step
@@ -189,13 +194,12 @@ void TrafficModel::step(double dt) {
   now_ += dt;
   rebuild_lane_index();
   std::vector<VehicleId> finished;
-  for (auto& [key, ids] : lane_index_) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      auto it = vehicles_.find(ids[i].value());
-      if (it == vehicles_.end()) continue;
-      VehicleState& v = it->second;
+  for (const auto& [key, b] : lane_index_) {
+    const std::vector<LaneSlot>& lane = lane_buckets_[b];
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      VehicleState& v = *lane[i].v;
       if (v.parked) continue;
-      advance_vehicle(v, dt, ids, i);
+      advance_vehicle(v, dt, lane, i);
       if (v.parked) finished.push_back(v.id);  // trip ended this step
     }
   }

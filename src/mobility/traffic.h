@@ -24,7 +24,8 @@ class TrafficModel {
  public:
   // Called when a vehicle reaches the end of its route. Return a new route
   // (list of links starting at the vehicle's end node) to keep it alive, or
-  // nullopt to despawn it.
+  // nullopt to despawn it. It runs inside step() and must not despawn
+  // vehicles.
   using ArrivalHandler =
       std::function<std::optional<std::vector<LinkId>>(const VehicleState&)>;
   // Right-of-way oracle for signalized intersections: called for a vehicle
@@ -75,9 +76,16 @@ class TrafficModel {
   IdmParams& idm_params() { return idm_; }
 
  private:
+  // One vehicle in a lane bucket; `offset` is the sort key, copied so the
+  // sort reads no vehicle state.
+  struct LaneSlot {
+    double offset;
+    VehicleState* v;
+  };
+
   void refresh_world_frame(VehicleState& v) const;
   void advance_vehicle(VehicleState& v, double dt,
-                       const std::vector<VehicleId>& lane_order,
+                       const std::vector<LaneSlot>& lane_order,
                        std::size_t pos_in_lane);
   void rebuild_lane_index();
   [[nodiscard]] double route_time_to_exit(const VehicleState& v,
@@ -88,8 +96,12 @@ class TrafficModel {
   Rng rng_;
   IdmParams idm_;
   std::unordered_map<std::uint64_t, VehicleState> vehicles_;
-  // (link, lane) -> vehicle ids sorted by decreasing offset (leader first).
-  std::unordered_map<std::uint64_t, std::vector<VehicleId>> lane_index_;
+  // (link, lane) -> bucket in lane_buckets_ holding the lane's vehicles
+  // sorted by decreasing offset (leader first). The map is rebuilt every
+  // step in vehicles_ order, which fixes its iteration (and so the RNG)
+  // order; the buckets are pooled across steps.
+  std::unordered_map<std::uint64_t, std::uint32_t> lane_index_;
+  std::vector<std::vector<LaneSlot>> lane_buckets_;
   std::uint64_t next_vehicle_id_ = 0;
   ArrivalHandler arrival_handler_;
   RightOfWayFn right_of_way_;

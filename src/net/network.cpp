@@ -30,10 +30,22 @@ void Network::refresh() {
 }
 
 void Network::rebuild_index() {
-  index_.clear();
+  for (const VehicleId id : snap_id_) slot_by_id_[id.value()] = kNoSlot;
+  snap_id_.clear();
+  snap_pos_.clear();
+  snap_vel_.clear();
   for (const auto& [vid, v] : traffic_.vehicles()) {
-    index_.insert(v.id, v.pos);
+    if (vid >= slot_by_id_.size()) slot_by_id_.resize(vid + 1, kNoSlot);
+    slot_by_id_[vid] = static_cast<std::uint32_t>(snap_id_.size());
+    snap_id_.push_back(v.id);
+    snap_pos_.push_back(v.pos);
+    snap_vel_.push_back(v.vel);
   }
+  index_.build(snap_pos_);
+}
+
+std::uint32_t Network::slot_of(VehicleId v) const {
+  return v.value() < slot_by_id_.size() ? slot_by_id_[v.value()] : kNoSlot;
 }
 
 void Network::beacon_round() {
@@ -44,51 +56,53 @@ void Network::beacon_round() {
 void Network::beacon_round_tables() {
   const double range = channel_.config().max_range;
   const SimTime now = sim_.now();
-  std::vector<VehicleId> nearby;
 
   // Drop tables of departed vehicles.
-  for (auto it = neighbor_tables_.begin(); it != neighbor_tables_.end();) {
-    if (traffic_.find(VehicleId{it->first}) == nullptr) {
-      it = neighbor_tables_.erase(it);
-    } else {
-      ++it;
+  neighbor_tables_.resize(slot_by_id_.size());
+  table_pos_by_id_.resize(slot_by_id_.size(), 0);
+  for (std::size_t id = 0; id < neighbor_tables_.size(); ++id) {
+    if (slot_by_id_[id] == kNoSlot && neighbor_tables_[id].capacity() != 0) {
+      neighbor_tables_[id] = std::vector<NeighborEntry>();
     }
   }
 
-  for (const auto& [vid, v] : traffic_.vehicles()) {
-    index_.query(v.pos, range, nearby);
-    auto& table = neighbor_tables_[v.id.value()];
-    const std::size_t density = nearby.size();
-    for (const VehicleId nid : nearby) {
-      if (nid == v.id) continue;
-      const mobility::VehicleState* n = traffic_.find(nid);
-      if (n == nullptr) continue;
-      // Sample beacon reception from neighbor -> v; refresh on success.
+  for (std::uint32_t self = 0; self < snap_id_.size(); ++self) {
+    const geo::Vec2 pos = snap_pos_[self];
+    index_.query(pos, range, nearby_);
+    auto& table = neighbor_tables_[snap_id_[self].value()];
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      table_pos_by_id_[table[k].id.value()] = static_cast<std::uint32_t>(k + 1);
+    }
+    const std::size_t density = nearby_.size();
+    for (const std::uint32_t n : nearby_) {
+      if (n == self) continue;
+      // Sample beacon reception from neighbor -> self; refresh on success.
       if (!rng_.bernoulli(
-              channel_.reception_probability(n->pos, v.pos, density))) {
+              channel_.reception_probability(snap_pos_[n], pos, density))) {
         continue;
       }
-      auto existing =
-          std::find_if(table.begin(), table.end(),
-                       [nid](const NeighborEntry& e) { return e.id == nid; });
-      if (existing != table.end()) {
-        *existing = NeighborEntry{n->id, n->pos, n->vel, now};
+      const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n], now};
+      std::uint32_t& at = table_pos_by_id_[heard.id.value()];
+      if (at != 0) {
+        table[at - 1] = heard;
       } else {
-        table.push_back(NeighborEntry{n->id, n->pos, n->vel, now});
+        table.push_back(heard);
+        at = static_cast<std::uint32_t>(table.size());
       }
     }
+    for (const NeighborEntry& e : table) table_pos_by_id_[e.id.value()] = 0;
     // Expire stale entries and entries for departed or out-of-range-departed
     // vehicles.
     std::erase_if(table, [&](const NeighborEntry& e) {
       if (now - e.last_heard > neighbor_ttl_) return true;
-      return traffic_.find(e.id) == nullptr;
+      return slot_of(e.id) == kNoSlot;
     });
   }
 }
 
 const std::vector<NeighborEntry>& Network::neighbors(VehicleId v) const {
-  auto it = neighbor_tables_.find(v.value());
-  return it == neighbor_tables_.end() ? empty_ : it->second;
+  return v.value() < neighbor_tables_.size() ? neighbor_tables_[v.value()]
+                                             : empty_;
 }
 
 const Rsu* Network::reachable_rsu(VehicleId v) const {
@@ -112,14 +126,14 @@ std::optional<geo::Vec2> Network::position_of(Address addr) const {
 }
 
 std::size_t Network::local_density(geo::Vec2 pos) const {
-  std::vector<VehicleId> nearby;
-  index_.query(pos, channel_.config().reference_range, nearby);
+  const double radius = channel_.config().reference_range;
+  if (extra_load_.empty()) return index_.count(pos, radius);
+  std::vector<std::uint32_t> nearby;
+  index_.query(pos, radius, nearby);
   double extra = 0.0;
-  if (!extra_load_.empty()) {
-    for (const VehicleId v : nearby) {
-      auto it = extra_load_.find(v.value());
-      if (it != extra_load_.end()) extra += it->second;
-    }
+  for (const std::uint32_t slot : nearby) {
+    auto it = extra_load_.find(snap_id_[slot].value());
+    if (it != extra_load_.end()) extra += it->second;
   }
   return nearby.size() + static_cast<std::size_t>(extra);
 }
@@ -247,9 +261,11 @@ std::size_t Network::broadcast(Message msg) {
   const std::size_t density = local_density(*from);
 
   std::size_t reached = 0;
-  std::vector<VehicleId> nearby;
+  // Grid positions are the last snapshot's; reception uses live ones.
+  std::vector<std::uint32_t> nearby;
   index_.query(*from, channel_.config().max_range, nearby);
-  for (const VehicleId nid : nearby) {
+  for (const std::uint32_t slot : nearby) {
+    const VehicleId nid = snap_id_[slot];
     const Address addr = Address::vehicle(nid);
     if (addr == msg.src) continue;
     const mobility::VehicleState* n = traffic_.find(nid);

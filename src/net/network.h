@@ -58,6 +58,9 @@ class Network {
   RsuField& rsus() { return rsus_; }
   [[nodiscard]] const RsuField& rsus() const { return rsus_; }
   Channel& channel() { return channel_; }
+  // The fabric's random stream (beacon reception and per-message channel
+  // draws); its state pins how many draws were made, and in what order.
+  [[nodiscard]] const Rng& rng() const { return rng_; }
   sim::Simulator& simulator() { return sim_; }
   mobility::TrafficModel& traffic() { return traffic_; }
   [[nodiscard]] const mobility::TrafficModel& traffic() const {
@@ -131,14 +134,31 @@ class Network {
   void rebuild_index();
   void deliver(const Message& msg, Address to, SimTime delay);
   bool transmit(const Message& msg, Address to);
+  // Snapshot slot of a vehicle, kNoSlot when it was absent at the last
+  // index rebuild.
+  [[nodiscard]] std::uint32_t slot_of(VehicleId v) const;
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   sim::Simulator& sim_;
   mobility::TrafficModel& traffic_;
   Channel channel_;
   Rng rng_;
   RsuField rsus_;
-  geo::SpatialGrid<VehicleId> index_;
-  std::unordered_map<std::uint64_t, std::vector<NeighborEntry>> neighbor_tables_;
+  // World snapshot taken at each index rebuild, in traffic_.vehicles()
+  // order (the beacon and RNG order). index_ is built over snap_pos_, so
+  // its query results are snapshot slots.
+  std::vector<VehicleId> snap_id_;
+  std::vector<geo::Vec2> snap_pos_;
+  std::vector<geo::Vec2> snap_vel_;
+  std::vector<std::uint32_t> slot_by_id_;  // vehicle id -> slot / kNoSlot
+  geo::SpatialGrid index_;
+  // Neighbor table per vehicle id; departed vehicles' tables are emptied.
+  std::vector<std::vector<NeighborEntry>> neighbor_tables_;
+  // Beacon-round scratch: vehicle id -> 1 + position in the table being
+  // merged (0 = not in it); all zero between merges.
+  std::vector<std::uint32_t> table_pos_by_id_;
+  std::vector<std::uint32_t> nearby_;
   std::unordered_map<std::uint64_t, Handler> handlers_;
   VehicleHandler vehicle_default_handler_;
   std::uint64_t next_msg_id_ = 1;

@@ -39,47 +39,87 @@ TEST(Vec2, AngleBetween) {
 // Property: grid query must agree exactly with brute force.
 TEST(SpatialGrid, MatchesBruteForce) {
   Rng rng(7);
-  SpatialGrid<int> grid(50.0);
+  SpatialGrid grid(50.0);
   std::vector<Vec2> pts;
   for (int i = 0; i < 500; ++i) {
-    const Vec2 p{rng.uniform(0, 1000), rng.uniform(0, 1000)};
-    pts.push_back(p);
-    grid.insert(i, p);
+    pts.push_back({rng.uniform(0, 1000), rng.uniform(0, 1000)});
   }
-  std::vector<int> out;
+  grid.build(pts);
+  std::vector<std::uint32_t> out;
   for (int trial = 0; trial < 50; ++trial) {
     const Vec2 c{rng.uniform(0, 1000), rng.uniform(0, 1000)};
     const double r = rng.uniform(10, 300);
     grid.query(c, r, out);
-    std::vector<int> expected;
-    for (int i = 0; i < 500; ++i) {
-      if (distance(pts[static_cast<std::size_t>(i)], c) <= r) {
-        expected.push_back(i);
-      }
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < pts.size(); ++i) {
+      if (distance(pts[i], c) <= r) expected.push_back(i);
     }
+    EXPECT_EQ(grid.count(c, r), out.size()) << "trial " << trial;
     std::sort(out.begin(), out.end());
     EXPECT_EQ(out, expected) << "trial " << trial;
   }
 }
 
 TEST(SpatialGrid, NegativeCoordinates) {
-  SpatialGrid<int> grid(10.0);
-  grid.insert(1, {-95, -95});
-  grid.insert(2, {-80, -80});
-  std::vector<int> out;
+  SpatialGrid grid(10.0);
+  grid.build({{-95, -95}, {-80, -80}});
+  std::vector<std::uint32_t> out;
   grid.query({-94, -94}, 5.0, out);
-  EXPECT_EQ(out, std::vector<int>{1});
+  EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
 TEST(SpatialGrid, ClearEmpties) {
-  SpatialGrid<int> grid(10.0);
-  grid.insert(1, {0, 0});
+  SpatialGrid grid(10.0);
+  grid.build({{0, 0}});
   EXPECT_EQ(grid.size(), 1u);
-  grid.clear();
+  grid.build({});
   EXPECT_EQ(grid.size(), 0u);
-  std::vector<int> out;
+  std::vector<std::uint32_t> out;
   grid.query({0, 0}, 100, out);
   EXPECT_TRUE(out.empty());
+  EXPECT_EQ(grid.count({0, 0}, 100), 0u);
+}
+
+// Query order is a contract (beacon RNG draws follow it): cells by
+// (floor(x / cell), floor(y / cell)), x outer and y inner, then build order
+// within a cell. Points exactly on a boundary belong to the cell above it.
+TEST(SpatialGrid, QueryOrderIsCellMajorThenBuildOrder) {
+  SpatialGrid grid(10.0);
+  const std::vector<Vec2> pts = {
+      {0.0, 0.0},     // 0: cell (0, 0), on both boundaries
+      {-10.0, 5.0},   // 1: cell (-1, 0), on the x boundary
+      {-0.5, -10.0},  // 2: cell (-1, -1), on the y boundary
+      {5.0, -0.5},    // 3: cell (0, -1)
+      {-10.0, -10.0}, // 4: cell (-1, -1), corner
+      {9.999, 9.999}, // 5: cell (0, 0)
+      {10.0, 0.0},    // 6: cell (1, 0), on the x boundary
+      {-3.0, 3.0},    // 7: cell (-1, 0)
+      {0.0, -10.0},   // 8: cell (0, -1), on the y boundary
+  };
+  grid.build(pts);
+  std::vector<std::uint32_t> out;
+  grid.query({0.0, 0.0}, 100.0, out);
+  const std::vector<std::uint32_t> expected = {
+      2, 4,  // (-1, -1)
+      1, 7,  // (-1, 0)
+      3, 8,  // (0, -1)
+      0, 5,  // (0, 0)
+      6,     // (1, 0)
+  };
+  EXPECT_EQ(out, expected);
+
+  // A radius that ends exactly on a point includes it; cells outside the
+  // points' bounding box are skipped, not indexed out of range.
+  grid.query({-20.0, -10.0}, 10.0, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{4});
+  grid.query({500.0, -500.0}, 50.0, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(grid.count({0.0, 0.0}, 100.0), pts.size());
+
+  // A rebuild replaces the set.
+  grid.build({{-25.0, 0.0}});
+  grid.query({0.0, 0.0}, 100.0, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
 TEST(RoadNetwork, ManhattanGridShape) {

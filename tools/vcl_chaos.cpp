@@ -227,38 +227,33 @@ int run_soak(const Options& opt) {
             << " threads\n";
 
   std::vector<core::ChaosEpisode> episodes(opt.episodes);
-  std::vector<char> ran(opt.episodes, 0);
-  std::atomic<bool> stop{false};
+  // Lowest failing index so far. Only episodes above it are skipped, so
+  // every episode below the final value runs and the reported seed is the
+  // lowest failing one, whatever order the pool runs episodes in.
+  std::atomic<std::size_t> lowest_failing{opt.episodes};
   {
     exp::ThreadPool pool(jobs);
     std::vector<std::future<void>> futures;
     futures.reserve(opt.episodes);
     for (std::size_t i = 0; i < opt.episodes; ++i) {
       futures.push_back(pool.submit([&, i] {
-        if (stop.load(std::memory_order_relaxed)) return;
+        if (i > lowest_failing.load()) return;
         episodes[i] = core::run_chaos_episode(
             episode_config(opt, opt.seed + i));
-        ran[i] = 1;
-        if (!episodes[i].ok()) stop.store(true, std::memory_order_relaxed);
+        if (episodes[i].ok()) return;
+        std::size_t seen = lowest_failing.load();
+        while (i < seen && !lowest_failing.compare_exchange_weak(seen, i)) {
+        }
       }));
     }
     for (auto& f : futures) f.get();
   }
 
-  // Lowest-index failure wins so the reported seed is deterministic even
-  // though the pool finishes episodes in a nondeterministic order.
-  std::size_t completed_clean = 0;
-  std::size_t failing = opt.episodes;
-  for (std::size_t i = 0; i < opt.episodes; ++i) {
-    if (!ran[i]) continue;
-    if (!episodes[i].ok() && failing == opt.episodes) failing = i;
-    if (episodes[i].ok()) ++completed_clean;
-  }
-
+  const std::size_t failing = lowest_failing.load();
   if (failing == opt.episodes) {
     std::size_t checks = 0;
     for (std::size_t i = 0; i < opt.episodes; ++i) checks += episodes[i].checks_run;
-    std::cout << "OK: " << completed_clean << " episodes, " << checks
+    std::cout << "OK: " << opt.episodes << " episodes, " << checks
               << " oracle checks, zero invariant violations\n";
     if (opt.storage) {
       std::size_t acked = 0, degraded = 0, repairs = 0;
