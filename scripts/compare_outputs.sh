@@ -10,7 +10,9 @@
 #   - bench_fig2_cloud_comparison --reps 2 --telemetry-dir;
 #   - vcl_chaos soaks in all four modes (plain, --storage, --dag,
 #     --adversary) at --episodes 20 --seed 1 --vehicles 25 --duration 60;
-#   - the tests/data/incident_repro.jsonl replay (vcl_chaos --repro).
+#   - the replays (vcl_chaos --repro) of the committed repros, one per
+#     seeded bug: tests/data/incident_repro.jsonl (requeue) and
+#     tests/data/repro_{repair,dag,revoked}.jsonl.
 # It then compares every stdout, exit code and output file byte for byte,
 # and every bench JSON with the `wall_s` scalar masked. The only other
 # tolerated differences are the host-timed cells of bench_access_control
@@ -24,7 +26,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,24p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 }
 
@@ -102,6 +104,11 @@ run_build() {
   done
   run "$out/chaos" repro "$build/tools/vcl_chaos" \
     --repro "$REPO/tests/data/incident_repro.jsonl" --out repro-out
+  local bug
+  for bug in repair dag revoked; do
+    run "$out/chaos" "repro_$bug" "$build/tools/vcl_chaos" \
+      --repro "$REPO/tests/data/repro_$bug.jsonl" --out "repro_$bug-out"
+  done
 }
 
 for i in 0 1; do

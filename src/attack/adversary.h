@@ -38,12 +38,6 @@ struct AdversaryConfig {
   // Fabricated identities the verification policy tolerates as full members
   // (0 under the strict policy: every sybil is quarantined, never admitted).
   std::size_t max_unverified_admissions = 0;
-  // DELIBERATE test-only defense bug (passthrough to
-  // vcloud::AdmissionConfig::test_drop_revoked_requeue): the revocation
-  // eviction sweep drops the evicted worker's held task instead of
-  // re-queuing it. Exists to prove the adversarial soak catches, shrinks
-  // and replays a seeded defense bug. Never enable outside tests.
-  bool test_drop_revoked_requeue = false;
 };
 
 // Mirrors validate(FaultPlanConfig): empty string when sane, else a

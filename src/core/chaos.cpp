@@ -40,11 +40,9 @@ SystemConfig system_for(const ChaosScenarioConfig& config) {
   dep.retry.enabled = true;
   dep.speculation.enabled = true;
   dep.broker_resync_delay = 0.5;
-  dep.test_drop_crash_requeue = config.inject_requeue_bug;
   sys.invariant_oracle = true;
   if (config.storage) {
     sys.storage.enabled = true;  // canonical N=3 / W=2 / R=2 deployment
-    sys.storage.test_drop_repair_replace = config.inject_repair_bug;
   }
   if (config.adversary) {
     sys.adversary.enabled = true;
@@ -52,7 +50,6 @@ SystemConfig system_for(const ChaosScenarioConfig& config) {
     // Storm replays are minted well past this window (ChaosConfig's
     // replay_age default), so a defended episode rejects the whole flood.
     sys.adversary.freshness_window = 4.0;
-    sys.adversary.test_drop_revoked_requeue = config.inject_revoked_bug;
   }
   if (config.dag) {
     sys.dag.enabled = true;
@@ -64,7 +61,6 @@ SystemConfig system_for(const ChaosScenarioConfig& config) {
     // crashes internally), so a graph deadline is what makes the failure
     // path — and the seeded stranded-node bug behind it — reachable.
     sys.dag.graph_deadline = 30.0;
-    sys.dag.test_drop_failed_resubmit = config.inject_dag_bug;
   }
   return sys;
 }
@@ -254,6 +250,9 @@ ChaosEpisode run_chaos_episode(const ChaosScenarioConfig& config,
 
   VehicularCloudSystem system(sys);
   system.start();
+  // start() reaches no gate site (no task, object or graph exists and no
+  // revocation is visible yet), so this matches arming from the outset.
+  system.cloud().arm_seeded_bug(config.seeded_bug);
 
   // Incident capture (DESIGN.md §12): snapshot the system at the FIRST
   // violation, inside the oracle's report() — the state the checker
@@ -442,13 +441,10 @@ void write_chaos_repro(const ChaosScenarioConfig& config,
   meta.set("intensity", config.intensity);
   meta.set("storms", config.storms ? 1.0 : 0.0);
   meta.set("submit_period", config.submit_period);
-  meta.set("inject_requeue_bug", config.inject_requeue_bug ? 1.0 : 0.0);
-  meta.set("storage", config.storage ? 1.0 : 0.0);
-  meta.set("inject_repair_bug", config.inject_repair_bug ? 1.0 : 0.0);
-  meta.set("dag", config.dag ? 1.0 : 0.0);
-  meta.set("inject_dag_bug", config.inject_dag_bug ? 1.0 : 0.0);
-  meta.set("adversary", config.adversary ? 1.0 : 0.0);
-  meta.set("inject_revoked_bug", config.inject_revoked_bug ? 1.0 : 0.0);
+  for (const SeededBugName& b : kSeededBugs) {
+    if (b.mode != nullptr) meta.set(b.mode_key, config.*b.mode ? 1.0 : 0.0);
+    meta.set(b.meta_key, config.seeded_bug == b.bug ? 1.0 : 0.0);
+  }
   fault::write_fault_plan_jsonl(plan, meta, os);
 }
 
@@ -456,33 +452,54 @@ bool load_chaos_repro(std::istream& is, ChaosScenarioConfig& config,
                       fault::FaultPlan& plan, std::string* error) {
   fault::FaultPlanMeta meta;
   if (!fault::parse_fault_plan_jsonl(is, plan, meta, error)) return false;
-  ChaosScenarioConfig defaults;
-  const double vehicles =
-      meta.get("vehicles", static_cast<double>(defaults.vehicles));
-  if (!(vehicles >= 0.0 &&
-        vehicles <= std::numeric_limits<int>::max() &&
-        vehicles == std::floor(vehicles))) {
+  const auto fail = [&](const std::string& what) {
     if (error != nullptr) {
-      *error = "line " + std::to_string(meta.line) +
-               ": \"vehicles\": expected a non-negative integer, got " +
-               obs::json_number(vehicles);
+      *error = "line " + std::to_string(meta.line) + ": " + what;
     }
     return false;
+  };
+  // Each knob must lie in the range vcl_chaos accepts for it: outside it a
+  // replay can run without end (a zero submit period) or pass vacuously (a
+  // negative load window). kPos is the "> 0" bound, as in vcl_chaos.
+  constexpr double kPos = std::numeric_limits<double>::min();
+  ChaosScenarioConfig c;
+  double vehicles = c.vehicles;
+  const struct {
+    const char* key;
+    double* value;
+    double lo, hi;
+    const char* expected;
+  } knobs[] = {
+      {"vehicles", &vehicles, 1, 1e5, "an integer in 1..100000"},
+      {"duration", &c.duration, kPos, 1e6, "a number in (0, 1e6]"},
+      {"drain", &c.drain, 0, 1e6, "a number in [0, 1e6]"},
+      {"intensity", &c.intensity, 0, 1000, "a number in [0, 1000]"},
+      {"submit_period", &c.submit_period, kPos,
+       std::numeric_limits<double>::max(), "a finite number > 0"},
+  };
+  for (const auto& k : knobs) {
+    const double v = *k.value = meta.get(k.key, *k.value);
+    const bool whole = k.value != &vehicles || v == std::floor(v);
+    if (!(v >= k.lo && v <= k.hi && whole)) {
+      return fail(std::string("\"") + k.key + "\": expected " + k.expected +
+                  ", got " + obs::json_number(v));
+    }
   }
-  config.seed = meta.seed;
-  config.vehicles = static_cast<int>(vehicles);
-  config.duration = meta.get("duration", defaults.duration);
-  config.drain = meta.get("drain", defaults.drain);
-  config.intensity = meta.get("intensity", defaults.intensity);
-  config.storms = meta.get("storms", defaults.storms ? 1.0 : 0.0) != 0.0;
-  config.submit_period = meta.get("submit_period", defaults.submit_period);
-  config.inject_requeue_bug = meta.get("inject_requeue_bug", 0.0) != 0.0;
-  config.storage = meta.get("storage", 0.0) != 0.0;
-  config.inject_repair_bug = meta.get("inject_repair_bug", 0.0) != 0.0;
-  config.dag = meta.get("dag", 0.0) != 0.0;
-  config.inject_dag_bug = meta.get("inject_dag_bug", 0.0) != 0.0;
-  config.adversary = meta.get("adversary", 0.0) != 0.0;
-  config.inject_revoked_bug = meta.get("inject_revoked_bug", 0.0) != 0.0;
+  c.seed = meta.seed;
+  c.vehicles = static_cast<int>(vehicles);
+  c.storms = meta.get("storms", c.storms ? 1.0 : 0.0) != 0.0;
+  const char* armed = nullptr;
+  for (const SeededBugName& b : kSeededBugs) {
+    if (b.mode != nullptr) c.*b.mode = meta.get(b.mode_key, 0.0) != 0.0;
+    if (meta.get(b.meta_key, 0.0) == 0.0) continue;
+    if (armed != nullptr) {
+      return fail(std::string("\"") + armed + "\" and \"" + b.meta_key +
+                  "\" both arm a seeded bug; a repro arms at most one");
+    }
+    armed = b.meta_key;
+    c.seeded_bug = b.bug;
+  }
+  config = c;
   return true;
 }
 

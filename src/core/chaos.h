@@ -21,10 +21,12 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/chaos.h"
 #include "obs/incident.h"
+#include "vcloud/cloud.h"
 #include "vcloud/invariant_oracle.h"
 
 namespace vcl::core {
@@ -38,36 +40,60 @@ struct ChaosScenarioConfig {
   double intensity = 1.0;
   bool storms = true;            // correlated storms on top of the background
   SimTime submit_period = 0.5;   // one task per period during the load window
-  // Arms the deliberate lost-task bug in crash recovery (see
-  // DependabilityConfig::test_drop_crash_requeue). Test fixture only.
-  bool inject_requeue_bug = false;
   // Runs the storage service (leases + quorum replication + repair) under
   // the same chaos: a handful of replicated objects served by a steady
   // client read/write mix, the storage invariants armed in the oracle, and
   // — when storms are on — the storage-targeted storm shape added to the
   // schedule.
   bool storage = false;
-  // Arms the deliberate lost-replica bug in storage repair (see
-  // StorageConfig::test_drop_repair_replace). Test fixture only.
-  bool inject_repair_bug = false;
   // Runs the DAG decomposition scheduler under the same chaos: a steady
   // stream of generated task graphs (reliability-aware policy), the DAG
   // invariants armed in the oracle, and — when storms are on — the
   // critical-path-chasing storm shape added to the schedule.
   bool dag = false;
-  // Arms the deliberate stranded-node bug in the DAG scheduler (see
-  // DagConfig::test_drop_failed_resubmit). Test fixture only.
-  bool inject_dag_bug = false;
   // Runs the §IV adversary under the same chaos: attack storms (sybil
   // bursts inside blackouts, CRL-propagation races, replay floods) added to
   // the schedule, the revocation-aware admission/eviction defenses on the
   // broker path, and the auth invariants armed in the oracle.
   bool adversary = false;
-  // Arms the deliberate dropped-requeue bug in the revocation eviction
-  // sweep (see AdversaryConfig::test_drop_revoked_requeue). Test fixture
-  // only.
-  bool inject_revoked_bug = false;
+  // Armed on the cloud right after start(); see SeededBugName::arm.
+  vcloud::SeededBug seeded_bug = vcloud::SeededBug::kNone;
 };
+
+// The one name table for seeded bugs, in repro meta key order: each bug's
+// `vcl_chaos --inject-bug` name, the meta key recording it (1 armed, 0 not),
+// and the mode it implies with that mode's meta key, written just before
+// the bug's (null for requeue, whose path runs in every episode).
+struct SeededBugName {
+  vcloud::SeededBug bug;
+  const char* name;
+  const char* meta_key;
+  bool ChaosScenarioConfig::*mode;
+  const char* mode_key;
+
+  void arm(ChaosScenarioConfig& config) const {  // the bug and its mode
+    config.seeded_bug = bug;
+    if (mode != nullptr) config.*mode = true;
+  }
+};
+inline constexpr SeededBugName kSeededBugs[] = {
+    {vcloud::SeededBug::kCrashRequeue, "requeue", "inject_requeue_bug",
+     nullptr, nullptr},
+    {vcloud::SeededBug::kRepairReplace, "repair", "inject_repair_bug",
+     &ChaosScenarioConfig::storage, "storage"},
+    {vcloud::SeededBug::kFailedResubmit, "dag", "inject_dag_bug",
+     &ChaosScenarioConfig::dag, "dag"},
+    {vcloud::SeededBug::kRevokedRequeue, "revoked", "inject_revoked_bug",
+     &ChaosScenarioConfig::adversary, "adversary"},
+};
+
+// The table row named `name`; null when no bug has that name.
+constexpr const SeededBugName* find_seeded_bug(std::string_view name) {
+  for (const SeededBugName& b : kSeededBugs) {
+    if (name == b.name) return &b;
+  }
+  return nullptr;
+}
 
 // The fault/storm schedule an episode with this config faces. The blackout
 // box is derived from the scenario's road bounding box.
@@ -128,6 +154,8 @@ struct ChaosEpisode {
 
 // Repro files: the fault-plan JSONL with the episode scenario knobs carried
 // in the meta record, so one file re-creates the exact failing episode.
+// Loading rejects, with the meta record's line number, a knob outside the
+// range vcl_chaos accepts for it and a record that arms two seeded bugs.
 void write_chaos_repro(const ChaosScenarioConfig& config,
                        const fault::FaultPlan& plan, std::ostream& os);
 bool load_chaos_repro(std::istream& is, ChaosScenarioConfig& config,

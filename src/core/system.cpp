@@ -109,8 +109,6 @@ void VehicularCloudSystem::start() {
     adm.freshness_window = config_.adversary.freshness_window;
     adm.max_unverified_admissions =
         config_.adversary.max_unverified_admissions;
-    adm.test_drop_revoked_requeue =
-        config_.adversary.test_drop_revoked_requeue;
     admission_ = std::make_unique<vcloud::AdmissionControl>(adm);
     admission_->set_flight(&flight_);
     cloud_->set_admission(admission_.get());

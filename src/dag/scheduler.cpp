@@ -182,9 +182,9 @@ void DagScheduler::on_task_terminal(const vcloud::Task& task, SimTime now) {
   }
   // The attempt failed or expired. While siblings are still live the node
   // is covered; once the last one dies the node needs a resubmission (or
-  // the graph is out of budget/time and fails).
+  // the graph is out of budget/time and fails). The seeded bug strands it.
   if (n.live > 0) return;
-  if (config_.test_drop_failed_resubmit) return;  // the seeded bug: strand it
+  if (cloud_.seeded_bug() == vcloud::SeededBug::kFailedResubmit) return;
   const bool out_of_time = g.deadline > 0.0 && now >= g.deadline;
   if (!out_of_time && n.attempt_count < config_.max_node_attempts) {
     ++stats_.resubmits;

@@ -62,12 +62,6 @@ struct DagConfig {
   double dwell_margin = 1.25;  // safety factor on expected remaining time
   SimTime check_period = 1.0;  // reliability-aware scan period
   SimTime graph_deadline = 0.0;  // relative deadline per graph (0 = none)
-  // TEST-ONLY deliberate bug: when a node's last live attempt fails, the
-  // scheduler forgets to resubmit (and to fail the graph) — the node is
-  // stranded with zero live attempts on a live graph, which the oracle's
-  // dag-node-liveness invariant must catch (tests/dag_test.cpp). Never set
-  // outside tests.
-  bool test_drop_failed_resubmit = false;
 };
 
 // Empty string when sane, else a one-line description of the first problem

@@ -433,8 +433,10 @@ bool parse_fault_plan_jsonl(std::istream& is, FaultPlan& plan,
       }
       meta.line = line;
       meta.seed = f.u64("seed");
+      // A null knob reads as absent (get's fallback, as in JsonFields).
       for (const auto& [key, value] : obj.members) {
-        if (key != "meta" && key != "seed" && key != "events") {
+        if (key != "meta" && key != "seed" && key != "events" &&
+            value.kind != obs::JsonValue::Kind::kNull) {
           meta.extra.emplace_back(key, f.number(key));
         }
       }

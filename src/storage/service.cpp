@@ -428,9 +428,9 @@ void StorageService::maintenance(SimTime now) {
 
 void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
                                    SimTime now, std::size_t& budget) {
-  if (config_.test_drop_repair_replace) {
-    // DELIBERATE TEST-ONLY BUG: treat every suspect (expired/revoked lease)
-    // as permanently gone — prune it AND delete its copy, placing no
+  if (cloud_.seeded_bug() == vcloud::SeededBug::kRepairReplace) {
+    // The seeded bug: treat every suspect (expired/revoked lease) as
+    // permanently gone — prune it AND delete its copy, placing no
     // replacement. A blackout long enough to expire leases then erases
     // every copy with zero holder deaths; the oracle's storage-durability
     // invariant must catch exactly this.

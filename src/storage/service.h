@@ -60,13 +60,6 @@ struct StorageConfig {
   std::size_t repair_rate = 2;   // max copy attempts per repair round
   std::size_t object_bytes = 1 << 20;  // replica payload size on the wire
   vcloud::RetryConfig retry{true, 4, 0.2, 2.0, 0.5};  // per-op send retries
-  // TEST-ONLY deliberate bug: the repair pipeline treats a lease expiry as
-  // permanent loss — it prunes the suspect from the placement AND deletes
-  // its physical copy without placing a replacement first. A radio blackout
-  // long enough to expire leases then destroys every copy with zero holder
-  // deaths, which the oracle's storage-durability invariant must catch
-  // (tests/storage_test.cpp). Never set outside tests.
-  bool test_drop_repair_replace = false;
 };
 
 // Empty string when sane, else a one-line description of the first problem

@@ -57,13 +57,6 @@ struct AdmissionConfig {
   // Fabricated identities the verification policy tolerates as full
   // members; 0 = strict (every sybil claim is quarantined, never admitted).
   std::size_t max_unverified_admissions = 0;
-  // DELIBERATE test-only defense bug (mirrors test_drop_crash_requeue):
-  // the revocation eviction sweep drops the evicted worker's held task
-  // instead of re-queuing it — the task strands kRunning on a worker the
-  // cloud no longer has, which the oracle's task-conservation invariant
-  // catches. Exists to prove the adversarial soak can catch, shrink and
-  // replay a seeded defense bug. Never enable outside tests.
-  bool test_drop_revoked_requeue = false;
 };
 
 struct AdmissionStats {

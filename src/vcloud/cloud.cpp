@@ -657,10 +657,9 @@ void VehicularCloud::requeue(Task& task, TaskState state) {
   task.worker = VehicleId{};
   task.run_started = 0.0;
   if (state == TaskState::kPending ||
-      !config_.dependability.test_drop_crash_requeue) {
+      seeded_bug_ != SeededBug::kCrashRequeue) {
     pending_.push_back(task.id);
-  }  // else: DELIBERATE test-only bug — the crash-recovering task strands
-     // un-queued forever
+  }  // else: the seeded bug — the crash-recovering task strands un-queued
   trace_open_leg(task, "leg.queue");
 }
 
@@ -1019,11 +1018,9 @@ void VehicularCloud::refresh() {
                        {{"worker", static_cast<double>(vid)},
                         {"members", static_cast<double>(workers_.size())}});
       }
-      if (!admission_->config().test_drop_revoked_requeue) {
+      if (seeded_bug_ != SeededBug::kRevokedRequeue) {
         handle_worker_loss(v, state, /*graceful=*/false);
-      }
-      // else: DELIBERATE test-only bug — the held task strands kRunning on
-      // a worker the cloud no longer has (task-conservation catches it).
+      }  // else: the seeded bug — the held task strands kRunning
     }
   }
 

@@ -49,6 +49,16 @@ namespace vcl::vcloud {
 class AdmissionControl;
 class InvariantOracle;
 
+// Deliberate defects that prove the invariant oracle and chaos shrinker
+// (DESIGN.md §9) catch real bugs; only tests and vcl_chaos arm one:
+enum class SeededBug : std::uint8_t {
+  kNone,
+  kCrashRequeue,    // crash recovery never re-queues the task
+  kRevokedRequeue,  // the revocation sweep drops the evicted worker's task
+  kRepairReplace,   // storage repair deletes suspect copies, unreplaced
+  kFailedResubmit,  // a DAG node whose last attempt failed is stranded
+};
+
 struct CloudRegion {
   geo::Vec2 center;
   double radius = 0.0;  // 0 = cloud currently has no operating area
@@ -200,6 +210,12 @@ class VehicularCloud {
     return admission_;
   }
 
+  // --- seeded bug (kNone by default: one compare at each gate site) ---------
+  // Gates requeue() and the eviction sweep here; storage repair and the DAG
+  // failed-attempt path read it through the cloud they hold.
+  void arm_seeded_bug(SeededBug bug) { seeded_bug_ = bug; }
+  [[nodiscard]] SeededBug seeded_bug() const { return seeded_bug_; }
+
   // A join claim arriving OUTSIDE the beacon membership path (fabricated
   // sybil identity, or a replayed join that survived the freshness gate).
   // With no admission control — or the defense off — the claim is admitted
@@ -289,7 +305,7 @@ class VehicularCloud {
               std::vector<TaskId>* deferred = nullptr);
   // The one way back to the queue: sets `state` (kPending or
   // kCrashRecovering), clears the worker and opens the queue leg. Only the
-  // test_drop_crash_requeue fixture bug keeps a kCrashRecovering task out.
+  // kCrashRequeue seeded bug keeps a kCrashRecovering task out.
   void requeue(Task& task, TaskState state);
   void interrupt_and_recover(Task& task, const WorkerState& departed);
   // Crash path: roll back to the last broker-held checkpoint and re-queue.
@@ -362,6 +378,7 @@ class VehicularCloud {
   bool heartbeat_rtt_enabled_ = false;
   InvariantOracle* oracle_ = nullptr;
   AdmissionControl* admission_ = nullptr;
+  SeededBug seeded_bug_ = SeededBug::kNone;
   HeartbeatHook heartbeat_hook_;
   RefreshHook refresh_hook_;
   TerminalHook terminal_hook_;

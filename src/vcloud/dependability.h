@@ -67,12 +67,6 @@ struct DependabilityConfig {
   // A broker change forces a re-sync of queued/running task metadata to the
   // new broker; dispatch pauses this long (0 = free re-sync, seed behaviour).
   SimTime broker_resync_delay = 0.0;
-  // TEST-ONLY deliberate bug: crash recovery rolls the task back but
-  // "forgets" to re-queue it, so it strands in kCrashRecovering forever.
-  // Exists to prove the invariant oracle catches a real lost-task defect
-  // and that the chaos shrinker reduces it to a minimal schedule
-  // (tests/chaos_test.cpp). Never set outside tests.
-  bool test_drop_crash_requeue = false;
 };
 
 // Delay before retry attempt `attempt` (1-based): ack_timeout grows

@@ -231,7 +231,7 @@ void InvariantOracle::check_dag(SimTime now) {
       // dag-node-liveness: on a live graph a submitted node either already
       // succeeded or still has a live attempt — otherwise nothing will ever
       // finish it and the graph is silently stuck (the deliberate
-      // test_drop_failed_resubmit bug lands exactly here).
+      // kFailedResubmit seeded bug lands exactly here).
       if (!g.terminal && n.submitted && !n.succeeded &&
           n.live_attempts == 0) {
         std::ostringstream os;

@@ -506,7 +506,7 @@ TEST(ChaosEpisode, ReproFileRoundTrips) {
 TEST(ChaosEpisode, ReproFileRoundTripsAdversaryKnobs) {
   ChaosScenarioConfig cfg = short_episode();
   cfg.adversary = true;
-  cfg.inject_revoked_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kRevokedRequeue;
   const fault::ChaosPlanner planner(chaos_config_for(cfg));
   const fault::FaultPlan plan = planner.plan(cfg.seed);
 
@@ -517,8 +517,118 @@ TEST(ChaosEpisode, ReproFileRoundTripsAdversaryKnobs) {
   std::string error;
   ASSERT_TRUE(load_chaos_repro(ss, loaded, loaded_plan, &error)) << error;
   EXPECT_TRUE(loaded.adversary);
-  EXPECT_TRUE(loaded.inject_revoked_bug);
+  EXPECT_EQ(loaded.seeded_bug, vcloud::SeededBug::kRevokedRequeue);
   EXPECT_EQ(loaded_plan.size(), plan.size());
+}
+
+// The meta record of a repro written for `cfg` with an empty plan.
+std::string repro_meta(const ChaosScenarioConfig& cfg) {
+  std::stringstream ss;
+  write_chaos_repro(cfg, {}, ss);
+  return ss.str().substr(0, ss.str().find('\n'));
+}
+
+bool load_repro_text(const std::string& text, ChaosScenarioConfig& loaded,
+                     std::string& error) {
+  std::istringstream is(text);
+  fault::FaultPlan plan;
+  return load_chaos_repro(is, loaded, plan, &error);
+}
+
+// The seeded-bug seam: one name table maps every bug to its --inject-bug
+// name, its repro meta key and the mode it lives in, and each mapping
+// round-trips.
+TEST(SeededBugSeam, EveryBugRoundTripsThroughNameArmingAndRepro) {
+  for (const SeededBugName& b : kSeededBugs) {
+    SCOPED_TRACE(b.name);
+    const SeededBugName* found = find_seeded_bug(b.name);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->bug, b.bug);
+
+    ChaosScenarioConfig cfg = short_episode();
+    b.arm(cfg);
+    EXPECT_EQ(cfg.seeded_bug, b.bug);
+    // The implied mode is on, and no other.
+    for (const SeededBugName& other : kSeededBugs) {
+      if (other.mode != nullptr) {
+        EXPECT_EQ(cfg.*other.mode, other.mode == b.mode) << other.mode_key;
+      }
+    }
+
+    const std::string meta = repro_meta(cfg);
+    for (const SeededBugName& other : kSeededBugs) {
+      const std::string key = std::string("\"") + other.meta_key + "\":" +
+                              (other.bug == b.bug ? "1" : "0");
+      EXPECT_NE(meta.find(key), std::string::npos) << key << " in " << meta;
+    }
+    ChaosScenarioConfig loaded;
+    std::string error;
+    ASSERT_TRUE(load_repro_text(meta + "\n", loaded, error)) << error;
+    EXPECT_EQ(loaded.seeded_bug, b.bug);
+    EXPECT_EQ(loaded.storage, cfg.storage);
+    EXPECT_EQ(loaded.dag, cfg.dag);
+    EXPECT_EQ(loaded.adversary, cfg.adversary);
+  }
+  EXPECT_EQ(find_seeded_bug("bogus"), nullptr);
+  EXPECT_EQ(find_seeded_bug(""), nullptr);
+  EXPECT_EQ(find_seeded_bug("inject_dag_bug"), nullptr);
+}
+
+// With no bug armed the meta record keeps every bug key, as 0, in the key
+// order repro files have always had.
+TEST(SeededBugSeam, NoneWritesEveryBugKeyAsZero) {
+  const std::string meta = repro_meta(short_episode());
+  EXPECT_NE(meta.find(R"("submit_period":0.5,"inject_requeue_bug":0,)"
+                      R"("storage":0,"inject_repair_bug":0,"dag":0,)"
+                      R"("inject_dag_bug":0,"adversary":0,)"
+                      R"("inject_revoked_bug":0})"),
+            std::string::npos)
+      << meta;
+  ChaosScenarioConfig loaded;
+  std::string error;
+  ASSERT_TRUE(load_repro_text(meta + "\n", loaded, error)) << error;
+  EXPECT_EQ(loaded.seeded_bug, vcloud::SeededBug::kNone);
+}
+
+TEST(SeededBugSeam, ReproArmingTwoBugsIsRejectedWithItsLine) {
+  ChaosScenarioConfig loaded;
+  std::string error;
+  EXPECT_FALSE(load_repro_text(
+      R"({"meta":"vcl-fault-plan-v1","seed":1,"events":0,)"
+      R"("inject_requeue_bug":1,"storage":1,"inject_repair_bug":1})"
+      "\n",
+      loaded, error));
+  EXPECT_NE(error.find("line 1:"), std::string::npos) << error;
+  EXPECT_NE(error.find("inject_requeue_bug"), std::string::npos) << error;
+  EXPECT_NE(error.find("inject_repair_bug"), std::string::npos) << error;
+}
+
+// Every scenario knob in a repro must lie in the range vcl_chaos accepts
+// for it: outside it a replay could run without end or pass vacuously.
+TEST(ChaosEpisode, ReproKnobsOutsideTheirRangesAreRejected) {
+  const std::string head =
+      R"({"meta":"vcl-fault-plan-v1","seed":1,"events":0,")";
+  for (const char* ok :
+       {R"(vehicles":1)", R"(vehicles":100000)", R"(vehicles":null)",
+        R"(duration":1000000)",
+        R"(drain":0)", R"(drain":1000000)", R"(intensity":0)",
+        R"(intensity":1000)", R"(submit_period":0.001)"}) {
+    ChaosScenarioConfig loaded;
+    std::string error;
+    EXPECT_TRUE(load_repro_text(head + ok + "}\n", loaded, error))
+        << ok << ": " << error;
+  }
+  for (const char* bad :
+       {R"(vehicles":0)", R"(vehicles":100001)", R"(vehicles":2.5)",
+        R"(vehicles":-3)", R"(duration":0)", R"(duration":-5)",
+        R"(duration":1e300)", R"(drain":-100)", R"(drain":1e7)",
+        R"(intensity":-1)", R"(intensity":1001)", R"(submit_period":0)",
+        R"(submit_period":-1)"}) {
+    ChaosScenarioConfig loaded;
+    std::string error;
+    EXPECT_FALSE(load_repro_text(head + bad + "}\n", loaded, error)) << bad;
+    EXPECT_NE(error.find("line 1:"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 // The end-to-end demo the chaos engine exists for: arm the deliberate
@@ -526,7 +636,7 @@ TEST(ChaosEpisode, ReproFileRoundTripsAdversaryKnobs) {
 // it mid-soak, then shrink the fault schedule to a minimal repro.
 TEST(ChaosEpisode, SeededBugIsCaughtAndShrinksSmall) {
   ChaosScenarioConfig cfg = short_episode();
-  cfg.inject_requeue_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kCrashRequeue;
   // Find a failing seed quickly (the bug needs one vehicle crash while a
   // task is running; nearly every seed qualifies).
   ChaosEpisode bad;
@@ -620,7 +730,7 @@ TEST(ChaosEpisode, DisabledAdversaryDoesNotPerturbEpisodes) {
 TEST(ChaosEpisode, SeededRevokedBugIsCaughtAndShrinksToCausalPair) {
   ChaosScenarioConfig cfg = short_episode();
   cfg.adversary = true;
-  cfg.inject_revoked_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kRevokedRequeue;
   ChaosEpisode bad;
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 10 && !found; ++seed) {
@@ -650,7 +760,7 @@ TEST(ChaosEpisode, SeededRevokedBugIsCaughtAndShrinksToCausalPair) {
 
   // Same schedule, bug disarmed: clean — the defense, not the oracle, was
   // broken.
-  cfg.inject_revoked_bug = false;
+  cfg.seeded_bug = vcloud::SeededBug::kNone;
   EXPECT_TRUE(run_chaos_episode(cfg, minimal).ok());
 }
 
@@ -658,10 +768,10 @@ TEST(ChaosEpisode, SeededRevokedBugIsCaughtAndShrinksToCausalPair) {
 // the checker itself does not misfire on healthy recovery paths.
 TEST(ChaosEpisode, OracleStaysQuietWithBugDisarmed) {
   ChaosScenarioConfig cfg = short_episode();
-  cfg.inject_requeue_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kCrashRequeue;
   cfg.seed = 1;
   ChaosEpisode bad = run_chaos_episode(cfg);
-  cfg.inject_requeue_bug = false;
+  cfg.seeded_bug = vcloud::SeededBug::kNone;
   const ChaosEpisode good = run_chaos_episode(cfg, bad.plan);
   EXPECT_TRUE(good.ok()) << (good.violations.empty()
                                  ? "?"

@@ -632,7 +632,7 @@ TEST(ChaosDag, SeededSchedulerBugIsCaughtAndShrinksSmall) {
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 10 && !found; ++seed) {
     core::ChaosScenarioConfig cfg = short_dag_episode(seed);
-    cfg.inject_dag_bug = true;
+    cfg.seeded_bug = vcloud::SeededBug::kFailedResubmit;
     cfg.intensity = 3.0;
     const core::ChaosEpisode episode = core::run_chaos_episode(cfg);
     if (!episode.ok()) {
@@ -665,13 +665,13 @@ TEST(ChaosDag, SeededSchedulerBugIsCaughtAndShrinksSmall) {
   // scheduler resubmits (or fails the graph cleanly) and stays invariant-
   // clean.
   core::ChaosScenarioConfig fixed = bad_cfg;
-  fixed.inject_dag_bug = false;
+  fixed.seeded_bug = vcloud::SeededBug::kNone;
   EXPECT_TRUE(core::run_chaos_episode(fixed, minimal).ok());
 }
 
 TEST(ChaosDag, ReproFileCarriesDagFlags) {
   core::ChaosScenarioConfig cfg = short_dag_episode(3);
-  cfg.inject_dag_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kFailedResubmit;
   const fault::FaultPlan plan;  // flags matter here, not events
 
   std::stringstream buf;
@@ -682,7 +682,7 @@ TEST(ChaosDag, ReproFileCarriesDagFlags) {
   ASSERT_TRUE(core::load_chaos_repro(buf, loaded, loaded_plan, &error))
       << error;
   EXPECT_TRUE(loaded.dag);
-  EXPECT_TRUE(loaded.inject_dag_bug);
+  EXPECT_EQ(loaded.seeded_bug, vcloud::SeededBug::kFailedResubmit);
   EXPECT_EQ(loaded.seed, cfg.seed);
 }
 

@@ -204,7 +204,7 @@ ChaosScenarioConfig failing_config() {
   cfg.vehicles = 20;
   cfg.duration = 40.0;
   cfg.drain = 20.0;
-  cfg.inject_requeue_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kCrashRequeue;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     cfg.seed = seed;
     if (!run_chaos_episode(cfg).ok()) return cfg;

@@ -305,7 +305,7 @@ TEST(ChaosStorage, SeededRepairBugIsCaughtAndShrinksSmall) {
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 10 && !found; ++seed) {
     core::ChaosScenarioConfig cfg = short_storage_episode(seed);
-    cfg.inject_repair_bug = true;
+    cfg.seeded_bug = vcloud::SeededBug::kRepairReplace;
     const core::ChaosEpisode episode = core::run_chaos_episode(cfg);
     if (!episode.ok()) {
       bad_cfg = cfg;
@@ -336,13 +336,13 @@ TEST(ChaosStorage, SeededRepairBugIsCaughtAndShrinksSmall) {
   // Disarm the bug and replay the same minimal schedule: the healthy
   // repair pipeline survives it.
   core::ChaosScenarioConfig fixed = bad_cfg;
-  fixed.inject_repair_bug = false;
+  fixed.seeded_bug = vcloud::SeededBug::kNone;
   EXPECT_TRUE(core::run_chaos_episode(fixed, minimal).ok());
 }
 
 TEST(ChaosStorage, ReproFileCarriesStorageFlags) {
   core::ChaosScenarioConfig cfg = short_storage_episode(3);
-  cfg.inject_repair_bug = true;
+  cfg.seeded_bug = vcloud::SeededBug::kRepairReplace;
   const fault::FaultPlan plan;  // flags matter here, not events
 
   std::stringstream buf;
@@ -353,7 +353,7 @@ TEST(ChaosStorage, ReproFileCarriesStorageFlags) {
   ASSERT_TRUE(core::load_chaos_repro(buf, loaded, loaded_plan, &error))
       << error;
   EXPECT_TRUE(loaded.storage);
-  EXPECT_TRUE(loaded.inject_repair_bug);
+  EXPECT_EQ(loaded.seeded_bug, vcloud::SeededBug::kRepairReplace);
   EXPECT_EQ(loaded.seed, cfg.seed);
 }
 

@@ -39,18 +39,7 @@ namespace {
 
 struct Options {
   std::size_t episodes = 50;
-  std::uint64_t seed = 1;
-  int vehicles = 40;
-  double duration = 120.0;
-  double intensity = 1.0;
-  bool storms = true;
-  bool inject_requeue_bug = false;
-  bool storage = false;
-  bool inject_repair_bug = false;
-  bool dag = false;
-  bool inject_dag_bug = false;
-  bool adversary = false;
-  bool inject_revoked_bug = false;
+  core::ChaosScenarioConfig scenario;  // episode i runs scenario.seed + i
   std::size_t jobs = 0;  // 0 = hardware concurrency
   std::string out_dir = "chaos-out";
   std::string repro_path;  // non-empty = repro mode
@@ -89,14 +78,12 @@ int usage(const char* argv0) {
       << "                    replay floods — against the revocation-aware\n"
       << "                    admission/eviction defenses, with the auth\n"
       << "                    invariants armed\n"
-      << "  --inject-requeue-bug  arm the deliberate requeue test-fixture bug\n"
-      << "  --inject-repair-bug   arm the deliberate storage-repair bug\n"
-      << "                        (implies --storage)\n"
-      << "  --inject-dag-bug      arm the deliberate stranded-node DAG bug\n"
-      << "                        (implies --dag)\n"
-      << "  --inject-revoked-bug  arm the deliberate dropped-requeue bug in\n"
-      << "                        the revocation eviction sweep (implies\n"
-      << "                        --adversary)\n"
+      << "  --inject-bug NAME arm one deliberate bug: requeue (crash recovery\n"
+      << "                    never re-queues), repair (storage repair drops\n"
+      << "                    replicas; implies --storage), dag (a failed\n"
+      << "                    DAG node is stranded; implies --dag) or revoked\n"
+      << "                    (the revocation sweep drops held work; implies\n"
+      << "                    --adversary)\n"
       << "\n"
       << "exit codes:\n"
       << "  soak mode:   0 = all episodes clean\n"
@@ -121,24 +108,6 @@ bool parse_flag(const char* text, T lo, T hi, T& out) {
   if (!(v >= lo && v <= hi)) return false;  // also rejects NaN
   out = v;
   return true;
-}
-
-core::ChaosScenarioConfig episode_config(const Options& opt,
-                                         std::uint64_t seed) {
-  core::ChaosScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.vehicles = opt.vehicles;
-  cfg.duration = opt.duration;
-  cfg.intensity = opt.intensity;
-  cfg.storms = opt.storms;
-  cfg.inject_requeue_bug = opt.inject_requeue_bug;
-  cfg.storage = opt.storage;
-  cfg.inject_repair_bug = opt.inject_repair_bug;
-  cfg.dag = opt.dag;
-  cfg.inject_dag_bug = opt.inject_dag_bug;
-  cfg.adversary = opt.adversary;
-  cfg.inject_revoked_bug = opt.inject_revoked_bug;
-  return cfg;
 }
 
 void print_violations(const core::ChaosEpisode& episode) {
@@ -214,16 +183,17 @@ int run_repro(const Options& opt) {
 }
 
 int run_soak(const Options& opt) {
+  const core::ChaosScenarioConfig& sc = opt.scenario;
   const std::size_t jobs =
       opt.jobs > 0 ? opt.jobs
                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::cout << "soaking " << opt.episodes << " episodes (seeds " << opt.seed
-            << ".." << opt.seed + opt.episodes - 1 << ", " << opt.vehicles
-            << " vehicles, " << opt.duration << " s load, intensity "
-            << opt.intensity << (opt.storms ? ", storms on" : ", storms off")
-            << (opt.storage ? ", storage on" : "")
-            << (opt.dag ? ", dag on" : "")
-            << (opt.adversary ? ", adversary on" : "") << ") on " << jobs
+  std::cout << "soaking " << opt.episodes << " episodes (seeds " << sc.seed
+            << ".." << sc.seed + opt.episodes - 1 << ", " << sc.vehicles
+            << " vehicles, " << sc.duration << " s load, intensity "
+            << sc.intensity << (sc.storms ? ", storms on" : ", storms off")
+            << (sc.storage ? ", storage on" : "")
+            << (sc.dag ? ", dag on" : "")
+            << (sc.adversary ? ", adversary on" : "") << ") on " << jobs
             << " threads\n";
 
   std::vector<core::ChaosEpisode> episodes(opt.episodes);
@@ -238,8 +208,9 @@ int run_soak(const Options& opt) {
     for (std::size_t i = 0; i < opt.episodes; ++i) {
       futures.push_back(pool.submit([&, i] {
         if (i > lowest_failing.load()) return;
-        episodes[i] = core::run_chaos_episode(
-            episode_config(opt, opt.seed + i));
+        core::ChaosScenarioConfig cfg = sc;
+        cfg.seed += i;
+        episodes[i] = core::run_chaos_episode(cfg);
         if (episodes[i].ok()) return;
         std::size_t seen = lowest_failing.load();
         while (i < seen && !lowest_failing.compare_exchange_weak(seen, i)) {
@@ -251,58 +222,46 @@ int run_soak(const Options& opt) {
 
   const std::size_t failing = lowest_failing.load();
   if (failing == opt.episodes) {
-    std::size_t checks = 0;
-    for (std::size_t i = 0; i < opt.episodes; ++i) checks += episodes[i].checks_run;
-    std::cout << "OK: " << opt.episodes << " episodes, " << checks
+    using E = core::ChaosEpisode;
+    const auto sum = [&episodes](std::size_t E::*field) {
+      std::size_t total = 0;
+      for (const E& e : episodes) total += e.*field;
+      return total;
+    };
+    std::cout << "OK: " << opt.episodes << " episodes, " << sum(&E::checks_run)
               << " oracle checks, zero invariant violations\n";
-    if (opt.storage) {
-      std::size_t acked = 0, degraded = 0, repairs = 0;
-      for (const core::ChaosEpisode& e : episodes) {
-        acked += e.storage_writes_acked;
-        degraded += e.storage_reads_degraded;
-        repairs += e.storage_repair_copies;
-      }
-      std::cout << "storage: " << acked << " writes acked, " << degraded
-                << " degraded reads, " << repairs << " repair copies\n";
+    if (sc.storage) {
+      std::cout << "storage: " << sum(&E::storage_writes_acked)
+                << " writes acked, " << sum(&E::storage_reads_degraded)
+                << " degraded reads, " << sum(&E::storage_repair_copies)
+                << " repair copies\n";
     }
-    if (opt.dag) {
-      std::size_t graphs = 0, done = 0, failed = 0, backups = 0;
-      for (const core::ChaosEpisode& e : episodes) {
-        graphs += e.dag_graphs_submitted;
-        done += e.dag_graphs_completed;
-        failed += e.dag_graphs_failed;
-        backups += e.dag_backups;
-      }
-      std::cout << "dag: " << graphs << " graphs (" << done << " completed, "
-                << failed << " failed), " << backups << " backups\n";
+    if (sc.dag) {
+      std::cout << "dag: " << sum(&E::dag_graphs_submitted) << " graphs ("
+                << sum(&E::dag_graphs_completed) << " completed, "
+                << sum(&E::dag_graphs_failed) << " failed), "
+                << sum(&E::dag_backups) << " backups\n";
     }
-    if (opt.adversary) {
-      std::size_t claims = 0, quarantined = 0, replays = 0, rejected = 0,
-                   revoked = 0, evicted = 0;
-      for (const core::ChaosEpisode& e : episodes) {
-        claims += e.sybil_claims;
-        quarantined += e.sybil_quarantined;
-        replays += e.replays_seen;
-        rejected += e.replays_rejected;
-        revoked += e.revocations;
-        evicted += e.revoked_evictions;
-      }
-      std::cout << "adversary: " << claims << " sybil claims (" << quarantined
-                << " quarantined), " << replays << " replays (" << rejected
-                << " rejected), " << revoked << " revocations (" << evicted
-                << " evictions)\n";
+    if (sc.adversary) {
+      std::cout << "adversary: " << sum(&E::sybil_claims) << " sybil claims ("
+                << sum(&E::sybil_quarantined) << " quarantined), "
+                << sum(&E::replays_seen) << " replays ("
+                << sum(&E::replays_rejected) << " rejected), "
+                << sum(&E::revocations) << " revocations ("
+                << sum(&E::revoked_evictions) << " evictions)\n";
     }
     return 0;
   }
 
-  const std::uint64_t bad_seed = opt.seed + failing;
+  const std::uint64_t bad_seed = sc.seed + failing;
   const core::ChaosEpisode& bad = episodes[failing];
   std::cout << "FAIL: episode seed " << bad_seed << " ("
             << bad.plan.size() << " fault events) violated "
             << bad.violation_count << " invariant check(s):\n";
   print_violations(bad);
 
-  const core::ChaosScenarioConfig cfg = episode_config(opt, bad_seed);
+  core::ChaosScenarioConfig cfg = sc;
+  cfg.seed = bad_seed;
   std::cout << "shrinking fault plan (" << bad.plan.size()
             << " events) ...\n";
   std::size_t shrink_runs = 0;
@@ -342,67 +301,51 @@ int run_soak(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
+  core::ChaosScenarioConfig& sc = opt.scenario;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    bool ok = true;
     if (arg == "--episodes") {
-      if (!parse_flag<std::size_t>(next(), 1, 1000000, opt.episodes)) {
-        return usage(argv[0]);
-      }
+      ok = parse_flag<std::size_t>(next(), 1, 1000000, opt.episodes);
     } else if (arg == "--seed") {
-      if (!parse_flag<std::uint64_t>(
-              next(), 0, std::numeric_limits<std::uint64_t>::max(),
-              opt.seed)) {
-        return usage(argv[0]);
-      }
+      ok = parse_flag<std::uint64_t>(
+          next(), 0, std::numeric_limits<std::uint64_t>::max(), sc.seed);
     } else if (arg == "--vehicles") {
-      if (!parse_flag(next(), 1, 100000, opt.vehicles)) return usage(argv[0]);
+      ok = parse_flag(next(), 1, 100000, sc.vehicles);
     } else if (arg == "--duration") {
       // A zero-length window has no load; a NaN one never ends.
-      if (!parse_flag(next(), std::numeric_limits<double>::min(), 1e6,
-                      opt.duration)) {
-        return usage(argv[0]);
-      }
+      ok = parse_flag(next(), std::numeric_limits<double>::min(), 1e6,
+                      sc.duration);
     } else if (arg == "--intensity") {
-      if (!parse_flag(next(), 0.0, 1000.0, opt.intensity)) {
-        return usage(argv[0]);
-      }
+      ok = parse_flag(next(), 0.0, 1000.0, sc.intensity);
     } else if (arg == "--jobs") {
-      if (!parse_flag<std::size_t>(next(), 0, 1024, opt.jobs)) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--out") {
+      ok = parse_flag<std::size_t>(next(), 0, 1024, opt.jobs);
+    } else if (arg == "--out" || arg == "--repro") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.out_dir = v;
-    } else if (arg == "--repro") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.repro_path = v;
+      ok = v != nullptr;
+      if (ok) (arg == "--out" ? opt.out_dir : opt.repro_path) = v;
     } else if (arg == "--no-storms") {
-      opt.storms = false;
+      sc.storms = false;
     } else if (arg == "--storage") {
-      opt.storage = true;
-    } else if (arg == "--inject-requeue-bug") {
-      opt.inject_requeue_bug = true;
-    } else if (arg == "--inject-repair-bug") {
-      opt.inject_repair_bug = true;
-      opt.storage = true;  // the bug lives in the storage repair pipeline
+      sc.storage = true;
     } else if (arg == "--dag") {
-      opt.dag = true;
-    } else if (arg == "--inject-dag-bug") {
-      opt.inject_dag_bug = true;
-      opt.dag = true;  // the bug lives in the DAG resubmit path
+      sc.dag = true;
     } else if (arg == "--adversary") {
-      opt.adversary = true;
-    } else if (arg == "--inject-revoked-bug") {
-      opt.inject_revoked_bug = true;
-      opt.adversary = true;  // the bug lives in the revocation sweep
+      sc.adversary = true;
+    } else if (arg == "--inject-bug") {
+      const char* name = next();
+      const core::SeededBugName* bug =
+          name == nullptr ? nullptr : core::find_seeded_bug(name);
+      // One bug per run: a second --inject-bug is a usage error too.
+      ok = bug != nullptr && sc.seeded_bug == vcloud::SeededBug::kNone;
+      if (ok) bug->arm(sc);
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
   if (!opt.repro_path.empty()) return run_repro(opt);
   return run_soak(opt);
