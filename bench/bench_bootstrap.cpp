@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                    std::to_string(bootstrap.via_rsu_count()),
                    std::to_string(bootstrap.via_relay_count()),
                    Table::num(bootstrap.join_latency().mean(), 2),
-                   Table::num(bootstrap.join_latency().percentile(95), 2)});
+                   Table::num(percentile(bootstrap.join_latencies(), 95), 2)});
   }
   emit_table(table);
 

@@ -20,7 +20,6 @@
 // the bench being excluded with --skip-bench.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -32,6 +31,7 @@
 #include "crypto/schnorr.h"
 #include "crypto/shamir.h"
 #include "obs/bench_output.h"
+#include "util/flags.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -221,8 +221,8 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 // order. Accumulators retain no samples: only mean/ci95 are reported.
 struct RepStats {
   std::string name;
-  vcl::Accumulator real_ns{/*keep_samples=*/false};
-  vcl::Accumulator cpu_ns{/*keep_samples=*/false};
+  vcl::Accumulator real_ns;
+  vcl::Accumulator cpu_ns;
 };
 
 }  // namespace
@@ -234,10 +234,15 @@ int main(int argc, char** argv) {
   // patched argv with --benchmark_repetitions so its machinery does the
   // repeating. --reps 1 keeps the old single-run behaviour (plain cells).
   int reps = 5;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--reps") reps = std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--reps") continue;
+    if (!vcl::parse_flag(i + 1 < argc ? argv[i + 1] : nullptr, 1, 10000,
+                         reps)) {
+      std::cerr << "usage: " << argv[0]
+                << " [--reps 1..10000] [--json FILE] [--benchmark_*]\n";
+      return 2;
+    }
   }
-  if (reps < 1) reps = 1;
   std::vector<char*> patched(argv, argv + argc);
   std::string reps_flag = "--benchmark_repetitions=" + std::to_string(reps);
   patched.push_back(reps_flag.data());

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     sched_table.add_row({to_string(policy),
                          std::to_string(sched.served_requests()),
                          Table::num(sched.wait_time().mean(), 2),
-                         Table::num(sched.wait_time().percentile(95), 2),
+                         Table::num(percentile(sched.waits(), 95), 2),
                          Table::num(sched.jain_fairness(), 3)});
   }
   emit_table(sched_table);

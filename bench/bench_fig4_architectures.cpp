@@ -50,7 +50,7 @@ exp::RepReport run_architecture(core::CloudArchitecture arch,
   };
   auto run_phase = [&](double seconds) {
     const std::size_t before = system.cloud().stats().completed;
-    Accumulator members(false);
+    Accumulator members;
     const int steps = static_cast<int>(seconds / 10.0);
     for (int i = 0; i < steps; ++i) {
       system.run_for(10.0);

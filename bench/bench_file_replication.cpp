@@ -54,7 +54,7 @@ exp::RepReport run(std::size_t target, bool repair_enabled,
   }
 
   Ratio availability;
-  Accumulator live(false);
+  Accumulator live;
   scenario.simulator().schedule_every(5.0, [&] {
     for (const FileId f : files) {
       availability.add(manager.available(f));

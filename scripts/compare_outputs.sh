@@ -12,7 +12,13 @@
 #     --adversary) at --episodes 20 --seed 1 --vehicles 25 --duration 60;
 #   - the replays (vcl_chaos --repro) of the committed repros, one per
 #     seeded bug: tests/data/incident_repro.jsonl (requeue) and
-#     tests/data/repro_{repair,dag,revoked}.jsonl.
+#     tests/data/repro_{repair,dag,revoked}.jsonl;
+#   - the analysis tools on what those runs wrote: vcl_traceview (default
+#     and --json) on fig2's telemetry/cell0/rep0/trace.jsonl, vcl_report
+#     (text on stdout, JSON through --out) over telemetry/cell0/rep{0,1},
+#     vcl_traceview --storage on the repair replay's trace, vcl_traceview
+#     --dag on the dag replay's trace and vcl_incident on the requeue
+#     replay's incident.jsonl.
 # It then compares every stdout, exit code and output file byte for byte,
 # and every bench JSON with the `wall_s` scalar masked. The only other
 # tolerated differences are the host-timed cells of bench_access_control
@@ -26,7 +32,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,31p' "$0" >&2
   exit 2
 }
 
@@ -109,6 +115,17 @@ run_build() {
     run "$out/chaos" "repro_$bug" "$build/tools/vcl_chaos" \
       --repro "$REPO/tests/data/repro_$bug.jsonl" --out "repro_$bug-out"
   done
+  local traceview="$build/tools/vcl_traceview"
+  run "$out/fig2" traceview "$traceview" telemetry/cell0/rep0/trace.jsonl
+  run "$out/fig2" traceview_json "$traceview" --json \
+    telemetry/cell0/rep0/trace.jsonl
+  run "$out/fig2" report "$build/tools/vcl_report" --out report.json \
+    telemetry/cell0/rep0 telemetry/cell0/rep1
+  run "$out/chaos" traceview_storage "$traceview" --storage \
+    repro_repair-out/trace.jsonl
+  run "$out/chaos" traceview_dag "$traceview" --dag repro_dag-out/trace.jsonl
+  run "$out/chaos" incident "$build/tools/vcl_incident" \
+    repro-out/incident.jsonl
 }
 
 for i in 0 1; do

@@ -50,8 +50,8 @@ class StabilityTracker {
   std::unordered_map<std::uint64_t, SimTime> head_start_;
   Accumulator head_lifetime_;
   Ratio reaffiliations_;
-  Accumulator cluster_count_{/*keep_samples=*/false};
-  Accumulator cluster_size_{/*keep_samples=*/false};
+  Accumulator cluster_count_;
+  Accumulator cluster_size_;
   std::size_t merges_ = 0;
   std::size_t splits_ = 0;
 };

@@ -52,7 +52,9 @@ void BootstrapProtocol::complete_join(VehicleId v, bool via_rsu) {
   rec.state = JoinState::kJoined;
   rec.joined_at = net_.simulator().now();
   rec.via_rsu = via_rsu;
-  join_latency_.add(rec.joined_at - rec.started);
+  const double latency = rec.joined_at - rec.started;
+  join_latency_.add(latency);
+  join_latencies_.push_back(latency);
   (via_rsu ? via_rsu_ : via_relay_) += 1;
 
   // Issue the credential pool and a DH key for session establishment.

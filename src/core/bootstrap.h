@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "auth/pseudonym.h"
 #include "net/network.h"
@@ -58,6 +59,10 @@ class BootstrapProtocol {
   [[nodiscard]] const Accumulator& join_latency() const {
     return join_latency_;
   }
+  // Every join's latency, in join order (for exact percentiles).
+  [[nodiscard]] const std::vector<double>& join_latencies() const {
+    return join_latencies_;
+  }
 
   // Pairwise session key between two joined vehicles (Diffie-Hellman in
   // the Schnorr group, keys derived on demand); nullopt unless both are
@@ -81,6 +86,7 @@ class BootstrapProtocol {
   std::unordered_map<std::uint64_t, crypto::SchnorrKeyPair> dh_keys_;
   crypto::Drbg drbg_;
   Accumulator join_latency_;
+  std::vector<double> join_latencies_;
   std::size_t via_rsu_ = 0;
   std::size_t via_relay_ = 0;
 };

@@ -77,7 +77,7 @@ class StopMeter {
   mobility::TrafficModel& traffic_;
   std::size_t samples_ = 0;
   std::size_t stopped_ = 0;
-  Accumulator speed_{/*keep_samples=*/false};
+  Accumulator speed_;
 };
 
 }  // namespace vcl::core

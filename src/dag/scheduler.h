@@ -82,8 +82,8 @@ struct DagStats {
   std::size_t blind_replicas = 0;   // blind-k extra up-front attempts
   std::size_t transfers = 0;        // parent->child intermediates routed
   double transfer_mb = 0.0;
-  Accumulator makespan{/*keep_samples=*/false};  // graph submit -> complete, s
-  Accumulator node_latency{/*keep_samples=*/false};  // ready -> success, s
+  Accumulator makespan;      // graph submit -> complete, s
+  Accumulator node_latency;  // ready -> success, s
   QuantileSketch node_latency_tail;
 };
 

@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/flags.h"
+
 namespace vcl::exp {
 
 Cell::Cell(const Summary& s, int decimals) {
@@ -35,13 +37,21 @@ Cell Cell::tail(const Summary& s, int decimals) {
 
 namespace {
 
+// The value after the first `flag` in argv, `fallback` when the flag is
+// absent. A missing, malformed or out-of-range value is a usage error.
 std::size_t parse_count_flag(int argc, char** argv, const std::string& flag,
+                             std::size_t lo, std::size_t hi,
                              std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      const long v = std::strtol(argv[i + 1], nullptr, 10);
-      return v < 0 ? fallback : static_cast<std::size_t>(v);
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != flag) continue;
+    std::size_t v = 0;
+    if (!parse_flag(i + 1 < argc ? argv[i + 1] : nullptr, lo, hi, v)) {
+      std::cerr << "usage: " << argv[0]
+                << " [--reps 1..10000] [--jobs 0..1024 (0 = one per hardware"
+                   " thread)] [--json FILE] [--telemetry-dir DIR]\n";
+      std::exit(2);
     }
+    return v;
   }
   return fallback;
 }
@@ -57,8 +67,8 @@ std::string parse_string_flag(int argc, char** argv, const std::string& flag) {
 
 Campaign::Campaign(std::string bench_name, int argc, char** argv)
     : reporter_(std::move(bench_name), argc, argv) {
-  reps_ = std::max<std::size_t>(parse_count_flag(argc, argv, "--reps", 1), 1);
-  jobs_ = parse_count_flag(argc, argv, "--jobs", 1);
+  reps_ = parse_count_flag(argc, argv, "--reps", 1, 10000, 1);
+  jobs_ = parse_count_flag(argc, argv, "--jobs", 0, 1024, 1);
   telemetry_dir_ = parse_string_flag(argc, argv, "--telemetry-dir");
   if (jobs_ == 0) {
     jobs_ = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);

@@ -49,7 +49,7 @@ struct Cell {
   // "mean ±ci95" at n>1; the JSON side gets {"mean","ci95","n"} when n>1.
   Cell(const Summary& s, int decimals);
 
-  // Tail cell over a Summary's pooled sketch: prints "p50/p99/p999" and the
+  // Tail cell over a Summary's merged sketch: prints "p50/p99/p999" and the
   // JSON side gets {"p50","p99","p999","n"} (always an object — the text is
   // not a number). Quantiles come from integer bucket counts, so the cell
   // is bit-identical for any --jobs. Empty sketches render "-".
@@ -58,9 +58,10 @@ struct Cell {
 
 class Campaign {
  public:
-  // Scans argv for --reps / --jobs (and --json via BenchReporter); unknown
-  // flags are ignored so benches stay forgiving. --jobs 0 means one job per
-  // hardware thread.
+  // Scans argv for --reps (1..10000) / --jobs (0..1024) (and --json via
+  // BenchReporter); unknown flags are ignored so benches stay forgiving.
+  // --jobs 0 means one job per hardware thread. A malformed or out-of-range
+  // --reps / --jobs value prints a usage line and exits 2.
   Campaign(std::string bench_name, int argc, char** argv);
   ~Campaign();
 

@@ -9,10 +9,6 @@
 
 namespace vcl::exp {
 
-Accumulator& RepReport::dist(const std::string& name) {
-  return metrics_.try_emplace(name, /*keep_samples=*/true).first->second;
-}
-
 QuantileSketch& RepReport::tail(const std::string& name) {
   return tails_.try_emplace(name).first->second;
 }
@@ -31,9 +27,7 @@ std::map<std::string, Summary> reduce(const std::vector<RepReport>& reports) {
   for (const RepReport& report : reports) {
     for (const auto& [name, acc] : report.metrics()) {
       if (acc.count() == 0) continue;
-      Summary& s = out[name];
-      s.across.add(acc.mean());
-      s.pooled.merge(acc);
+      out[name].across.add(acc.mean());
     }
     for (const auto& [name, sketch] : report.tails()) {
       if (sketch.count() == 0) continue;

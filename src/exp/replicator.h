@@ -6,8 +6,8 @@
 // single-rep run reproduces the historical single-seed experiment exactly)
 // and reports named metrics into a `RepReport`. `replicate()` runs the N
 // replications — inline for jobs=1, across an `exp::ThreadPool` otherwise —
-// then reduces per-metric with `Accumulator::merge` (Chan) in replication
-// order, so the aggregate is bit-identical regardless of `jobs`.
+// then reduces per-metric in replication order, so the aggregate is
+// bit-identical regardless of `jobs`.
 #pragma once
 
 #include <cstddef>
@@ -31,17 +31,15 @@ struct RepContext {
   std::string out_dir;
 };
 
-// What one replication reports: named metrics, each an Accumulator. Use
-// `value()` for one observation per replication (the common case) and
-// `dist()` when a replication produces a whole within-run distribution.
+// What one replication reports: named metrics, each an Accumulator whose
+// mean is the replication's observation (usually one value() call per name).
 class RepReport {
  public:
-  void value(const std::string& name, double v) { dist(name).add(v); }
-  Accumulator& dist(const std::string& name);
+  void value(const std::string& name, double v) { metrics_[name].add(v); }
   // Fixed-memory tail distribution (p50/p99/p999) for metrics with many
   // observations per replication. All tails use the sketch's default layout
   // so cross-replication merges are always layout-compatible. A tail may
-  // share its name with a dist(); they reduce into the same Summary.
+  // share its name with a value(); they reduce into the same Summary.
   QuantileSketch& tail(const std::string& name);
 
   [[nodiscard]] const std::map<std::string, Accumulator>& metrics() const {
@@ -60,11 +58,8 @@ class RepReport {
 struct Summary {
   // One entry per reporting replication: that replication's mean.
   Accumulator across;
-  // Every replication's samples merged in replication order; percentiles
-  // here pool the within-run distributions.
-  Accumulator pooled;
   // Per-replication tail sketches merged in replication order. Bucket
-  // counts are integers, so the pooled quantiles are bit-identical for any
+  // counts are integers, so the merged quantiles are bit-identical for any
   // `jobs`; the fixed fold order additionally pins the floating-point sum.
   QuantileSketch tail;
   bool has_tail = false;

@@ -78,6 +78,7 @@ FileId DisseminationScheduler::serve_slot(SimTime now) {
     ++served_;
     const double w = now - p.at;
     wait_.add(w);
+    waits_.push_back(w);
     item_wait_[best].add(w);
   }
   q.clear();

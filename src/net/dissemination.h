@@ -49,6 +49,8 @@ class DisseminationScheduler {
   [[nodiscard]] std::size_t pending_requests() const;
   [[nodiscard]] std::size_t served_requests() const { return served_; }
   [[nodiscard]] const Accumulator& wait_time() const { return wait_; }
+  // Every served request's wait, in service order (for exact percentiles).
+  [[nodiscard]] const std::vector<double>& waits() const { return waits_; }
   // Jain's fairness index over per-item mean waits (1.0 = perfectly fair).
   [[nodiscard]] double jain_fairness() const;
 
@@ -64,6 +66,7 @@ class DisseminationScheduler {
   std::unordered_map<std::uint64_t, Accumulator> item_wait_;
   std::size_t served_ = 0;
   Accumulator wait_;
+  std::vector<double> waits_;
 };
 
 }  // namespace vcl::net

@@ -44,7 +44,7 @@ struct NetStats {
   std::size_t broadcast_receptions = 0;
   std::size_t dropped = 0;
   std::size_t bytes_sent = 0;
-  Accumulator hop_delay{/*keep_samples=*/false};
+  Accumulator hop_delay;
 };
 
 class Network {

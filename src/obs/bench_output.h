@@ -39,12 +39,12 @@ struct CellStat {
   double mean = 0.0;
   double ci95 = 0.0;
   std::size_t n = 0;
-  // Tail-quantile cell (pooled QuantileSketch, DESIGN.md §7): when set the
+  // Tail-quantile cell (merged QuantileSketch, DESIGN.md §7): when set the
   // cell is emitted as {"p50": ..., "p99": ..., "p999": ..., "n": count}
   // instead of {"mean","ci95","n"}. Unlike mean cells, a tail cell is
   // emitted as an object even at n == 1 — the text form ("a/b/c") is not a
   // number, so the object IS the machine-readable value. `n` holds the
-  // pooled observation count, not the replication count.
+  // merged observation count, not the replication count.
   bool has_tail = false;
   double p50 = 0.0;
   double p99 = 0.0;

@@ -14,14 +14,6 @@ void MetricsRegistry::gauge(const std::string& name, GaugeFn fn) {
   gauges_[name] = std::move(fn);
 }
 
-Accumulator& MetricsRegistry::histogram(const std::string& name) {
-  return histograms_.try_emplace(name, /*keep_samples=*/true).first->second;
-}
-
-QuantileSketch& MetricsRegistry::sketch(const std::string& name) {
-  return sketches_.try_emplace(name).first->second;
-}
-
 void MetricsRegistry::sketch_view(const std::string& name,
                                   const QuantileSketch& s) {
   sketch_views_[name] = &s;
@@ -29,13 +21,8 @@ void MetricsRegistry::sketch_view(const std::string& name,
 
 const QuantileSketch* MetricsRegistry::find_sketch(
     const std::string& name) const {
-  if (auto it = sketches_.find(name); it != sketches_.end()) {
-    return &it->second;
-  }
-  if (auto it = sketch_views_.find(name); it != sketch_views_.end()) {
-    return it->second;
-  }
-  return nullptr;
+  const auto it = sketch_views_.find(name);
+  return it != sketch_views_.end() ? it->second : nullptr;
 }
 
 double MetricsRegistry::value(const std::string& name) const {
@@ -45,9 +32,6 @@ double MetricsRegistry::value(const std::string& name) const {
   if (auto it = gauges_.find(name); it != gauges_.end()) {
     return it->second ? it->second() : 0.0;
   }
-  if (auto it = histograms_.find(name); it != histograms_.end()) {
-    return it->second.mean();
-  }
   if (const QuantileSketch* s = find_sketch(name); s != nullptr) {
     return s->count() ? s->quantile(0.99) : 0.0;
   }
@@ -55,26 +39,19 @@ double MetricsRegistry::value(const std::string& name) const {
 }
 
 std::size_t MetricsRegistry::metric_count() const {
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         sketches_.size() + sketch_views_.size();
+  return counters_.size() + gauges_.size() + sketch_views_.size();
 }
 
 void MetricsRegistry::capture_columns() {
   columns_.clear();
   for (const auto& [name, c] : counters_) columns_.push_back(name);
   for (const auto& [name, g] : gauges_) columns_.push_back(name);
-  for (const auto& [name, h] : histograms_) {
-    columns_.push_back(name + ".count");
-    columns_.push_back(name + ".mean");
-  }
-  const auto sketch_columns = [this](const std::string& name) {
+  for (const auto& [name, s] : sketch_views_) {
     columns_.push_back(name + ".count");
     columns_.push_back(name + ".p50");
     columns_.push_back(name + ".p99");
     columns_.push_back(name + ".p999");
-  };
-  for (const auto& [name, s] : sketches_) sketch_columns(name);
-  for (const auto& [name, s] : sketch_views_) sketch_columns(name);
+  }
   // The maps are each sorted; a global sort makes the column order
   // independent of metric kind.
   std::sort(columns_.begin(), columns_.end());
@@ -92,16 +69,10 @@ std::vector<double> MetricsRegistry::snapshot_row() const {
       row.push_back(it->second ? it->second() : 0.0);
       continue;
     }
-    // Histogram/sketch-derived columns carry a ".count"/".mean"/".pXX"
-    // suffix.
+    // Sketch-derived columns carry a ".count"/".pXX" suffix.
     const auto dot = col.rfind('.');
     const std::string base = col.substr(0, dot);
     const std::string kind = col.substr(dot + 1);
-    if (auto it = histograms_.find(base); it != histograms_.end()) {
-      row.push_back(kind == "count" ? static_cast<double>(it->second.count())
-                                    : it->second.mean());
-      continue;
-    }
     if (const QuantileSketch* s = find_sketch(base); s != nullptr) {
       if (kind == "count") {
         row.push_back(static_cast<double>(s->count()));
@@ -163,15 +134,11 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 }
 
 void MetricsRegistry::write_sketches_json(std::ostream& os) const {
-  // Owned sketches and views export identically, in one sorted namespace.
-  std::map<std::string, const QuantileSketch*> all;
-  for (const auto& [name, s] : sketches_) all.emplace(name, &s);
-  for (const auto& [name, s] : sketch_views_) all.emplace(name, s);
   JsonWriter w(os);
   w.begin_object();
   w.key("schema").value("vcl-sketch-v1");
   w.key("sketches").begin_array();
-  for (const auto& [name, s] : all) {
+  for (const auto& [name, s] : sketch_views_) {
     w.begin_object();
     w.key("name").value(name);
     w.key("relative_error").value(s->relative_error());

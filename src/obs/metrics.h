@@ -2,7 +2,7 @@
 // sampler (DESIGN.md §6).
 //
 // Components register metrics once at wiring time — counters they bump,
-// gauges the registry polls, histograms they feed — under dotted
+// gauges the registry polls, sketches they feed — under dotted
 // `subsystem.noun.verb` names ("net.unicast.sent", "cloud.member.count").
 // The sampler rides Simulator::schedule_every and snapshots every metric
 // each period; the resulting time series exports to CSV and JSON so a run's
@@ -22,7 +22,6 @@
 
 #include "sim/simulator.h"
 #include "util/quantile_sketch.h"
-#include "util/stats.h"
 #include "util/time.h"
 
 namespace vcl::obs {
@@ -46,30 +45,23 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   // Registers (or replaces) a polled gauge.
   void gauge(const std::string& name, GaugeFn fn);
-  // Returns the distribution registered under `name` (samples retained for
-  // percentile queries; use Accumulator::merge to fold per-component ones).
-  // Memory grows with sample count — prefer sketch() for hot paths.
-  Accumulator& histogram(const std::string& name);
-  // Returns the tail-quantile sketch registered under `name`: fixed-memory
-  // DDSketch-style distribution for hot paths that stream millions of
-  // observations. Contributes `<name>.count/.p50/.p99/.p999` columns to the
-  // sampled time series and a full snapshot to sketches.json on export.
-  QuantileSketch& sketch(const std::string& name);
-  // Registers a component-owned sketch by reference (the sketch analogue of
-  // a gauge: the component feeds it on its hot path, the registry samples
-  // and exports it). The sketch must outlive the registry's sampling run.
+  // Registers a component-owned tail-quantile sketch by reference (the
+  // sketch analogue of a gauge: the component feeds it on its hot path, the
+  // registry samples and exports it). Contributes
+  // `<name>.count/.p50/.p99/.p999` columns to the sampled time series and a
+  // full snapshot to sketches.json on export. The sketch must outlive the
+  // registry's sampling run.
   void sketch_view(const std::string& name, const QuantileSketch& s);
 
-  // Current value of any metric by name (histograms report their mean,
-  // sketches their p99); 0 when unknown.
+  // Current value of any metric by name (sketches report their p99); 0 when
+  // unknown.
   [[nodiscard]] double value(const std::string& name) const;
   [[nodiscard]] std::size_t metric_count() const;
 
   // --- time series ------------------------------------------------------------
   // Samples every metric each `period` sim-seconds. Columns are fixed at
-  // the first sample (sorted metric names; histograms contribute
-  // `<name>.count` and `<name>.mean`); metrics registered after that are
-  // picked up only by a fresh sampling run.
+  // the first sample (sorted metric names); metrics registered after that
+  // are picked up only by a fresh sampling run.
   void start_sampling(sim::Simulator& sim, SimTime period);
   // Takes one snapshot now (also what the periodic sampler calls).
   void sample(SimTime now);
@@ -77,10 +69,8 @@ class MetricsRegistry {
   [[nodiscard]] const std::vector<std::string>& series_columns() const {
     return columns_;
   }
-  // True when any sketch (owned or view) is registered.
-  [[nodiscard]] bool has_sketches() const {
-    return !sketches_.empty() || !sketch_views_.empty();
-  }
+  // True when any sketch is registered.
+  [[nodiscard]] bool has_sketches() const { return !sketch_views_.empty(); }
   [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
 
   // CSV: header `t,<col>,...` then one row per sample.
@@ -95,7 +85,7 @@ class MetricsRegistry {
  private:
   void capture_columns();
   [[nodiscard]] std::vector<double> snapshot_row() const;
-  // Owned sketch or registered view under `name`; nullptr when unknown.
+  // Sketch registered under `name`; nullptr when unknown.
   [[nodiscard]] const QuantileSketch* find_sketch(const std::string& name) const;
 
   struct Sample {
@@ -106,8 +96,6 @@ class MetricsRegistry {
   // std::map: deterministic column order and stable node addresses.
   std::map<std::string, Counter> counters_;
   std::map<std::string, GaugeFn> gauges_;
-  std::map<std::string, Accumulator> histograms_;
-  std::map<std::string, QuantileSketch> sketches_;
   std::map<std::string, const QuantileSketch*> sketch_views_;
   std::vector<std::string> columns_;
   std::vector<Sample> samples_;

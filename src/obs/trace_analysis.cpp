@@ -17,6 +17,29 @@ std::string outcome_label(double code) {
   return "unknown";
 }
 
+// Adds one closed leg span to a task's or DAG node's partition. The exec
+// leg starts with the input transfer (its planned length rides the span as
+// "input_s"); that slice is network, the rest is compute. A crash can end
+// the leg mid-transfer, hence the clamp. Any other span name falls into
+// the caller's residual `other`.
+template <typename Breakdown>
+void add_leg(const Span& s, Breakdown& b) {
+  const double dur = s.duration();
+  if (s.name == "leg.queue") {
+    b.queueing += dur;
+  } else if (s.name == "leg.dispatch" || s.name == "leg.result") {
+    b.network += dur;
+  } else if (s.name == "leg.exec") {
+    double input = 0.0;
+    const auto it = s.fields.find("input_s");
+    if (it != s.fields.end()) input = std::min(it->second, dur);
+    b.network += input;
+    b.compute += dur - input;
+  } else if (s.name == "leg.recover" || s.name == "leg.migrate") {
+    b.recovery += dur;
+  }
+}
+
 }  // namespace
 
 bool parse_trace_jsonl(std::istream& is, std::vector<ParsedEvent>& out,
@@ -200,25 +223,8 @@ TraceAnalysis::TraceAnalysis(const std::vector<ParsedEvent>& events) {
         continue;
       }
       if (s.parent_id == 0) continue;  // the root itself
-      const double dur = s.duration();
-      if (s.name == "leg.queue") {
-        task.queueing += dur;
-      } else if (s.name == "leg.dispatch" || s.name == "leg.result") {
-        task.network += dur;
-      } else if (s.name == "leg.exec") {
-        // The exec leg starts with the input transfer (its planned length
-        // rides the span as "input_s"); that slice is network, the rest is
-        // compute. A crash can end the leg mid-transfer, hence the clamp.
-        double input = 0.0;
-        auto it = s.fields.find("input_s");
-        if (it != s.fields.end()) input = std::min(it->second, dur);
-        task.network += input;
-        task.compute += dur - input;
-      } else if (s.name == "leg.recover" || s.name == "leg.migrate") {
-        task.recovery += dur;
-        if (s.name == "leg.migrate") ++task.migrations;
-      }
-      // Any other span name falls into the residual below.
+      add_leg(s, task);
+      if (s.name == "leg.migrate") ++task.migrations;
       auto crashed = s.fields.find("crashed");
       if (crashed != s.fields.end() && crashed->second > 0.0) ++task.crashes;
     }
@@ -362,21 +368,7 @@ void TraceAnalysis::reduce_dag(std::uint64_t trace_id,
     if (crashed != s.fields.end() && crashed->second > 0.0) ++nb.crashes;
     const auto win = winner_of.find(node_it->second);
     if (win == winner_of.end() || win->second != life) continue;
-    if (!s.closed()) continue;
-    const double dur = s.duration();
-    if (s.name == "leg.queue") {
-      nb.queueing += dur;
-    } else if (s.name == "leg.dispatch" || s.name == "leg.result") {
-      nb.network += dur;
-    } else if (s.name == "leg.exec") {
-      double input = 0.0;
-      const auto in = s.fields.find("input_s");
-      if (in != s.fields.end()) input = std::min(in->second, dur);
-      nb.network += input;
-      nb.compute += dur - input;
-    } else if (s.name == "leg.recover" || s.name == "leg.migrate") {
-      nb.recovery += dur;
-    }
+    if (s.closed()) add_leg(s, nb);
   }
   for (auto& nb : run.nodes) {
     nb.other = nb.end_to_end() -

@@ -46,7 +46,7 @@ class QuantileSketch {
   // clamped into [min(), max()], preserving the relative-error bound while
   // pinning q=0 / q=1 to the exact extremes.
   [[nodiscard]] double quantile(double q) const;
-  // Percentile in [0, 100]; mirrors Accumulator::percentile's scale.
+  // Percentile in [0, 100].
   [[nodiscard]] double percentile(double p) const {
     return quantile(p / 100.0);
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 namespace vcl {
 
@@ -19,10 +17,6 @@ void Accumulator::add(double x) {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  if (keep_samples_) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
 }
 
 double Accumulator::variance() const {
@@ -32,47 +26,15 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-    mean_ = other.mean_;
-    m2_ = other.m2_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * n2 / (n1 + n2);
-    m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (keep_samples_ && other.keep_samples_) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_ = false;
-  }
-}
-
-double Accumulator::percentile(double p) const {
-  // Documented contract: NaN without retention — never a moment estimate,
-  // never a silent zero masquerading as a measured latency.
-  if (!keep_samples_) return std::numeric_limits<double>::quiet_NaN();
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+double percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
   const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 *
-      static_cast<double>(samples_.size() - 1);
+      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 double student_t95(std::size_t df) {
@@ -93,35 +55,6 @@ double ci95_half_width(const Accumulator& reps) {
   if (reps.count() < 2) return 0.0;
   return student_t95(reps.count() - 1) * reps.stddev() /
          std::sqrt(static_cast<double>(reps.count()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  // Clamp in double space BEFORE the integer cast: casting a double outside
-  // the integer's range is undefined (on x86 a huge positive value wraps to
-  // the most-negative integer and would land in the first bucket).
-  const double pos = std::clamp(
-      (x - lo_) / span * static_cast<double>(counts_.size()), 0.0,
-      static_cast<double>(counts_.size() - 1));
-  ++counts_[static_cast<std::size_t>(pos)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << "): "
-       << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace vcl

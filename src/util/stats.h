@@ -2,19 +2,15 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace vcl {
 
-// Streaming accumulator (Welford) with optional sample retention for
-// percentile queries. Retention is on by default; experiments that stream
-// millions of values can disable it.
+// Streaming accumulator (Welford): count, sum, mean, variance, min and max
+// in constant memory. Tails come from QuantileSketch, or from percentile()
+// over samples the caller keeps.
 class Accumulator {
  public:
-  explicit Accumulator(bool keep_samples = true)
-      : keep_samples_(keep_samples) {}
-
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return count_; }
@@ -25,34 +21,18 @@ class Accumulator {
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  // Percentile in [0, 100] via linear interpolation over retained samples.
-  // Contract: requires construction with keep_samples=true; when retention
-  // is disabled the query is unanswerable and returns quiet NaN — loudly
-  // unusable downstream (tables print "nan", JSON emits null) instead of a
-  // silent 0.0 that reads like a real latency. Retaining-but-empty returns
-  // 0.0 ("no data yet"). It never interpolates from moments; callers that
-  // stream without retention should use QuantileSketch instead.
-  [[nodiscard]] double percentile(double p) const;
-
-  // Folds `other` into this accumulator (Chan's parallel Welford update):
-  // count/sum/min/max/mean/variance become those of the union. Samples are
-  // appended only when BOTH sides retain them; merging a non-retaining
-  // accumulator into a retaining one leaves percentile() covering only the
-  // locally retained values. Used by the metrics sampler to combine
-  // per-component accumulators.
-  void merge(const Accumulator& other);
-
  private:
-  bool keep_samples_;
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
+
+// Exact percentile of `xs`, p in [0, 100] (clamped), by linear interpolation
+// between the two nearest ranks of the sorted values; 0.0 when `xs` is empty.
+double percentile(std::vector<double> xs, double p);
 
 // Two-sided 95% Student-t critical value for `df` degrees of freedom
 // (exact table through df=30, standard stepdown to the normal 1.960
@@ -61,30 +41,10 @@ class Accumulator {
 // observation).
 double student_t95(std::size_t df);
 
-// 95% confidence half-width of the mean of `reps`, treating each retained
+// 95% confidence half-width of the mean of `reps`, treating each
 // observation as one independent replication: t * stddev / sqrt(n). Returns
 // 0 when fewer than two observations exist.
 double ci95_half_width(const Accumulator& reps);
-
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 // Ratio counter for success/failure style metrics.
 class Ratio {

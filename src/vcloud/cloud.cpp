@@ -54,8 +54,7 @@ std::vector<std::string> CloudStats::table_row() const {
           Table::num(wasted_work, 1),
           Table::num(redundant_work, 1),
           Table::num(detection_latency.mean(), 2),
-          // Sketch-backed: alpha-relative-accurate in fixed memory (the
-          // latency Accumulator no longer retains samples).
+          // Sketch-backed: alpha-relative-accurate in fixed memory.
           Table::num(latency_tail.percentile(95), 1)};
 }
 

@@ -72,11 +72,10 @@ struct CloudStats {
   std::size_t migrations = 0;
   std::size_t reallocations = 0;  // re-queued from zero after a departure
   double wasted_work = 0.0;       // work units thrown away
-  // Moments stream without sample retention; the paired sketches answer
-  // percentile queries in fixed memory, so the stats survive 10⁶-task runs
-  // (the old retaining Accumulators grew one double per task).
-  Accumulator latency{/*keep_samples=*/false};      // completion - creation, s
-  Accumulator queue_delay{/*keep_samples=*/false};  // dispatch - creation, s
+  // Accumulators keep moments; the paired sketches answer percentile
+  // queries in fixed memory, so the stats survive 10⁶-task runs.
+  Accumulator latency;      // completion - creation, s
+  Accumulator queue_delay;  // dispatch - creation, s
   QuantileSketch latency_tail;      // tail quantiles of `latency`
   QuantileSketch queue_delay_tail;  // tail quantiles of `queue_delay`
   // Modeled broker<->worker heartbeat round trip (2x channel hop delay at

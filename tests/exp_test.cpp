@@ -133,7 +133,7 @@ TEST(RepSeed, DistinctAcrossReps) {
 RepReport stochastic_rep(const RepContext& ctx) {
   Rng rng(ctx.seed);
   RepReport rep;
-  for (int i = 0; i < 16; ++i) rep.dist("x").add(rng.uniform());
+  for (int i = 0; i < 16; ++i) rep.value("x", rng.uniform());
   rep.value("rep_index", static_cast<double>(ctx.rep));
   return rep;
 }
@@ -150,9 +150,8 @@ TEST(Replicate, AggregateBitIdenticalAcrossJobCounts) {
     EXPECT_EQ(sa.mean(), sb.mean());      // bit-identical, not just close
     EXPECT_EQ(sa.stddev(), sb.stddev());
     EXPECT_EQ(sa.ci95(), sb.ci95());
-    EXPECT_EQ(sa.pooled.count(), sb.pooled.count());
-    EXPECT_EQ(sa.pooled.mean(), sb.pooled.mean());
-    EXPECT_EQ(sa.pooled.percentile(95), sb.pooled.percentile(95));
+    EXPECT_EQ(sa.across.min(), sb.across.min());
+    EXPECT_EQ(sa.across.max(), sb.across.max());
   }
 }
 
@@ -214,19 +213,18 @@ TEST(Replicate, SummaryCi95MatchesHandComputation) {
   EXPECT_DOUBLE_EQ(s.ci95(), student_t95(3) * stddev / 2.0);
 }
 
-TEST(Replicate, PooledMergesWithinRunDistributions) {
+TEST(Replicate, AcrossTakesOneMeanPerReplication) {
   ReplicateOptions opts{/*reps=*/3, /*jobs=*/1, /*base_seed=*/0, /*out_dir=*/{}};
   const auto summary = replicate(opts, [](const RepContext& ctx) {
     RepReport rep;
-    auto& d = rep.dist("x");
-    d.add(static_cast<double>(ctx.rep));
-    d.add(static_cast<double>(ctx.rep) + 10.0);
+    rep.value("x", static_cast<double>(ctx.rep));
+    rep.value("x", static_cast<double>(ctx.rep) + 10.0);
     return rep;
   });
   const Summary& s = summary.at("x");
-  EXPECT_EQ(s.n(), 3u);           // one mean per replication
-  EXPECT_EQ(s.pooled.count(), 6u);  // every sample pooled
-  EXPECT_DOUBLE_EQ(s.pooled.max(), 12.0);
+  EXPECT_EQ(s.n(), 3u);  // one mean per replication: 5, 6, 7
+  EXPECT_DOUBLE_EQ(s.across.min(), 5.0);
+  EXPECT_DOUBLE_EQ(s.across.max(), 7.0);
 }
 
 TEST(Replicate, FirstExceptionInRepOrderIsRethrown) {
@@ -345,15 +343,16 @@ TEST(Campaign, ParsesRepsAndJobsFlags) {
   EXPECT_EQ(campaign.jobs(), 2u);
 }
 
-TEST(Campaign, DefaultsToSingleRepAndClampsZeroReps) {
+TEST(Campaign, DefaultsToSingleRepAndRejectsZeroReps) {
   Argv plain({"bench"});
   Campaign a("bench", plain.argc(), plain.argv());
   EXPECT_EQ(a.reps(), 1u);
   EXPECT_EQ(a.jobs(), 1u);
 
+  // Out of range is a usage error, not a silent clamp to one rep.
   Argv zero({"bench", "--reps", "0"});
-  Campaign b("bench", zero.argc(), zero.argv());
-  EXPECT_EQ(b.reps(), 1u);
+  EXPECT_EXIT(Campaign("bench", zero.argc(), zero.argv()),
+              ::testing::ExitedWithCode(2), "usage: bench");
 }
 
 TEST(Campaign, SingleRepJsonMatchesPlainReporterOutput) {

@@ -522,25 +522,45 @@ TEST(StorageTelemetry, TracingOffLeavesStorageBehaviorUntouched) {
 
 // ---- MetricsRegistry --------------------------------------------------------
 
-TEST(MetricsRegistry, CountersGaugesHistograms) {
+TEST(MetricsRegistry, CountersGaugesSketchViews) {
   MetricsRegistry reg;
   auto& c = reg.counter("net.unicast.sent");
   c.inc();
   c.inc(2.5);
   double depth = 7.0;
   reg.gauge("cloud.task.pending", [&depth] { return depth; });
-  auto& h = reg.histogram("cloud.task.latency");
-  h.add(1.0);
-  h.add(3.0);
+  QuantileSketch latency;
+  reg.sketch_view("cloud.task.latency", latency);
+  EXPECT_TRUE(reg.has_sketches());
+  EXPECT_DOUBLE_EQ(reg.value("cloud.task.latency"), 0.0);  // empty sketch
+  latency.add(1.0);  // the view sees what the owner feeds afterwards
+  latency.add(3.0);
 
   EXPECT_EQ(reg.metric_count(), 3u);
   EXPECT_DOUBLE_EQ(reg.value("net.unicast.sent"), 3.5);
   EXPECT_DOUBLE_EQ(reg.value("cloud.task.pending"), 7.0);
-  EXPECT_DOUBLE_EQ(reg.value("cloud.task.latency"), 2.0);  // mean
+  EXPECT_DOUBLE_EQ(reg.value("cloud.task.latency"), latency.quantile(0.99));
   EXPECT_DOUBLE_EQ(reg.value("no.such.metric"), 0.0);
   // counter() is idempotent: same name -> same counter.
   reg.counter("net.unicast.sent").inc();
   EXPECT_DOUBLE_EQ(reg.value("net.unicast.sent"), 4.5);
+
+  // A view contributes count and tail-quantile columns, sorted with the rest.
+  reg.sample(0.0);
+  EXPECT_EQ(reg.series_columns(),
+            (std::vector<std::string>{
+                "cloud.task.latency.count", "cloud.task.latency.p50",
+                "cloud.task.latency.p99", "cloud.task.latency.p999",
+                "cloud.task.pending", "net.unicast.sent"}));
+  std::ostringstream csv;
+  reg.write_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "t,cloud.task.latency.count,cloud.task.latency.p50,"
+            "cloud.task.latency.p99,cloud.task.latency.p999,"
+            "cloud.task.pending,net.unicast.sent\n0,2," +
+                json_number(latency.quantile(0.50)) + "," +
+                json_number(latency.quantile(0.99)) + "," +
+                json_number(latency.quantile(0.999)) + ",7,4.5\n");
 }
 
 TEST(MetricsRegistry, SamplerProducesTimeSeries) {
@@ -572,20 +592,6 @@ TEST(MetricsRegistry, SamplerProducesTimeSeries) {
   EXPECT_EQ(json.str(),
             "{\"columns\":[\"t\",\"a.ticks.count\",\"b.clock.now\"],"
             "\"samples\":[[0,0,0],[2,2,2],[4,4,4],[6,6,6]]}\n");
-}
-
-TEST(MetricsRegistry, HistogramContributesCountAndMeanColumns) {
-  sim::Simulator sim;
-  MetricsRegistry reg;
-  auto& h = reg.histogram("x.latency");
-  h.add(2.0);
-  h.add(4.0);
-  reg.sample(0.0);
-  ASSERT_EQ(reg.series_columns(),
-            (std::vector<std::string>{"x.latency.count", "x.latency.mean"}));
-  std::ostringstream csv;
-  reg.write_csv(csv);
-  EXPECT_EQ(csv.str(), "t,x.latency.count,x.latency.mean\n0,2,3\n");
 }
 
 // ---- BenchReporter ----------------------------------------------------------
@@ -1016,7 +1022,8 @@ TEST(RunHealth, MergesArtifactsAndAttributesStormLatency) {
   }
   tel.metrics.counter("x.count").inc();
   tel.metrics.counter("x.count").inc();
-  auto& sk = tel.metrics.sketch("demo.latency");
+  QuantileSketch sk;
+  tel.metrics.sketch_view("demo.latency", sk);
   sk.add(0.1);
   sk.add(0.2);
   sk.add(0.4);

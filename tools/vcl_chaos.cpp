@@ -19,19 +19,18 @@
 // 2 = usage/IO error.
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/chaos.h"
 #include "exp/thread_pool.h"
+#include "util/flags.h"
 
 using namespace vcl;
 
@@ -93,21 +92,6 @@ int usage(const char* argv0) {
       << "               3 = the repro still reproduces the violation\n"
       << "               2 = usage or I/O error\n";
   return 2;
-}
-
-// A numeric flag value must be one whole token (no sign on unsigned
-// flags, no trailing bytes), finite and inside [lo, hi]; anything else is a
-// usage error, never an exception, a wrap-around or a NaN-length run.
-template <typename T>
-bool parse_flag(const char* text, T lo, T hi, T& out) {
-  if (text == nullptr) return false;
-  const std::string_view s(text);
-  T v{};
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || end != s.data() + s.size()) return false;
-  if (!(v >= lo && v <= hi)) return false;  // also rejects NaN
-  out = v;
-  return true;
 }
 
 void print_violations(const core::ChaosEpisode& episode) {
