@@ -28,6 +28,8 @@ struct ChannelConfig {
   SimTime slot_time = 50 * kMicroseconds;
   double contention_per_neighbor = 0.004;  // loss added per local transmitter
   double base_loss = 0.02;                 // irreducible packet error rate
+
+  friend bool operator==(const ChannelConfig&, const ChannelConfig&) = default;
 };
 
 struct ReceptionResult {
@@ -50,6 +52,8 @@ struct ChannelCounters {
 struct BlackoutRegion {
   geo::Vec2 center;
   double radius = 0.0;
+
+  friend bool operator==(const BlackoutRegion&, const BlackoutRegion&) = default;
 };
 
 class Channel {
@@ -82,6 +86,11 @@ class Channel {
   void clear_blackouts() { blackouts_.clear(); }
   [[nodiscard]] bool blacked_out(geo::Vec2 pos) const;
   [[nodiscard]] std::size_t blackout_count() const { return blackouts_.size(); }
+  // Active regions with their tokens, in the order they were added.
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, BlackoutRegion>>&
+  blackouts() const {
+    return blackouts_;
+  }
 
   [[nodiscard]] const ChannelCounters& counters() const { return counters_; }
 

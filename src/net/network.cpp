@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace vcl::net {
 
@@ -20,8 +21,7 @@ void Network::clear_handler(Address addr) { handlers_.erase(addr.key()); }
 
 void Network::start_beacons(SimTime period) {
   refresh();
-  sim_.schedule_every(period, [this] { beacon_round(); }, -1.0,
-                      "net.beacon");
+  sim_.schedule_every(period, [this] { refresh(); }, -1.0, "net.beacon");
 }
 
 void Network::refresh() {
@@ -29,8 +29,24 @@ void Network::refresh() {
   beacon_round_tables();
 }
 
+namespace {
+
+// Bitwise, so a position that only compares equal (0.0 against -0.0) still
+// counts as moved.
+bool same_bits(const std::vector<geo::Vec2>& a,
+               const std::vector<geo::Vec2>& b) {
+  static_assert(sizeof(geo::Vec2) == 2 * sizeof(double));
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(geo::Vec2)) == 0);
+}
+
+}  // namespace
+
 void Network::rebuild_index() {
-  for (const VehicleId id : snap_id_) slot_by_id_[id.value()] = kNoSlot;
+  std::swap(snap_id_, prev_id_);
+  std::swap(snap_pos_, prev_pos_);
+  for (const VehicleId id : prev_id_) slot_by_id_[id.value()] = kNoSlot;
   snap_id_.clear();
   snap_pos_.clear();
   snap_vel_.clear();
@@ -41,53 +57,108 @@ void Network::rebuild_index() {
     snap_pos_.push_back(v.pos);
     snap_vel_.push_back(v.vel);
   }
-  index_.build(snap_pos_);
+  // The grid depends on the positions alone; unchanged ones rebuild it
+  // identically.
+  const bool same_pos = same_bits(snap_pos_, prev_pos_);
+  if (!same_pos) index_.build(snap_pos_);
+  same_snapshot_ = same_pos && snap_id_ == prev_id_;
 }
 
 std::uint32_t Network::slot_of(VehicleId v) const {
   return v.value() < slot_by_id_.size() ? slot_by_id_[v.value()] : kNoSlot;
 }
 
-void Network::beacon_round() {
-  rebuild_index();
-  beacon_round_tables();
-}
-
 void Network::beacon_round_tables() {
   const double range = channel_.config().max_range;
   const SimTime now = sim_.now();
+  ++stats_.beacon_rounds;
 
-  // Drop tables of departed vehicles.
+  // Reception probabilities depend on the snapshot ids and positions, the
+  // channel config and the blackout set; velocities and extra load do not
+  // enter them. A round whose inputs equal the previous round's replays
+  // the plan if one is held. Otherwise it computes, and records a plan
+  // only in a later round with the same inputs, so the world held still
+  // for a whole period (set-up refreshes twice at t=0 and records nothing).
+  const bool held_still = same_snapshot_ &&
+                          channel_.config() == last_config_ &&
+                          channel_.blackouts() == last_blackouts_;
+  if (!held_still) {
+    plan_start_ = {};
+    plan_sender_ = {};
+    plan_p_ = {};
+    plan_valid_ = false;
+    last_config_ = channel_.config();
+    last_blackouts_ = channel_.blackouts();
+  }
+  const bool replay = held_still && plan_valid_;
+  const bool record = held_still && !plan_valid_ && now > last_round_at_;
+  last_round_at_ = now;
+  if (replay) ++stats_.beacon_replays;
+  if (record) {
+    plan_start_.reserve(snap_id_.size() + 1);
+    plan_start_.assign(1, 0);
+    // The previous round queried the same pairs: an upper bound on the
+    // plan's size, so the plan grows without reallocating.
+    plan_sender_.reserve(queried_pairs_);
+    plan_p_.reserve(queried_pairs_);
+  }
+
+  // Drop tables of vehicles that left since the last round.
   neighbor_tables_.resize(slot_by_id_.size());
   table_pos_by_id_.resize(slot_by_id_.size(), 0);
-  for (std::size_t id = 0; id < neighbor_tables_.size(); ++id) {
-    if (slot_by_id_[id] == kNoSlot && neighbor_tables_[id].capacity() != 0) {
-      neighbor_tables_[id] = std::vector<NeighborEntry>();
+  if (!same_snapshot_) {
+    for (const VehicleId id : prev_id_) {
+      if (slot_of(id) == kNoSlot) {
+        neighbor_tables_[id.value()] = std::vector<NeighborEntry>();
+      }
     }
   }
 
+  // The one draw-and-merge step of both loops: samples the beacon of
+  // snapshot slot n at probability p and merges it into table when heard.
+  const auto hear = [&](std::vector<NeighborEntry>& table, std::uint32_t n,
+                        double p) {
+    if (!rng_.bernoulli(p)) return;
+    const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n], now};
+    std::uint32_t& at = table_pos_by_id_[heard.id.value()];
+    if (at != 0) {
+      table[at - 1] = heard;
+    } else {
+      table.push_back(heard);
+      at = static_cast<std::uint32_t>(table.size());
+    }
+  };
+
+  std::size_t queried = 0;
   for (std::uint32_t self = 0; self < snap_id_.size(); ++self) {
-    const geo::Vec2 pos = snap_pos_[self];
-    index_.query(pos, range, nearby_);
     auto& table = neighbor_tables_[snap_id_[self].value()];
     for (std::size_t k = 0; k < table.size(); ++k) {
       table_pos_by_id_[table[k].id.value()] = static_cast<std::uint32_t>(k + 1);
     }
-    const std::size_t density = nearby_.size();
-    for (const std::uint32_t n : nearby_) {
-      if (n == self) continue;
-      // Sample beacon reception from neighbor -> self; refresh on success.
-      if (!rng_.bernoulli(
-              channel_.reception_probability(snap_pos_[n], pos, density))) {
-        continue;
+    // Sample beacon reception from each neighbor -> self; refresh on
+    // success.
+    if (replay) {
+      for (std::uint32_t k = plan_start_[self]; k < plan_start_[self + 1];
+           ++k) {
+        hear(table, plan_sender_[k], plan_p_[k]);
       }
-      const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n], now};
-      std::uint32_t& at = table_pos_by_id_[heard.id.value()];
-      if (at != 0) {
-        table[at - 1] = heard;
-      } else {
-        table.push_back(heard);
-        at = static_cast<std::uint32_t>(table.size());
+    } else {
+      const geo::Vec2 pos = snap_pos_[self];
+      index_.query(pos, range, nearby_);
+      const std::size_t density = nearby_.size();
+      queried += density;
+      for (const std::uint32_t n : nearby_) {
+        if (n == self) continue;
+        const double p =
+            channel_.reception_probability(snap_pos_[n], pos, density);
+        if (record && p > 0.0) {
+          plan_sender_.push_back(n);
+          plan_p_.push_back(p);
+        }
+        hear(table, n, p);
+      }
+      if (record) {
+        plan_start_.push_back(static_cast<std::uint32_t>(plan_p_.size()));
       }
     }
     for (const NeighborEntry& e : table) table_pos_by_id_[e.id.value()] = 0;
@@ -98,6 +169,8 @@ void Network::beacon_round_tables() {
       return slot_of(e.id) == kNoSlot;
     });
   }
+  if (!replay) queried_pairs_ = queried;
+  if (record) plan_valid_ = true;
 }
 
 const std::vector<NeighborEntry>& Network::neighbors(VehicleId v) const {
@@ -128,14 +201,13 @@ std::optional<geo::Vec2> Network::position_of(Address addr) const {
 std::size_t Network::local_density(geo::Vec2 pos) const {
   const double radius = channel_.config().reference_range;
   if (extra_load_.empty()) return index_.count(pos, radius);
-  std::vector<std::uint32_t> nearby;
-  index_.query(pos, radius, nearby);
+  index_.query(pos, radius, nearby_);
   double extra = 0.0;
-  for (const std::uint32_t slot : nearby) {
+  for (const std::uint32_t slot : nearby_) {
     auto it = extra_load_.find(snap_id_[slot].value());
     if (it != extra_load_.end()) extra += it->second;
   }
-  return nearby.size() + static_cast<std::size_t>(extra);
+  return nearby_.size() + static_cast<std::size_t>(extra);
 }
 
 void Network::set_extra_load(VehicleId v, double load) {
@@ -262,9 +334,8 @@ std::size_t Network::broadcast(Message msg) {
 
   std::size_t reached = 0;
   // Grid positions are the last snapshot's; reception uses live ones.
-  std::vector<std::uint32_t> nearby;
-  index_.query(*from, channel_.config().max_range, nearby);
-  for (const std::uint32_t slot : nearby) {
+  index_.query(*from, channel_.config().max_range, nearby_);
+  for (const std::uint32_t slot : nearby_) {
     const VehicleId nid = snap_id_[slot];
     const Address addr = Address::vehicle(nid);
     if (addr == msg.src) continue;

@@ -6,7 +6,10 @@
 //    index and refreshes each vehicle's neighbor table by sampling beacon
 //    reception from every in-range transmitter (an aggregate of per-beacon
 //    MAC behaviour; beacons themselves are not individually evented, which
-//    keeps a 1000-vehicle scenario tractable).
+//    keeps a 1000-vehicle scenario tractable). A world that holds still
+//    (parked cars, no channel change) replays its last round's reception
+//    probabilities instead of recomputing them: only the draws and the
+//    table merges run.
 //  * Data messages. `send`/`broadcast` are per-message: reception is
 //    sampled on the live channel and delivery callbacks fire after the
 //    sampled hop delay. Vehicles and RSUs register handlers by address.
@@ -45,6 +48,9 @@ struct NetStats {
   std::size_t dropped = 0;
   std::size_t bytes_sent = 0;
   Accumulator hop_delay;
+  // Beacon work: rounds run, and those that replayed the reception plan.
+  std::size_t beacon_rounds = 0;
+  std::size_t beacon_replays = 0;
 };
 
 class Network {
@@ -84,6 +90,9 @@ class Network {
   void set_neighbor_ttl(SimTime ttl) { neighbor_ttl_ = ttl; }
   // Forces an immediate index + neighbor-table refresh.
   void refresh();
+  // True while a reception plan is held for replay (the world held still
+  // for a whole beacon period).
+  [[nodiscard]] bool has_reception_plan() const { return plan_valid_; }
 
   // --- queries ----------------------------------------------------------------
   [[nodiscard]] const std::vector<NeighborEntry>& neighbors(VehicleId v) const;
@@ -129,7 +138,6 @@ class Network {
   void set_backhaul_latency(SimTime s) { backhaul_latency_ = s; }
 
  private:
-  void beacon_round();
   void beacon_round_tables();
   void rebuild_index();
   void deliver(const Message& msg, Address to, SimTime delay);
@@ -147,18 +155,37 @@ class Network {
   RsuField rsus_;
   // World snapshot taken at each index rebuild, in traffic_.vehicles()
   // order (the beacon and RNG order). index_ is built over snap_pos_, so
-  // its query results are snapshot slots.
+  // its query results are snapshot slots. The previous rebuild's ids and
+  // positions are kept in swapped buffers for the round key.
   std::vector<VehicleId> snap_id_;
   std::vector<geo::Vec2> snap_pos_;
   std::vector<geo::Vec2> snap_vel_;
+  std::vector<VehicleId> prev_id_;
+  std::vector<geo::Vec2> prev_pos_;
+  bool same_snapshot_ = false;  // ids equal, positions bitwise equal
   std::vector<std::uint32_t> slot_by_id_;  // vehicle id -> slot / kNoSlot
   geo::SpatialGrid index_;
+  // The previous beacon round's time, and its inputs to reception
+  // probabilities besides the snapshot.
+  SimTime last_round_at_ = 0.0;
+  ChannelConfig last_config_;
+  std::vector<std::pair<std::uint64_t, BlackoutRegion>> last_blackouts_;
+  // Reception plan: slot s hears senders plan_sender_[k] at probability
+  // plan_p_[k] for k in [plan_start_[s], plan_start_[s + 1]), in query
+  // order. Pairs at p <= 0 are left out: they draw nothing. Held only
+  // while every round's inputs equal the previous round's.
+  std::vector<std::uint32_t> plan_start_;
+  std::vector<std::uint32_t> plan_sender_;
+  std::vector<double> plan_p_;
+  std::size_t queried_pairs_ = 0;  // grid results of the last computed round
+  bool plan_valid_ = false;
   // Neighbor table per vehicle id; departed vehicles' tables are emptied.
   std::vector<std::vector<NeighborEntry>> neighbor_tables_;
   // Beacon-round scratch: vehicle id -> 1 + position in the table being
   // merged (0 = not in it); all zero between merges.
   std::vector<std::uint32_t> table_pos_by_id_;
-  std::vector<std::uint32_t> nearby_;
+  // Grid query scratch (beacon rounds, broadcast, local_density).
+  mutable std::vector<std::uint32_t> nearby_;
   std::unordered_map<std::uint64_t, Handler> handlers_;
   VehicleHandler vehicle_default_handler_;
   std::uint64_t next_msg_id_ = 1;

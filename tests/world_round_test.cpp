@@ -85,12 +85,10 @@ class ReferenceBeacons {
 
     const double range = channel_.config().max_range;
     std::vector<VehicleId> nearby;
-    for (auto it = tables_.begin(); it != tables_.end();) {
-      if (traffic_.find(VehicleId{it->first}) == nullptr) {
-        it = tables_.erase(it);
-      } else {
-        ++it;
-      }
+    // A departed vehicle keeps an empty table, so the comparison also
+    // checks that the flat round empties it.
+    for (auto& [vid, table] : tables_) {
+      if (traffic_.find(VehicleId{vid}) == nullptr) table.clear();
     }
     for (const auto& [vid, v] : traffic_.vehicles()) {
       index_.query(v.pos, range, nearby);
@@ -257,10 +255,12 @@ std::vector<ZoneRow> zone_rows(
 
 struct RoundCounts {
   // Beacon rounds compared; the largest table seen; head roles summed over
-  // every zone comparison.
+  // every zone comparison; whether any comparison found a reception plan
+  // held.
   int rounds = 0;
   std::size_t max_table = 0;
   std::size_t heads = 0;
+  bool plan_held = false;
 };
 
 void expect_same_tables(core::Scenario& s, const ReferenceBeacons& ref,
@@ -281,6 +281,7 @@ void expect_same_tables(core::Scenario& s, const ReferenceBeacons& ref,
   Rng flat = net.rng();
   Rng keyed = ref.rng();
   EXPECT_TRUE(flat.engine() == keyed.engine()) << "RNG state at t=" << now;
+  counts.plan_held = counts.plan_held || net.has_reception_plan();
   ++counts.rounds;
 }
 
@@ -296,13 +297,45 @@ void expect_same_zones(core::Scenario& s, cluster::MovingZone& zones,
   }
 }
 
+// Both sides of a run, for the hook that changes the world between rounds.
+struct Sides {
+  core::Scenario& s;
+  ReferenceBeacons& ref;
+  RoundCounts& counts;
+
+  // An extra round on both sides at the current instant, compared like a
+  // beacon round.
+  void refresh() {
+    s.network().refresh();
+    ref.round(s.simulator().now());
+    expect_same_tables(s, ref, counts);
+  }
+};
+
+// Called after beacon round `round` (1-based) is compared.
+using Between = std::function<void(int round, Sides& sides)>;
+
+void despawn_lowest(core::Scenario& s) {
+  std::uint64_t lowest = UINT64_MAX;
+  for (const auto& [vid, v] : s.traffic().vehicles()) {
+    lowest = std::min(lowest, vid);
+  }
+  s.traffic().despawn(VehicleId{lowest});
+}
+
+Between despawn_every(int n) {
+  return [n](int round, Sides& sides) {
+    if (round % n == 0) despawn_lowest(sides.s);
+  };
+}
+
 // Runs `rounds` beacon rounds of the scenario with the reference beside
 // it. Zones are rebuilt right after each round and again half a period
 // later, when live velocities have moved away from the beaconed ones.
-// Every `despawn_every` rounds the lowest-id vehicle leaves, so tables and
-// zones also see departures.
+// `between` runs after each round's comparison, so its changes reach the
+// next round.
 RoundCounts run_side_by_side(core::ScenarioConfig config, int rounds,
-                             int despawn_every) {
+                             const Between& between) {
   core::Scenario s(config);
   net::Network& net = s.network();
   cluster::MovingZone zones(net);
@@ -310,18 +343,14 @@ RoundCounts run_side_by_side(core::ScenarioConfig config, int rounds,
   ReferenceBeacons ref(s.traffic(), net.channel(), s.fork_rng(3), 3.0);
   ReferenceZones ref_zones(s.traffic(), ref);
   RoundCounts counts;
+  Sides sides{s, ref, counts};
+  int round = 0;
 
   const auto after_round = [&] {
     ref.round(s.simulator().now());
     expect_same_tables(s, ref, counts);
     expect_same_zones(s, zones, ref_zones, counts);
-    if (despawn_every > 0 && counts.rounds % despawn_every == 0) {
-      std::uint64_t lowest = UINT64_MAX;
-      for (const auto& [vid, v] : s.traffic().vehicles()) {
-        lowest = std::min(lowest, vid);
-      }
-      s.traffic().despawn(VehicleId{lowest});
-    }
+    between(++round, sides);
   };
   s.start();  // the first beacon round runs here
   after_round();
@@ -340,10 +369,18 @@ TEST(WorldRound, MovingCityMatchesKeyedReference) {
   core::ScenarioConfig config;
   config.vehicles = 400;
   config.seed = 11;
-  const RoundCounts counts = run_side_by_side(config, 12, 4);
+  std::size_t replays = 0;
+  const RoundCounts counts =
+      run_side_by_side(config, 12, [&](int round, Sides& sides) {
+        replays = sides.s.network().stats().beacon_replays;
+        despawn_every(4)(round, sides);
+      });
   EXPECT_EQ(counts.rounds, 12);
   EXPECT_GT(counts.max_table, 20u);  // dense enough to exercise the merge
   EXPECT_GT(counts.heads, 12u);
+  // A moving world never holds a reception plan.
+  EXPECT_EQ(replays, 0u);
+  EXPECT_FALSE(counts.plan_held);
 }
 
 TEST(WorldRound, ParkedLotMatchesKeyedReference) {
@@ -352,10 +389,83 @@ TEST(WorldRound, ParkedLotMatchesKeyedReference) {
   config.vehicles = 100;
   config.vehicles_parked = true;
   config.seed = 5;
-  const RoundCounts counts = run_side_by_side(config, 20, 3);
+  const RoundCounts counts = run_side_by_side(config, 20, despawn_every(3));
   EXPECT_EQ(counts.rounds, 20);
   EXPECT_GT(counts.max_table, 20u);
   EXPECT_GT(counts.heads, 0u);
+}
+
+// A parked lot replays its reception plan while nothing changes. Every
+// input of the plan's key changes once (a blackout comes and goes, the
+// channel config changes, a vehicle leaves), and the round after each
+// change must compute afresh and still match the reference.
+TEST(WorldRound, ParkedLotReplayMatchesKeyedReference) {
+  core::ScenarioConfig config;
+  config.environment = core::Environment::kParkingLot;
+  config.vehicles = 100;
+  config.vehicles_parked = true;
+  config.seed = 7;
+  constexpr int kRounds = 18;
+  // replays_after[r]: the replay count after round r.
+  std::vector<std::size_t> replays_after(1, 0);
+  std::size_t beacon_rounds = 0;
+  std::uint64_t blackout = 0;
+  std::size_t blacked_out = 0;
+  const RoundCounts counts =
+      run_side_by_side(config, kRounds, [&](int round, Sides& sides) {
+        net::Network& net = sides.s.network();
+        replays_after.push_back(net.stats().beacon_replays);
+        beacon_rounds = net.stats().beacon_rounds;
+        if (round == 5) {
+          // Black out the quarter of the lot nearest one vehicle.
+          std::vector<geo::Vec2> pos;
+          for (const auto& [vid, v] : sides.s.traffic().vehicles()) {
+            pos.push_back(v.pos);
+          }
+          const geo::Vec2 center = pos.front();
+          std::vector<double> dist;
+          for (const geo::Vec2 p : pos) {
+            dist.push_back(geo::distance(p, center));
+          }
+          std::nth_element(dist.begin(), dist.begin() + 25, dist.end());
+          const double radius = dist[25];
+          blackout = net.channel().add_blackout({center, radius});
+          for (const geo::Vec2 p : pos) {
+            blacked_out += net.channel().blacked_out(p);
+          }
+        }
+        if (round == 8) net.channel().remove_blackout(blackout);
+        if (round == 11) {
+          net.channel().config().base_loss = 0.1;
+          // Two extra rounds at one instant: neither replays (the key
+          // changed, then the world did not hold still for a period), and
+          // neither records.
+          for (int i = 0; i < 2; ++i) {
+            sides.refresh();
+            EXPECT_EQ(net.stats().beacon_replays, replays_after[11]);
+            EXPECT_FALSE(net.has_reception_plan());
+          }
+        }
+        if (round == 14) despawn_lowest(sides.s);
+      });
+  EXPECT_EQ(counts.rounds, kRounds + 2);
+  EXPECT_GT(counts.max_table, 20u);
+  EXPECT_GT(blacked_out, 0u);
+  EXPECT_LT(blacked_out, 100u);
+
+  ASSERT_EQ(replays_after.size(), static_cast<std::size_t>(kRounds + 1));
+  const auto replayed = [&](int r) {
+    return replays_after[r] > replays_after[r - 1];
+  };
+  // Round 1 is set-up (t=0); round 2 records; a recorded plan replays from
+  // the round after. A change computes, the round after it records.
+  const std::vector<int> computed = {1, 2, 6, 7, 9, 10, 12, 15, 16};
+  for (int r = 1; r <= kRounds; ++r) {
+    const bool fresh =
+        std::find(computed.begin(), computed.end(), r) != computed.end();
+    EXPECT_EQ(replayed(r), !fresh) << "round " << r;
+  }
+  EXPECT_EQ(beacon_rounds, static_cast<std::size_t>(kRounds + 2));
 }
 
 }  // namespace
