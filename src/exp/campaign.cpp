@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 #include <utility>
 
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace vcl::exp {
 
@@ -47,8 +47,8 @@ std::size_t parse_count_flag(int argc, char** argv, const std::string& flag,
     std::size_t v = 0;
     if (!parse_flag(i + 1 < argc ? argv[i + 1] : nullptr, lo, hi, v)) {
       std::cerr << "usage: " << argv[0]
-                << " [--reps 1..10000] [--jobs 0..1024 (0 = one per hardware"
-                   " thread)] [--json FILE] [--telemetry-dir DIR]\n";
+                << " [--reps 1..10000] [--jobs 0..1024 (0 = one per available"
+                   " CPU)] [--json FILE] [--telemetry-dir DIR]\n";
       std::exit(2);
     }
     return v;
@@ -71,7 +71,7 @@ Campaign::Campaign(std::string bench_name, int argc, char** argv)
   jobs_ = parse_count_flag(argc, argv, "--jobs", 0, 1024, 1);
   telemetry_dir_ = parse_string_flag(argc, argv, "--telemetry-dir");
   if (jobs_ == 0) {
-    jobs_ = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+    jobs_ = available_cpus();
   }
   // `reps` enters the JSON only when replication is on: the default document
   // stays identical to the pre-engine output, and `jobs` never enters it at

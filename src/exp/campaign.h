@@ -60,8 +60,9 @@ class Campaign {
  public:
   // Scans argv for --reps (1..10000) / --jobs (0..1024) (and --json via
   // BenchReporter); unknown flags are ignored so benches stay forgiving.
-  // --jobs 0 means one job per hardware thread. A malformed or out-of-range
-  // --reps / --jobs value prints a usage line and exits 2.
+  // --jobs 0 means one job per CPU the process may run on (available_cpus).
+  // A malformed or out-of-range --reps / --jobs value prints a usage line
+  // and exits 2.
   Campaign(std::string bench_name, int argc, char** argv);
   ~Campaign();
 

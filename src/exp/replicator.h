@@ -5,7 +5,7 @@
 // seed (`Rng::fork(rep)`-derived; replication 0 keeps the base seed so a
 // single-rep run reproduces the historical single-seed experiment exactly)
 // and reports named metrics into a `RepReport`. `replicate()` runs the N
-// replications — inline for jobs=1, across an `exp::ThreadPool` otherwise —
+// replications — inline for jobs=1, across a `ThreadPool` otherwise —
 // then reduces per-metric in replication order, so the aggregate is
 // bit-identical regardless of `jobs`.
 #pragma once
@@ -16,7 +16,7 @@
 #include <map>
 #include <string>
 
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 #include "util/quantile_sketch.h"
 #include "util/stats.h"
 

@@ -68,8 +68,85 @@ std::uint32_t Network::slot_of(VehicleId v) const {
   return v.value() < slot_by_id_.size() ? slot_by_id_[v.value()] : kNoSlot;
 }
 
-void Network::beacon_round_tables() {
+namespace {
+
+// The process's helper threads for stage A, shared by every Network: one
+// fewer than the CPUs the process may run on, at most 3. Created by the
+// first round that invites helpers; nullptr when there are none.
+ThreadPool* reception_pool() {
+  static const std::size_t helpers =
+      std::min<std::size_t>(available_cpus() - 1, 3);
+  if (helpers == 0) return nullptr;
+  static ThreadPool pool(helpers);
+  return &pool;
+}
+
+}  // namespace
+
+std::size_t Network::fill_rows(std::size_t chunk,
+                               std::vector<std::uint32_t>& nearby,
+                               RowChunk& out) const {
   const double range = channel_.config().max_range;
+  const std::size_t first = chunk * kRowChunk;
+  const std::size_t last = std::min(first + kRowChunk, snap_pos_.size());
+  std::size_t k = 0;
+  out.start[0] = 0;
+  for (std::size_t self = first; self < last; ++self) {
+    const geo::Vec2 pos = snap_pos_[self];
+    index_.query(pos, range, nearby);
+    const std::size_t density = nearby.size();
+    for (const std::uint32_t n : nearby) {
+      if (n == self) continue;
+      const double p =
+          channel_.reception_probability(snap_pos_[n], pos, density);
+      if (p <= 0.0) continue;
+      if (k < out.sender.size()) {
+        out.sender[k] = n;
+        out.p[k] = p;
+      }
+      ++k;
+    }
+    out.start[self - first + 1] = static_cast<std::uint32_t>(k);
+  }
+  return k;
+}
+
+const Network::RowChunk& Network::own_rows(std::size_t chunk) {
+  const std::size_t pairs = fill_rows(chunk, nearby_, own_rows_);
+  if (pairs > own_rows_.sender.size()) {
+    own_rows_.sender.resize(pairs);
+    own_rows_.p.resize(pairs);
+    fill_rows(chunk, nearby_, own_rows_);
+  }
+  return own_rows_;
+}
+
+void Network::open_helped_round(ThreadPool& pool, std::size_t chunks) {
+  if (helped_ == nullptr) {
+    helped_ = std::make_shared<HelpedRound>(kRowSlots, pool.threads());
+    ring_.resize(kRowSlots);
+    helper_nearby_.resize(pool.threads());
+  }
+  const std::size_t capacity = max_chunk_pairs_ + max_chunk_pairs_ / 4;
+  if (capacity > ring_.front().sender.size()) {
+    for (RowChunk& slot : ring_) {
+      slot.sender.resize(capacity);
+      slot.p.resize(capacity);
+    }
+  }
+  // A grid query returns at most every snapshot slot.
+  for (auto& nearby : helper_nearby_) nearby.reserve(snap_pos_.size());
+  helped_->begin(
+      chunks,
+      [this](std::size_t helper, std::size_t chunk, std::size_t slot) {
+        RowChunk& rows = ring_[slot];
+        return fill_rows(chunk, helper_nearby_[helper], rows) <=
+               rows.sender.size();
+      },
+      pool);
+}
+
+void Network::beacon_round_tables() {
   const SimTime now = sim_.now();
   ++stats_.beacon_rounds;
 
@@ -97,10 +174,9 @@ void Network::beacon_round_tables() {
   if (record) {
     plan_start_.reserve(snap_id_.size() + 1);
     plan_start_.assign(1, 0);
-    // The previous round queried the same pairs: an upper bound on the
-    // plan's size, so the plan grows without reallocating.
-    plan_sender_.reserve(queried_pairs_);
-    plan_p_.reserve(queried_pairs_);
+    // The previous round computed the same rows: the plan's exact size.
+    plan_sender_.reserve(row_pairs_);
+    plan_p_.reserve(row_pairs_);
   }
 
   // Drop tables of vehicles that left since the last round.
@@ -114,62 +190,81 @@ void Network::beacon_round_tables() {
     }
   }
 
-  // The one draw-and-merge step of both loops: samples the beacon of
-  // snapshot slot n at probability p and merges it into table when heard.
-  const auto hear = [&](std::vector<NeighborEntry>& table, std::uint32_t n,
-                        double p) {
-    if (!rng_.bernoulli(p)) return;
-    const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n], now};
-    std::uint32_t& at = table_pos_by_id_[heard.id.value()];
-    if (at != 0) {
-      table[at - 1] = heard;
-    } else {
-      table.push_back(heard);
-      at = static_cast<std::uint32_t>(table.size());
+  // Stage A's rows come from the plan, from helpers (a helped round) or
+  // from this thread. A helped round's helpers only read state that stays
+  // fixed until end(): the snapshot, the grid and the channel.
+  const std::size_t receivers = snap_id_.size();
+  const std::size_t chunks = (receivers + kRowChunk - 1) / kRowChunk;
+  ThreadPool* pool =
+      replay || receivers < kHelpedFloor ? nullptr : reception_pool();
+  if (pool != nullptr) open_helped_round(*pool, chunks);
+  // Helpers read this Network until the round is closed, on every path.
+  struct CloseRound {
+    HelpedRound* round;
+    ~CloseRound() {
+      if (round != nullptr) round->end();
     }
-  };
+  } close_round{pool != nullptr ? helped_.get() : nullptr};
 
-  std::size_t queried = 0;
-  for (std::uint32_t self = 0; self < snap_id_.size(); ++self) {
-    auto& table = neighbor_tables_[snap_id_[self].value()];
-    for (std::size_t k = 0; k < table.size(); ++k) {
-      table_pos_by_id_[table[k].id.value()] = static_cast<std::uint32_t>(k + 1);
+  // Stage B, the one draw-and-merge loop: in snapshot order, sample each
+  // row's beacons at their p and merge the heard ones into the table.
+  std::size_t pairs = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t first = c * kRowChunk;
+    const std::size_t last = std::min(first + kRowChunk, receivers);
+    const RowChunk* rows = nullptr;
+    if (!replay) {
+      const std::size_t slot =
+          pool != nullptr ? helped_->acquire(c) : HelpedRound::kCaller;
+      rows = slot == HelpedRound::kCaller ? &own_rows(c) : &ring_[slot];
+      const std::size_t chunk_pairs = rows->start[last - first];
+      pairs += chunk_pairs;
+      max_chunk_pairs_ = std::max(max_chunk_pairs_, chunk_pairs);
     }
-    // Sample beacon reception from each neighbor -> self; refresh on
-    // success.
-    if (replay) {
-      for (std::uint32_t k = plan_start_[self]; k < plan_start_[self + 1];
-           ++k) {
-        hear(table, plan_sender_[k], plan_p_[k]);
+    // Row i of the chunk is [start[i], start[i + 1]) of sender and prob.
+    const std::uint32_t* start =
+        replay ? plan_start_.data() + first : rows->start.data();
+    const std::uint32_t* sender =
+        replay ? plan_sender_.data() : rows->sender.data();
+    const double* prob = replay ? plan_p_.data() : rows->p.data();
+    for (std::size_t self = first; self < last; ++self) {
+      auto& table = neighbor_tables_[snap_id_[self].value()];
+      for (std::size_t k = 0; k < table.size(); ++k) {
+        table_pos_by_id_[table[k].id.value()] =
+            static_cast<std::uint32_t>(k + 1);
       }
-    } else {
-      const geo::Vec2 pos = snap_pos_[self];
-      index_.query(pos, range, nearby_);
-      const std::size_t density = nearby_.size();
-      queried += density;
-      for (const std::uint32_t n : nearby_) {
-        if (n == self) continue;
-        const double p =
-            channel_.reception_probability(snap_pos_[n], pos, density);
-        if (record && p > 0.0) {
-          plan_sender_.push_back(n);
-          plan_p_.push_back(p);
+      const std::uint32_t row_begin = start[self - first];
+      const std::uint32_t row_end = start[self - first + 1];
+      for (std::uint32_t k = row_begin; k < row_end; ++k) {
+        if (!rng_.bernoulli(prob[k])) continue;
+        const std::uint32_t n = sender[k];
+        const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n],
+                                  now};
+        std::uint32_t& at = table_pos_by_id_[heard.id.value()];
+        if (at != 0) {
+          table[at - 1] = heard;
+        } else {
+          table.push_back(heard);
+          at = static_cast<std::uint32_t>(table.size());
         }
-        hear(table, n, p);
       }
       if (record) {
+        plan_sender_.insert(plan_sender_.end(), sender + row_begin,
+                            sender + row_end);
+        plan_p_.insert(plan_p_.end(), prob + row_begin, prob + row_end);
         plan_start_.push_back(static_cast<std::uint32_t>(plan_p_.size()));
       }
+      for (const NeighborEntry& e : table) table_pos_by_id_[e.id.value()] = 0;
+      // Expire stale entries and entries for departed or
+      // out-of-range-departed vehicles.
+      std::erase_if(table, [&](const NeighborEntry& e) {
+        if (now - e.last_heard > neighbor_ttl_) return true;
+        return slot_of(e.id) == kNoSlot;
+      });
     }
-    for (const NeighborEntry& e : table) table_pos_by_id_[e.id.value()] = 0;
-    // Expire stale entries and entries for departed or out-of-range-departed
-    // vehicles.
-    std::erase_if(table, [&](const NeighborEntry& e) {
-      if (now - e.last_heard > neighbor_ttl_) return true;
-      return slot_of(e.id) == kNoSlot;
-    });
+    if (pool != nullptr) helped_->release(c);
   }
-  if (!replay) queried_pairs_ = queried;
+  if (!replay) row_pairs_ = pairs;
   if (record) plan_valid_ = true;
 }
 

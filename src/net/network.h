@@ -6,10 +6,17 @@
 //    index and refreshes each vehicle's neighbor table by sampling beacon
 //    reception from every in-range transmitter (an aggregate of per-beacon
 //    MAC behaviour; beacons themselves are not individually evented, which
-//    keeps a 1000-vehicle scenario tractable). A world that holds still
-//    (parked cars, no channel change) replays its last round's reception
-//    probabilities instead of recomputing them: only the draws and the
-//    table merges run.
+//    keeps a 1000-vehicle scenario tractable). A round has two stages.
+//    Stage A computes, for each receiver, a row of (sender, reception
+//    probability) pairs; it only reads the snapshot, the grid, the channel
+//    config and the blackout set. Stage B draws each pair's reception and
+//    merges the heard beacons into the tables, serially, in snapshot order.
+//    A world above a size floor has stage A rows computed ahead by up to 3
+//    helper threads (one fewer than the process's CPUs) that the calling
+//    thread joins; the draws and merges, and so every output, are the same
+//    with any number of helpers. A world that holds still (parked cars, no
+//    channel change) replays its last round's rows instead of computing
+//    them.
 //  * Data messages. `send`/`broadcast` are per-message: reception is
 //    sampled on the live channel and delivery callbacks fire after the
 //    sampled hop delay. Vehicles and RSUs register handlers by address.
@@ -17,7 +24,9 @@
 //    small latency.
 #pragma once
 
+#include <array>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +38,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "util/helped_round.h"
 #include "util/stats.h"
 
 namespace vcl::net {
@@ -59,6 +69,9 @@ class Network {
 
   Network(sim::Simulator& sim, mobility::TrafficModel& traffic,
           ChannelConfig channel_cfg, Rng rng);
+  // Helper threads hold `this` during a beacon round.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // --- wiring ---------------------------------------------------------------
   RsuField& rsus() { return rsus_; }
@@ -138,7 +151,31 @@ class Network {
   void set_backhaul_latency(SimTime s) { backhaul_latency_ = s; }
 
  private:
+  // Reception rows of kRowChunk consecutive snapshot slots (stage A): slot
+  // first + i hears senders sender[k] at probability p[k] for k in
+  // [start[i], start[i + 1]), in query order. Pairs at p <= 0 are left out:
+  // they draw nothing. sender and p are written by index up to their size.
+  static constexpr std::size_t kRowChunk = 16;
+  struct RowChunk {
+    std::array<std::uint32_t, kRowChunk + 1> start{};
+    std::vector<std::uint32_t> sender;
+    std::vector<double> p;
+  };
+  // Rounds with fewer receivers than this compute every row on the calling
+  // thread and never start a helper.
+  static constexpr std::size_t kHelpedFloor = 256;
+  static constexpr std::size_t kRowSlots = 4;  // ring slots of helped rounds
+
   void beacon_round_tables();
+  // Stage A of one chunk into `out`, with `nearby` as grid query scratch.
+  // Returns the chunk's pair count; the rows are complete only when it is
+  // at most out.sender.size(). Reads only state fixed during a round.
+  std::size_t fill_rows(std::size_t chunk, std::vector<std::uint32_t>& nearby,
+                        RowChunk& out) const;
+  // Stage A of one chunk on the calling thread.
+  const RowChunk& own_rows(std::size_t chunk);
+  // Sizes the ring and helper scratch, then opens a helped round.
+  void open_helped_round(ThreadPool& pool, std::size_t chunks);
   void rebuild_index();
   void deliver(const Message& msg, Address to, SimTime delay);
   bool transmit(const Message& msg, Address to);
@@ -170,21 +207,32 @@ class Network {
   SimTime last_round_at_ = 0.0;
   ChannelConfig last_config_;
   std::vector<std::pair<std::uint64_t, BlackoutRegion>> last_blackouts_;
-  // Reception plan: slot s hears senders plan_sender_[k] at probability
-  // plan_p_[k] for k in [plan_start_[s], plan_start_[s + 1]), in query
-  // order. Pairs at p <= 0 are left out: they draw nothing. Held only
-  // while every round's inputs equal the previous round's.
+  // Reception plan: the rows of a whole round, slot s hearing senders
+  // plan_sender_[k] at probability plan_p_[k] for k in
+  // [plan_start_[s], plan_start_[s + 1]). Held only while every round's
+  // inputs equal the previous round's.
   std::vector<std::uint32_t> plan_start_;
   std::vector<std::uint32_t> plan_sender_;
   std::vector<double> plan_p_;
-  std::size_t queried_pairs_ = 0;  // grid results of the last computed round
+  std::size_t row_pairs_ = 0;  // pairs in the rows of the last computed round
   bool plan_valid_ = false;
+  // Stage A buffers: the calling thread's own chunk, and for helped rounds
+  // the ring slots and one grid query scratch per helper. All are sized on
+  // the calling thread, so helpers allocate nothing. Ring slots hold the
+  // largest chunk seen so far plus a quarter; a chunk that does not fit is
+  // computed by the calling thread.
+  RowChunk own_rows_;
+  std::shared_ptr<HelpedRound> helped_;  // created by the first helped round
+  std::vector<RowChunk> ring_;
+  std::vector<std::vector<std::uint32_t>> helper_nearby_;
+  std::size_t max_chunk_pairs_ = 0;
   // Neighbor table per vehicle id; departed vehicles' tables are emptied.
   std::vector<std::vector<NeighborEntry>> neighbor_tables_;
   // Beacon-round scratch: vehicle id -> 1 + position in the table being
   // merged (0 = not in it); all zero between merges.
   std::vector<std::uint32_t> table_pos_by_id_;
-  // Grid query scratch (beacon rounds, broadcast, local_density).
+  // Grid query scratch of the calling thread (beacon rounds, broadcast,
+  // local_density).
   mutable std::vector<std::uint32_t> nearby_;
   std::unordered_map<std::uint64_t, Handler> handlers_;
   VehicleHandler vehicle_default_handler_;

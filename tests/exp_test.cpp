@@ -1,111 +1,21 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/system.h"
 #include "exp/campaign.h"
 #include "exp/replicator.h"
 #include "exp/sweep.h"
-#include "exp/thread_pool.h"
 #include "util/rng.h"
 
 namespace vcl::exp {
 namespace {
-
-// ---- ThreadPool -----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask) {
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  {
-    ThreadPool pool(4);
-    futures.reserve(100);
-    for (int i = 0; i < 100; ++i) {
-      futures.push_back(pool.submit([&count] { ++count; }));
-    }
-    for (auto& f : futures) f.get();
-    EXPECT_EQ(pool.stats().executed, 100u);
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-    // No get(): the destructor must still run everything before joining.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ExceptionReachesFutureAndPoolSurvives) {
-  ThreadPool pool(2);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  auto good = pool.submit([] {});
-  EXPECT_NO_THROW(good.get());
-  EXPECT_EQ(pool.stats().executed, 2u);
-}
-
-TEST(ThreadPool, IdleWorkerStealsFromBlockedPeer) {
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  // One worker parks on the blocker; once it has STARTED, later tasks
-  // round-robin into both deques and the free worker must steal the blocked
-  // worker's share. (Without the started-gate the blocked worker could drain
-  // its own deque first and no steal would ever happen.)
-  auto blocker = pool.submit([gate, &started] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 10);
-  EXPECT_GE(pool.stats().stolen, 1u);
-  release.set_value();
-  blocker.get();
-}
-
-TEST(ThreadPool, BoundedQueueBlocksSubmitUntilSpaceFrees) {
-  ThreadPool pool(1, /*queue_capacity=*/2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  auto blocker = pool.submit([gate] { gate.wait(); });
-  std::atomic<int> count{0};
-  // Submitted from a helper thread because submit() must block once two
-  // tasks are pending behind the gated worker.
-  std::thread submitter([&] {
-    for (int i = 0; i < 8; ++i) pool.submit([&count] { ++count; });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LT(count.load(), 8);  // the queue bound throttled the submitter
-  release.set_value();
-  submitter.join();
-  blocker.get();
-  // Destructor drains the rest.
-  while (count.load() < 8) std::this_thread::yield();
-  EXPECT_EQ(count.load(), 8);
-}
 
 // ---- Seed derivation ------------------------------------------------------
 

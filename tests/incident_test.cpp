@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/chaos.h"
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/incident.h"
 #include "obs/trace.h"
@@ -276,7 +276,7 @@ TEST(IncidentCapture, BundleBytesIdenticalSerialVsThreadPool) {
   // byte-identical to the serial one.
   std::vector<std::string> pooled(8);
   {
-    exp::ThreadPool pool(8);
+    ThreadPool pool(8);
     std::vector<std::future<void>> futures;
     futures.reserve(pooled.size());
     for (std::size_t i = 0; i < pooled.size(); ++i) {

@@ -1,0 +1,231 @@
+// The work-stealing pool, and the helped round that runs on it: a caller
+// consuming chunks in order while helper tasks produce them ahead.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <future>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "util/helped_round.h"
+#include "util/thread_pool.h"
+
+namespace vcl {
+namespace {
+
+// ---- ThreadPool -----------------------------------------------------------
+
+TEST(ThreadPool, RunsEveryTask) {
+  std::atomic<int> count{0};
+  std::vector<std::future<void>> futures;
+  {
+    ThreadPool pool(4);
+    futures.reserve(100);
+    for (int i = 0; i < 100; ++i) {
+      futures.push_back(pool.submit([&count] { ++count; }));
+    }
+    for (auto& f : futures) f.get();
+    EXPECT_EQ(pool.stats().executed, 100u);
+  }
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, DestructorDrainsPendingTasks) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 50; ++i) {
+      pool.submit([&count] { ++count; });
+    }
+    // No get(): the destructor must still run everything before joining.
+  }
+  EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, ExceptionReachesFutureAndPoolSurvives) {
+  ThreadPool pool(2);
+  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  auto good = pool.submit([] {});
+  EXPECT_NO_THROW(good.get());
+  EXPECT_EQ(pool.stats().executed, 2u);
+}
+
+TEST(ThreadPool, IdleWorkerStealsFromBlockedPeer) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> started;
+  // One worker parks on the blocker; once it has STARTED, later tasks
+  // round-robin into both deques and the free worker must steal the blocked
+  // worker's share. (Without the started-gate the blocked worker could drain
+  // its own deque first and no steal would ever happen.)
+  auto blocker = pool.submit([gate, &started] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  std::atomic<int> count{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(pool.submit([&count] { ++count; }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(count.load(), 10);
+  EXPECT_GE(pool.stats().stolen, 1u);
+  release.set_value();
+  blocker.get();
+}
+
+TEST(ThreadPool, BoundedQueueBlocksSubmitUntilSpaceFrees) {
+  ThreadPool pool(1, /*queue_capacity=*/2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = pool.submit([gate] { gate.wait(); });
+  std::atomic<int> count{0};
+  // Submitted from a helper thread because submit() must block once two
+  // tasks are pending behind the gated worker.
+  std::thread submitter([&] {
+    for (int i = 0; i < 8; ++i) pool.submit([&count] { ++count; });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(count.load(), 8);  // the queue bound throttled the submitter
+  release.set_value();
+  submitter.join();
+  blocker.get();
+  // Destructor drains the rest.
+  while (count.load() < 8) std::this_thread::yield();
+  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, AvailableCpusIsAtLeastOne) {
+  EXPECT_GE(available_cpus(), 1u);
+}
+
+// ---- HelpedRound ------------------------------------------------------------
+
+// Occupies every worker of a pool with a task that runs until release().
+class BusyWorkers {
+ public:
+  explicit BusyWorkers(ThreadPool& pool) : started_(pool.threads()) {
+    std::shared_future<void> gate = release_.get_future().share();
+    for (std::promise<void>& s : started_) {
+      std::future<void> begun = s.get_future();
+      tasks_.push_back(pool.submit([gate, &s] {
+        s.set_value();
+        gate.wait();
+      }));
+      // Started before the next is submitted: one task per worker, none
+      // left queued behind a busy peer.
+      begun.wait();
+    }
+  }
+  void release() {
+    release_.set_value();
+    for (auto& t : tasks_) t.get();
+  }
+
+ private:
+  std::promise<void> release_;
+  std::vector<std::promise<void>> started_;  // outlive the tasks
+  std::vector<std::future<void>> tasks_;
+};
+
+// Runs one round of `chunks` chunks; returns how many the caller produced.
+std::size_t run_round(HelpedRound& round, ThreadPool& pool,
+                      std::size_t chunks, const HelpedRound::Produce& produce) {
+  round.begin(chunks, produce, pool);
+  std::size_t own = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    own += round.acquire(c) == HelpedRound::kCaller;
+    round.release(c);
+  }
+  round.end();
+  return own;
+}
+
+TEST(HelpedRound, CallerFinishesRoundAloneWhileWorkersBusy) {
+  std::atomic<int> produced{0};
+  ThreadPool pool(2);
+  BusyWorkers busy(pool);
+  auto round = std::make_shared<HelpedRound>(4, 2);
+  const HelpedRound::Produce produce = [&](std::size_t, std::size_t,
+                                           std::size_t) {
+    ++produced;
+    return true;
+  };
+  // Both helper tasks are queued behind the busy workers: the caller
+  // produces every chunk and end() does not wait for them.
+  EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
+  EXPECT_EQ(round->helped_chunks(), 0u);
+  // A second round queues no further tasks while the first ones wait.
+  EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
+  EXPECT_EQ(produced.load(), 0);
+  busy.release();
+}
+
+TEST(HelpedRound, LateHelperFindsRoundFinishedAndReturns) {
+  std::atomic<int> produced{0};
+  {
+    ThreadPool pool(1);
+    BusyWorkers busy(pool);
+    {
+      auto round = std::make_shared<HelpedRound>(2, 1);
+      run_round(*round, pool, 8, [&](std::size_t, std::size_t, std::size_t) {
+        ++produced;
+        return true;
+      });
+      // The queued helper task now holds the only reference to the round.
+    }
+    busy.release();
+    // The pool's destructor runs the queued helper after its round
+    // completed: it finds the round closed and returns.
+  }
+  EXPECT_EQ(produced.load(), 0);
+}
+
+TEST(HelpedRound, HelpersProduceAheadAndCallerConsumesInOrder) {
+  constexpr std::size_t kChunks = 64;
+  constexpr std::size_t kSlots = 4;
+  ThreadPool pool(3);
+  auto round = std::make_shared<HelpedRound>(kSlots, 3);
+  std::vector<std::size_t> ring(kSlots, 0);
+  // Chunk c holds c * c; every seventh chunk does not fit a slot. Producing
+  // a chunk takes a while, on either side, so helpers get ahead of the
+  // caller.
+  const auto work = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  const HelpedRound::Produce produce = [&](std::size_t, std::size_t chunk,
+                                           std::size_t slot) {
+    work();
+    if (chunk % 7 == 3) return false;
+    ring[slot] = chunk * chunk;
+    return true;
+  };
+  std::size_t helped = 0;
+  for (int r = 0; r < 50 && helped == 0; ++r) {
+    round->begin(kChunks, produce, pool);
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      const std::size_t slot = round->acquire(c);
+      if (slot == HelpedRound::kCaller) {
+        work();
+      } else {
+        EXPECT_NE(c % 7, 3u) << "chunk " << c;
+        ASSERT_LT(slot, kSlots);
+        EXPECT_EQ(ring[slot], c * c) << "chunk " << c;
+      }
+      round->release(c);
+    }
+    round->end();
+    helped += round->helped_chunks();
+  }
+  EXPECT_GT(helped, 0u);
+}
+
+}  // namespace
+}  // namespace vcl

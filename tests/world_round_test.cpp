@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -381,6 +382,66 @@ TEST(WorldRound, MovingCityMatchesKeyedReference) {
   // A moving world never holds a reception plan.
   EXPECT_EQ(replays, 0u);
   EXPECT_FALSE(counts.plan_held);
+}
+
+// A moving city big enough that one round spans many more chunks of rows
+// than the helpers' ring holds (16 receivers a chunk, 4 slots), so on a
+// host with more than one CPU its rows come through the ring. Every input
+// of the rows changes once: a blackout comes and goes, the channel config
+// changes and a vehicle leaves.
+TEST(WorldRound, LargeMovingCityMatchesKeyedReference) {
+  core::ScenarioConfig config;
+  config.grid_rows = 12;
+  config.grid_cols = 12;
+  config.vehicles = 1200;
+  config.seed = 13;
+  constexpr int kRounds = 8;
+  std::size_t min_vehicles = SIZE_MAX;
+  std::uint64_t blackout = 0;
+  std::size_t blacked_out = 0;
+  const RoundCounts counts =
+      run_side_by_side(config, kRounds, [&](int round, Sides& sides) {
+        net::Network& net = sides.s.network();
+        const auto& vehicles = sides.s.traffic().vehicles();
+        min_vehicles = std::min(min_vehicles, vehicles.size());
+        if (round == 2) {
+          const geo::Vec2 center = vehicles.begin()->second.pos;
+          blackout = net.channel().add_blackout({center, 400.0});
+          for (const auto& [vid, v] : vehicles) {
+            blacked_out += net.channel().blacked_out(v.pos);
+          }
+        }
+        if (round == 4) net.channel().remove_blackout(blackout);
+        if (round == 5) net.channel().config().base_loss = 0.1;
+        if (round == 6) despawn_lowest(sides.s);
+      });
+  EXPECT_EQ(counts.rounds, kRounds);
+  EXPECT_GE(min_vehicles, 1000u);
+  EXPECT_GT(counts.max_table, 20u);
+  EXPECT_GT(blacked_out, 0u);
+  EXPECT_LT(blacked_out, min_vehicles);
+  EXPECT_FALSE(counts.plan_held);
+}
+
+// Two worlds above the size floor step at once on two threads, so their
+// rounds share the process's helper threads. Each must still match its own
+// keyed reference.
+TEST(WorldRound, ConcurrentWorldsMatchTheirKeyedReferences) {
+  std::vector<RoundCounts> counts(2);
+  std::vector<std::thread> worlds;
+  for (std::size_t w = 0; w < counts.size(); ++w) {
+    worlds.emplace_back([&counts, w] {
+      core::ScenarioConfig config;
+      config.vehicles = 400;
+      config.seed = 21 + w;
+      counts[w] = run_side_by_side(config, 6, despawn_every(3));
+    });
+  }
+  for (std::thread& t : worlds) t.join();
+  for (const RoundCounts& c : counts) {
+    EXPECT_EQ(c.rounds, 6);
+    EXPECT_GT(c.max_table, 20u);
+  }
 }
 
 TEST(WorldRound, ParkedLotMatchesKeyedReference) {

@@ -2,7 +2,7 @@
 //
 // Soak mode runs N seeded chaos episodes (correlated fault storms against
 // the full-mitigation parking-lot cloud, invariant oracle attached) in
-// parallel on exp::ThreadPool. Every episode is a pure function of its
+// parallel on a ThreadPool. Every episode is a pure function of its
 // seed, so the first invariant violation found is replayed and
 // delta-debugged (greedy chunk removal over the FaultPlan) down to a
 // minimal failing schedule, written as a repro JSONL next to a
@@ -25,12 +25,11 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/chaos.h"
-#include "exp/thread_pool.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 using namespace vcl;
 
@@ -39,7 +38,7 @@ namespace {
 struct Options {
   std::size_t episodes = 50;
   core::ChaosScenarioConfig scenario;  // episode i runs scenario.seed + i
-  std::size_t jobs = 0;  // 0 = hardware concurrency
+  std::size_t jobs = 0;  // 0 = one per available CPU
   std::string out_dir = "chaos-out";
   std::string repro_path;  // non-empty = repro mode
 };
@@ -58,7 +57,7 @@ int usage(const char* argv0) {
       << "                    (default 1.0)\n"
       << "  --no-storms       independent Poisson background only\n"
       << "  --jobs J          parallel episodes, 0..1024 (default 0 =\n"
-      << "                    hardware)\n"
+      << "                    one per available CPU)\n"
       << "  --out DIR         repro + trace + incident-bundle output dir\n"
       << "                    (default chaos-out; a failing episode writes\n"
       << "                    incident.jsonl there — render with vcl_incident)\n"
@@ -168,9 +167,7 @@ int run_repro(const Options& opt) {
 
 int run_soak(const Options& opt) {
   const core::ChaosScenarioConfig& sc = opt.scenario;
-  const std::size_t jobs =
-      opt.jobs > 0 ? opt.jobs
-                   : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t jobs = opt.jobs > 0 ? opt.jobs : available_cpus();
   std::cout << "soaking " << opt.episodes << " episodes (seeds " << sc.seed
             << ".." << sc.seed + opt.episodes - 1 << ", " << sc.vehicles
             << " vehicles, " << sc.duration << " s load, intensity "
@@ -186,7 +183,7 @@ int run_soak(const Options& opt) {
   // lowest failing one, whatever order the pool runs episodes in.
   std::atomic<std::size_t> lowest_failing{opt.episodes};
   {
-    exp::ThreadPool pool(jobs);
+    ThreadPool pool(jobs);
     std::vector<std::future<void>> futures;
     futures.reserve(opt.episodes);
     for (std::size_t i = 0; i < opt.episodes; ++i) {
