@@ -16,19 +16,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 struct TaskRun {
   double completion = 0;
   double wasted = 0;
@@ -85,7 +72,6 @@ double run_delivery(SimTime beacon_period, SimTime neighbor_ttl,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_ablations", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E16: design-choice ablations\n\n";
 
@@ -105,7 +91,7 @@ int main(int argc, char** argv) {
     table.add_row({"mean±std", "", "",
                    Table::num(gaps.mean(), 3) + "±" +
                        Table::num(gaps.stddev(), 3)});
-    emit_table(table);
+    reporter.emit(table);
   }
 
   // B. Broker hysteresis.
@@ -152,7 +138,7 @@ int main(int argc, char** argv) {
       table.add_row({Table::num(h, 2), std::to_string(broker.changes()),
                      std::to_string(completions)});
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   // C. Beacon period.
@@ -163,7 +149,7 @@ int main(int argc, char** argv) {
       table.add_row({Table::num(period, 1),
                      Table::num(run_delivery(period, 3.0, 9), 3)});
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   // D. Neighbor TTL.
@@ -174,7 +160,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {Table::num(ttl, 1), Table::num(run_delivery(1.0, ttl, 9), 3)});
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   std::cout
@@ -189,9 +175,5 @@ int main(int argc, char** argv) {
          "tolerate individual beacon loss. One neighbor table cannot serve\n"
          "both masters optimally; protocols should filter by link quality,\n"
          "not just recency.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

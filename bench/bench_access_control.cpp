@@ -15,19 +15,6 @@
 #include "util/table.h"
 
 using namespace vcl;
-
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
 using namespace vcl::access;
 
 namespace {
@@ -49,7 +36,6 @@ Policy and_policy(int leaves) {
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_access_control", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E12: access control latency (paper §III.C)\n\n";
   AbeAuthority authority(99);
@@ -85,7 +71,7 @@ int main(int argc, char** argv) {
                        Table::num(costs.total(dec_ops) / kMilliseconds, 2),
                        Table::num(enc_us, 1), Table::num(dec_us, 1)});
   }
-  emit_table(abe_table);
+  reporter.emit(abe_table);
 
   // ---- sticky package end-to-end ------------------------------------------------
   Table pkg_table("sticky package access (policy '(role:head & zone:z) | "
@@ -117,7 +103,7 @@ int main(int argc, char** argv) {
                        Table::num(costs.total(deny_ops) / kMilliseconds, 2),
                        "fails at first unsatisfied gate; still audited"});
   }
-  emit_table(pkg_table);
+  reporter.emit(pkg_table);
 
   // ---- context switches -----------------------------------------------------------
   RoleManager roles;
@@ -153,7 +139,7 @@ int main(int argc, char** argv) {
     ctx_table.add_row({t.label, std::to_string(delta),
                        Table::num(costs.total(ops) / kMilliseconds, 2)});
   }
-  emit_table(ctx_table);
+  reporter.emit(ctx_table);
 
   // ---- emergency grant latency ------------------------------------------------------
   // Paper: "additional permissions ... should be granted to another vehicle
@@ -175,9 +161,5 @@ int main(int argc, char** argv) {
               << " ms  -> " << (ms < 10.0 ? "meets" : "MISSES")
               << " the paper's milliseconds budget\n";
   }
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

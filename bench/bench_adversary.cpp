@@ -45,12 +45,16 @@ constexpr SimTime kLoadWindow = 180.0;
 constexpr SimTime kDrain = 60.0;
 constexpr SimTime kSubmitPeriod = 0.5;
 
-// The attack schedule is a pure function of (intensity, seed): storm rates
-// scale together, and both defense cells at one intensity replay the same
-// plan. The scaled rates ride in cfg.adversary (where validation sees
-// them); this turns them into the planned schedule.
-fault::FaultPlan make_attack_plan(const core::SystemConfig& cfg,
-                                  std::uint64_t seed) {
+// One sweep cell: the system under attack and the storm intensities it
+// faces (the attack axis scales the rates together).
+struct AttackCell {
+  core::SystemConfig sys;
+  fault::StormConfig storms;
+};
+
+// The attack schedule is a pure function of (intensity, seed): both defense
+// cells at one intensity replay the same plan.
+fault::FaultPlan make_attack_plan(const AttackCell& cell, std::uint64_t seed) {
   fault::ChaosConfig chaos;
   chaos.base.horizon = kLoadWindow;
   // A light benign background keeps the recovery stack honest: the defense
@@ -58,26 +62,24 @@ fault::FaultPlan make_attack_plan(const core::SystemConfig& cfg,
   chaos.base.vehicle_crash_rate = 0.01;
   // Sybil storms draw blackout centers from the base box; resolve it from
   // the road graph exactly like the system would at start().
-  core::Scenario probe(cfg.scenario);
+  core::Scenario probe(cell.sys.scenario);
   const auto [lo, hi] = probe.road().bounding_box();
   chaos.base.blackout_lo = lo;
   chaos.base.blackout_hi = hi;
   chaos.base.blackout_radius = 400.0;
-  chaos.storms.sybil_rate = cfg.adversary.sybil_rate;
-  chaos.storms.sybil_count = cfg.adversary.sybil_count;
-  chaos.storms.revoke_rate = cfg.adversary.revoke_rate;
-  chaos.storms.replay_rate = cfg.adversary.replay_rate;
-  chaos.storms.replay_window = cfg.adversary.freshness_window;
+  chaos.storms = cell.storms;
+  const SimTime window = cell.sys.admission.freshness_window;
+  chaos.storms.replay_window = window;
   // Every storm replay is minted stale: a working freshness gate rejects
   // the entire flood, an open door accepts it wholesale.
-  chaos.storms.replay_age = cfg.adversary.freshness_window + 2.0;
+  chaos.storms.replay_age = window + 2.0;
   const fault::ChaosPlanner planner(chaos);
   return planner.plan(seed);
 }
 
-exp::RepReport run_cell(core::SystemConfig cfg, const std::string& out_dir) {
-  cfg.fault_plan = make_attack_plan(cfg, cfg.scenario.seed);
-  core::VehicularCloudSystem system(cfg);
+exp::RepReport run_cell(AttackCell cell, const std::string& out_dir) {
+  cell.sys.fault_plan = make_attack_plan(cell, cell.sys.scenario.seed);
+  core::VehicularCloudSystem system(cell.sys);
   system.start();
 
   vcloud::WorkloadGenerator workload({30.0, 1.0, 0.2, 60.0},
@@ -130,21 +132,20 @@ int main(int argc, char** argv) {
                "seed, dedicated RNG streams).\n\n";
   campaign.describe(std::cout);
 
-  exp::Sweep<core::SystemConfig> sweep;
+  exp::Sweep<AttackCell> sweep;
   auto& attack_axis = sweep.axis("attack");
   for (const double i : {0.5, 1.0, 2.0}) {
-    attack_axis.point(Table::num(i, 1), [i](core::SystemConfig& c) {
-      c.adversary.sybil_rate = 0.02 * i;
-      c.adversary.revoke_rate = 0.01 * i;
-      c.adversary.replay_rate = 0.01 * i;
+    attack_axis.point(Table::num(i, 1), [i](AttackCell& c) {
+      c.storms.sybil_rate = 0.02 * i;
+      c.storms.revoke_rate = 0.01 * i;
+      c.storms.replay_rate = 0.01 * i;
     });
   }
   auto& defense_axis = sweep.axis("defense");
   for (const bool defend : {false, true}) {
-    defense_axis.point(defend ? "on" : "off",
-                       [defend](core::SystemConfig& c) {
-                         c.adversary.defend = defend;
-                       });
+    defense_axis.point(defend ? "on" : "off", [defend](AttackCell& c) {
+      c.sys.admission.defend = defend;
+    });
   }
 
   std::map<std::string, std::map<std::string, exp::Summary>> by_cell;
@@ -152,7 +153,8 @@ int main(int argc, char** argv) {
   for (const auto& cell : sweep.cells()) {
     const auto summary =
         campaign.replicate(1234, [&cell](const exp::RepContext& ctx) {
-          core::SystemConfig cfg;
+          AttackCell base;
+          core::SystemConfig& cfg = base.sys;
           cfg.scenario.environment = core::Environment::kParkingLot;
           cfg.scenario.vehicles = 24;
           cfg.scenario.vehicles_parked = true;
@@ -160,16 +162,9 @@ int main(int argc, char** argv) {
           cfg.stationary_radius = 5000.0;
           // Full mitigation (the chaos-episode fixture): the defense runs
           // on top of a working recovery stack, not instead of one.
-          vcloud::DependabilityConfig& dep = cfg.cloud.dependability;
-          dep.detector.enabled = true;
-          dep.detector.missed_beats_to_kill = 6;
-          dep.checkpoint.enabled = true;
-          dep.checkpoint.period = 5.0;
-          dep.retry.enabled = true;
-          dep.speculation.enabled = true;
-          dep.broker_resync_delay = 0.5;
-          cfg.adversary.enabled = true;
-          cfg.adversary.freshness_window = 4.0;
+          cfg.cloud.dependability = vcloud::full_mitigation();
+          cfg.adversary = true;
+          cfg.admission.freshness_window = 4.0;
           // Shared by both defense cells at this intensity: identical
           // attack schedule and workload.
           cfg.scenario.seed = ctx.seed;
@@ -177,7 +172,7 @@ int main(int argc, char** argv) {
             cfg.telemetry.tracing = true;
             cfg.telemetry.metrics = true;
           }
-          return run_cell(cell.make(cfg), ctx.out_dir);
+          return run_cell(cell.make(base), ctx.out_dir);
         });
     rows.push_back({exp::Cell(cell.labels[0]), exp::Cell(cell.labels[1]),
                     exp::Cell(summary.at("completed"), 0),

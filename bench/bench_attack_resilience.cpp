@@ -22,19 +22,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 double run_suppression(double attacker_fraction, std::uint64_t seed) {
   core::ScenarioConfig cfg;
   cfg.vehicles = 80;
@@ -71,7 +58,6 @@ double run_suppression(double attacker_fraction, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_attack_resilience", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E11: attack resilience\n\n";
 
@@ -83,7 +69,7 @@ int main(int argc, char** argv) {
     sup_table.add_row(
         {Table::num(frac, 1), Table::num(run_suppression(frac, 321), 3)});
   }
-  emit_table(sup_table);
+  reporter.emit(sup_table);
 
   // ---- DoS -------------------------------------------------------------------
   // Junk flooding erodes channel reception; measured as multi-hop delivery
@@ -156,7 +142,7 @@ int main(int argc, char** argv) {
     add("during flood (60s)", phase(60.0));
     flooder.stop();
     add("after (60s)", phase(60.0));
-    emit_table(dos_table);
+    reporter.emit(dos_table);
     std::cout << "junk messages transmitted: " << flooder.junk_sent()
               << "\n\n";
   }
@@ -196,7 +182,7 @@ int main(int argc, char** argv) {
                           std::to_string(accepted_no_defense)});
     replay_table.add_row({"+ freshness (timestamp+nonce)",
                           std::to_string(accepted_with_defense)});
-    emit_table(replay_table);
+    reporter.emit(replay_table);
   }
 
   std::cout
@@ -206,9 +192,5 @@ int main(int argc, char** argv) {
          "carried backlog draining once the channel clears); replay defeats\n"
          "pure signature checking and is fully stopped by binding\n"
          "timestamp+nonce into the signed payload.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

@@ -15,22 +15,8 @@
 
 using namespace vcl;
 
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_bootstrap", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E15: fleet bootstrap — join latency vs RSU density\n"
             << "80 vehicles, 120 s, 8-certificate pools\n\n";
@@ -58,16 +44,12 @@ int main(int argc, char** argv) {
                    Table::num(bootstrap.join_latency().mean(), 2),
                    Table::num(percentile(bootstrap.join_latencies(), 95), 2)});
   }
-  emit_table(table);
+  reporter.emit(table);
 
   std::cout
       << "Shape vs §V.A: initialization is the one phase that cannot be\n"
          "fully infrastructure-free — relays extend sparse coverage (the\n"
          "via_relay column) at higher join latency, but a fleet with no\n"
          "trust anchor at all never joins.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

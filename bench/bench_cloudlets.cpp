@@ -14,22 +14,8 @@
 
 using namespace vcl;
 
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_cloudlets", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E19: roadside cloudlets vs central cloud\n"
             << "80 vehicles, 240 s, one task per vehicle every ~6 s\n\n";
@@ -81,7 +67,7 @@ int main(int argc, char** argv) {
                    std::to_string(grid.handoffs()),
                    std::to_string(grid.attaches())});
   }
-  emit_table(table);
+  reporter.emit(table);
 
   std::cout
       << "Shape vs Yu et al. [45]: dense RSUs keep tasks local and fast;\n"
@@ -89,9 +75,5 @@ int main(int argc, char** argv) {
          "the WAN round trip; roaming handoffs track how often moving\n"
          "vehicles must re-select their cloudlet — overlapping coverage\n"
          "(400 m) turns coverage-gap re-attaches into seamless handoffs.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

@@ -19,19 +19,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 std::unique_ptr<cluster::ClusterManager> make_manager(const std::string& name,
                                                       net::Network& net) {
   if (name == "speed") return std::make_unique<cluster::SpeedClustering>(net);
@@ -44,7 +31,6 @@ std::unique_ptr<cluster::ClusterManager> make_manager(const std::string& name,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_clustering_stability", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E7: clustering stability (120 s of traffic, 1 Hz rounds)\n\n";
 
@@ -84,7 +70,7 @@ int main(int argc, char** argv) {
                      Table::num(tracker.cluster_count().mean(), 1),
                      Table::num(tracker.cluster_size().mean(), 1)});
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   std::cout
@@ -93,9 +79,5 @@ int main(int argc, char** argv) {
          "blend lengthen head tenure; moving zones trade more, smaller\n"
          "clusters for the longest-lived captains on the highway where\n"
          "velocity grouping is cleanest.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

@@ -297,9 +297,5 @@ int main(int argc, char** argv) {
     stats.push_back(std::move(row));
   }
   reporter.add(table, std::move(stats));
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

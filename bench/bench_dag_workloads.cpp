@@ -136,14 +136,7 @@ int main(int argc, char** argv) {
           cfg.stationary_radius = 5000.0;
           // Full mitigation (the chaos-episode fixture): the policies
           // differ on top of a working recovery stack, not instead of one.
-          vcloud::DependabilityConfig& dep = cfg.cloud.dependability;
-          dep.detector.enabled = true;
-          dep.detector.missed_beats_to_kill = 6;
-          dep.checkpoint.enabled = true;
-          dep.checkpoint.period = 5.0;
-          dep.retry.enabled = true;
-          dep.speculation.enabled = true;
-          dep.broker_resync_delay = 0.5;
+          cfg.cloud.dependability = vcloud::full_mitigation();
           cfg.dag.enabled = true;
           cfg.dag.replicas = 2;  // equal budget k for blind-k and rel-aware
           // Shared across every policy at this intensity: identical fault

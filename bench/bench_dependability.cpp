@@ -60,13 +60,7 @@ std::vector<Mode> modes() {
   ckpt.dep.checkpoint.enabled = true;
   ckpt.dep.checkpoint.period = 5.0;
 
-  Mode full = ckpt;
-  full.name = "full";
-  full.dep.retry.enabled = true;
-  full.dep.speculation.enabled = true;
-  full.dep.broker_resync_delay = 0.5;
-
-  return {none, detect, ckpt, full};
+  return {none, detect, ckpt, {"full", vcloud::full_mitigation()}};
 }
 
 exp::RepReport run_cell(const core::SystemConfig& cfg,

@@ -16,22 +16,8 @@
 
 using namespace vcl;
 
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_dissemination", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E20: dissemination scheduling & incentives\n\n";
 
@@ -70,7 +56,7 @@ int main(int argc, char** argv) {
                          Table::num(percentile(sched.waits(), 95), 2),
                          Table::num(sched.jain_fairness(), 3)});
   }
-  emit_table(sched_table);
+  reporter.emit(sched_table);
 
   // ---- Part 2: incentive loop in a live cloud ----------------------------------
   core::ScenarioConfig cfg;
@@ -141,7 +127,7 @@ int main(int argc, char** argv) {
                      Table::num(member_balance.mean(), 1)});
   inc_table.add_row({"free riders (request only)", std::to_string(rider_submits),
                      Table::num(rider_balance.mean(), 1)});
-  emit_table(inc_table);
+  reporter.emit(inc_table);
   std::cout << "throttled submissions: " << ledger.throttled() << "\n\n";
 
   std::cout
@@ -153,9 +139,5 @@ int main(int argc, char** argv) {
          "credit loop lets working members keep requesting indefinitely\n"
          "while pure consumers exhaust their balance and are throttled —\n"
          "participation becomes individually rational, per Kong et al.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

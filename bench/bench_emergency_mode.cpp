@@ -15,22 +15,8 @@
 
 using namespace vcl;
 
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_emergency_mode", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E13: emergency mode — infrastructure cloud vs dynamic "
                "fallback\n\n";
@@ -101,7 +87,7 @@ int main(int argc, char** argv) {
     infra_prev = infra_now;
     dyn_prev = dyn_now;
   }
-  emit_table(table);
+  reporter.emit(table);
 
   std::cout << "mode switches: " << controller.mode_switches()
             << ", RSUs failed during emergency: " << rsus_lost << "\n";
@@ -112,9 +98,5 @@ int main(int argc, char** argv) {
          "mode, infrastructure throughput collapses to zero, the dynamic\n"
          "cloud keeps serving within the first window after the switch,\n"
          "and normal service resumes on all-clear.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

@@ -19,19 +19,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 struct RunResult {
   double mean_speed = 0;
   double stopped_fraction = 0;
@@ -79,7 +66,6 @@ RunResult run(const std::string& controller, int vehicles,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_intersections", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E18: intersection management — VTL (V2V) vs fixed signals\n"
             << "4x4 city grid, 240 s\n\n";
@@ -97,7 +83,7 @@ int main(int argc, char** argv) {
                                          : "-"});
     }
   }
-  emit_table(table);
+  reporter.emit(table);
 
   std::cout
       << "Shape vs the VTL literature the paper builds on: demand-driven\n"
@@ -107,9 +93,5 @@ int main(int argc, char** argv) {
          "is the paper's recurring argument. Leader turnover is the price:\n"
          "every crossing leader hands the decision role to a successor\n"
          "(§III.A's dynamic role assignment, measured).\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

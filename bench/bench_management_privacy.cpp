@@ -23,22 +23,8 @@
 
 using namespace vcl;
 
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_management_privacy", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E17: management forensics vs privacy exposure\n\n";
 
@@ -87,7 +73,7 @@ int main(int argc, char** argv) {
                         found ? "yes" : "NO",
                         std::to_string(archive.records_held())});
   }
-  emit_table(snap_table);
+  reporter.emit(snap_table);
 
   // ---- Part 2: flow analysis & padding --------------------------------------
   // Cluster heads coordinate (bigger, more frequent transmissions). The
@@ -137,7 +123,7 @@ int main(int argc, char** argv) {
     flow_table.add_row({Table::num(padding, 2), Table::num(recall, 2),
                         Table::num(dummy_kb, 0) + " KB/min"});
   }
-  emit_table(flow_table);
+  reporter.emit(flow_table);
 
   std::cout
       << "Shape vs §V.A: forensics needs the snapshot window to still cover\n"
@@ -147,9 +133,5 @@ int main(int argc, char** argv) {
          "full padding hides them at ~100 KB/min of dummy traffic per\n"
          "member — §III's traffic-analysis threat and its classic, costly\n"
          "defense.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

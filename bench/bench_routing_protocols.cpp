@@ -22,19 +22,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 struct RunResult {
   double delivery = 0;
   double delay = 0;
@@ -102,7 +89,6 @@ RunResult run_protocol(const std::string& protocol, core::Environment env,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_routing_protocols", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E6: routing protocols — delivery / delay / overhead\n"
             << "160 random unicasts over 40 s per cell; city grid and "
@@ -127,7 +113,7 @@ int main(int argc, char** argv) {
                        Table::num(r.overhead, 1), Table::num(r.hops, 1)});
       }
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   // ---- Disconnected-islands scenario: bus-trajectory ferrying [36] -----------
@@ -181,7 +167,7 @@ int main(int argc, char** argv) {
     };
     run_island("greedy_geo");
     run_island("bus_ferry");
-    emit_table(table);
+    reporter.emit(table);
   }
 
   std::cout
@@ -196,9 +182,5 @@ int main(int argc, char** argv) {
          "highway. And when the network is truly partitioned, only the\n"
          "bus-trajectory ferry [36] crosses — at minutes of delay, the\n"
          "honest price of delay-tolerant delivery.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

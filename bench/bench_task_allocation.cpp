@@ -15,19 +15,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 struct RunStats {
   double completion = 0;
   double latency = 0;
@@ -72,7 +59,6 @@ RunStats run(core::SchedulerKind scheduler, vcloud::DwellMode dwell,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_task_allocation", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E8: task allocation in a dynamic v-cloud (240 s, 60 "
                "vehicles, long tasks)\n\n";
@@ -102,7 +88,7 @@ int main(int argc, char** argv) {
                          Table::num(s.latency, 1),
                          std::to_string(s.migrations)});
   }
-  emit_table(sched_table);
+  reporter.emit(sched_table);
 
   Table handover_table("handover vs drop (dwell-aware/kinematic)",
                        {"policy", "completion", "latency_s", "wasted_work",
@@ -117,7 +103,7 @@ int main(int argc, char** argv) {
                             std::to_string(s.migrations),
                             std::to_string(s.reallocations)});
   }
-  emit_table(handover_table);
+  reporter.emit(handover_table);
 
   std::cout
       << "Shape vs §III.A: mobility-blind scheduling hands long tasks to\n"
@@ -125,9 +111,5 @@ int main(int argc, char** argv) {
          "estimates close most of the gap to the oracle. Handover preserves\n"
          "progress — wasted work collapses versus drop-and-recompute, at\n"
          "the price of checkpoint transfer latency.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

@@ -18,19 +18,6 @@
 #include "util/table.h"
 
 using namespace vcl;
-
-namespace {
-
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
 using namespace vcl::trust;
 
 namespace {
@@ -156,7 +143,6 @@ double accuracy(const Validator& validator, const Scene& scene) {
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_trust_validation", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E10: validator accuracy vs attacker fraction\n"
             << "6 real events, 40 honest witnesses; attackers deny real "
@@ -181,7 +167,7 @@ int main(int argc, char** argv) {
                      Table::num(accuracy(bayes, scene), 2),
                      Table::num(accuracy(ds, scene), 2)});
     }
-    emit_table(table);
+    reporter.emit(table);
   }
 
   // Reputation baseline vs pseudonym rotation (the paper's §III.D point).
@@ -211,7 +197,7 @@ int main(int argc, char** argv) {
     rep_table.add_row({rotate ? "rotating (fresh each round)" : "stable",
                        Table::num(last_accuracy, 2)});
   }
-  emit_table(rep_table);
+  reporter.emit(rep_table);
 
   std::cout
       << "Shape vs §III.D: majority voting degrades linearly with attacker\n"
@@ -219,9 +205,5 @@ int main(int argc, char** argv) {
          "far-away denial pattern; reputation only helps when credentials\n"
          "persist — rotation resets it to a majority vote, which is the\n"
          "paper's argument for validating content, not senders.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

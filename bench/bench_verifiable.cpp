@@ -16,19 +16,6 @@ using namespace vcl;
 
 namespace {
 
-// Prints the table and, when --json was given, collects it for the
-// vcl-bench-v1 document written at exit (see obs/bench_output.h).
-obs::BenchReporter* g_report = nullptr;
-
-void emit_table(const Table& t) {
-  t.print(std::cout);
-  if (g_report != nullptr) g_report->add(t);
-}
-
-}  // namespace
-
-namespace {
-
 struct VerifRow {
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -84,7 +71,6 @@ VerifRow run(std::size_t replicas, double cheater_fraction,
 
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("bench_verifiable", argc, argv);
-  g_report = &reporter;
 
   std::cout << "E21: verifiable computing & real-time signing\n\n";
 
@@ -100,7 +86,7 @@ int main(int argc, char** argv) {
                      Table::num(r.work_overhead, 0)});
     }
   }
-  emit_table(table);
+  reporter.emit(table);
 
   // ---- SCRA ---------------------------------------------------------------
   const crypto::CostModel costs;
@@ -124,7 +110,7 @@ int main(int argc, char** argv) {
                         Table::num(costs.total(offline) / kMilliseconds, 2),
                         std::to_string(60 * 10) + " entries"});
   }
-  emit_table(scra_table);
+  reporter.emit(scra_table);
 
   // Functional spot check so the table is backed by a real implementation.
   {
@@ -153,9 +139,5 @@ int main(int argc, char** argv) {
          "dominate a quorum. SCRA moves the 1.2 ms signature offline,\n"
          "leaving ~5 us of online work per safety message: a 60 s burst at\n"
          "10 Hz costs one 600-entry table computed during idle time.\n";
-  if (!reporter.write()) {
-    std::cerr << "error: could not write " << reporter.path() << "\n";
-    return 1;
-  }
-  return 0;
+  return reporter.finish();
 }

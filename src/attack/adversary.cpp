@@ -1,33 +1,8 @@
 #include "attack/adversary.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace vcl::attack {
-
-std::string validate(const AdversaryConfig& config, std::size_t fleet_size) {
-  if (!config.enabled) return {};
-  if (config.sybil_rate < 0.0) return "sybil_rate is negative";
-  if (config.revoke_rate < 0.0) return "revoke_rate is negative";
-  if (config.replay_rate < 0.0) return "replay_rate is negative";
-  if (config.sybil_rate > 0.0) {
-    if (config.sybil_count == 0) return "sybil_count must be >= 1";
-    if (config.sybil_count > fleet_size) {
-      return "sybil_count exceeds the fleet size";
-    }
-  }
-  if (config.defend && config.freshness_window <= 0.0) {
-    return "freshness_window must be positive";
-  }
-  return {};
-}
-
-void validate_or_throw(const AdversaryConfig& config, std::size_t fleet_size) {
-  if (const std::string problem = validate(config, fleet_size);
-      !problem.empty()) {
-    throw std::invalid_argument("AdversaryConfig: " + problem);
-  }
-}
 
 void AdversaryRoster::recruit(const mobility::TrafficModel& traffic,
                               double fraction, Rng& rng) {

@@ -32,24 +32,17 @@ SystemConfig system_for(const ChaosScenarioConfig& config) {
   sys.stationary_radius = 5000.0;
   // Full mitigation mode (the bench_dependability "full" cell): chaos must
   // exercise every recovery path, not the trivially-safe baseline.
-  vcloud::DependabilityConfig& dep = sys.cloud.dependability;
-  dep.detector.enabled = true;
-  dep.detector.missed_beats_to_kill = 6;
-  dep.checkpoint.enabled = true;
-  dep.checkpoint.period = 5.0;
-  dep.retry.enabled = true;
-  dep.speculation.enabled = true;
-  dep.broker_resync_delay = 0.5;
+  sys.cloud.dependability = vcloud::full_mitigation();
   sys.invariant_oracle = true;
   if (config.storage) {
     sys.storage.enabled = true;  // canonical N=3 / W=2 / R=2 deployment
   }
   if (config.adversary) {
-    sys.adversary.enabled = true;
-    sys.adversary.defend = true;  // episodes test the defended path
+    sys.adversary = true;
+    sys.admission.defend = true;  // episodes test the defended path
     // Storm replays are minted well past this window (ChaosConfig's
     // replay_age default), so a defended episode rejects the whole flood.
-    sys.adversary.freshness_window = 4.0;
+    sys.admission.freshness_window = 4.0;
   }
   if (config.dag) {
     sys.dag.enabled = true;

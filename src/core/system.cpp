@@ -100,22 +100,14 @@ void VehicularCloudSystem::start() {
   // Adversarial admission before the initial refresh: the control is
   // RNG-free and inert until an attack event fires, but the eviction sweep
   // and arrival gate must cover every refresh from the first.
-  if (config_.adversary.enabled) {
-    attack::validate_or_throw(
-        config_.adversary,
-        static_cast<std::size_t>(config_.scenario.vehicles));
-    vcloud::AdmissionConfig adm;
-    adm.defend = config_.adversary.defend;
-    adm.freshness_window = config_.adversary.freshness_window;
-    adm.max_unverified_admissions =
-        config_.adversary.max_unverified_admissions;
-    admission_ = std::make_unique<vcloud::AdmissionControl>(adm);
+  if (config_.adversary) {
+    admission_ = std::make_unique<vcloud::AdmissionControl>(config_.admission);
     admission_->set_flight(&flight_);
     cloud_->set_admission(admission_.get());
     // The auth invariants only arm on a defended run: with the door
     // deliberately open (the E24 vulnerable baseline) membership pollution
     // is the expected outcome, not a safety violation.
-    if (oracle_ != nullptr && config_.adversary.defend) {
+    if (oracle_ != nullptr && config_.admission.defend) {
       oracle_->set_admission(admission_.get());
     }
   }
@@ -150,7 +142,7 @@ void VehicularCloudSystem::start() {
   // resolver, landing planned kSybilJoin / kRevokeIdentity / kCrlDeliver /
   // kReplayInject events on concrete victims. RNG-free — victim choice is
   // a pure function of the planned event and sorted membership.
-  if (config_.adversary.enabled && injector_ != nullptr) {
+  if (config_.adversary && injector_ != nullptr) {
     adversary_ = std::make_unique<AdversaryDriver>(*cloud_, *admission_, ta_);
     injector_->set_attack_handler(
         [this](const fault::FaultEvent& e) { adversary_->handle(e); });

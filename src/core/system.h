@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "attack/adversary.h"
 #include "auth/authority.h"
 #include "cluster/moving_zone.h"
 #include "core/adversary.h"
@@ -18,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "storage/service.h"
+#include "vcloud/admission.h"
 #include "vcloud/cloud.h"
 #include "vcloud/invariant_oracle.h"
 
@@ -68,10 +68,14 @@ struct SystemConfig {
   // admission/eviction on the broker path, the replay freshness gate and
   // sybil quarantine, plus the AdversaryDriver that lands planned attack
   // events (kSybilJoin / kRevokeIdentity / kCrlDeliver / kReplayInject) on
-  // concrete victims. Off by default — when adversary.enabled is false no
+  // concrete victims. Off by default — when adversary is false no
   // admission control or driver is built, every hook is one branch, and the
-  // run is bit-identical to the seed.
-  attack::AdversaryConfig adversary;
+  // run is bit-identical to the seed. The storm schedule itself is a fault
+  // plan (fault::StormConfig), not part of this config.
+  bool adversary = false;
+  // The admission policy (defense switch, freshness window, sybil
+  // tolerance) the adversary path builds its AdmissionControl from.
+  vcloud::AdmissionConfig admission;
   // Observability (DESIGN.md §6): tracing, metric sampling and kernel
   // profiling, all off by default — a disabled run pays one branch per
   // would-be event and stays bit-identical to the seed.
@@ -106,11 +110,11 @@ class VehicularCloudSystem {
   [[nodiscard]] storage::StorageService* storage() { return storage_.get(); }
   // Present only when config.dag.enabled is set.
   [[nodiscard]] dag::DagScheduler* dag() { return dag_.get(); }
-  // Present only when config.adversary.enabled is set.
+  // Present only when config.adversary is set.
   [[nodiscard]] vcloud::AdmissionControl* admission() {
     return admission_.get();
   }
-  // Present only when config.adversary.enabled is set AND a fault plan
+  // Present only when config.adversary is set AND a fault plan
   // exists (the driver resolves planned attack events; without an injector
   // there is nothing to resolve).
   [[nodiscard]] AdversaryDriver* adversary() { return adversary_.get(); }

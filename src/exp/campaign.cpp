@@ -110,7 +110,6 @@ void Campaign::emit(const std::string& title,
                     const std::vector<std::vector<Cell>>& rows) {
   Table table(title, columns);
   obs::TableStats stats;
-  bool any_stat = false;
   for (const std::vector<Cell>& row : rows) {
     std::vector<std::string> cells;
     std::vector<std::optional<obs::CellStat>> stat_row;
@@ -119,30 +118,13 @@ void Campaign::emit(const std::string& title,
     for (const Cell& cell : row) {
       cells.push_back(cell.text);
       stat_row.push_back(cell.stat);
-      any_stat |= cell.stat.has_value();
     }
     table.add_row(std::move(cells));
     stats.push_back(std::move(stat_row));
   }
-  table.print(std::cout);
-  if (any_stat) {
-    reporter_.add(table, std::move(stats));
-  } else {
-    reporter_.add(table);
-  }
+  reporter_.emit(table, std::move(stats));
 }
 
-void Campaign::emit(const Table& table) {
-  table.print(std::cout);
-  reporter_.add(table);
-}
-
-int Campaign::finish() {
-  if (!reporter_.write()) {
-    std::cerr << "error: could not write " << reporter_.path() << "\n";
-    return 1;
-  }
-  return 0;
-}
+int Campaign::finish() { return reporter_.finish(); }
 
 }  // namespace vcl::exp

@@ -88,15 +88,12 @@ class Campaign {
   std::map<std::string, Summary> replicate(std::uint64_t base_seed,
                                            const RepFn& fn);
 
-  // Prints the table to stdout and collects it (with per-cell stats) for the
-  // --json document.
+  // Builds the table and its per-cell stats and hands both to
+  // BenchReporter::emit, which prints and collects them.
   void emit(const std::string& title, const std::vector<std::string>& columns,
             const std::vector<std::vector<Cell>>& rows);
-  // Collects an already-built plain table (no stats), printing it first.
-  void emit(const Table& table);
 
-  // Writes the JSON document and returns the bench's exit code: 0, or 1 when
-  // the --json path could not be written (with a message on stderr).
+  // BenchReporter::finish: writes the JSON document, returns the exit code.
   int finish();
 
  private:

@@ -1,6 +1,7 @@
 #include "obs/bench_output.h"
 
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "obs/json.h"
@@ -18,14 +19,14 @@ BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
   }
 }
 
-void BenchReporter::add(const Table& table) {
-  tables_.push_back(
-      TableCopy{table.title(), table.columns(), table.cells(), {}});
-}
-
 void BenchReporter::add(const Table& table, TableStats stats) {
   tables_.push_back(TableCopy{table.title(), table.columns(), table.cells(),
                               std::move(stats)});
+}
+
+void BenchReporter::emit(const Table& table, TableStats stats) {
+  table.print(std::cout);
+  add(table, std::move(stats));
 }
 
 void BenchReporter::add_scalar(const std::string& key, double value) {
@@ -95,6 +96,14 @@ bool BenchReporter::write() const {
   if (!out) return false;
   out << to_json();
   return static_cast<bool>(out);
+}
+
+int BenchReporter::finish() const {
+  if (!write()) {
+    std::cerr << "error: could not write " << path_ << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace vcl::obs

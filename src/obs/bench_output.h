@@ -1,8 +1,8 @@
 // BenchReporter: the shared machine-readable output path for bench_*.
 //
 // Every bench binary owns one reporter: it parses `--json <path>` from the
-// command line, collects the same Tables the bench prints to stdout, and on
-// write() emits one JSON document in the single vcl-bench-v1 schema:
+// command line, prints and collects each Table through emit(), and at exit
+// finish() writes one JSON document in the single vcl-bench-v1 schema:
 //
 //   {
 //     "schema": "vcl-bench-v1",
@@ -65,15 +65,19 @@ class BenchReporter {
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  // Snapshots a finished table (call after the bench filled it).
-  void add(const Table& table);
-  // Same, with cross-replication per-cell statistics (see TableStats).
-  void add(const Table& table, TableStats stats);
+  // Snapshots a finished table (call after the bench filled it), optionally
+  // with cross-replication per-cell statistics (see TableStats).
+  void add(const Table& table, TableStats stats = {});
+  // Prints the table to stdout, then collects it (the usual bench path).
+  void emit(const Table& table, TableStats stats = {});
   // Top-level named result (wall-clock, pass/fail counts, config knobs).
   void add_scalar(const std::string& key, double value);
 
   // Writes the document; no-op without --json. Returns false on IO error.
   bool write() const;
+  // Writes the document and returns the bench's exit code: 0, or 1 when the
+  // --json path could not be written (with a message on stderr).
+  int finish() const;
 
   // The document as a string (testing / in-process consumers).
   [[nodiscard]] std::string to_json() const;

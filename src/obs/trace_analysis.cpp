@@ -434,7 +434,6 @@ void TraceAnalysis::reduce_dag(std::uint64_t trace_id,
 std::vector<FaultWindow> extract_fault_windows(
     const std::vector<ParsedEvent>& events) {
   std::vector<FaultWindow> raw;
-  bool have_annotations = false;
   for (const ParsedEvent& ev : events) {
     if (ev.name == "fault.window") {
       const auto s = ev.fields.find("start");
@@ -442,18 +441,6 @@ std::vector<FaultWindow> extract_fault_windows(
       if (s != ev.fields.end() && e != ev.fields.end() &&
           e->second > s->second) {
         raw.push_back({s->second, e->second});
-        have_annotations = true;
-      }
-    }
-  }
-  if (!have_annotations) {
-    // Pre-annotation trace: reconstruct blackout windows from the start
-    // events' planned duration.
-    for (const ParsedEvent& ev : events) {
-      if (ev.name != "fault.blackout.start") continue;
-      const auto d = ev.fields.find("duration");
-      if (d != ev.fields.end() && d->second > 0.0) {
-        raw.push_back({ev.t, ev.t + d->second});
       }
     }
   }

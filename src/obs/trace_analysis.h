@@ -58,10 +58,9 @@ bool parse_trace_jsonl(std::istream& is, std::vector<ParsedEvent>& out,
                        TraceMeta& meta, std::string* error = nullptr);
 
 // A fault window [start, end] in absolute sim time, as stamped by the
-// injector's "fault.window" annotation (with "fault.blackout.start"
-// {duration} understood as a fallback for traces predating the
-// annotation). Windows are the storm-attribution ground truth: any
-// task/storage-op lifetime overlapping one counts as in-storm time.
+// injector's "fault.window" annotation. Windows are the storm-attribution
+// ground truth: any task/storage-op lifetime overlapping one counts as
+// in-storm time.
 struct FaultWindow {
   double start = 0.0;
   double end = 0.0;

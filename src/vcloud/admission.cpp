@@ -1,6 +1,16 @@
 #include "vcloud/admission.h"
 
+#include <stdexcept>
+
 namespace vcl::vcloud {
+
+AdmissionControl::AdmissionControl(AdmissionConfig config)
+    : config_(config), freshness_(config.freshness_window) {
+  if (config_.defend && config_.freshness_window <= 0.0) {
+    throw std::invalid_argument(
+        "AdmissionConfig: freshness_window must be positive");
+  }
+}
 
 void AdmissionControl::note_revoked(VehicleId v, SimTime now) {
   ++stats_.revocations;

@@ -74,8 +74,9 @@ struct AdmissionStats {
 
 class AdmissionControl {
  public:
-  explicit AdmissionControl(AdmissionConfig config)
-      : config_(config), freshness_(config.freshness_window) {}
+  // Throws std::invalid_argument("AdmissionConfig: ...") when a defended
+  // config has a non-positive freshness_window.
+  explicit AdmissionControl(AdmissionConfig config);
 
   // Always-on forensics: admission/eviction decisions land on the
   // kAuth/kAttack flight categories. Null = one branch per decision.

@@ -5,6 +5,18 @@
 
 namespace vcl::vcloud {
 
+DependabilityConfig full_mitigation() {
+  DependabilityConfig dep;
+  dep.detector.enabled = true;
+  dep.detector.missed_beats_to_kill = 6;
+  dep.checkpoint.enabled = true;
+  dep.checkpoint.period = 5.0;
+  dep.retry.enabled = true;
+  dep.speculation.enabled = true;
+  dep.broker_resync_delay = 0.5;
+  return dep;
+}
+
 SimTime retry_backoff(const RetryConfig& config, int attempt, Rng& rng) {
   const double exponent = static_cast<double>(std::max(0, attempt - 1));
   const SimTime base = config.ack_timeout * std::pow(config.backoff, exponent);

@@ -69,6 +69,13 @@ struct DependabilityConfig {
   SimTime broker_resync_delay = 0.0;
 };
 
+// Every recovery path on: the detector at k = 6 (with ~50 parked
+// transmitters contention loses ~0.2 of beats, so k = 6 keeps false kills
+// negligible while blackouts still trip it), 5 s checkpoints, retry,
+// speculation and a 0.5 s broker re-sync. The chaos episodes and the E22
+// "full", E23 and E24 cells all run on this one stack.
+[[nodiscard]] DependabilityConfig full_mitigation();
+
 // Delay before retry attempt `attempt` (1-based): ack_timeout grows
 // exponentially and is jittered by +-jitter so synchronized losers do not
 // retry in lockstep.

@@ -4,77 +4,80 @@
 #include <stdexcept>
 #include <string>
 
-#include "attack/adversary.h"
 #include "core/system.h"
+#include "fault/chaos.h"
 #include "vcloud/admission.h"
 #include "vcloud/cloud.h"
 #include "vcloud/invariant_oracle.h"
 
-// ---- AdversaryConfig validation ---------------------------------------------
+// ---- adversary config validation -------------------------------------------
+//
+// Storm intensities are fault::StormConfig fields checked by
+// fault::validate(ChaosConfig); the admission policy checks itself when
+// AdmissionControl is built.
 
-namespace vcl::attack {
+namespace vcl::core {
 namespace {
 
 TEST(AdversaryValidation, DisabledConfigIsAlwaysValid) {
-  AdversaryConfig cfg;  // enabled == false
-  cfg.sybil_rate = -5.0;
-  cfg.freshness_window = -1.0;
-  EXPECT_TRUE(validate(cfg, 0).empty());
-  EXPECT_NO_THROW(validate_or_throw(cfg, 0));
+  // A storm whose rate is zero is off: its count is never consulted.
+  fault::ChaosConfig chaos;
+  chaos.storms.sybil_count = 0;
+  chaos.storms.replay_count = 0;
+  EXPECT_TRUE(fault::validate(chaos).empty());
+  // With the adversary off no AdmissionControl is built, so its policy is
+  // never checked either.
+  SystemConfig cfg;
+  cfg.scenario.vehicles = 10;
+  cfg.admission.freshness_window = -1.0;
+  VehicularCloudSystem system(cfg);
+  EXPECT_NO_THROW(system.start());
 }
 
 TEST(AdversaryValidation, RejectsBadConfigsWithMessages) {
   const auto problem = [](auto mutate) {
-    AdversaryConfig cfg;
-    cfg.enabled = true;
-    mutate(cfg);
-    return validate(cfg, /*fleet_size=*/20);
+    fault::ChaosConfig cfg;
+    // Sybil storms draw their blackout centers from the base box.
+    cfg.base.blackout_hi = {1000.0, 1000.0};
+    mutate(cfg.storms);
+    return fault::validate(cfg);
   };
-  EXPECT_EQ(problem([](AdversaryConfig& c) { c.sybil_rate = -0.1; }),
+  EXPECT_EQ(problem([](fault::StormConfig& s) { s.sybil_rate = -0.1; }),
             "sybil_rate is negative");
-  EXPECT_EQ(problem([](AdversaryConfig& c) { c.revoke_rate = -1.0; }),
+  EXPECT_EQ(problem([](fault::StormConfig& s) { s.revoke_rate = -1.0; }),
             "revoke_rate is negative");
-  EXPECT_EQ(problem([](AdversaryConfig& c) { c.replay_rate = -1.0; }),
+  EXPECT_EQ(problem([](fault::StormConfig& s) { s.replay_rate = -1.0; }),
             "replay_rate is negative");
-  EXPECT_EQ(problem([](AdversaryConfig& c) {
-              c.sybil_rate = 0.1;
-              c.sybil_count = 0;
+  EXPECT_EQ(problem([](fault::StormConfig& s) {
+              s.sybil_rate = 0.1;
+              s.sybil_count = 0;
             }),
             "sybil_count must be >= 1");
-  EXPECT_EQ(problem([](AdversaryConfig& c) {
-              c.sybil_rate = 0.1;
-              c.sybil_count = 21;
-            }),
-            "sybil_count exceeds the fleet size");
-  EXPECT_EQ(problem([](AdversaryConfig& c) { c.freshness_window = 0.0; }),
-            "freshness_window must be positive");
   // A sane attack config passes.
-  EXPECT_TRUE(problem([](AdversaryConfig& c) {
-                c.sybil_rate = 0.05;
-                c.revoke_rate = 0.02;
-                c.replay_rate = 0.02;
-              }).empty());
-  // freshness_window only matters when the defense consults it.
-  EXPECT_TRUE(problem([](AdversaryConfig& c) {
-                c.defend = false;
-                c.freshness_window = 0.0;
+  EXPECT_TRUE(problem([](fault::StormConfig& s) {
+                s.sybil_rate = 0.05;
+                s.revoke_rate = 0.02;
+                s.replay_rate = 0.02;
               }).empty());
 }
 
 TEST(AdversaryValidation, ThrowsPrefixedInvalidArgument) {
-  AdversaryConfig cfg;
-  cfg.enabled = true;
-  cfg.sybil_rate = -0.1;
+  vcloud::AdmissionConfig cfg;
+  cfg.freshness_window = 0.0;
   try {
-    validate_or_throw(cfg, 20);
+    const vcloud::AdmissionControl adm(cfg);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()), "AdversaryConfig: sybil_rate is negative");
+    EXPECT_EQ(std::string(e.what()),
+              "AdmissionConfig: freshness_window must be positive");
   }
+  // freshness_window only matters when the defense consults it.
+  cfg.defend = false;
+  EXPECT_NO_THROW(vcloud::AdmissionControl{cfg});
 }
 
 }  // namespace
-}  // namespace vcl::attack
+}  // namespace vcl::core
 
 // ---- AdmissionControl unit behavior -----------------------------------------
 
@@ -315,8 +318,8 @@ TEST(AdversarySystem, DisabledAdversaryBuildsNothing) {
 TEST(AdversarySystem, WiringValidatesTheConfig) {
   SystemConfig cfg;
   cfg.scenario.vehicles = 10;
-  cfg.adversary.enabled = true;
-  cfg.adversary.sybil_rate = -0.1;
+  cfg.adversary = true;
+  cfg.admission.freshness_window = 0.0;
   VehicularCloudSystem system(cfg);
   EXPECT_THROW(system.start(), std::invalid_argument);
 }
@@ -328,7 +331,7 @@ TEST(AdversarySystem, DefendedSybilClaimIsQuarantinedNotDispatched) {
   cfg.scenario.vehicles_parked = true;
   cfg.architecture = CloudArchitecture::kStationary;
   cfg.stationary_radius = 2000.0;
-  cfg.adversary.enabled = true;  // defend defaults to true
+  cfg.adversary = true;  // admission.defend defaults to true
   VehicularCloudSystem system(cfg);
   system.start();
   ASSERT_NE(system.admission(), nullptr);

@@ -634,6 +634,42 @@ TEST(BenchReporter, WritesFile) {
   EXPECT_NE(buf.str().find("\"n\":2"), std::string::npos);
 }
 
+TEST(BenchReporter, EmitPrintsTableAndCollectsIt) {
+  const char* argv[] = {"bench_x"};
+  BenchReporter rep("bench_x", 1, const_cast<char**>(argv));
+  rep.add_scalar("wall_s", 0.5);
+  Table t("demo", {"mode", "rate"});
+  t.add_row({"greedy", "0.93"});
+  std::ostringstream printed;
+  t.print(printed);
+
+  ::testing::internal::CaptureStdout();
+  rep.emit(t);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(), printed.str());
+  EXPECT_EQ(rep.to_json(),
+            "{\"schema\":\"vcl-bench-v1\",\"bench\":\"bench_x\","
+            "\"scalars\":{\"wall_s\":0.5},"
+            "\"tables\":[{\"title\":\"demo\",\"columns\":[\"mode\",\"rate\"],"
+            "\"rows\":[[\"greedy\",0.93]]}]}\n");
+}
+
+TEST(BenchReporter, FinishReturnsOneOnUnwritablePath) {
+  const std::string path = ::testing::TempDir() + "no-such-dir/x.json";
+  const char* argv[] = {"bench_x", "--json", path.c_str()};
+  BenchReporter rep("bench_x", 3, const_cast<char**>(argv));
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(rep.finish(), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: could not write " + path + "\n");
+
+  // Without --json there is nothing to write: finish() succeeds silently.
+  const char* inert_argv[] = {"bench_x"};
+  BenchReporter inert("bench_x", 1, const_cast<char**>(inert_argv));
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(inert.finish(), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 // ---- end-to-end through VehicularCloudSystem --------------------------------
 
 core::SystemConfig telemetry_config() {
