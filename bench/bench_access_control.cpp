@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
   for (const int leaves : {1, 2, 4, 8, 16, 32}) {
     const Policy policy = and_policy(leaves);
     AttributeSet attrs;
-    for (int i = 0; i < leaves; ++i) attrs.add("a" + std::to_string(i));
+    for (int i = 0; i < leaves; ++i) {
+      attrs.add(std::string("a").append(std::to_string(i)));
+    }
     const AbeUserKey key = authority.keygen(attrs);
     const std::uint64_t m = crypto::default_group().pow_g(7);
 

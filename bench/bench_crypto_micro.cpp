@@ -164,7 +164,9 @@ void BM_AbeDecrypt(benchmark::State& state) {
   OpCounts ops;
   const auto policy = wide_policy(leaves);
   access::AttributeSet attrs;
-  for (int i = 0; i < leaves; ++i) attrs.add("a" + std::to_string(i));
+  for (int i = 0; i < leaves; ++i) {
+    attrs.add(std::string("a").append(std::to_string(i)));
+  }
   const auto key = authority.keygen(attrs);
   const std::uint64_t m = default_group().pow_g(7);
   const auto ct = authority.encrypt(m, policy, drbg, ops);

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   auto membership = vcloud::largest_cluster_membership(system.clusters());
   vcloud::VehicularCloud dynamic_cloud(
       CloudId{2}, scenario.network(), membership,
-      vcloud::members_centroid_region(scenario.traffic(), membership, 300.0),
+      vcloud::largest_cluster_region(scenario.traffic(), system.clusters(),
+                                     300.0),
       std::make_unique<vcloud::DwellAwareScheduler>(), vcloud::CloudConfig{},
       scenario.fork_rng(12));
   dynamic_cloud.attach();

@@ -97,7 +97,9 @@ exp::RepReport run_grid(std::uint64_t seed) {
 
       const access::Policy policy = and_policy(leaves);
       access::AttributeSet attrs;
-      for (int i = 0; i < leaves; ++i) attrs.add("a" + std::to_string(i));
+      for (int i = 0; i < leaves; ++i) {
+        attrs.add(std::string("a").append(std::to_string(i)));
+      }
       crypto::OpCounts seal_ops;
       access::StickyPackage pkg(abe, crypto::Bytes{7}, policy.clone(),
                                 owner_key, 1, drbg, seal_ops);

@@ -28,7 +28,8 @@ int main() {
   auto membership = vcloud::largest_cluster_membership(system.clusters());
   vcloud::VehicularCloud dynamic_cloud(
       CloudId{99}, scenario.network(), membership,
-      vcloud::members_centroid_region(scenario.traffic(), membership, 300.0),
+      vcloud::largest_cluster_region(scenario.traffic(), system.clusters(),
+                                     300.0),
       std::make_unique<vcloud::DwellAwareScheduler>(), vcloud::CloudConfig{},
       scenario.fork_rng(101));
   dynamic_cloud.attach();

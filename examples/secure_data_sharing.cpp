@@ -47,8 +47,9 @@ int main() {
     head.ctx.zone = "a3";
     requesters.push_back(head);
 
-    Requester rich{"L4 vehicle with lidar", 9002, {}, {"sensor:lidar"}};
+    Requester rich{"L4 vehicle with lidar", 9002, {}, {}};
     rich.ctx.automation = mobility::AutomationLevel::kHighAutomation;
+    rich.extra.push_back("sensor:lidar");
     requesters.push_back(rich);
 
     Requester member{"ordinary member", 9003, {}, {}};

@@ -230,19 +230,6 @@ bool Policy::satisfied(const AttributeSet& attrs) const {
   return node_satisfied(*root_, attrs);
 }
 
-std::vector<Attribute> Policy::leaves() const {
-  std::vector<Attribute> out(leaf_count_);
-  std::function<void(const PolicyNode&)> walk = [&](const PolicyNode& n) {
-    if (n.kind == GateKind::kLeaf) {
-      out[n.leaf_id] = n.attribute;
-      return;
-    }
-    for (const auto& c : n.children) walk(*c);
-  };
-  walk(*root_);
-  return out;
-}
-
 std::string Policy::to_string() const {
   std::ostringstream os;
   node_to_string(*root_, os);

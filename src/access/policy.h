@@ -43,8 +43,6 @@ class Policy {
   [[nodiscard]] bool satisfied(const AttributeSet& attrs) const;
   [[nodiscard]] const PolicyNode& root() const { return *root_; }
   [[nodiscard]] std::size_t leaf_count() const { return leaf_count_; }
-  // All leaf attributes in leaf-id order.
-  [[nodiscard]] std::vector<Attribute> leaves() const;
   [[nodiscard]] std::string to_string() const;
 
  private:

@@ -13,10 +13,6 @@ std::uint64_t PseudonymAuth::current_pseudo_id() const {
   return pool_.empty() ? 0 : pool_[current_].cert.pseudo_id;
 }
 
-std::size_t PseudonymAuth::pool_remaining() const {
-  return pool_.empty() ? 0 : pool_.size() - current_;
-}
-
 std::optional<AuthTag> PseudonymAuth::sign(const crypto::Bytes& payload,
                                            SimTime now,
                                            crypto::OpCounts& ops) {

@@ -54,7 +54,6 @@ class PseudonymAuth {
                               const crypto::Bytes& payload, const AuthTag& tag);
 
   [[nodiscard]] std::uint64_t current_pseudo_id() const;
-  [[nodiscard]] std::size_t pool_remaining() const;
 
  private:
   TrustedAuthority& ta_;

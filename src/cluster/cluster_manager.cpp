@@ -22,11 +22,6 @@ VehicleId ClusterManager::head_of(VehicleId v) const {
   return it->second.head;
 }
 
-SimTime ClusterManager::head_since(VehicleId v) const {
-  auto it = assignments_.find(v.value());
-  return it == assignments_.end() ? 0.0 : it->second.head_since;
-}
-
 std::vector<VehicleId> ClusterManager::members_of(VehicleId head) const {
   std::vector<VehicleId> out;
   for (const auto& [vid, a] : assignments_) {
@@ -38,34 +33,45 @@ std::vector<VehicleId> ClusterManager::members_of(VehicleId head) const {
   return out;
 }
 
-std::vector<std::pair<VehicleId, std::vector<VehicleId>>>
-ClusterManager::clusters() const {
-  // One pass groups every affiliated vehicle under the head it names; only
-  // groups whose head currently holds the head role become clusters. Each
-  // list equals members_of(head), without a scan per head.
-  std::unordered_map<std::uint64_t, std::vector<VehicleId>> groups;
+const ClusterList& ClusterManager::clusters() const {
+  if (built_ && built_generation_ == generation_) return clusters_;
+  // Every affiliated vehicle as (named head, id), sorted, so each head's
+  // members are one run; only heads that currently hold the head role
+  // become clusters, and each list equals members_of(head).
+  std::vector<std::pair<VehicleId, VehicleId>> affiliated;
   std::vector<VehicleId> heads;
+  affiliated.reserve(assignments_.size());
   for (const auto& [vid, a] : assignments_) {
     if (a.role == ClusterRole::kFree) continue;
-    groups[a.head.value()].push_back(VehicleId{vid});
+    affiliated.emplace_back(a.head, VehicleId{vid});
     if (a.role == ClusterRole::kHead) heads.push_back(VehicleId{vid});
   }
+  std::sort(affiliated.begin(), affiliated.end());
   std::sort(heads.begin(), heads.end());
-  std::vector<std::pair<VehicleId, std::vector<VehicleId>>> out;
-  out.reserve(heads.size());
+  clusters_.clear();
+  clusters_.reserve(heads.size());
+  auto run = affiliated.begin();
   for (const VehicleId head : heads) {
-    std::vector<VehicleId>& members = groups[head.value()];
-    std::sort(members.begin(), members.end());
-    out.emplace_back(head, std::move(members));
+    while (run != affiliated.end() && run->first < head) ++run;
+    std::vector<VehicleId> members;
+    for (; run != affiliated.end() && run->first == head; ++run) {
+      members.push_back(run->second);
+    }
+    clusters_.emplace_back(head, std::move(members));
   }
-  return out;
+  built_ = true;
+  built_generation_ = generation_;
+  ++cluster_builds_;
+  return clusters_;
 }
 
 void ClusterManager::assign(VehicleId v, VehicleId head, ClusterRole role) {
-  auto& a = assignments_[v.value()];
+  const auto [it, inserted] = assignments_.try_emplace(v.value());
+  ClusterAssignment& a = it->second;
   if (!(a.head == head) || a.role == ClusterRole::kFree) {
     a.head_since = net_.simulator().now();
   }
+  if (inserted || !(a.head == head) || a.role != role) ++generation_;
   a.head = head;
   a.role = role;
 }
@@ -74,6 +80,7 @@ void ClusterManager::prune_departed() {
   for (auto it = assignments_.begin(); it != assignments_.end();) {
     if (net_.traffic().find(VehicleId{it->first}) == nullptr) {
       it = assignments_.erase(it);
+      ++generation_;
     } else {
       ++it;
     }

@@ -16,6 +16,9 @@ namespace vcl::cluster {
 
 enum class ClusterRole : std::uint8_t { kFree, kHead, kMember };
 
+// All clusters as (head, members-including-head), sorted by head id.
+using ClusterList = std::vector<std::pair<VehicleId, std::vector<VehicleId>>>;
+
 struct ClusterAssignment {
   VehicleId head;          // == self for heads
   ClusterRole role = ClusterRole::kFree;
@@ -40,15 +43,21 @@ class ClusterManager {
   [[nodiscard]] ClusterRole role(VehicleId v) const;
   // Head of v's cluster (== v when head; invalid id when free/unknown).
   [[nodiscard]] VehicleId head_of(VehicleId v) const;
-  [[nodiscard]] SimTime head_since(VehicleId v) const;
   [[nodiscard]] std::vector<VehicleId> members_of(VehicleId head) const;
-  // All clusters as (head, members-including-head).
-  [[nodiscard]] std::vector<std::pair<VehicleId, std::vector<VehicleId>>>
-  clusters() const;
+  // All clusters, built from the assignment table on the first call after
+  // it changed and cached until it changes again. The reference is valid
+  // until the next update().
+  [[nodiscard]] const ClusterList& clusters() const;
   [[nodiscard]] const std::unordered_map<std::uint64_t, ClusterAssignment>&
   assignments() const {
     return assignments_;
   }
+  // Bumped whenever the assignment table changes (a head or role written
+  // by assign(), an entry dropped by prune_departed()); clusters() and the
+  // dynamic cloud's region memoize on it.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  // Work counter: how many times clusters() has rebuilt its list.
+  [[nodiscard]] std::uint64_t cluster_builds() const { return cluster_builds_; }
 
   [[nodiscard]] net::Network& network() { return net_; }
 
@@ -61,15 +70,21 @@ class ClusterManager {
                       double hysteresis);
 
   // Records an assignment, preserving `head_since` when the head is
-  // unchanged.
+  // unchanged. The only writer of the table besides prune_departed().
   void assign(VehicleId v, VehicleId head, ClusterRole role);
   // Drops assignments for vehicles that left the simulation.
   void prune_departed();
 
   net::Network& net_;
-  std::unordered_map<std::uint64_t, ClusterAssignment> assignments_;
 
  private:
+  std::unordered_map<std::uint64_t, ClusterAssignment> assignments_;
+  std::uint64_t generation_ = 0;
+  // clusters() cache, valid while built_generation_ == generation_.
+  mutable ClusterList clusters_;
+  mutable std::uint64_t built_generation_ = 0;
+  mutable bool built_ = false;
+  mutable std::uint64_t cluster_builds_ = 0;
   // elect_by_score scratch: 1 for this round's heads, by vehicle id.
   std::vector<std::uint8_t> elected_;
 };

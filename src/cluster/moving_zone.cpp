@@ -91,8 +91,8 @@ void MovingZone::update() {
     for (const std::uint32_t m : members) {
       const VehicleId id = vehicle_[m]->id;
       double d = geo::distance(vehicle_[m]->pos, centroid);
-      auto cur = assignments_.find(id.value());
-      if (cur != assignments_.end() &&
+      auto cur = assignments().find(id.value());
+      if (cur != assignments().end() &&
           cur->second.role == ClusterRole::kHead) {
         d -= config_.captain_hysteresis;
       }

@@ -15,8 +15,8 @@ void PassiveClustering::update() {
     for (const net::NeighborEntry& n : neighbors) rel += (v.vel - n.vel).norm();
     if (!neighbors.empty()) rel /= static_cast<double>(neighbors.size());
     double p = -rel;
-    auto cur = assignments_.find(vid);
-    if (cur != assignments_.end() && cur->second.role == ClusterRole::kHead) {
+    auto cur = assignments().find(vid);
+    if (cur != assignments().end() && cur->second.role == ClusterRole::kHead) {
       p += config_.hysteresis;
     }
     priority[vid] = p;
@@ -65,10 +65,10 @@ void PassiveClustering::update() {
   // Heads that ended up following someone inside the bound are members; make
   // sure every member's head is actually marked head.
   std::vector<VehicleId> promote;
-  for (const auto& [vid, a] : assignments_) {
+  for (const auto& [vid, a] : assignments()) {
     if (a.role == ClusterRole::kMember) {
-      auto head_it = assignments_.find(a.head.value());
-      if (head_it != assignments_.end() &&
+      auto head_it = assignments().find(a.head.value());
+      if (head_it != assignments().end() &&
           head_it->second.role != ClusterRole::kHead) {
         promote.push_back(a.head);
       }

@@ -40,7 +40,7 @@ void StabilityTracker::observe(SimTime now) {
   }
 
   // Shape metrics.
-  const auto clusters = manager_.clusters();
+  const ClusterList& clusters = manager_.clusters();
   cluster_count_.add(static_cast<double>(clusters.size()));
   for (const auto& [head, members] : clusters) {
     cluster_size_.add(static_cast<double>(members.size()));

@@ -76,9 +76,8 @@ void VehicularCloudSystem::start() {
     }
     case CloudArchitecture::kDynamic: {
       membership = vcloud::largest_cluster_membership(zones_);
-      region = vcloud::members_centroid_region(
-          scenario_.traffic(), membership,
-          config_.scenario.channel.max_range);
+      region = vcloud::largest_cluster_region(
+          scenario_.traffic(), zones_, config_.scenario.channel.max_range);
       break;
     }
   }

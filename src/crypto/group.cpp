@@ -46,11 +46,6 @@ std::uint64_t SchnorrGroup::scalar_add(std::uint64_t a,
   return mod_add(a, b, q_);
 }
 
-std::uint64_t SchnorrGroup::scalar_sub(std::uint64_t a,
-                                       std::uint64_t b) const {
-  return mod_sub(a, b, q_);
-}
-
 std::uint64_t SchnorrGroup::scalar_mul(std::uint64_t a,
                                        std::uint64_t b) const {
   return mod_mul(a, b, q_);

@@ -36,8 +36,6 @@ class SchnorrGroup {
   // Scalar (exponent) arithmetic mod q.
   [[nodiscard]] std::uint64_t scalar_add(std::uint64_t a,
                                          std::uint64_t b) const;
-  [[nodiscard]] std::uint64_t scalar_sub(std::uint64_t a,
-                                         std::uint64_t b) const;
   [[nodiscard]] std::uint64_t scalar_mul(std::uint64_t a,
                                          std::uint64_t b) const;
   [[nodiscard]] std::uint64_t scalar_inv(std::uint64_t a) const;

@@ -4,16 +4,6 @@
 
 namespace vcl::dag {
 
-const char* to_string(DagShape shape) {
-  switch (shape) {
-    case DagShape::kChain: return "chain";
-    case DagShape::kForkJoin: return "fork-join";
-    case DagShape::kDiamond: return "diamond";
-    case DagShape::kLayered: return "layered";
-  }
-  return "unknown";
-}
-
 TaskGraph DagWorkloadGenerator::make(DagShape shape) {
   TaskGraph g;
   switch (shape) {

@@ -20,8 +20,6 @@ namespace vcl::dag {
 
 enum class DagShape : std::uint8_t { kChain, kForkJoin, kDiamond, kLayered };
 
-const char* to_string(DagShape shape);
-
 struct DagWorkloadConfig {
   double mean_node_work = 15.0;     // exponential, work units per node
   double mean_transfer_mb = 1.0;    // exponential, MB per edge

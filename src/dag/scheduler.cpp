@@ -346,11 +346,6 @@ bool DagScheduler::graph_completed(std::uint64_t id) const {
   return it != graphs_.end() && it->second.completed;
 }
 
-bool DagScheduler::graph_failed(std::uint64_t id) const {
-  const auto it = graphs_.find(id);
-  return it != graphs_.end() && it->second.failed;
-}
-
 void DagScheduler::for_each_graph(
     const std::function<void(const vcloud::DagGraphView&)>& fn) const {
   for (const auto& [gid, g] : graphs_) {

@@ -108,7 +108,6 @@ class DagScheduler final : public vcloud::DagIntrospection {
   [[nodiscard]] bool all_done() const;
   [[nodiscard]] std::size_t active_graphs() const;
   [[nodiscard]] bool graph_completed(std::uint64_t id) const;
-  [[nodiscard]] bool graph_failed(std::uint64_t id) const;
 
   // Deterministic victim resolution for DAG-targeted chaos storms: the
   // worker currently running the heaviest-downstream-critical-weight node

@@ -23,6 +23,7 @@ VehicleId TrafficModel::spawn(std::vector<LinkId> route, double initial_speed,
                               AutomationLevel automation,
                               double speed_factor) {
   assert(!route.empty());
+  ++epoch_;
   const VehicleId id{next_vehicle_id_++};
   VehicleState v;
   v.id = id;
@@ -41,6 +42,7 @@ VehicleId TrafficModel::spawn(std::vector<LinkId> route, double initial_speed,
 }
 
 VehicleId TrafficModel::spawn_parked(LinkId link, double offset) {
+  ++epoch_;
   const VehicleId id{next_vehicle_id_++};
   VehicleState v;
   v.id = id;
@@ -55,7 +57,10 @@ VehicleId TrafficModel::spawn_parked(LinkId link, double offset) {
   return id;
 }
 
-void TrafficModel::despawn(VehicleId id) { vehicles_.erase(id.value()); }
+void TrafficModel::despawn(VehicleId id) {
+  ++epoch_;
+  vehicles_.erase(id.value());
+}
 
 void TrafficModel::set_arrival_handler(ArrivalHandler handler) {
   arrival_handler_ = std::move(handler);
@@ -71,6 +76,7 @@ const VehicleState* TrafficModel::find(VehicleId id) const {
 }
 
 VehicleState* TrafficModel::find_mutable(VehicleId id) {
+  ++epoch_;
   auto it = vehicles_.find(id.value());
   return it == vehicles_.end() ? nullptr : &it->second;
 }
@@ -191,6 +197,7 @@ void TrafficModel::advance_vehicle(VehicleState& v, double dt,
 }
 
 void TrafficModel::step(double dt) {
+  ++epoch_;
   now_ += dt;
   rebuild_lane_index();
   std::vector<VehicleId> finished;

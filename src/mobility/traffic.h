@@ -61,6 +61,12 @@ class TrafficModel {
   }
   [[nodiscard]] const geo::RoadNetwork& network() const { return net_; }
   [[nodiscard]] SimTime now() const { return now_; }
+  // Bumped by every call that can change a vehicle's state or whether an id
+  // exists: step, spawn, spawn_parked, despawn and find_mutable (its
+  // pointer is for writes made before the next read of the epoch). Readers
+  // memoize what they derive from the vehicles on it (DESIGN.md §4
+  // "Control-plane cost").
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   // Predicted seconds until the vehicle exits the disc (center, radius),
   // walking its remaining route at current speed. Returns +inf for parked
@@ -106,6 +112,7 @@ class TrafficModel {
   ArrivalHandler arrival_handler_;
   RightOfWayFn right_of_way_;
   SimTime now_ = 0.0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace vcl::mobility

@@ -17,8 +17,6 @@ void Network::set_handler(Address addr, Handler handler) {
   handlers_[addr.key()] = std::move(handler);
 }
 
-void Network::clear_handler(Address addr) { handlers_.erase(addr.key()); }
-
 void Network::start_beacons(SimTime period) {
   refresh();
   sim_.schedule_every(period, [this] { refresh(); }, -1.0, "net.beacon");

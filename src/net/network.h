@@ -87,7 +87,6 @@ class Network {
   }
 
   void set_handler(Address addr, Handler handler);
-  void clear_handler(Address addr);
 
   // Fallback handler invoked for any vehicle without a specific handler —
   // routing protocols use this to run the same forwarding logic on every

@@ -46,16 +46,6 @@ std::uint64_t FlightRecorder::overwritten() const {
   return lost;
 }
 
-void FlightRecorder::clear() {
-  for (Ring& r : rings_) {
-    r.head = 0;
-    r.count = 0;
-    r.recorded = 0;
-  }
-  recorded_ = 0;
-  seq_ = 0;
-}
-
 std::vector<FlightEvent> FlightRecorder::tail() const {
   std::vector<FlightEvent> merged;
   std::size_t total = 0;

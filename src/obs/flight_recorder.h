@@ -81,7 +81,6 @@ class FlightRecorder {
   [[nodiscard]] std::size_t per_category_capacity() const {
     return rings_[0].slots.size();
   }
-  void clear();
 
   // Retained events merged across every category, oldest first (global
   // sequence order). This is the "flight-recorder tail" an incident bundle

@@ -384,7 +384,9 @@ T JsonFields::field(std::string_view key, T fallback) {
   T out{};
   std::string why;
   if (v->get(out, &why)) return out;
-  if (error_.empty()) error_ = "\"" + std::string(key) + "\": " + why;
+  if (error_.empty()) {
+    error_.append("\"").append(key).append("\": ").append(why);
+  }
   return fallback;
 }
 

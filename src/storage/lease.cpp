@@ -13,12 +13,4 @@ std::vector<VehicleId> LeaseTable::expired(SimTime now) const {
   return out;
 }
 
-std::vector<VehicleId> LeaseTable::holders() const {
-  std::vector<VehicleId> out;
-  out.reserve(expiry_.size());
-  for (const auto& [vid, expiry] : expiry_) out.push_back(VehicleId{vid});
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace vcl::storage

@@ -66,8 +66,6 @@ class LeaseTable {
   // Known holders whose lease expired strictly before `now`, sorted by id
   // (deterministic iteration for the repair pipeline).
   [[nodiscard]] std::vector<VehicleId> expired(SimTime now) const;
-  // All known holders, sorted by id.
-  [[nodiscard]] std::vector<VehicleId> holders() const;
 
   [[nodiscard]] SimTime duration() const { return duration_; }
   [[nodiscard]] std::size_t size() const { return expiry_.size(); }

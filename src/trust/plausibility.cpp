@@ -4,16 +4,6 @@
 
 namespace vcl::trust {
 
-const char* to_string(PlausibilityVerdict v) {
-  switch (v) {
-    case PlausibilityVerdict::kPlausible: return "plausible";
-    case PlausibilityVerdict::kSpeedViolation: return "speed_violation";
-    case PlausibilityVerdict::kPositionJump: return "position_jump";
-    case PlausibilityVerdict::kKinematicMismatch: return "kinematic_mismatch";
-  }
-  return "unknown";
-}
-
 PlausibilityVerdict PlausibilityChecker::check(const BeaconClaim& claim) {
   ++checked_;
   auto finish = [&](PlausibilityVerdict verdict) {

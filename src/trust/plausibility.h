@@ -35,8 +35,6 @@ enum class PlausibilityVerdict : std::uint8_t {
   kKinematicMismatch,  // displacement disagrees with claimed velocity
 };
 
-const char* to_string(PlausibilityVerdict v);
-
 struct PlausibilityConfig {
   double max_speed = 60.0;          // m/s (216 km/h), generous bound
   double jump_tolerance = 25.0;     // meters of slack on displacement

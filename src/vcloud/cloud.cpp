@@ -1,6 +1,7 @@
 #include "vcloud/cloud.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -18,6 +19,16 @@ constexpr SimTime kNeverStarted = std::numeric_limits<double>::infinity();
 // Control-plane descriptor size for dispatch/result envelopes; the bulk
 // input/output transfer is charged separately as bandwidth time.
 constexpr std::size_t kControlBytes = 512;
+
+// Bitwise, so a memo never treats -0.0 as 0.0 or differs from a fresh read.
+bool same_region(const CloudRegion& a, const CloudRegion& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return bits(a.center.x) == bits(b.center.x) &&
+         bits(a.center.y) == bits(b.center.y) &&
+         bits(a.radius) == bits(b.radius);
+}
+
+bool by_id(const WorkerView& view, VehicleId v) { return view.id < v; }
 }  // namespace
 
 // ---- CloudStats reporting ---------------------------------------------------
@@ -95,45 +106,57 @@ double VehicularCloud::worker_dwell(VehicleId v,
                         config_.dwell_mode);
 }
 
-std::vector<WorkerView> VehicularCloud::views() const {
-  // A dynamic cloud's region walks the cluster table and sums a centroid,
-  // so it is read once here rather than once per worker.
+const std::vector<WorkerView>& VehicularCloud::views() const {
+  // A dwell estimate reads the traffic state of one vehicle (or its
+  // absence), the region and the fixed DwellMode, so the key (traffic
+  // epoch, region) covers every input; worker_dwell() is the fresh read.
   const CloudRegion region = region_fn_();
-  std::vector<WorkerView> out;
-  out.reserve(workers_.size());
-  for (const auto& [vid, w] : workers_) {
-    WorkerView view;
-    view.id = VehicleId{vid};
-    view.profile = w.profile;
-    view.busy = w.running.valid();
-    view.dwell_seconds = worker_dwell(view.id, region);
-    out.push_back(view);
+  const std::uint64_t epoch = net_.traffic().epoch();
+  const bool same_key = dwell_keyed_ && epoch == dwell_epoch_ &&
+                        same_region(region, dwell_region_);
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    ViewSlot& slot = view_slots_[i];
+    if (!same_key || !slot.dwell_fresh) {
+      views_[i].dwell_seconds = worker_dwell(views_[i].id, region);
+      slot.dwell_fresh = true;
+      ++dwell_estimates_;
+    }
+    views_[i].busy = slot.state->running.valid();
   }
-  // Deterministic order (unordered_map iteration is not).
-  std::sort(out.begin(), out.end(),
-            [](const WorkerView& a, const WorkerView& b) { return a.id < b.id; });
-  return out;
+  dwell_keyed_ = true;
+  dwell_epoch_ = epoch;
+  dwell_region_ = region;
+  return views_;
 }
 
-void VehicularCloud::reread_busy(std::vector<WorkerView>& worker_views) const {
-  for (WorkerView& view : worker_views) {
-    view.busy = workers_.at(view.id.value()).running.valid();
-  }
+void VehicularCloud::add_worker(VehicleId v, const ResourceProfile& profile) {
+  const auto [it, inserted] =
+      workers_.emplace(v.value(), WorkerState{profile, TaskId{}});
+  if (!inserted) return;
+  const auto pos = std::lower_bound(views_.begin(), views_.end(), v, by_id);
+  const auto i = pos - views_.begin();
+  WorkerView view;
+  view.id = v;
+  view.profile = profile;
+  views_.insert(pos, view);
+  view_slots_.insert(view_slots_.begin() + i, ViewSlot{&it->second, false});
+}
+
+VehicularCloud::WorkerState VehicularCloud::remove_worker(VehicleId v) {
+  const auto pos = std::lower_bound(views_.begin(), views_.end(), v, by_id);
+  view_slots_.erase(view_slots_.begin() + (pos - views_.begin()));
+  views_.erase(pos);
+  const auto it = workers_.find(v.value());
+  const WorkerState state = it->second;
+  workers_.erase(it);
+  return state;
 }
 
 std::vector<VehicleId> VehicularCloud::worker_ids() const {
   std::vector<VehicleId> out;
-  out.reserve(workers_.size());
-  for (const std::uint64_t vid : sorted_worker_ids()) out.push_back(VehicleId{vid});
+  out.reserve(views_.size());
+  for (const WorkerView& view : views_) out.push_back(view.id);
   return out;
-}
-
-std::vector<std::uint64_t> VehicularCloud::sorted_worker_ids() const {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(workers_.size());
-  for (const auto& [vid, w] : workers_) ids.push_back(vid);
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 ResourcePool VehicularCloud::pool() const {
@@ -414,13 +437,10 @@ void VehicularCloud::attempt_result_send(TaskId id, std::uint64_t epoch,
 
 void VehicularCloud::dispatch() {
   if (net_.simulator().now() < dispatch_hold_until_) return;
-  // Views are built once per round: no simulated time passes inside it and
-  // no member joins or leaves, so the region and every dwell estimate stay
-  // fixed. Busy flags do not: assignment and replication take workers, and
-  // a dispatch send that exhausts its retries frees one and re-queues its
-  // task, so they are re-read from workers_ before each pick.
-  std::vector<WorkerView> worker_views;
-  bool built = false;
+  // Every pick reads views(): busy flags change within a round (assignment
+  // and replication take workers, a dispatch send that exhausts its retries
+  // frees one), while the dwell estimates stay memoized, since no simulated
+  // time passes and no member joins or leaves inside a round.
   while (!pending_.empty()) {
     const TaskId tid = pending_.front();
     auto task_it = tasks_.find(tid.value());
@@ -429,13 +449,7 @@ void VehicularCloud::dispatch() {
       continue;
     }
     Task& task = task_it->second;
-    if (built) {
-      reread_busy(worker_views);
-    } else {
-      worker_views = views();
-      built = true;
-    }
-    const VehicleId pick = scheduler_->pick(task, worker_views, rng_);
+    const VehicleId pick = scheduler_->pick(task, views(), rng_);
     if (!pick.valid()) return;  // no idle worker: stay queued
     auto worker_it = workers_.find(pick.value());
     if (worker_it == workers_.end() || worker_it->second.running.valid()) {
@@ -446,18 +460,18 @@ void VehicularCloud::dispatch() {
     stats_.queue_delay.add(queued);
     stats_.queue_delay_tail.add(queued);
     assign(task, worker_it->second, pick, /*charge_input=*/true);
-    maybe_replicate(task, worker_views);
+    maybe_replicate(task);
   }
 }
 
-void VehicularCloud::maybe_replicate(Task& task,
-                                     std::vector<WorkerView>& worker_views) {
+void VehicularCloud::maybe_replicate(Task& task) {
   const SpeculationConfig& spec = config_.dependability.speculation;
   if (!spec.enabled || task.deadline <= 0.0) return;
   if (replicas_.find(task.id.value()) != replicas_.end()) return;
   if (!pending_.empty()) return;  // speculation must never starve the queue
 
-  reread_busy(worker_views);  // the primary's worker was just taken
+  // Re-read: the primary's worker was just taken.
+  const std::vector<WorkerView>& worker_views = views();
   std::size_t idle = 0;
   for (const WorkerView& w : worker_views) idle += w.busy ? 0 : 1;
   if (idle <= spec.min_spare_workers) return;
@@ -678,8 +692,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
 
   if (config_.handover.enabled) {
     // Migrate the encrypted checkpoint to the best idle member.
-    const auto worker_views = views();
-    const VehicleId target = scheduler_->pick(task, worker_views, rng_);
+    const VehicleId target = scheduler_->pick(task, views(), rng_);
     auto target_it = target.valid() ? workers_.find(target.value())
                                     : workers_.end();
     if (target_it != workers_.end() && !target_it->second.running.valid()) {
@@ -878,8 +891,7 @@ void VehicularCloud::declare_dead(VehicleId v) {
                       v.value(), 0);
     }
   }
-  const WorkerState state = it->second;
-  workers_.erase(it);
+  const WorkerState state = remove_worker(v);
   handle_worker_loss(v, state, /*graceful=*/false);
   dispatch();
 }
@@ -890,10 +902,9 @@ void VehicularCloud::heartbeat_round() {
   const VehicleId broker = broker_.current();
   if (!broker.valid()) return;
   // Sorted ids: heartbeat sends consume shared RNG, order must be stable.
-  for (const std::uint64_t vid : sorted_worker_ids()) {
-    const VehicleId v{vid};
+  for (const VehicleId v : worker_ids()) {
     if (!detector_.tracked(v)) detector_.track(v, now);
-    if (crashed_.count(vid) > 0) continue;  // dead radios do not beat
+    if (crashed_.count(v.value()) > 0) continue;  // dead radios do not beat
     if (v == broker) {
       detector_.observe(v, now);  // the broker trivially hears itself
       if (heartbeat_hook_) heartbeat_hook_(v, now);
@@ -968,8 +979,7 @@ void VehicularCloud::refresh() {
   }
   for (const std::uint64_t vid : departed) {
     const VehicleId v{vid};
-    const WorkerState state = workers_[vid];
-    workers_.erase(vid);
+    const WorkerState state = remove_worker(v);
     detector_.forget(v);
     if (trace_ != nullptr) {
       trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.leave",
@@ -986,8 +996,7 @@ void VehicularCloud::refresh() {
     const mobility::VehicleState* s = net_.traffic().find(v);
     if (s == nullptr) continue;
     if (admission_ != nullptr && !admission_->allow_arrival(v, now)) continue;
-    workers_.emplace(v.value(),
-                     WorkerState{profile_for(s->automation), TaskId{}});
+    add_worker(v, profile_for(s->automation));
     detector_.track(v, now);
     if (trace_ != nullptr) {
       trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.join",
@@ -1002,11 +1011,10 @@ void VehicularCloud::refresh() {
   // through the ordinary loss path (requeue, replica-inherit, checkpoint
   // floor), not lost.
   if (admission_ != nullptr) {
-    for (const std::uint64_t vid : sorted_worker_ids()) {
-      const VehicleId v{vid};
+    for (const VehicleId v : worker_ids()) {
+      const std::uint64_t vid = v.value();
       if (!admission_->should_evict(v, now)) continue;
-      const WorkerState state = workers_[vid];
-      workers_.erase(vid);
+      const WorkerState state = remove_worker(v);
       detector_.forget(v);
       crashed_.erase(vid);
       crash_time_.erase(vid);
@@ -1096,12 +1104,9 @@ bool VehicularCloud::offer_join(VehicleId v, bool fabricated) {
   const mobility::VehicleState* s = net_.traffic().find(v);
   // A fabricated identity has no vehicle behind it; the forged join
   // advertises a baseline profile.
-  workers_.emplace(
-      v.value(),
-      WorkerState{s != nullptr
-                      ? profile_for(s->automation)
-                      : profile_for(mobility::AutomationLevel::kNoAutomation),
-                  TaskId{}});
+  add_worker(v, s != nullptr
+                    ? profile_for(s->automation)
+                    : profile_for(mobility::AutomationLevel::kNoAutomation));
   detector_.track(v, now);
   if (trace_ != nullptr) {
     trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.join",
@@ -1198,37 +1203,65 @@ VehicularCloud::RegionFn rsu_region(const net::Network& net, RsuId rsu) {
   };
 }
 
+namespace {
+
+// The largest cluster's members; on a size tie the lowest head id wins
+// (max_element keeps the first maximum). Null when there is no cluster.
+const std::vector<VehicleId>* largest_cluster(
+    const cluster::ClusterManager& manager) {
+  const cluster::ClusterList& all = manager.clusters();
+  const auto best = std::max_element(
+      all.begin(), all.end(), [](const auto& a, const auto& b) {
+        return a.second.size() < b.second.size();
+      });
+  return best == all.end() ? nullptr : &best->second;
+}
+
+}  // namespace
+
 VehicularCloud::MembershipFn largest_cluster_membership(
     const cluster::ClusterManager& manager) {
   return [&manager] {
-    // On a size tie the lowest head id wins (max_element keeps the first
-    // maximum); only the winner's member list leaves the call.
-    auto all = manager.clusters();
-    const auto best = std::max_element(
-        all.begin(), all.end(), [](const auto& a, const auto& b) {
-          return a.second.size() < b.second.size();
-        });
-    return best == all.end() ? std::vector<VehicleId>{}
-                             : std::move(best->second);
+    const std::vector<VehicleId>* members = largest_cluster(manager);
+    return members == nullptr ? std::vector<VehicleId>{} : *members;
   };
 }
 
-VehicularCloud::RegionFn members_centroid_region(
+VehicularCloud::RegionFn largest_cluster_region(
     const mobility::TrafficModel& traffic,
-    VehicularCloud::MembershipFn membership, double radius) {
-  return [&traffic, membership = std::move(membership), radius] {
-    const std::vector<VehicleId> members = membership();
-    if (members.empty()) return CloudRegion{{0, 0}, 0.0};
+    const cluster::ClusterManager& manager, double radius) {
+  // The centroid reads the largest cluster's member list (fixed between
+  // cluster-generation bumps) and those members' positions (fixed between
+  // traffic-epoch bumps), so the pair keys it completely.
+  struct Memo {
+    bool valid = false;
+    std::uint64_t epoch = 0;
+    std::uint64_t generation = 0;
+    CloudRegion region;
+  };
+  return [&traffic, &manager, radius, memo = Memo{}]() mutable {
+    if (memo.valid && memo.epoch == traffic.epoch() &&
+        memo.generation == manager.generation()) {
+      return memo.region;
+    }
+    memo.valid = true;
+    memo.epoch = traffic.epoch();
+    memo.generation = manager.generation();
+    memo.region = CloudRegion{{0, 0}, 0.0};
+    const std::vector<VehicleId>* members = largest_cluster(manager);
+    if (members == nullptr) return memo.region;
     geo::Vec2 centroid;
     std::size_t n = 0;
-    for (const VehicleId v : members) {
+    for (const VehicleId v : *members) {
       const mobility::VehicleState* s = traffic.find(v);
       if (s == nullptr) continue;
       centroid += s->pos;
       ++n;
     }
-    if (n == 0) return CloudRegion{{0, 0}, 0.0};
-    return CloudRegion{centroid / static_cast<double>(n), radius};
+    if (n > 0) {
+      memo.region = CloudRegion{centroid / static_cast<double>(n), radius};
+    }
+    return memo.region;
   };
 }
 

@@ -268,6 +268,17 @@ class VehicularCloud {
   // this.
   [[nodiscard]] double worker_dwell(VehicleId v,
                                     const CloudRegion& region) const;
+  // One view per member, sorted by id: what dispatch, replication, broker
+  // election and handover read. Busy flags are re-read on every call; dwell
+  // estimates are recomputed only when the traffic epoch or the region
+  // (centre and radius, bitwise) changed since the last call, and for
+  // members that joined since. The reference is valid until the next
+  // membership change (DESIGN.md §4 "Control-plane cost").
+  [[nodiscard]] const std::vector<WorkerView>& views() const;
+  // Work counter: dwell estimates views() has made so far.
+  [[nodiscard]] std::uint64_t dwell_estimates() const {
+    return dwell_estimates_;
+  }
 
   // True when every submitted task reached a terminal state.
   [[nodiscard]] bool drained() const;
@@ -277,6 +288,13 @@ class VehicularCloud {
     ResourceProfile profile;
     TaskId running;  // invalid when idle
   };
+  // Beside each entry of views_: the member's state (unordered_map nodes
+  // never move, so the pointer lives until remove_worker) and whether its
+  // dwell estimate belongs to the memo's current key.
+  struct ViewSlot {
+    const WorkerState* state;
+    bool dwell_fresh;
+  };
   // A speculative second execution of a task (first finisher wins).
   struct ReplicaState {
     VehicleId worker;
@@ -284,6 +302,11 @@ class VehicularCloud {
     double base_progress = 0.0;  // task progress at replica launch
     std::uint64_t epoch = 0;
   };
+
+  // The only writers of workers_: each patches views_ in place.
+  void add_worker(VehicleId v, const ResourceProfile& profile);
+  // Removes a member and returns its last state.
+  WorkerState remove_worker(VehicleId v);
 
   void dispatch();
   void assign(Task& task, WorkerState& worker, VehicleId worker_id,
@@ -318,7 +341,7 @@ class VehicularCloud {
   // lost primary hands over (graceful) or goes through crash recovery.
   void handle_worker_loss(VehicleId v, const WorkerState& state,
                           bool graceful);
-  void maybe_replicate(Task& task, std::vector<WorkerView>& worker_views);
+  void maybe_replicate(Task& task);
   void on_replica_complete(TaskId id, std::uint64_t epoch);
   // Aborts a live replica (loser / deadline abort); counts its work as
   // redundancy and frees its worker.
@@ -329,12 +352,6 @@ class VehicularCloud {
   [[nodiscard]] static double earned_by_replica(const ReplicaState& r,
                                                 const ResourceProfile& profile,
                                                 const Task& task, SimTime now);
-  // One view per worker, sorted by id; the region is read once per build.
-  [[nodiscard]] std::vector<WorkerView> views() const;
-  // Re-reads the busy flags of views built earlier in the same dispatch
-  // round (the worker set cannot change within a round).
-  void reread_busy(std::vector<WorkerView>& worker_views) const;
-  [[nodiscard]] std::vector<std::uint64_t> sorted_worker_ids() const;
 
   // --- causal span tracing (all no-ops when tracing is off) ------------------
   // Allocates the task's trace id, opens its root span and the first queue
@@ -363,6 +380,14 @@ class VehicularCloud {
   BrokerElection broker_;
 
   std::unordered_map<std::uint64_t, WorkerState> workers_;
+  // views() memo: one view and slot per member in id order, and the key
+  // (traffic epoch, region) the fresh dwell estimates were made under.
+  mutable std::vector<WorkerView> views_;
+  mutable std::vector<ViewSlot> view_slots_;
+  mutable bool dwell_keyed_ = false;
+  mutable std::uint64_t dwell_epoch_ = 0;
+  mutable CloudRegion dwell_region_;
+  mutable std::uint64_t dwell_estimates_ = 0;
   std::unordered_map<std::uint64_t, Task> tasks_;
   std::unordered_map<std::uint64_t, std::uint64_t> task_epoch_;
   std::unordered_map<std::uint64_t, ReplicaState> replicas_;
@@ -401,11 +426,13 @@ VehicularCloud::RegionFn fixed_region(geo::Vec2 center, double radius);
 VehicularCloud::MembershipFn rsu_membership(const net::Network& net, RsuId rsu);
 VehicularCloud::RegionFn rsu_region(const net::Network& net, RsuId rsu);
 
-// (c) Dynamic: the largest V2V cluster, wherever it drives.
+// (c) Dynamic: the largest V2V cluster, wherever it drives. The region is
+// a disc of `radius` around the cluster's centroid, memoized on (traffic
+// epoch, cluster generation).
 VehicularCloud::MembershipFn largest_cluster_membership(
     const cluster::ClusterManager& manager);
-VehicularCloud::RegionFn members_centroid_region(
+VehicularCloud::RegionFn largest_cluster_region(
     const mobility::TrafficModel& traffic,
-    VehicularCloud::MembershipFn membership, double radius);
+    const cluster::ClusterManager& manager, double radius);
 
 }  // namespace vcl::vcloud

@@ -17,6 +17,9 @@ struct ResourceProfile {
   double storage_mb = 256;
   double bandwidth_mbps = 6;
   int sensor_count = 1;      // distinct sensing modalities on board
+
+  friend bool operator==(const ResourceProfile&,
+                         const ResourceProfile&) = default;
 };
 
 // Equipment scaling by automation level (Fig. 1's gradient, quantified).

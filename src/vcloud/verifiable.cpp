@@ -84,9 +84,4 @@ void ReplicatedSubmitter::attach(sim::Simulator& sim, SimTime period) {
   sim.schedule_every(period, [this] { poll(); });
 }
 
-const VerifiedJobStatus* ReplicatedSubmitter::status(TaskId job) const {
-  auto it = jobs_.find(job.value());
-  return it == jobs_.end() ? nullptr : &it->second.status;
-}
-
 }  // namespace vcl::vcloud

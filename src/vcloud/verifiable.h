@@ -47,7 +47,6 @@ class ReplicatedSubmitter {
   void poll();
   void attach(sim::Simulator& sim, SimTime period = 1.0);
 
-  [[nodiscard]] const VerifiedJobStatus* status(TaskId job) const;
   [[nodiscard]] std::size_t accepted_jobs() const { return accepted_; }
   [[nodiscard]] std::size_t rejected_jobs() const { return rejected_; }
   // Jobs whose accepted majority was actually wrong (collusion/bad luck):

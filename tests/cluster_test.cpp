@@ -256,8 +256,6 @@ TEST_F(ClusterFixture, MembersOfReturnsSortedMembers) {
 
 // ---- clusters(): one pass, same result as one members_of() per head -------
 
-using ClusterList = std::vector<std::pair<VehicleId, std::vector<VehicleId>>>;
-
 // The per-head construction clusters() replaced: every head's members found
 // by a full members_of() scan, then sorted by head id.
 ClusterList reference_clusters(const ClusterManager& m) {
@@ -291,8 +289,9 @@ class TableClusters final : public ClusterManager {
   [[nodiscard]] const char* name() const override { return "table"; }
   void update() override {}
   void set(std::uint64_t v, std::uint64_t head, ClusterRole role) {
-    assignments_[v] = ClusterAssignment{VehicleId{head}, role, 0.0};
+    assign(VehicleId{v}, VehicleId{head}, role);
   }
+  void prune() { prune_departed(); }
 };
 
 TEST_F(ClusterFixture, OnePassClustersMatchPerHeadConstruction) {
@@ -376,6 +375,71 @@ TEST_F(ClusterFixture, LargestClusterTieGoesToLowestHeadId) {
                                         VehicleId{12}};
   EXPECT_EQ(vcloud::largest_cluster_membership(table)(), expected);
   EXPECT_EQ(reference_largest(clusters), expected);
+}
+
+// ---- clusters() cache: rebuilt only when the assignment table changed ------
+
+TEST_F(ClusterFixture, CachedClustersFollowEveryTableChange) {
+  // Vehicles 0..5 exist; the table also names 6..9, which prune_departed
+  // drops.
+  for (int i = 0; i < 6; ++i) park_at(20.0 * i);
+  TableClusters table(net_);
+  Rng rng(3);
+  for (int round = 0; round < 60; ++round) {
+    const auto v = static_cast<std::uint64_t>(rng.index(10));
+    const auto head = static_cast<std::uint64_t>(rng.index(10));
+    const double r = rng.uniform();
+    table.set(v, head,
+              r < 0.2   ? ClusterRole::kFree
+              : r < 0.6 ? ClusterRole::kHead
+                        : ClusterRole::kMember);
+    EXPECT_EQ(table.clusters(), reference_clusters(table)) << round;
+    if (round % 10 == 9) {
+      table.prune();
+      EXPECT_EQ(table.clusters(), reference_clusters(table)) << round;
+    }
+  }
+  // Reads without a change, and writes that change nothing, reuse the list.
+  const std::uint64_t builds = table.cluster_builds();
+  const std::uint64_t generation = table.generation();
+  for (const auto& [vid, a] : table.assignments()) {
+    table.set(vid, a.head.value(), a.role);
+  }
+  table.prune();
+  EXPECT_EQ(table.generation(), generation);
+  (void)table.clusters();
+  (void)table.clusters();
+  EXPECT_EQ(table.cluster_builds(), builds);
+}
+
+TEST_F(ClusterFixture, ClustersRebuildAtMostOncePerUpdate) {
+  geo::RoadNetwork road = geo::make_manhattan_grid(4, 4, 250.0);
+  sim::Simulator sim;
+  mobility::TrafficModel traffic(road, Rng(4));
+  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(104));
+  Rng rng(204);
+  for (int i = 0; i < 40; ++i) {
+    const LinkId link{static_cast<std::uint64_t>(rng.index(road.link_count()))};
+    traffic.spawn({link}, rng.uniform(0.0, 15.0));
+  }
+  MovingZone zones(net);
+  std::size_t rebuilt_rounds = 0;
+  for (int round = 0; round < 20; ++round) {
+    traffic.step(1.0);
+    net.refresh();
+    const std::uint64_t generation = zones.generation();
+    const std::uint64_t builds = zones.cluster_builds();
+    zones.update();
+    const ClusterList expected = reference_clusters(zones);
+    for (int read = 0; read < 4; ++read) {
+      EXPECT_EQ(zones.clusters(), expected) << round;
+      (void)vcloud::largest_cluster_membership(zones)();
+    }
+    const bool changed = zones.generation() != generation;
+    EXPECT_EQ(zones.cluster_builds() - builds, changed ? 1u : 0u) << round;
+    rebuilt_rounds += changed;
+  }
+  EXPECT_GT(rebuilt_rounds, 4u);  // the zones move
 }
 
 }  // namespace

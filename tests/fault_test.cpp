@@ -55,7 +55,9 @@ TEST(FaultPlan, SortedAndInsideHorizon) {
   for (std::size_t i = 0; i < plan.size(); ++i) {
     EXPECT_GE(plan[i].at, 0.0);
     EXPECT_LT(plan[i].at, cfg.horizon);
-    if (i > 0) EXPECT_LE(plan[i - 1].at, plan[i].at);
+    if (i > 0) {
+      EXPECT_LE(plan[i - 1].at, plan[i].at);
+    }
     EXPECT_FALSE(to_string(plan[i]).empty());
   }
 }

@@ -217,8 +217,8 @@ TEST_P(CloudProperty, TaskAccountingBalancesUnderChurn) {
 
     // INVARIANTS after every round:
     const auto& st = cloud.stats();
-    std::size_t pending = 0, running = 0, migrating = 0, completed = 0,
-                failed = 0, expired = 0;
+    std::size_t pending = 0, running = 0, migrating = 0, recovering = 0,
+                completed = 0, failed = 0, expired = 0;
     std::map<std::uint64_t, int> worker_load;
     for (const TaskId id : ids) {
       const vcloud::Task* t = cloud.find_task(id);
@@ -230,6 +230,7 @@ TEST_P(CloudProperty, TaskAccountingBalancesUnderChurn) {
           ++worker_load[t->worker.value()];
           break;
         case vcloud::TaskState::kMigrating: ++migrating; break;
+        case vcloud::TaskState::kCrashRecovering: ++recovering; break;
         case vcloud::TaskState::kCompleted: ++completed; break;
         case vcloud::TaskState::kFailed: ++failed; break;
         case vcloud::TaskState::kExpired: ++expired; break;
@@ -245,7 +246,8 @@ TEST_P(CloudProperty, TaskAccountingBalancesUnderChurn) {
     EXPECT_EQ(st.submitted, ids.size());
     EXPECT_EQ(st.completed, completed);
     EXPECT_EQ(st.expired, expired);
-    EXPECT_EQ(pending + running + migrating + completed + failed + expired,
+    EXPECT_EQ(pending + running + migrating + recovering + completed + failed +
+                  expired,
               ids.size());
   }
   // Eventually everything settles into a terminal state.

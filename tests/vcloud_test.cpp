@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <set>
 #include <string>
 
 #include "cluster/moving_zone.h"
+#include "core/system.h"
+#include "vcloud/admission.h"
 #include "vcloud/cloud.h"
 #include "vcloud/invariant_oracle.h"
 #include "vcloud/replication.h"
@@ -169,7 +172,9 @@ TEST(Dependability, RetryBackoffDeterministicAndBaseGrowsMonotonically) {
   for (int attempt = 1; attempt <= 6; ++attempt) {
     const SimTime d = retry_backoff(cfg, attempt, rng);
     EXPECT_GT(d, prev);
-    if (attempt > 1) EXPECT_DOUBLE_EQ(d, prev * cfg.backoff);
+    if (attempt > 1) {
+      EXPECT_DOUBLE_EQ(d, prev * cfg.backoff);
+    }
     prev = d;
   }
 }
@@ -490,7 +495,7 @@ TEST_F(CloudFixture, DynamicCloudFollowsCluster) {
   zones.update();
   auto membership = largest_cluster_membership(zones);
   VehicularCloud cloud(CloudId{3}, net_, membership,
-                       members_centroid_region(traffic_, membership, 300.0),
+                       largest_cluster_region(traffic_, zones, 300.0),
                        std::make_unique<GreedyResourceScheduler>(), {},
                        Rng(5));
   cloud.refresh();
@@ -532,10 +537,325 @@ TEST_F(CloudFixture, RegionIsReadOncePerRoundNotOncePerWorker) {
   sim_.run_until(60.0);
   EXPECT_EQ(cloud.stats().completed, kTasks);
   ASSERT_GT(refreshes, 50u);
-  // Per submit: one views build. Per refresh: the broker election and a
-  // dispatch round. Per completion: one dispatch round.
+  // Each dispatch pick and each broker election reads the region once;
+  // neither count grows with W.
   EXPECT_LE(region_calls, 2 * (kTasks + refreshes));
   EXPECT_LT(region_calls, kTasks * kWorkers);
+}
+
+// ---- views(): memoized, and identical to a fresh build ---------------------
+// views() keeps one view per member and re-estimates dwell only when the
+// traffic epoch or the region changed. These worlds compare it, at every
+// refresh and every submit (and after each world mutation in the lot),
+// with a build from the public accessors: same members in id order, same
+// profiles and busy flags, and each dwell bitwise equal to an estimate made
+// now against the region read now.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_fresh_views(const VehicularCloud& cloud, const std::string& where) {
+  const std::vector<WorkerView>& memo = cloud.views();
+  ASSERT_EQ(memo.size(), cloud.member_count()) << where;
+  const CloudRegion region = cloud.region();
+  for (std::size_t i = 0; i < memo.size(); ++i) {
+    const WorkerView& view = memo[i];
+    if (i > 0) {
+      ASSERT_LT(memo[i - 1].id, view.id) << where;
+    }
+    const ResourceProfile* profile = cloud.worker_profile(view.id);
+    ASSERT_NE(profile, nullptr) << where << ": " << view.id;
+    EXPECT_TRUE(view.profile == *profile) << where << ": " << view.id;
+    EXPECT_EQ(view.busy, cloud.running_on(view.id).valid())
+        << where << ": " << view.id;
+    const double fresh = cloud.worker_dwell(view.id, region);
+    EXPECT_EQ(bits(view.dwell_seconds), bits(fresh))
+        << where << ": worker " << view.id << " memo " << view.dwell_seconds
+        << " fresh " << fresh;
+  }
+}
+
+core::SystemConfig city_config(core::CloudArchitecture architecture) {
+  core::SystemConfig cfg;
+  cfg.scenario.grid_rows = 6;
+  cfg.scenario.grid_cols = 6;
+  cfg.scenario.vehicles = 120;
+  cfg.scenario.seed = 5;
+  cfg.architecture = architecture;
+  return cfg;
+}
+
+// Submits three tasks every 0.5 s from `first` on, off the 0.1 s mobility
+// grid, and checks the views after each batch.
+void submit_and_check_every(core::VehicularCloudSystem& system,
+                            SimTime first) {
+  const WorkloadConfig workload{20.0, 1.0, 0.2, 60.0};
+  system.scenario().simulator().schedule_every(
+      0.5,
+      [&system, workload] {
+        system.submit_workload(workload, 3);
+        expect_fresh_views(
+            system.cloud(),
+            "submit t=" + std::to_string(system.scenario().simulator().now()));
+      },
+      first);
+}
+
+TEST(ViewMemo, MatchesFreshBuildInMovingDynamicCity) {
+  core::VehicularCloudSystem system(
+      city_config(core::CloudArchitecture::kDynamic));
+  system.start();
+  VehicularCloud& cloud = system.cloud();
+  mobility::TrafficModel& traffic = system.scenario().traffic();
+  std::size_t refreshes = 0, joins = 0, leaves = 0;
+  std::vector<VehicleId> last = cloud.worker_ids();
+  cloud.set_refresh_hook([&](SimTime now) {
+    ++refreshes;
+    const std::string where = "refresh t=" + std::to_string(now);
+    expect_fresh_views(cloud, where);
+    // The memoized centroid against one summed here.
+    const std::vector<VehicleId> members =
+        largest_cluster_membership(system.clusters())();
+    geo::Vec2 sum;
+    std::size_t n = 0;
+    for (const VehicleId v : members) {
+      if (const mobility::VehicleState* s = traffic.find(v)) {
+        sum += s->pos;
+        ++n;
+      }
+    }
+    const CloudRegion region = cloud.region();
+    if (n == 0) {
+      EXPECT_EQ(region.radius, 0.0) << where;
+    } else {
+      const geo::Vec2 centroid = sum / static_cast<double>(n);
+      EXPECT_EQ(bits(region.center.x), bits(centroid.x)) << where;
+      EXPECT_EQ(bits(region.center.y), bits(centroid.y)) << where;
+    }
+    const std::vector<VehicleId> now_ids = cloud.worker_ids();
+    std::vector<VehicleId> diff;
+    std::set_difference(now_ids.begin(), now_ids.end(), last.begin(),
+                        last.end(), std::back_inserter(diff));
+    joins += diff.size();
+    diff.clear();
+    std::set_difference(last.begin(), last.end(), now_ids.begin(),
+                        now_ids.end(), std::back_inserter(diff));
+    leaves += diff.size();
+    last = now_ids;
+  });
+  submit_and_check_every(system, 0.25);
+  system.run_for(30.0);
+  EXPECT_GE(refreshes, 29u);
+  EXPECT_GT(joins, 0u);  // churn both ways
+  EXPECT_GT(leaves, 0u);
+  EXPECT_GT(cloud.stats().submitted, 150u);
+}
+
+TEST(ViewMemo, MatchesFreshBuildInRsuCloudThroughAnOutage) {
+  core::SystemConfig cfg =
+      city_config(core::CloudArchitecture::kInfrastructureBased);
+  cfg.scenario.rsu_spacing = 400.0;
+  // The cloud anchors on the RSU nearest the map centre; a twin world
+  // names it for the fault plan.
+  RsuId anchor;
+  {
+    core::VehicularCloudSystem twin(cfg);
+    twin.start();
+    const CloudRegion region = twin.cloud().region();
+    for (const net::Rsu& r : twin.scenario().network().rsus().all()) {
+      if (r.pos.x == region.center.x && r.pos.y == region.center.y) {
+        anchor = r.id;
+      }
+    }
+  }
+  ASSERT_TRUE(anchor.valid());
+  // The outage lands between two submits with no mobility step between
+  // them: only the region term of the memo key sees it.
+  fault::FaultEvent outage;
+  outage.kind = fault::FaultKind::kRsuOutage;
+  outage.at = 20.03;
+  outage.rsu = anchor;
+  outage.repair_after = 10.0;
+  cfg.fault_plan = {outage};
+  core::VehicularCloudSystem system(cfg);
+  system.start();
+  VehicularCloud& cloud = system.cloud();
+  std::size_t refreshes = 0, dark_refreshes = 0;
+  cloud.set_refresh_hook([&](SimTime now) {
+    ++refreshes;
+    if (cloud.region().radius == 0.0) ++dark_refreshes;
+    expect_fresh_views(cloud, "refresh t=" + std::to_string(now));
+  });
+  submit_and_check_every(system, 0.02);
+  submit_and_check_every(system, 0.05);
+  system.run_for(40.0);
+  EXPECT_GE(refreshes, 39u);
+  EXPECT_GE(dark_refreshes, 9u);  // the outage held ~10 s
+  EXPECT_GT(cloud.stats().completed, 0u);
+}
+
+TEST_F(CloudFixture, ViewMemoMatchesFreshBuildInStationaryLot) {
+  // No mobility step runs, so the traffic epoch moves only through the
+  // explicit mutator calls below and each one must invalidate on its own.
+  std::vector<VehicleId> parked;
+  for (int i = 0; i < 8; ++i) {
+    parked.push_back(traffic_.spawn_parked(LinkId{0}, 8.0 * i));
+  }
+  const geo::Vec2 center = traffic_.find(parked[0])->pos;
+  constexpr double kRadius = 120.0;  // link 0 runs out of it
+  net_.refresh();
+  AdmissionConfig admission_config;
+  admission_config.max_unverified_admissions = 2;
+  AdmissionControl admission(admission_config);
+  VehicularCloud cloud(CloudId{7}, net_,
+                       stationary_membership(traffic_, center, kRadius),
+                       fixed_region(center, kRadius),
+                       std::make_unique<DwellAwareScheduler>(), {}, Rng(8));
+  cloud.set_admission(&admission);
+  std::size_t refreshes = 0;
+  cloud.set_refresh_hook([&](SimTime) {
+    ++refreshes;
+    expect_fresh_views(cloud, "refresh " + std::to_string(refreshes));
+  });
+  const auto submit = [&](const std::string& where) {
+    Task t;
+    t.work = 500.0;  // outlasts the test: its worker stays busy
+    cloud.submit(t);
+    expect_fresh_views(cloud, "submit " + where);
+  };
+  const auto dwell_of = [&](VehicleId v) {
+    for (const WorkerView& view : cloud.views()) {
+      if (view.id == v) return view.dwell_seconds;
+    }
+    return -1.0;
+  };
+  cloud.refresh();
+  ASSERT_EQ(cloud.member_count(), 8u);
+  for (int i = 0; i < 3; ++i) submit("initial " + std::to_string(i));
+
+  // find_mutable: an idle member pulls out, so its dwell turns from +inf
+  // into the walk out of the disc.
+  VehicleId driver;
+  for (const VehicleId v : parked) {
+    if (!cloud.running_on(v).valid()) driver = v;
+  }
+  ASSERT_TRUE(driver.valid());
+  ASSERT_TRUE(std::isinf(dwell_of(driver)));
+  mobility::VehicleState* s = traffic_.find_mutable(driver);
+  s->parked = false;
+  s->speed = 2.0;
+  expect_fresh_views(cloud, "after find_mutable");
+  EXPECT_TRUE(std::isfinite(dwell_of(driver)));
+
+  // spawn_parked and spawn: an admitted claim names the next vehicle id
+  // before that vehicle exists (dwell 0); the spawn gives it a dwell.
+  const VehicleId claimed{parked.back().value() + 1};
+  ASSERT_TRUE(cloud.offer_join(claimed, /*fabricated=*/true));
+  submit("after a claim");
+  EXPECT_EQ(dwell_of(claimed), 0.0);
+  ASSERT_EQ(traffic_.spawn_parked(LinkId{0}, 70.0), claimed);
+  expect_fresh_views(cloud, "after spawn_parked");
+  EXPECT_TRUE(std::isinf(dwell_of(claimed)));
+  const VehicleId claimed_moving{claimed.value() + 1};
+  ASSERT_TRUE(cloud.offer_join(claimed_moving, /*fabricated=*/true));
+  expect_fresh_views(cloud, "after a second claim");
+  ASSERT_EQ(traffic_.spawn({LinkId{0}}, 3.0), claimed_moving);
+  expect_fresh_views(cloud, "after spawn");
+  EXPECT_GT(dwell_of(claimed_moving), 0.0);
+
+  // despawn: a busy member crashes and its vehicle vanishes; the zombie
+  // stays on the books with dwell 0.
+  VehicleId victim;
+  for (const VehicleId v : parked) {
+    if (cloud.running_on(v).valid()) victim = v;
+  }
+  ASSERT_TRUE(victim.valid());
+  cloud.crash_worker(victim);
+  traffic_.despawn(victim);
+  submit("after a crash");
+  EXPECT_EQ(dwell_of(victim), 0.0);
+
+  // A busy member leaves gracefully: the refresh hands its task over.
+  VehicleId leaver;
+  for (const VehicleId v : parked) {
+    if (v != victim && cloud.running_on(v).valid()) leaver = v;
+  }
+  ASSERT_TRUE(leaver.valid());
+  traffic_.despawn(leaver);
+  cloud.refresh();  // the driver leaves the lot too
+  EXPECT_FALSE(cloud.is_worker(leaver));
+  EXPECT_FALSE(cloud.is_worker(driver));
+  EXPECT_EQ(cloud.stats().migrations, 1u);
+
+  // Admission eviction: a member's revocation becomes visible.
+  VehicleId revoked;
+  for (const VehicleId v : cloud.worker_ids()) {
+    if (v != victim && cloud.running_on(v).valid()) revoked = v;
+  }
+  ASSERT_TRUE(revoked.valid());
+  admission.note_revoked(revoked, 0.0);
+  admission.deliver_crl(revoked, 0.0, 0.0, 0.0);
+  cloud.refresh();
+  EXPECT_FALSE(cloud.is_worker(revoked));
+  EXPECT_EQ(admission.stats().revoked_evictions, 1u);
+  submit("after an eviction");
+  EXPECT_EQ(refreshes, 3u);
+}
+
+// ---- Work counters: a dwell estimate per member per instant -----------------
+
+TEST(ViewMemo, SubmitWorkloadEstimatesEachMemberAtMostOnce) {
+  core::VehicularCloudSystem system(
+      city_config(core::CloudArchitecture::kDynamic));
+  system.start();
+  system.run_for(5.55);  // the world moved since the last refresh
+  VehicularCloud& cloud = system.cloud();
+  const std::size_t workers = cloud.member_count();
+  ASSERT_GT(workers, 20u);
+  const std::uint64_t before = cloud.dwell_estimates();
+  // More tasks than members, so every submit runs a dispatch round. A
+  // rebuild per round would cost k * W estimates.
+  const std::size_t k = 2 * workers;
+  system.submit_workload(WorkloadConfig{20.0, 1.0, 0.2, 60.0}, k);
+  EXPECT_GT(cloud.pending_count(), 0u);
+  const std::uint64_t made = cloud.dwell_estimates() - before;
+  EXPECT_GT(made, 0u);
+  EXPECT_LE(made, workers);
+}
+
+TEST_F(CloudFixture, RefreshWithDeparturesEstimatesEachMemberAtMostOnce) {
+  // 40 parked members, 30 busy; 8 busy ones leave. Each departure hands
+  // over through views(), and so do the broker election and the dispatch
+  // round: a rebuild per read would cost (D + 2) * W estimates.
+  std::vector<VehicleId> parked;
+  for (int i = 0; i < 40; ++i) {
+    parked.push_back(traffic_.spawn_parked(LinkId{0}, 4.0 * i));
+  }
+  net_.refresh();
+  VehicularCloud cloud(CloudId{9}, net_,
+                       stationary_membership(traffic_, {100, 0}, 400.0),
+                       fixed_region({100, 0}, 400.0),
+                       std::make_unique<GreedyResourceScheduler>(), {},
+                       Rng(10));
+  cloud.refresh();
+  for (int i = 0; i < 30; ++i) {
+    Task t;
+    t.work = 500.0;
+    cloud.submit(t);
+  }
+  std::size_t departed = 0;
+  for (const VehicleId v : parked) {
+    if (departed < 8 && cloud.running_on(v).valid()) {
+      traffic_.despawn(v);
+      ++departed;
+    }
+  }
+  ASSERT_EQ(departed, 8u);
+  const std::size_t workers = cloud.member_count();
+  const std::uint64_t before = cloud.dwell_estimates();
+  cloud.refresh();
+  EXPECT_EQ(cloud.member_count(), workers - departed);
+  EXPECT_EQ(cloud.stats().migrations, departed);
+  EXPECT_LE(cloud.dwell_estimates() - before, workers);
 }
 
 // ---- Dependability: crashes, heartbeats, retry, checkpoints, replicas ---------
