@@ -1,26 +1,40 @@
 #include "geo/road_network.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
-#include <queue>
+
+#include "geo/route_search.h"
 
 namespace vcl::geo {
 
 NodeId RoadNetwork::add_node(Vec2 pos) {
   const NodeId id{nodes_.size()};
+  if (nodes_.empty()) {
+    lo_ = hi_ = pos;
+  } else {
+    lo_.x = std::min(lo_.x, pos.x);
+    lo_.y = std::min(lo_.y, pos.y);
+    hi_.x = std::max(hi_.x, pos.x);
+    hi_.y = std::max(hi_.y, pos.y);
+  }
   nodes_.push_back(RoadNode{id, pos, {}, {}});
   return id;
 }
 
 LinkId RoadNetwork::add_link(NodeId from, NodeId to, double speed_limit,
                              int lanes) {
-  assert(from.value() < nodes_.size() && to.value() < nodes_.size());
+  const Vec2 a = node(from).pos;  // std::out_of_range for an unknown node
+  const Vec2 b = node(to).pos;
   const LinkId id{links_.size()};
-  const Vec2 a = nodes_[from.value()].pos;
-  const Vec2 b = nodes_[to.value()].pos;
-  links_.push_back(RoadLink{id, from, to, distance(a, b), speed_limit, lanes});
+  const double length = distance(a, b);
+  const double speed = std::max(speed_limit, 0.1);
+  const double time = length / speed;
+  links_.push_back(RoadLink{id, from, to, length, speed_limit, lanes});
   link_dirs_.push_back((b - a).normalized());
+  link_heads_.push_back(to);
+  link_times_.push_back(time);
+  top_speed_ = std::max(top_speed_, speed);
+  min_link_time_ = std::min(min_link_time_, time);
+  total_link_time_ += time;
   nodes_[from.value()].out_links.push_back(id);
   nodes_[to.value()].in_links.push_back(id);
   return id;
@@ -45,51 +59,8 @@ Vec2 RoadNetwork::position_on_link(LinkId id, double offset) const {
 
 std::optional<std::vector<LinkId>> RoadNetwork::shortest_path(
     NodeId from, NodeId to) const {
-  const std::size_t n = nodes_.size();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<LinkId> via(n);  // link used to reach each node
-  using QE = std::pair<double, std::uint64_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[from.value()] = 0.0;
-  pq.push({0.0, from.value()});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == to.value()) break;
-    for (const LinkId lid : nodes_[u].out_links) {
-      const RoadLink& l = links_[lid.value()];
-      const double cost = l.length / std::max(l.speed_limit, 0.1);
-      const double nd = d + cost;
-      if (nd < dist[l.to.value()]) {
-        dist[l.to.value()] = nd;
-        via[l.to.value()] = lid;
-        pq.push({nd, l.to.value()});
-      }
-    }
-  }
-  if (!std::isfinite(dist[to.value()])) return std::nullopt;
-  std::vector<LinkId> path;
-  for (NodeId at = to; at != from;) {
-    const LinkId lid = via[at.value()];
-    path.push_back(lid);
-    at = links_[lid.value()].from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::pair<Vec2, Vec2> RoadNetwork::bounding_box() const {
-  if (nodes_.empty()) return {{}, {}};
-  Vec2 lo = nodes_.front().pos;
-  Vec2 hi = lo;
-  for (const RoadNode& n : nodes_) {
-    lo.x = std::min(lo.x, n.pos.x);
-    lo.y = std::min(lo.y, n.pos.y);
-    hi.x = std::max(hi.x, n.pos.x);
-    hi.y = std::max(hi.y, n.pos.y);
-  }
-  return {lo, hi};
+  RouteSearch search;
+  return search.find(*this, from, to);
 }
 
 RoadNetwork make_manhattan_grid(int rows, int cols, double spacing,

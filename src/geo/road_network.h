@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "geo/vec2.h"
@@ -35,6 +37,8 @@ struct RoadLink {
 class RoadNetwork {
  public:
   NodeId add_node(Vec2 pos);
+  // A straight link between two existing nodes; throws std::out_of_range
+  // for a node the network does not have.
   LinkId add_link(NodeId from, NodeId to, double speed_limit, int lanes = 1);
 
   [[nodiscard]] const RoadNode& node(NodeId id) const;
@@ -51,18 +55,44 @@ class RoadNetwork {
     return link_dirs_.at(id.value());
   }
 
-  // Dijkstra shortest path (by travel time) from node `from` to node `to`;
-  // returns the list of links, or nullopt when unreachable.
+  // Per-link arrays by link id, recorded in add_link for route search: the
+  // head node and the travel time at the speed limit,
+  // length / max(speed_limit, 0.1).
+  [[nodiscard]] const std::vector<NodeId>& link_heads() const {
+    return link_heads_;
+  }
+  [[nodiscard]] const std::vector<double>& link_times() const {
+    return link_times_;
+  }
+  // Over all links: the top speed max(speed_limit, 0.1) and the smallest and
+  // summed travel time. 0, +inf and 0 with no links.
+  [[nodiscard]] double top_speed() const { return top_speed_; }
+  [[nodiscard]] double min_link_time() const { return min_link_time_; }
+  [[nodiscard]] double total_link_time() const { return total_link_time_; }
+
+  // Fastest path (by travel time) from node `from` to node `to`: the list of
+  // links, or nullopt when unreachable. A one-shot geo::RouteSearch; callers
+  // that search repeatedly keep their own. Throws std::out_of_range for a
+  // node the network does not have.
   [[nodiscard]] std::optional<std::vector<LinkId>> shortest_path(
       NodeId from, NodeId to) const;
 
   // Bounding box of all nodes; {0,0},{0,0} when empty.
-  [[nodiscard]] std::pair<Vec2, Vec2> bounding_box() const;
+  [[nodiscard]] std::pair<Vec2, Vec2> bounding_box() const {
+    return {lo_, hi_};
+  }
 
  private:
   std::vector<RoadNode> nodes_;
   std::vector<RoadLink> links_;
   std::vector<Vec2> link_dirs_;  // by link id
+  std::vector<NodeId> link_heads_;
+  std::vector<double> link_times_;
+  double top_speed_ = 0.0;
+  double min_link_time_ = std::numeric_limits<double>::infinity();
+  double total_link_time_ = 0.0;
+  Vec2 lo_;  // bounding box, grown in add_node
+  Vec2 hi_;
 };
 
 // ---- Generators -----------------------------------------------------------

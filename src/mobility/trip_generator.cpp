@@ -1,6 +1,7 @@
 #include "mobility/trip_generator.h"
 
 #include <numeric>
+#include <utility>
 
 namespace vcl::mobility {
 
@@ -28,9 +29,9 @@ std::vector<LinkId> TripGenerator::random_route(NodeId from) {
                                   net.node_count()))};
     const NodeId dest{static_cast<std::uint64_t>(rng_.index(net.node_count()))};
     if (dest == origin) continue;
-    auto path = net.shortest_path(origin, dest);
+    auto path = routes_.find(net, origin, dest);
     if (path && path->size() >= static_cast<std::size_t>(config_.min_trip_links)) {
-      return *path;
+      return std::move(*path);
     }
   }
   return {};

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "geo/route_search.h"
 #include "mobility/traffic.h"
 #include "util/rng.h"
 
@@ -45,6 +46,7 @@ class TripGenerator {
   TrafficModel& traffic_;
   TripGeneratorConfig config_;
   Rng rng_;
+  geo::RouteSearch routes_;  // every route this generator searches
   int spawned_ = 0;
 };
 

@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "geo/road_network.h"
+#include "geo/route_search.h"
 #include "geo/spatial_grid.h"
 #include "geo/vec2.h"
 #include "util/rng.h"
+#include "reference_route.h"
 
 namespace vcl::geo {
 namespace {
@@ -143,6 +153,14 @@ TEST(RoadNetwork, LinkGeometry) {
   EXPECT_NEAR(net.position_on_link(l, 1000.0).x, 100.0, 1e-9);
 }
 
+TEST(RoadNetwork, LinkToUnknownNodeThrows) {
+  RoadNetwork net;
+  const NodeId a = net.add_node({0, 0});
+  EXPECT_THROW(net.add_link(a, NodeId{1}, 10.0), std::out_of_range);
+  EXPECT_THROW(net.add_link(NodeId{}, a, 10.0), std::out_of_range);
+  EXPECT_EQ(net.link_count(), 0u);
+}
+
 TEST(RoadNetwork, ShortestPathOnGrid) {
   const RoadNetwork net = make_manhattan_grid(4, 4, 100.0);
   const NodeId from{0};
@@ -199,6 +217,194 @@ TEST(RoadNetwork, BoundingBox) {
 TEST(RoadNetwork, ParkingLotIsSlow) {
   const RoadNetwork net = make_parking_lot(3, 3);
   for (const auto& l : net.links()) EXPECT_LE(l.speed_limit, 5.0);
+}
+
+// ---- Route search ----------------------------------------------------------
+
+using Route = std::optional<std::vector<LinkId>>;
+
+// A jittered grid of `side` x `side` intersections with mixed speed limits,
+// one-way streets, some diagonals and some doubled links of equal cost, plus
+// a source node (out-links only) and a sink node (in-links only), so that
+// some pairs are unreachable.
+RoadNetwork make_perturbed_grid(int side, std::uint64_t seed) {
+  Rng rng(seed);
+  RoadNetwork net;
+  std::vector<NodeId> at;
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      at.push_back(net.add_node(
+          {c * 200.0 + rng.uniform(-60.0, 60.0),
+           r * 200.0 + rng.uniform(-60.0, 60.0)}));
+    }
+  }
+  constexpr std::array<double, 5> kSpeeds = {8.3, 13.9, 16.7, 22.2, 30.6};
+  const auto street = [&](NodeId a, NodeId b) {
+    const double v = kSpeeds[rng.index(kSpeeds.size())];
+    const double kind = rng.uniform();
+    if (kind < 0.85) net.add_link(a, b, v);
+    if (kind >= 0.7) net.add_link(b, a, v);
+    if (rng.bernoulli(0.05)) net.add_link(a, b, v);  // an equal-cost twin
+  };
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      const NodeId here = at[r * side + c];
+      if (c + 1 < side) street(here, at[r * side + c + 1]);
+      if (r + 1 < side) street(here, at[(r + 1) * side + c]);
+      if (c + 1 < side && r + 1 < side && rng.bernoulli(0.1)) {
+        street(here, at[(r + 1) * side + c + 1]);
+      }
+    }
+  }
+  const NodeId source = net.add_node({-150.0, -150.0});
+  net.add_link(source, at.front(), 13.9);
+  const NodeId sink = net.add_node({side * 200.0, side * 200.0});
+  net.add_link(at.back(), sink, 13.9);
+  return net;
+}
+
+// Every ordered pair, from == to included.
+void expect_all_pairs_match(const RoadNetwork& net, RouteSearch& search) {
+  for (std::uint64_t a = 0; a < net.node_count(); ++a) {
+    for (std::uint64_t b = 0; b < net.node_count(); ++b) {
+      ASSERT_EQ(search.find(net, NodeId{a}, NodeId{b}),
+                reference_shortest_path(net, NodeId{a}, NodeId{b}))
+          << "from " << a << " to " << b;
+    }
+  }
+}
+
+// `pairs` seeded random pairs, every 100th with from == to. Returns how many
+// were unreachable.
+int expect_seeded_pairs_match(const RoadNetwork& net, RouteSearch& search,
+                              int pairs, std::uint64_t seed) {
+  Rng rng(seed);
+  int unreachable = 0;
+  for (int i = 0; i < pairs; ++i) {
+    const NodeId from{rng.index(net.node_count())};
+    const NodeId to = i % 100 == 0 ? from : NodeId{rng.index(net.node_count())};
+    const Route want = reference_shortest_path(net, from, to);
+    const Route got = search.find(net, from, to);
+    EXPECT_EQ(got, want) << "from " << from << " to " << to;
+    if (got != want) break;
+    if (!want) ++unreachable;
+  }
+  return unreachable;
+}
+
+TEST(RouteSearch, UnknownNodeThrows) {
+  const RoadNetwork net = make_manhattan_grid(3, 3, 100.0);
+  RouteSearch search;
+  EXPECT_THROW((void)search.find(net, NodeId{}, NodeId{0}), std::out_of_range);
+  EXPECT_THROW((void)search.find(net, NodeId{0}, NodeId{}), std::out_of_range);
+  EXPECT_THROW((void)search.find(net, NodeId{9}, NodeId{0}), std::out_of_range);
+  EXPECT_THROW((void)search.find(net, NodeId{0}, NodeId{9}), std::out_of_range);
+  EXPECT_THROW((void)net.shortest_path(NodeId{}, NodeId{0}), std::out_of_range);
+  EXPECT_THROW((void)net.shortest_path(NodeId{0}, NodeId{9}), std::out_of_range);
+  // A refused query leaves the workspace usable.
+  EXPECT_EQ(search.find(net, NodeId{0}, NodeId{8}),
+            reference_shortest_path(net, NodeId{0}, NodeId{8}));
+}
+
+TEST(RouteSearch, MatchesDijkstraOnEveryPairOfSmallNetworks) {
+  RouteSearch search;
+  for (const RoadNetwork& net :
+       {make_manhattan_grid(6, 6, 200.0), make_parking_lot(5, 8),
+        make_highway(5000.0)}) {
+    ASSERT_TRUE(RouteSearch::goal_directed_is_exact(net));
+    expect_all_pairs_match(net, search);
+  }
+}
+
+TEST(RouteSearch, MatchesDijkstraOnSeededPairsOfLargeGrid) {
+  const RoadNetwork net = make_manhattan_grid(35, 35, 200.0);
+  ASSERT_TRUE(RouteSearch::goal_directed_is_exact(net));
+  RouteSearch search;
+  EXPECT_EQ(expect_seeded_pairs_match(net, search, 20000, 11), 0);
+}
+
+TEST(RouteSearch, MatchesDijkstraOnSeededPairsOfPerturbedGrid) {
+  const RoadNetwork net = make_perturbed_grid(30, 5);
+  ASSERT_TRUE(RouteSearch::goal_directed_is_exact(net));
+  RouteSearch search;
+  EXPECT_GT(expect_seeded_pairs_match(net, search, 20000, 12), 0);
+}
+
+// Zero-length links break the argument that makes A* exact: Dijkstra then
+// settles B before A although both are 10 s away, and keeps B -> T, where
+// the tie rule would pick A -> T. The search must fall back to Dijkstra.
+TEST(RouteSearch, ZeroLengthLinkFallsBackToDijkstra) {
+  RoadNetwork net;
+  const NodeId s = net.add_node({0, 0});
+  const NodeId a = net.add_node({100, 0});
+  const NodeId b = net.add_node({100, 0});
+  const NodeId t = net.add_node({200, 0});
+  const LinkId sb = net.add_link(s, b, 10.0);
+  net.add_link(b, a, 10.0);  // zero length
+  const LinkId bt = net.add_link(b, t, 10.0);
+  net.add_link(a, t, 10.0);
+  EXPECT_FALSE(RouteSearch::goal_directed_is_exact(net));
+  RouteSearch search;
+  EXPECT_EQ(search.find(net, s, t), (std::vector<LinkId>{sb, bt}));
+  expect_all_pairs_match(net, search);
+}
+
+// A link whose slack is lost in rounding against the network's scale also
+// turns the heuristic off.
+TEST(RouteSearch, TooShortLinkFallsBackToDijkstra) {
+  RoadNetwork net = make_manhattan_grid(35, 35, 200.0);
+  const NodeId near = net.add_node({0.5, 0.0});
+  net.add_link(NodeId{0}, near, 13.9);
+  net.add_link(near, NodeId{1}, 13.9);
+  EXPECT_FALSE(RouteSearch::goal_directed_is_exact(net));
+  RouteSearch search;
+  EXPECT_EQ(expect_seeded_pairs_match(net, search, 2000, 13), 0);
+}
+
+TEST(RouteSearch, OneWorkspaceServesNetworksOfDifferentSizes) {
+  const RoadNetwork large = make_manhattan_grid(35, 35, 200.0);
+  const RoadNetwork small = make_manhattan_grid(6, 6, 200.0);
+  const RoadNetwork perturbed = make_perturbed_grid(12, 21);
+  RouteSearch search;
+  Rng rng(14);
+  for (int i = 0; i < 600; ++i) {
+    const RoadNetwork& net = i % 3 == 0 ? small : (i % 3 == 1 ? large : perturbed);
+    const NodeId from{rng.index(net.node_count())};
+    const NodeId to{rng.index(net.node_count())};
+    ASSERT_EQ(search.find(net, from, to), reference_shortest_path(net, from, to))
+        << "query " << i;
+  }
+}
+
+// Searches share one const network from several threads, each with its own
+// workspace. Run under TSan, this keeps mutable state out of RoadNetwork.
+TEST(RouteSearch, ThreadsShareOneConstNetwork) {
+  const RoadNetwork net = make_manhattan_grid(35, 35, 200.0);
+  constexpr int kThreads = 4;
+  constexpr int kQueries = 300;
+  std::vector<std::pair<NodeId, NodeId>> queries;
+  std::vector<Route> want;
+  Rng rng(15);
+  for (int i = 0; i < kThreads * kQueries; ++i) {
+    queries.emplace_back(NodeId{rng.index(net.node_count())},
+                         NodeId{rng.index(net.node_count())});
+    want.push_back(
+        reference_shortest_path(net, queries.back().first, queries.back().second));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      RouteSearch search;
+      for (int i = t * kQueries; i < (t + 1) * kQueries; ++i) {
+        if (search.find(net, queries[i].first, queries[i].second) != want[i]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
 }
 
 }  // namespace

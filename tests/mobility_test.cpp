@@ -6,6 +6,7 @@
 #include "mobility/idm.h"
 #include "mobility/traffic.h"
 #include "mobility/trip_generator.h"
+#include "reference_route.h"
 #include "sim/simulator.h"
 
 namespace vcl::mobility {
@@ -215,6 +216,29 @@ TEST(TripGenerator, RoutesAreConnected) {
       EXPECT_EQ(net.link(route[j]).to, net.link(route[j + 1]).from);
     }
   }
+}
+
+// The fleet city_infra_large prefills: every route is the path plain
+// Dijkstra finds between the route's first and last nodes.
+TEST(TripGenerator, PrefilledRoutesAreDijkstraPaths) {
+  const auto net = geo::make_manhattan_grid(34, 34, 200.0);
+  TrafficModel traffic(net, Rng(1));
+  TripGeneratorConfig cfg;
+  cfg.target_population = 3200;
+  TripGenerator gen(traffic, cfg, Rng(2));
+  gen.prefill();
+  ASSERT_EQ(traffic.vehicle_count(), 3200u);
+  int checked = 0;
+  for (const auto& [id, v] : traffic.vehicles()) {
+    ASSERT_FALSE(v.route.empty());
+    const NodeId first = net.link(v.route.front()).from;
+    const NodeId last = net.link(v.route.back()).to;
+    ASSERT_EQ(std::optional(v.route),
+              geo::reference_shortest_path(net, first, last))
+        << "vehicle " << id;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3200);
 }
 
 }  // namespace
