@@ -29,11 +29,6 @@ class AttributeSet {
   [[nodiscard]] const std::set<Attribute>& all() const { return attrs_; }
   [[nodiscard]] bool empty() const { return attrs_.empty(); }
 
-  // Replaces every attribute sharing `key:` with the new value, e.g.
-  // set_keyed("role", "head") swaps role:* for role:head.
-  void set_keyed(const std::string& key, const std::string& value);
-  [[nodiscard]] std::string get_keyed(const std::string& key) const;
-
   friend bool operator==(const AttributeSet& a, const AttributeSet& b) {
     return a.attrs_ == b.attrs_;
   }

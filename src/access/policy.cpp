@@ -205,13 +205,6 @@ std::optional<Policy> Policy::parse(const std::string& text) {
   return Policy(std::move(root));
 }
 
-Policy Policy::single(const Attribute& attr) {
-  auto node = std::make_unique<PolicyNode>();
-  node->kind = GateKind::kLeaf;
-  node->attribute = attr;
-  return Policy(std::move(node));
-}
-
 Policy Policy::clone() const { return Policy(clone_node(*root_)); }
 
 void Policy::index_leaves() {

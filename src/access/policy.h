@@ -32,8 +32,6 @@ class Policy {
  public:
   // Parses the textual form; nullopt on syntax errors.
   static std::optional<Policy> parse(const std::string& text);
-  // Single-leaf convenience.
-  static Policy single(const Attribute& attr);
 
   Policy(Policy&&) = default;
   Policy& operator=(Policy&&) = default;

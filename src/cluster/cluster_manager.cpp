@@ -22,22 +22,11 @@ VehicleId ClusterManager::head_of(VehicleId v) const {
   return it->second.head;
 }
 
-std::vector<VehicleId> ClusterManager::members_of(VehicleId head) const {
-  std::vector<VehicleId> out;
-  for (const auto& [vid, a] : assignments_) {
-    if (a.role != ClusterRole::kFree && a.head == head) {
-      out.push_back(VehicleId{vid});
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 const ClusterList& ClusterManager::clusters() const {
   if (built_ && built_generation_ == generation_) return clusters_;
   // Every affiliated vehicle as (named head, id), sorted, so each head's
   // members are one run; only heads that currently hold the head role
-  // become clusters, and each list equals members_of(head).
+  // become clusters, and each list holds every vehicle naming that head.
   std::vector<std::pair<VehicleId, VehicleId>> affiliated;
   std::vector<VehicleId> heads;
   affiliated.reserve(assignments_.size());

@@ -43,7 +43,6 @@ class ClusterManager {
   [[nodiscard]] ClusterRole role(VehicleId v) const;
   // Head of v's cluster (== v when head; invalid id when free/unknown).
   [[nodiscard]] VehicleId head_of(VehicleId v) const;
-  [[nodiscard]] std::vector<VehicleId> members_of(VehicleId head) const;
   // All clusters, built from the assignment table on the first call after
   // it changed and cached until it changes again. The reference is valid
   // until the next update().

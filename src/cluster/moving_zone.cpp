@@ -9,10 +9,6 @@ namespace {
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
 }  // namespace
 
-bool MovingZone::compatible(geo::Vec2 vel_a, geo::Vec2 vel_b) const {
-  return compatible(vel_a, vel_a.norm(), vel_b, vel_b.norm());
-}
-
 bool MovingZone::compatible(geo::Vec2 vel_a, double speed_a, geo::Vec2 vel_b,
                             double speed_b) const {
   // Parked/near-stationary vehicles group by proximity alone.

@@ -26,14 +26,12 @@ class MovingZone final : public ClusterManager {
   [[nodiscard]] const char* name() const override { return "mozo"; }
   void update() override;
 
-  // Velocity-compatibility predicate (exposed for tests).
-  [[nodiscard]] bool compatible(geo::Vec2 vel_a, geo::Vec2 vel_b) const;
-
- private:
-  // compatible() with both speeds (the velocity norms) already computed.
+  // Velocity-compatibility predicate, with both speeds (the velocity
+  // norms) already computed.
   [[nodiscard]] bool compatible(geo::Vec2 vel_a, double speed_a,
                                 geo::Vec2 vel_b, double speed_b) const;
 
+ private:
   MovingZoneConfig config_;
   // update() scratch, indexed by slot (position in vehicles() order) or,
   // for slot_by_id_, by vehicle id; kept to reuse the allocations.

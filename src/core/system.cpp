@@ -235,11 +235,6 @@ void VehicularCloudSystem::run_for(SimTime seconds) {
   scenario_.run_for(seconds);
 }
 
-TaskId VehicularCloudSystem::submit(vcloud::Task spec) {
-  start();
-  return cloud_->submit(std::move(spec));
-}
-
 std::vector<TaskId> VehicularCloudSystem::submit_workload(
     const vcloud::WorkloadConfig& workload, std::size_t n) {
   start();

@@ -86,12 +86,10 @@ class VehicularCloudSystem {
  public:
   explicit VehicularCloudSystem(SystemConfig config);
 
-  // Builds the world and the cloud; must be called before submit/run.
+  // Builds the world and the cloud; must be called before cloud() is used.
   void start();
   void run_for(SimTime seconds);
 
-  // Submits a task spec to the cloud.
-  TaskId submit(vcloud::Task spec);
   // Generates and submits `n` tasks from the workload config.
   std::vector<TaskId> submit_workload(const vcloud::WorkloadConfig& workload,
                                       std::size_t n);

@@ -142,6 +142,4 @@ double TaskGraph::total_work() const {
   return sum;
 }
 
-std::string validate(const TaskGraph& graph) { return graph.check(); }
-
 }  // namespace vcl::dag

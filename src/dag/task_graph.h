@@ -91,8 +91,4 @@ class TaskGraph {
   bool sealed_ = false;
 };
 
-// Free-function spelling of TaskGraph::check(), mirroring fault::validate /
-// storage::validate: empty string when sane, else the first problem.
-[[nodiscard]] std::string validate(const TaskGraph& graph);
-
 }  // namespace vcl::dag

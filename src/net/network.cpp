@@ -13,10 +13,6 @@ Network::Network(sim::Simulator& sim, mobility::TrafficModel& traffic,
       rng_(rng),
       index_(channel_cfg.max_range) {}
 
-void Network::set_handler(Address addr, Handler handler) {
-  handlers_[addr.key()] = std::move(handler);
-}
-
 void Network::start_beacons(SimTime period) {
   refresh();
   sim_.schedule_every(period, [this] { refresh(); }, -1.0, "net.beacon");
@@ -316,24 +312,16 @@ void Network::set_default_vehicle_handler(VehicleHandler handler) {
 }
 
 void Network::deliver(const Message& msg, Address to, SimTime delay) {
+  if (!to.is_vehicle() || !vehicle_default_handler_) return;
   Message delivered = msg;
   delivered.hops += 1;
-  auto it = handlers_.find(to.key());
-  if (it != handlers_.end()) {
-    const Handler& handler = it->second;
-    sim_.schedule_after(delay, [handler, delivered] { handler(delivered); },
-                        "net.deliver");
-    return;
-  }
-  if (to.is_vehicle() && vehicle_default_handler_) {
-    const VehicleId self = to.as_vehicle();
-    sim_.schedule_after(
-        delay,
-        [this, self, delivered] {
-          if (vehicle_default_handler_) vehicle_default_handler_(self, delivered);
-        },
-        "net.deliver");
-  }
+  const VehicleId self = to.as_vehicle();
+  sim_.schedule_after(
+      delay,
+      [this, self, delivered] {
+        if (vehicle_default_handler_) vehicle_default_handler_(self, delivered);
+      },
+      "net.deliver");
 }
 
 bool Network::transmit(const Message& msg, Address to_addr) {
@@ -441,15 +429,14 @@ std::size_t Network::broadcast(Message msg) {
     ++stats_.broadcast_receptions;
     deliver(msg, addr, r.delay);
   }
-  // RSUs in range also hear broadcasts.
+  // RSUs in range also hear broadcasts. No handler listens on an RSU
+  // address, but each reception is still drawn and counted.
   for (const Rsu& rsu : rsus_.all()) {
     if (!rsu.online) continue;
     if (geo::distance(rsu.pos, *from) > rsu.range) continue;
     const ReceptionResult r =
         channel_.attempt(*from, *from, msg.size_bytes, density, rng_);
-    if (!r.received) continue;
-    ++reached;
-    deliver(msg, Address::rsu(rsu.id), r.delay);
+    if (r.received) ++reached;
   }
   return reached;
 }
@@ -481,17 +468,6 @@ void Network::register_metrics(obs::MetricsRegistry& metrics) const {
   metrics.gauge("chan.blackout.dropped", [this] {
     return static_cast<double>(channel_.counters().blackout_drops);
   });
-}
-
-void Network::send_backhaul(RsuId from, RsuId to, Message msg) {
-  const Rsu* src = rsus_.find(from);
-  const Rsu* dst = rsus_.find(to);
-  if (src == nullptr || dst == nullptr || !src->online || !dst->online) {
-    ++stats_.dropped;
-    return;
-  }
-  stats_.bytes_sent += msg.size_bytes;
-  deliver(msg, Address::rsu(to), backhaul_latency_);
 }
 
 }  // namespace vcl::net

@@ -19,9 +19,8 @@
 //    them.
 //  * Data messages. `send`/`broadcast` are per-message: reception is
 //    sampled on the live channel and delivery callbacks fire after the
-//    sampled hop delay. Vehicles and RSUs register handlers by address.
-//  * RSU backhaul. RSU-to-RSU delivery is wired and reliable with a fixed
-//    small latency.
+//    sampled hop delay. One handler receives every message delivered to a
+//    vehicle.
 #pragma once
 
 #include <array>
@@ -65,8 +64,6 @@ struct NetStats {
 
 class Network {
  public:
-  using Handler = std::function<void(const Message&)>;
-
   Network(sim::Simulator& sim, mobility::TrafficModel& traffic,
           ChannelConfig channel_cfg, Rng rng);
   // Helper threads hold `this` during a beacon round.
@@ -86,11 +83,9 @@ class Network {
     return traffic_;
   }
 
-  void set_handler(Address addr, Handler handler);
-
-  // Fallback handler invoked for any vehicle without a specific handler —
-  // routing protocols use this to run the same forwarding logic on every
-  // vehicle without registering per-spawn.
+  // The handler invoked for every message delivered to a vehicle: routing
+  // protocols run the same forwarding logic on every vehicle without
+  // registering per-spawn.
   using VehicleHandler = std::function<void(VehicleId, const Message&)>;
   void set_default_vehicle_handler(VehicleHandler handler);
 
@@ -135,8 +130,6 @@ class Network {
   // One-hop broadcast to everything in radio range of the source.
   // Returns the number of endpoints the transmission reached.
   std::size_t broadcast(Message msg);
-  // Wired RSU-to-RSU transfer (reliable).
-  void send_backhaul(RsuId from, RsuId to, Message msg);
 
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   NetStats& stats() { return stats_; }
@@ -145,9 +138,6 @@ class Network {
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
   // Registers the fabric's gauges (net.* / chan.*) with the sampler.
   void register_metrics(obs::MetricsRegistry& metrics) const;
-
-  [[nodiscard]] SimTime backhaul_latency() const { return backhaul_latency_; }
-  void set_backhaul_latency(SimTime s) { backhaul_latency_ = s; }
 
  private:
   // Reception rows of kRowChunk consecutive snapshot slots (stage A): slot
@@ -233,10 +223,8 @@ class Network {
   // Grid query scratch of the calling thread (beacon rounds, broadcast,
   // local_density).
   mutable std::vector<std::uint32_t> nearby_;
-  std::unordered_map<std::uint64_t, Handler> handlers_;
   VehicleHandler vehicle_default_handler_;
   std::uint64_t next_msg_id_ = 1;
-  SimTime backhaul_latency_ = 2 * kMilliseconds;
   SimTime neighbor_ttl_ = 3.0;
   std::unordered_map<std::uint64_t, double> extra_load_;
   NetStats stats_;

@@ -1,4 +1,4 @@
-// Road-side units: fixed infrastructure nodes with a wired backhaul.
+// Road-side units: fixed infrastructure nodes with a longer radio range.
 #pragma once
 
 #include <vector>

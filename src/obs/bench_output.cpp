@@ -90,20 +90,17 @@ std::string BenchReporter::to_json() const {
   return os.str();
 }
 
-bool BenchReporter::write() const {
-  if (!enabled()) return true;
+int BenchReporter::finish() const {
+  if (!enabled()) return 0;
   std::ofstream out(path_);
-  if (!out) return false;
   out << to_json();
-  return static_cast<bool>(out);
+  return finish_output(out, path_);
 }
 
-int BenchReporter::finish() const {
-  if (!write()) {
-    std::cerr << "error: could not write " << path_ << "\n";
-    return 1;
-  }
-  return 0;
+int finish_output(std::ostream& os, const std::string& name) {
+  if (os.flush()) return 0;
+  std::cerr << "error: could not write " << name << "\n";
+  return 1;
 }
 
 }  // namespace vcl::obs

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,9 @@ class BenchReporter {
   // Top-level named result (wall-clock, pass/fail counts, config knobs).
   void add_scalar(const std::string& key, double value);
 
-  // Writes the document; no-op without --json. Returns false on IO error.
-  bool write() const;
-  // Writes the document and returns the bench's exit code: 0, or 1 when the
-  // --json path could not be written (with a message on stderr).
+  // Writes the document (no-op without --json) and returns the bench's exit
+  // code: 0, or 1 when the --json path could not be written (with a message
+  // on stderr).
   int finish() const;
 
   // The document as a string (testing / in-process consumers).
@@ -98,5 +98,10 @@ class BenchReporter {
   std::map<std::string, double> scalars_;
   std::vector<TableCopy> tables_;
 };
+
+// Flushes a finished output stream and checks that everything written to it
+// arrived. Returns the exit code of a tool that wrote it: 0, or 1 after
+// printing "error: could not write <name>" on stderr.
+int finish_output(std::ostream& os, const std::string& name);
 
 }  // namespace vcl::obs

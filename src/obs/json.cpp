@@ -123,13 +123,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  comma();
-  key_pending_ = false;
-  os_ << "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::value_auto(const std::string& cell) {
   if (!cell.empty()) {
     char* end = nullptr;

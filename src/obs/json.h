@@ -68,7 +68,6 @@ class JsonWriter {
   JsonWriter& value(double v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   // Emits the cell as a number when it parses fully as one, else a string —
   // the bridge from Table's all-string rows to typed JSON.

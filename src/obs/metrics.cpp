@@ -6,10 +6,6 @@
 
 namespace vcl::obs {
 
-MetricsRegistry::Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
-}
-
 void MetricsRegistry::gauge(const std::string& name, GaugeFn fn) {
   gauges_[name] = std::move(fn);
 }
@@ -26,9 +22,6 @@ const QuantileSketch* MetricsRegistry::find_sketch(
 }
 
 double MetricsRegistry::value(const std::string& name) const {
-  if (auto it = counters_.find(name); it != counters_.end()) {
-    return it->second.value();
-  }
   if (auto it = gauges_.find(name); it != gauges_.end()) {
     return it->second ? it->second() : 0.0;
   }
@@ -39,12 +32,11 @@ double MetricsRegistry::value(const std::string& name) const {
 }
 
 std::size_t MetricsRegistry::metric_count() const {
-  return counters_.size() + gauges_.size() + sketch_views_.size();
+  return gauges_.size() + sketch_views_.size();
 }
 
 void MetricsRegistry::capture_columns() {
   columns_.clear();
-  for (const auto& [name, c] : counters_) columns_.push_back(name);
   for (const auto& [name, g] : gauges_) columns_.push_back(name);
   for (const auto& [name, s] : sketch_views_) {
     columns_.push_back(name + ".count");
@@ -61,10 +53,6 @@ std::vector<double> MetricsRegistry::snapshot_row() const {
   std::vector<double> row;
   row.reserve(columns_.size());
   for (const std::string& col : columns_) {
-    if (auto it = counters_.find(col); it != counters_.end()) {
-      row.push_back(it->second.value());
-      continue;
-    }
     if (auto it = gauges_.find(col); it != gauges_.end()) {
       row.push_back(it->second ? it->second() : 0.0);
       continue;
@@ -112,25 +100,6 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     for (const double v : s.values) os << ',' << json_number(v);
     os << '\n';
   }
-}
-
-void MetricsRegistry::write_json(std::ostream& os) const {
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("columns").begin_array();
-  w.value("t");
-  for (const std::string& col : columns_) w.value(col);
-  w.end_array();
-  w.key("samples").begin_array();
-  for (const Sample& s : samples_) {
-    w.begin_array();
-    w.value(s.t);
-    for (const double v : s.values) w.value(v);
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
 }
 
 void MetricsRegistry::write_sketches_json(std::ostream& os) const {

@@ -1,17 +1,13 @@
 // MetricsRegistry: named runtime metrics plus a periodic time-series
 // sampler (DESIGN.md §6).
 //
-// Components register metrics once at wiring time — counters they bump,
-// gauges the registry polls, sketches they feed — under dotted
+// Components register metrics once at wiring time — polled gauges and
+// views of the tail sketches they feed — under dotted
 // `subsystem.noun.verb` names ("net.unicast.sent", "cloud.member.count").
 // The sampler rides Simulator::schedule_every and snapshots every metric
-// each period; the resulting time series exports to CSV and JSON so a run's
+// each period; the resulting time series exports to CSV so a run's
 // dynamics (queue depth over time, member churn, detection latency) are a
 // plot away instead of a single end-of-run number.
-//
-// Registration is O(log n) map insertion; the handles returned are stable
-// for the registry's lifetime (node-based map), so the per-event cost of a
-// counter bump is one pointer-indirect add.
 #pragma once
 
 #include <functional>
@@ -28,21 +24,8 @@ namespace vcl::obs {
 
 class MetricsRegistry {
  public:
-  // Monotonic count (events, bytes, kills). Double-valued so work units
-  // and megabytes fit too.
-  class Counter {
-   public:
-    void inc(double d = 1.0) { value_ += d; }
-    [[nodiscard]] double value() const { return value_; }
-
-   private:
-    double value_ = 0.0;
-  };
-
   using GaugeFn = std::function<double()>;
 
-  // Returns the counter registered under `name`, creating it on first use.
-  Counter& counter(const std::string& name);
   // Registers (or replaces) a polled gauge.
   void gauge(const std::string& name, GaugeFn fn);
   // Registers a component-owned tail-quantile sketch by reference (the
@@ -75,8 +58,6 @@ class MetricsRegistry {
 
   // CSV: header `t,<col>,...` then one row per sample.
   void write_csv(std::ostream& os) const;
-  // JSON: {"columns":[...],"samples":[[t,...],...]}
-  void write_json(std::ostream& os) const;
   // Full sketch snapshots, one vcl-sketch-v1 document: every registered
   // sketch's layout + bucket counts, so tools (vcl_report) can reconstruct
   // and merge exact quantile state across replications.
@@ -93,8 +74,7 @@ class MetricsRegistry {
     std::vector<double> values;
   };
 
-  // std::map: deterministic column order and stable node addresses.
-  std::map<std::string, Counter> counters_;
+  // std::map: deterministic column order.
   std::map<std::string, GaugeFn> gauges_;
   std::map<std::string, const QuantileSketch*> sketch_views_;
   std::vector<std::string> columns_;

@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -28,36 +29,61 @@ bool fail(std::string* error, const std::string& why) {
 
 // ---- per-artifact loaders ---------------------------------------------------
 
+// A CSV line's cells, empty ones included ("1,,2" has three).
+std::vector<std::string> split_cells(const std::string& line) {
+  std::vector<std::string> cells(1);
+  for (const char c : line) {
+    if (c == ',') {
+      cells.emplace_back();
+    } else {
+      cells.back() += c;
+    }
+  }
+  return cells;
+}
+
+// A metrics.csv value: one whole finite number, or the writer's `null`
+// for a non-finite gauge reading (counted as 0).
+bool parse_cell(const std::string& cell, double& out) {
+  if (cell == "null") {
+    out = 0.0;
+    return true;
+  }
+  const char* end = cell.data() + cell.size();
+  const auto [last, ec] = std::from_chars(cell.data(), end, out);
+  return ec == std::errc{} && last == end && std::isfinite(out);
+}
+
+// Every row must match the header's width and hold only numbers; the final
+// row's values are the run's end-of-run counters.
 bool load_metrics_csv(const std::string& path, RunHealth& h,
                       std::string* error) {
   std::ifstream is(path);
   std::string header;
   if (!std::getline(is, header)) return fail(error, path + ": empty file");
-  std::vector<std::string> columns;
-  {
-    std::stringstream ss(header);
-    std::string col;
-    while (std::getline(ss, col, ',')) columns.push_back(col);
-  }
+  const std::vector<std::string> columns = split_cells(header);
+  std::vector<double> last;
   std::string line;
-  std::string last;
-  while (std::getline(is, line)) {
-    if (!line.empty()) last = line;
-  }
-  if (last.empty()) return true;  // header-only: registered but never sampled
-  std::stringstream ss(last);
-  std::string cell;
-  std::size_t i = 0;
-  while (std::getline(ss, cell, ',') && i < columns.size()) {
-    if (columns[i] != "t") {
-      h.counters[columns[i]] += std::strtod(cell.c_str(), nullptr);
+  for (std::size_t n = 2; std::getline(is, line); ++n) {
+    if (line.empty()) continue;
+    const std::string where = path + ": line " + std::to_string(n) + ": ";
+    const std::vector<std::string> cells = split_cells(line);
+    if (cells.size() != columns.size()) {
+      return fail(error, where + std::to_string(cells.size()) +
+                             " cells, header has " +
+                             std::to_string(columns.size()));
     }
-    ++i;
+    last.resize(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (!parse_cell(cells[i], last[i])) {
+        return fail(error, where + "column " + columns[i] + ": '" + cells[i] +
+                               "' is not a finite number");
+      }
+    }
   }
-  if (i != columns.size()) {
-    return fail(error, path + ": final row has " + std::to_string(i) +
-                           " cells, header has " +
-                           std::to_string(columns.size()));
+  // A header-only file (metrics registered, never sampled) adds nothing.
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    if (columns[i] != "t") h.counters[columns[i]] += last[i];
   }
   return true;
 }

@@ -83,15 +83,6 @@ void TraceRecorder::end_span(SimTime t, TraceCategory cat, const char* name,
   ev.span_id = ctx.span_id;
 }
 
-void TraceRecorder::clear() {
-  head_ = 0;
-  count_ = 0;
-  recorded_ = 0;
-  dropped_fields_ = 0;
-  next_trace_id_ = 1;
-  next_span_id_ = 1;
-}
-
 std::vector<TraceRecorder::Event> TraceRecorder::events() const {
   std::vector<Event> out;
   out.reserve(count_);

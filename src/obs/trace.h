@@ -141,7 +141,6 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t dropped_fields() const {
     return dropped_fields_;
   }
-  void clear();
 
   // Retained events, oldest first.
   [[nodiscard]] std::vector<Event> events() const;

@@ -30,14 +30,9 @@ void AdmissionControl::deliver_crl(VehicleId v, SimTime visible_at,
   }
 }
 
-void AdmissionControl::lift_revocation(VehicleId v) {
-  deliveries_.erase(v.value());
-}
-
 bool AdmissionControl::revoked_visible(VehicleId v, SimTime now) const {
   // Bloom fast path first: the common "not revoked" answer never touches
-  // the timing map (and a superseded entry erased from the map overrides a
-  // surviving Bloom positive — the filter is append-only).
+  // the timing map.
   if (!crl_.is_revoked(v.value())) return false;
   const auto it = deliveries_.find(v.value());
   return it != deliveries_.end() && now >= it->second.visible_at;

@@ -103,11 +103,6 @@ class AdmissionControl {
   // safety violation; inside it the race is legal.
   void deliver_crl(VehicleId v, SimTime visible_at, SimTime horizon_at,
                    SimTime now);
-  // A superseding CRL cleared the entry (re-admission test path). The
-  // Bloom filter is append-only by construction, so the exact timing map —
-  // which this erases — stays authoritative.
-  void lift_revocation(VehicleId v);
-
   // True once some RSU of this cloud holds the revocation (eviction and
   // arrival filtering act from here).
   [[nodiscard]] bool revoked_visible(VehicleId v, SimTime now) const;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <sstream>
 
 #include "cluster/cluster_manager.h"
-#include "util/table.h"
 #include "vcloud/admission.h"
 #include "vcloud/invariant_oracle.h"
 
@@ -30,44 +28,6 @@ bool same_region(const CloudRegion& a, const CloudRegion& b) {
 
 bool by_id(const WorkerView& view, VehicleId v) { return view.id < v; }
 }  // namespace
-
-// ---- CloudStats reporting ---------------------------------------------------
-
-std::string CloudStats::to_string() const {
-  std::ostringstream os;
-  os << "completed " << completed << "/" << submitted << " (rate "
-     << Table::num(completion_rate(), 2) << "), expired " << expired
-     << ", migrations " << migrations << ", reallocations " << reallocations
-     << ", retries " << retries << ", kills " << crash_kills << " crash + "
-     << false_positive_kills << " false, wasted "
-     << Table::num(wasted_work, 1) << ", redundant "
-     << Table::num(redundant_work, 1) << ", detect_mean "
-     << Table::num(detection_latency.mean(), 2) << " s";
-  return os.str();
-}
-
-std::vector<std::string> CloudStats::table_columns() {
-  return {"submitted", "completed", "expired",   "migr",      "realloc",
-          "retries",   "kills",     "fp_kills",  "replicas",  "wasted",
-          "redundant", "det_lat_s", "p95_lat_s"};
-}
-
-std::vector<std::string> CloudStats::table_row() const {
-  return {std::to_string(submitted),
-          std::to_string(completed),
-          std::to_string(expired),
-          std::to_string(migrations),
-          std::to_string(reallocations),
-          std::to_string(retries),
-          std::to_string(crash_kills),
-          std::to_string(false_positive_kills),
-          std::to_string(replicas_launched),
-          Table::num(wasted_work, 1),
-          Table::num(redundant_work, 1),
-          Table::num(detection_latency.mean(), 2),
-          // Sketch-backed: alpha-relative-accurate in fixed memory.
-          Table::num(latency_tail.percentile(95), 1)};
-}
 
 // ---- VehicularCloud ---------------------------------------------------------
 

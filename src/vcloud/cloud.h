@@ -101,11 +101,6 @@ struct CloudStats {
                            static_cast<double>(submitted)
                      : 0.0;
   }
-  // Uniform reporting for benches/examples: a one-line summary and a
-  // Table-compatible row (paired with table_columns()).
-  [[nodiscard]] std::string to_string() const;
-  static std::vector<std::string> table_columns();
-  [[nodiscard]] std::vector<std::string> table_row() const;
 };
 
 struct CloudConfig {

@@ -11,10 +11,6 @@ double IncentiveLedger::balance(std::uint64_t id) const {
   return it == balances_.end() ? config_.initial_credit : it->second;
 }
 
-bool IncentiveLedger::can_afford(std::uint64_t id, double work) const {
-  return balance(id) >= work * config_.price_per_work;
-}
-
 bool IncentiveLedger::charge(std::uint64_t id, double work) {
   double& bal = account(id);
   const double cost = work * config_.price_per_work;
@@ -28,10 +24,6 @@ bool IncentiveLedger::charge(std::uint64_t id, double work) {
 
 void IncentiveLedger::reward(std::uint64_t id, double work) {
   account(id) += work * config_.earn_per_work;
-}
-
-void IncentiveLedger::refund(std::uint64_t id, double work) {
-  account(id) += work * config_.price_per_work;
 }
 
 }  // namespace vcl::vcloud

@@ -31,17 +31,11 @@ class IncentiveLedger {
 
   [[nodiscard]] double balance(std::uint64_t account) const;
 
-  // True when the account can afford `work` units.
-  [[nodiscard]] bool can_afford(std::uint64_t account, double work) const;
-
   // Charges the requester at submission; false (and no charge) when the
   // balance is insufficient — the submission should be refused.
   bool charge(std::uint64_t account, double work);
   // Credits the worker at completion.
   void reward(std::uint64_t account, double work);
-  // Refund on failure outside the requester's control (worker loss without
-  // recovery).
-  void refund(std::uint64_t account, double work);
 
   [[nodiscard]] std::size_t throttled() const { return throttled_; }
   [[nodiscard]] std::size_t accounts() const { return balances_.size(); }

@@ -20,15 +20,6 @@ TEST(AttributeSet, BasicOps) {
   EXPECT_EQ(s.size(), 2u);
 }
 
-TEST(AttributeSet, SetKeyedReplaces) {
-  AttributeSet s{"role:member", "zone:a"};
-  s.set_keyed("role", "head");
-  EXPECT_TRUE(s.has("role:head"));
-  EXPECT_FALSE(s.has("role:member"));
-  EXPECT_EQ(s.get_keyed("role"), "head");
-  EXPECT_EQ(s.get_keyed("missing"), "");
-}
-
 // ---- Policy parsing / evaluation ----------------------------------------------
 
 TEST(Policy, ParseSingleAttribute) {

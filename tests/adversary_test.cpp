@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -116,22 +117,32 @@ TEST(AdmissionControl, RevokedArrivalIsRefusedAndCounted) {
             AdmissionControl::ClaimOutcome::kRejected);
 }
 
-TEST(AdmissionControl, SupersededCrlReadmits) {
+TEST(AdmissionControl, ExactSetOverridesBloomFalsePositive) {
   AdmissionControl adm(AdmissionConfig{});
-  const VehicleId v{9};
-  adm.deliver_crl(v, 2.0, 6.0, 2.0);
-  ASSERT_TRUE(adm.revoked_visible(v, 3.0));
+  for (std::uint64_t id = 1; id <= 4096; ++id) {
+    adm.deliver_crl(VehicleId{id}, 2.0, 6.0, 2.0);
+  }
+  ASSERT_TRUE(adm.revoked_visible(VehicleId{9}, 3.0));
 
-  // A superseding CRL clears the entry. The Bloom filter is append-only so
-  // it still answers "maybe revoked" — the erased exact map must override.
-  adm.lift_revocation(v);
-  EXPECT_TRUE(adm.crl().is_revoked(v.value()));  // stale Bloom positive
-  EXPECT_FALSE(adm.revoked_visible(v, 100.0));
-  EXPECT_TRUE(std::isinf(adm.revocation_horizon(v)));
-  EXPECT_TRUE(adm.allow_arrival(v, 100.0));
-  EXPECT_EQ(adm.offer_claim(v, /*fabricated=*/false, 100.0),
+  // A full filter answers "maybe revoked" for ~1% of ids never revoked; the
+  // exact set behind it must override. Find one such id by a bounded,
+  // seeded search: a Bloom positive is what makes the CRL probe its set.
+  Rng rng(17);
+  std::optional<VehicleId> stray;
+  for (int i = 0; i < 10000 && !stray; ++i) {
+    const VehicleId v{
+        static_cast<std::uint64_t>(rng.uniform_int(1'000'000, 2'000'000))};
+    const std::size_t probes = adm.crl().exact_probes();
+    EXPECT_FALSE(adm.crl().is_revoked(v.value()));
+    if (adm.crl().exact_probes() > probes) stray = v;
+  }
+  ASSERT_TRUE(stray.has_value());
+  EXPECT_FALSE(adm.revoked_visible(*stray, 100.0));
+  EXPECT_TRUE(std::isinf(adm.revocation_horizon(*stray)));
+  EXPECT_TRUE(adm.allow_arrival(*stray, 100.0));
+  EXPECT_EQ(adm.offer_claim(*stray, /*fabricated=*/false, 100.0),
             AdmissionControl::ClaimOutcome::kAdmitted);
-  EXPECT_TRUE(adm.was_admitted_claim(v));
+  EXPECT_TRUE(adm.was_admitted_claim(*stray));
 }
 
 TEST(AdmissionControl, ReplayFreshnessBoundaryIsStrict) {

@@ -157,10 +157,13 @@ TEST_F(ClusterFixture, FuzzyClusteringElectsCentralHead) {
 
 TEST_F(ClusterFixture, MovingZoneCompatiblePredicate) {
   MovingZone mgr(net_);
-  EXPECT_TRUE(mgr.compatible({20, 0}, {22, 0}));
-  EXPECT_FALSE(mgr.compatible({20, 0}, {-20, 0}));     // opposite heading
-  EXPECT_FALSE(mgr.compatible({20, 0}, {30, 0}));      // speed gap
-  EXPECT_TRUE(mgr.compatible({0, 0}, {0, 0}));         // both parked
+  const auto compatible = [&mgr](geo::Vec2 a, geo::Vec2 b) {
+    return mgr.compatible(a, a.norm(), b, b.norm());
+  };
+  EXPECT_TRUE(compatible({20, 0}, {22, 0}));
+  EXPECT_FALSE(compatible({20, 0}, {-20, 0}));     // opposite heading
+  EXPECT_FALSE(compatible({20, 0}, {30, 0}));      // speed gap
+  EXPECT_TRUE(compatible({0, 0}, {0, 0}));         // both parked
 }
 
 TEST_F(ClusterFixture, MovingZoneGroupsParkedVehicles) {
@@ -248,21 +251,35 @@ TEST_F(ClusterFixture, MembersOfReturnsSortedMembers) {
   net_.refresh();
   SpeedClustering mgr(net_);
   mgr.update();
-  const VehicleId head = mgr.clusters()[0].first;
-  const auto members = mgr.members_of(head);
+  const auto& [head, members] = mgr.clusters()[0];
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
   EXPECT_EQ(members.size(), 3u);
+  EXPECT_NE(std::find(members.begin(), members.end(), head), members.end());
 }
 
-// ---- clusters(): one pass, same result as one members_of() per head -------
+// ---- clusters(): one pass, same result as one scan per head ---------------
+
+// Every vehicle affiliated with `head` (the head itself included), found by
+// a full scan of the assignment table, sorted.
+std::vector<VehicleId> reference_members(const ClusterManager& m,
+                                         VehicleId head) {
+  std::vector<VehicleId> out;
+  for (const auto& [vid, a] : m.assignments()) {
+    if (a.role != ClusterRole::kFree && a.head == head) {
+      out.push_back(VehicleId{vid});
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 // The per-head construction clusters() replaced: every head's members found
-// by a full members_of() scan, then sorted by head id.
+// by a full scan, then sorted by head id.
 ClusterList reference_clusters(const ClusterManager& m) {
   ClusterList out;
   for (const auto& [vid, a] : m.assignments()) {
     if (a.role == ClusterRole::kHead) {
-      out.emplace_back(VehicleId{vid}, m.members_of(VehicleId{vid}));
+      out.emplace_back(VehicleId{vid}, reference_members(m, VehicleId{vid}));
     }
   }
   std::sort(out.begin(), out.end(),

@@ -81,7 +81,7 @@ TEST(System, StationarySystemOnParkingLot) {
   EXPECT_GT(system.cloud().member_count(), 10u);
   vcloud::Task t;
   t.work = 3.0;
-  system.submit(t);
+  system.cloud().submit(t);
   system.run_for(30.0);
   EXPECT_EQ(system.cloud().stats().completed, 1u);
 }

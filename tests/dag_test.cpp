@@ -46,7 +46,7 @@ dag::TaskGraph diamond_graph() {
 
 TEST(TaskGraphValidation, EmptyGraphIsRejected) {
   dag::TaskGraph g;
-  EXPECT_NE(dag::validate(g), "");
+  EXPECT_NE(g.check(), "");
   EXPECT_THROW(g.seal(), std::invalid_argument);
 }
 
@@ -58,7 +58,7 @@ TEST(TaskGraphValidation, CycleIsReportedByItsBackEdge) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 0);  // closes the cycle
-  const std::string problem = dag::validate(g);
+  const std::string problem = g.check();
   EXPECT_NE(problem.find("back-edge"), std::string::npos) << problem;
   try {
     g.seal();
@@ -72,26 +72,26 @@ TEST(TaskGraphValidation, CycleIsReportedByItsBackEdge) {
 TEST(TaskGraphValidation, NegativeWeightsAreRejected) {
   dag::TaskGraph g;
   g.add_node(-1.0);
-  EXPECT_NE(dag::validate(g), "");
+  EXPECT_NE(g.check(), "");
 
   dag::TaskGraph h;
   h.add_node(1.0);
   h.add_node(1.0);
   h.add_edge(0, 1, -0.5);
-  EXPECT_NE(dag::validate(h), "");
+  EXPECT_NE(h.check(), "");
 }
 
 TEST(TaskGraphValidation, EdgeBoundsAndSelfLoopsAreRejected) {
   dag::TaskGraph g;
   g.add_node(1.0);
   g.add_edge(0, 7);  // `to` out of range
-  EXPECT_NE(dag::validate(g), "");
+  EXPECT_NE(g.check(), "");
 
   dag::TaskGraph h;
   h.add_node(1.0);
   h.add_node(1.0);
   h.add_edge(1, 1);  // self-loop
-  EXPECT_NE(dag::validate(h), "");
+  EXPECT_NE(h.check(), "");
 }
 
 // ---- sealing and derived quantities -----------------------------------------

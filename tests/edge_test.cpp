@@ -186,8 +186,8 @@ TEST(NetworkEdge, SelfSendDoesNotLoop) {
   const auto a = traffic.spawn_parked(LinkId{0}, 0.0);
   net.refresh();
   int received = 0;
-  net.set_handler(net::Address::vehicle(a),
-                  [&](const net::Message&) { ++received; });
+  net.set_default_vehicle_handler(
+      [&](VehicleId, const net::Message&) { ++received; });
   net::Message msg;
   msg.id = net.next_message_id();
   msg.src = net::Address::vehicle(a);
@@ -208,7 +208,7 @@ TEST(SystemEdge, HighwayEnvironmentWorks) {
   system.start();
   vcloud::Task t;
   t.work = 3.0;
-  system.submit(t);
+  system.cloud().submit(t);
   system.run_for(60.0);
   EXPECT_GE(system.cloud().stats().completed, 0u);  // no crash; cloud runs
   EXPECT_GT(system.scenario().traffic().vehicle_count(), 10u);

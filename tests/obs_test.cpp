@@ -38,10 +38,9 @@ TEST(JsonWriter, ObjectsArraysAndEscaping) {
   w.key("arr").begin_array();
   w.value(std::uint64_t{7});
   w.value(true);
-  w.null();
   w.end_array();
   w.end_object();
-  EXPECT_EQ(os.str(), R"({"s":"a\"b\\c\n","n":1.5,"arr":[7,true,null]})");
+  EXPECT_EQ(os.str(), R"({"s":"a\"b\\c\n","n":1.5,"arr":[7,true]})");
 }
 
 TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
@@ -158,15 +157,6 @@ TEST(TraceRecorder, ChromeTraceShape) {
   EXPECT_NE(doc.find("{\"name\":\"task\"}"), std::string::npos);
 }
 
-TEST(TraceRecorder, ClearResets) {
-  TraceRecorder rec(4);
-  rec.record(1.0, TraceCategory::kSim, "x");
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_TRUE(rec.events().empty());
-}
-
 // ---- Causal spans -----------------------------------------------------------
 
 TEST(TraceSpans, BeginEndCarryCausalIds) {
@@ -234,10 +224,10 @@ TEST(TraceSpans, JsonlCarriesPhaseAndIdKeys) {
             std::string::npos);
   // Context-free instants stay byte-identical to the pre-span format: no
   // ph/trace/span/parent keys appear on them.
-  rec.clear();
-  rec.record(1.0, TraceCategory::kNet, "net.drop");
+  TraceRecorder instants(8);
+  instants.record(1.0, TraceCategory::kNet, "net.drop");
   std::ostringstream plain;
-  rec.write_jsonl(plain);
+  instants.write_jsonl(plain);
   EXPECT_NE(plain.str().find("{\"t\":1,\"cat\":\"net\",\"name\":"
                              "\"net.drop\"}\n"),
             std::string::npos);
@@ -522,11 +512,10 @@ TEST(StorageTelemetry, TracingOffLeavesStorageBehaviorUntouched) {
 
 // ---- MetricsRegistry --------------------------------------------------------
 
-TEST(MetricsRegistry, CountersGaugesSketchViews) {
+TEST(MetricsRegistry, GaugesAndSketchViews) {
   MetricsRegistry reg;
-  auto& c = reg.counter("net.unicast.sent");
-  c.inc();
-  c.inc(2.5);
+  double sent = 3.5;
+  reg.gauge("net.unicast.sent", [&sent] { return sent; });
   double depth = 7.0;
   reg.gauge("cloud.task.pending", [&depth] { return depth; });
   QuantileSketch latency;
@@ -541,8 +530,9 @@ TEST(MetricsRegistry, CountersGaugesSketchViews) {
   EXPECT_DOUBLE_EQ(reg.value("cloud.task.pending"), 7.0);
   EXPECT_DOUBLE_EQ(reg.value("cloud.task.latency"), latency.quantile(0.99));
   EXPECT_DOUBLE_EQ(reg.value("no.such.metric"), 0.0);
-  // counter() is idempotent: same name -> same counter.
-  reg.counter("net.unicast.sent").inc();
+  // Registering a gauge again replaces it.
+  reg.gauge("net.unicast.sent", [&sent] { return sent + 1.0; });
+  EXPECT_EQ(reg.metric_count(), 3u);
   EXPECT_DOUBLE_EQ(reg.value("net.unicast.sent"), 4.5);
 
   // A view contributes count and tail-quantile columns, sorted with the rest.
@@ -566,10 +556,11 @@ TEST(MetricsRegistry, CountersGaugesSketchViews) {
 TEST(MetricsRegistry, SamplerProducesTimeSeries) {
   sim::Simulator sim;
   MetricsRegistry reg;
-  auto& c = reg.counter("a.ticks.count");
+  double ticks = 0.0;
+  reg.gauge("a.ticks.count", [&ticks] { return ticks; });
   reg.gauge("b.clock.now", [&sim] { return sim.now(); });
   // Tick off the sampler's phase so same-instant tie order can't matter.
-  sim.schedule_every(1.0, [&c] { c.inc(); }, 0.5);
+  sim.schedule_every(1.0, [&ticks] { ticks += 1.0; }, 0.5);
   reg.start_sampling(sim, 2.0);
   sim.run_until(6.5);
 
@@ -586,12 +577,6 @@ TEST(MetricsRegistry, SamplerProducesTimeSeries) {
             "2,2,2\n"
             "4,4,4\n"
             "6,6,6\n");
-
-  std::ostringstream json;
-  reg.write_json(json);
-  EXPECT_EQ(json.str(),
-            "{\"columns\":[\"t\",\"a.ticks.count\",\"b.clock.now\"],"
-            "\"samples\":[[0,0,0],[2,2,2],[4,4,4],[6,6,6]]}\n");
 }
 
 // ---- BenchReporter ----------------------------------------------------------
@@ -618,7 +603,7 @@ TEST(BenchReporter, InertWithoutFlag) {
   const char* argv[] = {"bench_x"};
   BenchReporter rep("bench_x", 1, const_cast<char**>(argv));
   EXPECT_FALSE(rep.enabled());
-  EXPECT_TRUE(rep.write());  // no-op succeeds
+  EXPECT_EQ(rep.finish(), 0);  // no-op succeeds
 }
 
 TEST(BenchReporter, WritesFile) {
@@ -626,7 +611,7 @@ TEST(BenchReporter, WritesFile) {
   const char* argv[] = {"bench_x", "--json", path.c_str()};
   BenchReporter rep("bench_x", 3, const_cast<char**>(argv));
   rep.add_scalar("n", 2.0);
-  ASSERT_TRUE(rep.write());
+  ASSERT_EQ(rep.finish(), 0);
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -654,13 +639,17 @@ TEST(BenchReporter, EmitPrintsTableAndCollectsIt) {
 }
 
 TEST(BenchReporter, FinishReturnsOneOnUnwritablePath) {
-  const std::string path = ::testing::TempDir() + "no-such-dir/x.json";
-  const char* argv[] = {"bench_x", "--json", path.c_str()};
-  BenchReporter rep("bench_x", 3, const_cast<char**>(argv));
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(rep.finish(), 1);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
-            "error: could not write " + path + "\n");
+  // A full device opens, takes the document into the stream's buffer and
+  // fails only at the flush: the lost document must still fail the bench.
+  for (const std::string& path :
+       {::testing::TempDir() + "no-such-dir/x.json", std::string("/dev/full")}) {
+    const char* argv[] = {"bench_x", "--json", path.c_str()};
+    BenchReporter rep("bench_x", 3, const_cast<char**>(argv));
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(rep.finish(), 1) << path;
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "error: could not write " + path + "\n");
+  }
 
   // Without --json there is nothing to write: finish() succeeds silently.
   const char* inert_argv[] = {"bench_x"};
@@ -827,7 +816,7 @@ TEST(SystemTelemetry, CrashedTaskKeepsOneCausalTreeAcrossRecovery) {
   vcloud::Task spec;
   spec.work = 50.0;
   spec.deadline = 0.0;  // none: the crash must not expire it
-  const TaskId id = system.submit(spec);
+  const TaskId id = system.cloud().submit(spec);
   system.run_for(5.0);
   const vcloud::Task* task = system.cloud().find_task(id);
   ASSERT_NE(task, nullptr);
@@ -1009,7 +998,7 @@ TEST(Telemetry, WriteTelemetryCreatesTheExportTree) {
   cfg.metrics = true;
   Telemetry tel(cfg);
   tel.trace.record(1.0, TraceCategory::kTask, "task.submit");
-  tel.metrics.counter("x.count").inc();
+  tel.metrics.gauge("x.count", [] { return 1.0; });
   tel.metrics.sample(0.0);
 
   const std::string dir =
@@ -1056,8 +1045,7 @@ TEST(RunHealth, MergesArtifactsAndAttributesStormLatency) {
     tel.trace.end_span(4.0, TraceCategory::kTask, "task.life", task,
                        {{"outcome", kOutcomeCompleted}});
   }
-  tel.metrics.counter("x.count").inc();
-  tel.metrics.counter("x.count").inc();
+  tel.metrics.gauge("x.count", [] { return 2.0; });
   QuantileSketch sk;
   tel.metrics.sketch_view("demo.latency", sk);
   sk.add(0.1);
@@ -1224,6 +1212,51 @@ TEST(JsonReader, MalformedRecordsFailCleanlyInEveryLoader) {
       EXPECT_NE(error.find(line), std::string::npos)
           << l.name << " on " << value << tail << ": " << error;
     }
+  }
+}
+
+// metrics.csv is read the same way: every row as wide as the header, every
+// cell one whole finite number (or the writer's `null`), and a bad row is
+// named by its line.
+TEST(JsonReader, MalformedMetricsCsvFailsWithItsLine) {
+  const std::string dir = ::testing::TempDir() + "vcl_metrics_csv";
+  std::filesystem::create_directories(dir);
+  const auto load = [&dir](const std::string& text, RunHealth& h,
+                           std::string* error) {
+    std::ofstream(dir + "/metrics.csv") << text;
+    return build_run_health({dir}, h, error);
+  };
+  for (const char* ok :
+       {"t,x.count\n", "t,x.count\n0,1\n\n1,2.5\n", "t,x.count\n0,null\n"}) {
+    RunHealth h;
+    std::string error;
+    EXPECT_TRUE(load(ok, h, &error)) << ok << ": " << error;
+  }
+  RunHealth h;
+  std::string error;
+  ASSERT_TRUE(load("t,x.count\n0,1\n1,2.5\n", h, &error)) << error;
+  EXPECT_DOUBLE_EQ(h.counters.at("x.count"), 2.5);  // the final row counts
+
+  // {file, line of the bad row}
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"t,x.count\n1,abc\n", "line 2:"},
+      {"t,x.count\n1,5,99\n", "line 2:"},
+      {"t,x.count\n1\n", "line 2:"},
+      {"t,x.count\n1,\n", "line 2:"},
+      {"t,x.count\n,1\n", "line 2:"},
+      {"t,x.count\n0,1\n1,5x\n", "line 3:"},
+      {"t,x.count\n0,1\n1, 5\n", "line 3:"},
+      {"t,x.count\n0,1\n1,inf\n", "line 3:"},
+      {"t,x.count\n0,1\n1,nan\n", "line 3:"},
+      {"t,x.count\n0,1\n\n1,1e999\n", "line 4:"},
+      {"t,x.count\n0,abc\n1,2\n", "line 2:"},  // not only the final row
+  };
+  for (const auto& [text, line] : malformed) {
+    RunHealth bad;
+    error.clear();
+    EXPECT_FALSE(load(text, bad, &error)) << "accepted " << text;
+    EXPECT_NE(error.find("metrics.csv: " + line), std::string::npos)
+        << text << ": " << error;
   }
 }
 

@@ -35,6 +35,27 @@ class MitmFixture : public ::testing::Test {
   sim::Simulator sim_;
 };
 
+// The network has one vehicle handler, and the router installs it. A test
+// that taps one vehicle's deliveries installs its own and hands every other
+// vehicle's messages to the router's reception path, which is protected:
+// naming it through a derived class yields a pointer to it.
+struct ReceiveTap : routing::Router {
+  using routing::Router::on_receive;
+};
+
+void tap_deliveries(net::Network& net, routing::Router& router, VehicleId at,
+                    std::function<void(const net::Message&)> tap) {
+  net.set_default_vehicle_handler(
+      [&router, at, tap = std::move(tap)](VehicleId self,
+                                           const net::Message& m) {
+        if (self == at) {
+          tap(m);
+        } else {
+          (router.*&ReceiveTap::on_receive)(self, m);
+        }
+      });
+}
+
 TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
   net::Network net(sim_, traffic_, net::ChannelConfig{}, Rng(2));
   const auto src = traffic_.spawn_parked(LinkId{0}, 0.0);
@@ -59,13 +80,8 @@ TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
 
   // Intercept delivery at the destination to inspect the payload.
   crypto::Bytes received;
-  net.set_handler(net::Address::vehicle(dst), [&](const net::Message& m) {
-    if (m.dst.is_vehicle() && m.dst.as_vehicle() == dst) {
-      received = m.payload;
-    } else {
-      // Not for us: hand back to the router's forwarding logic. (The
-      // specific handler overrides the default; emulate pass-through.)
-    }
+  tap_deliveries(net, router, dst, [&](const net::Message& m) {
+    if (m.dst.is_vehicle() && m.dst.as_vehicle() == dst) received = m.payload;
   });
 
   // Originate manually so we can attach the payload.
@@ -80,8 +96,8 @@ TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
     msg.dst_pos = *pos;
     msg.has_dst_pos = true;
   }
-  // First hop: src -> mid (the MITM relay); the router's handler runs on
-  // mid because the specific handler is only registered for dst. The 250 m
+  // First hop: src -> mid (the MITM relay); the router's reception path
+  // runs on mid because only dst is tapped. The 250 m
   // hop is lossy; retry until one attempt lands (independent samples).
   bool sent = false;
   for (int attempt = 0; attempt < 500 && !sent; ++attempt) {
@@ -110,9 +126,8 @@ TEST_F(MitmFixture, HonestRelayPreservesPayload) {
   router.attach();
   net.refresh();
   crypto::Bytes received;
-  net.set_handler(net::Address::vehicle(dst), [&](const net::Message& m) {
-    received = m.payload;
-  });
+  tap_deliveries(net, router, dst,
+                 [&](const net::Message& m) { received = m.payload; });
   // Broadcast fresh copies until one crosses the lossy first hop (the
   // 250 m link fails often by design; retrying is what real senders do).
   sim_.schedule_every(1.0, [&] {

@@ -1132,8 +1132,8 @@ TEST_F(CloudFixture, StatsReportingIsWellFormed) {
   cloud->submit(t);
   sim_.run_until(60.0);
   const CloudStats& s = cloud->stats();
-  EXPECT_FALSE(s.to_string().empty());
-  EXPECT_EQ(CloudStats::table_columns().size(), s.table_row().size());
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.completed, 1u);
   EXPECT_DOUBLE_EQ(s.completion_rate(), 1.0);
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/bench_output.h"
 #include "obs/incident.h"
 #include "obs/json.h"
 
@@ -40,7 +41,8 @@ int usage(const char* argv0) {
       << "  --json   one vcl-incident-view-v1 JSON document for CI\n"
       << "exit codes:\n"
       << "  0  bundle parsed and a non-empty timeline rendered\n"
-      << "  1  malformed bundle, or nothing to render (empty timeline)\n"
+      << "  1  malformed bundle, nothing to render (empty timeline), or\n"
+      << "     stdout could not be written\n"
       << "  2  usage error or unreadable input\n";
   return 2;
 }
@@ -343,5 +345,5 @@ int main(int argc, char** argv) {
   } else {
     write_text(bundle, rows, std::cout);
   }
-  return 0;
+  return vcl::obs::finish_output(std::cout, "stdout");
 }

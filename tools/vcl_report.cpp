@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/bench_output.h"
 #include "obs/report.h"
 
 namespace {
@@ -44,6 +45,7 @@ int usage(const char* argv0) {
             << "exit codes:\n"
             << "  0  report produced (violations included — the report is\n"
             << "     an observer; gating is the chaos runner's job)\n"
+            << "  1  the report could not be written (FILE or stdout)\n"
             << "  2  usage error, unreadable/malformed input, or no\n"
             << "     artifact found in any DIR\n";
   return 2;
@@ -81,16 +83,13 @@ int main(int argc, char** argv) {
 
   if (!out_path.empty()) {
     std::ofstream os(out_path);
-    if (!os) {
-      std::cerr << "error: cannot write " << out_path << "\n";
-      return 2;
-    }
     vcl::obs::write_health_json(os, health);
+    if (vcl::obs::finish_output(os, out_path) != 0) return 1;
   }
   if (json) {
     vcl::obs::write_health_json(std::cout, health);
   } else {
     vcl::obs::write_health_text(std::cout, health);
   }
-  return 0;
+  return vcl::obs::finish_output(std::cout, "stdout");
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/bench_output.h"
 #include "obs/trace_analysis.h"
 
 namespace {
@@ -46,8 +47,9 @@ int usage(const char* argv0) {
             << "             a partition violation in a complete trace)\n"
             << "exit codes:\n"
             << "  0  report rendered\n"
-            << "  1  unreadable or malformed trace, or (--dag) a\n"
-            << "     leg-partition violation in a complete trace\n"
+            << "  1  unreadable or malformed trace, (--dag) a leg-partition\n"
+            << "     violation in a complete trace, or stdout could not be\n"
+            << "     written\n"
             << "  2  usage error\n";
   return 2;
 }
@@ -117,5 +119,5 @@ int main(int argc, char** argv) {
   } else {
     analysis.write_report(std::cout, meta);
   }
-  return 0;
+  return vcl::obs::finish_output(std::cout, "stdout");
 }
