@@ -93,7 +93,7 @@ exp::RepReport run_cell(AttackCell cell, const std::string& out_dir) {
   system.run_for(kLoadWindow + kDrain);
 
   if (!out_dir.empty() && system.telemetry() != nullptr) {
-    obs::write_telemetry(*system.telemetry(), out_dir);
+    exp::export_telemetry(*system.telemetry(), out_dir);
   }
 
   const vcloud::CloudStats& s = system.cloud().stats();

@@ -80,7 +80,7 @@ exp::RepReport run_cell(const core::SystemConfig& cfg,
   system.run_for(300.0);
 
   if (!out_dir.empty() && system.telemetry() != nullptr) {
-    obs::write_telemetry(*system.telemetry(), out_dir);
+    exp::export_telemetry(*system.telemetry(), out_dir);
   }
 
   const vcloud::CloudStats& s = system.cloud().stats();

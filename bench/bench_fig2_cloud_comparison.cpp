@@ -88,7 +88,7 @@ exp::RepReport run_cloud(core::SystemConfig cfg, bool outage_phase,
              static_cast<double>(system.cloud().broker_changes())) /
                 (members_sum / static_cast<double>(members_samples)) / 4.0);
   if (!out_dir.empty() && system.telemetry() != nullptr) {
-    obs::write_telemetry(*system.telemetry(), out_dir);
+    exp::export_telemetry(*system.telemetry(), out_dir);
   }
   return rep;
 }

@@ -8,6 +8,8 @@
 #   - every bench except bench_crypto_micro, with --json;
 #   - every example (examples take no flags, so stdout only);
 #   - bench_fig2_cloud_comparison --reps 2 --telemetry-dir;
+#   - bench_dependability --reps 1 --telemetry-dir (E22: the full-mitigation
+#     dependability stack's trace and metrics);
 #   - vcl_chaos soaks in all four modes (plain, --storage, --dag,
 #     --adversary) at --episodes 20 --seed 1 --vehicles 25 --duration 60;
 #   - the replays (vcl_chaos --repro) of the committed repros, one per
@@ -32,7 +34,7 @@
 set -euo pipefail
 
 usage() {
-  sed -n '2,31p' "$0" >&2
+  sed -n '2,33p' "$0" >&2
   exit 2
 }
 
@@ -102,6 +104,9 @@ run_build() {
   mkdir -p "$out/fig2"
   run "$out/fig2" fig2 "$build/bench/bench_fig2_cloud_comparison" \
     --reps 2 --telemetry-dir telemetry
+  mkdir -p "$out/e22"
+  run "$out/e22" e22 "$build/bench/bench_dependability" \
+    --reps 1 --telemetry-dir telemetry
   local mode
   for mode in "" --storage --dag --adversary; do
     name="soak${mode:-_plain}"

@@ -332,8 +332,10 @@ ChaosEpisode run_chaos_episode(const ChaosScenarioConfig& config,
     }
   }
 
+  bool telemetry_failed = false;
   if (!telemetry_dir.empty() && system.telemetry() != nullptr) {
-    obs::write_telemetry(*system.telemetry(), telemetry_dir);
+    telemetry_failed =
+        !obs::write_telemetry(*system.telemetry(), telemetry_dir);
     // Oracle violations ride next to the trace so tools/vcl_report can fold
     // them into the run-health report: one flat JSON object per line
     // (vcl-violations-v1), written even when empty — an existing-but-empty
@@ -368,6 +370,7 @@ ChaosEpisode run_chaos_episode(const ChaosScenarioConfig& config,
           os << '\n';
         }
       }
+      telemetry_failed |= !os.flush();
     }
     // The forensic bundle rides next to the repro and the trace
     // (vcl-incident-v1, rendered by tools/vcl_incident). Only written when
@@ -375,12 +378,14 @@ ChaosEpisode run_chaos_episode(const ChaosScenarioConfig& config,
     if (incident_captured) {
       std::ofstream os(telemetry_dir + "/incident.jsonl");
       if (os) obs::write_incident_bundle(*incident, os);
+      telemetry_failed |= !os.flush();
     }
   }
 
   ChaosEpisode episode;
   episode.seed = config.seed;
   episode.plan = sys.fault_plan;
+  episode.telemetry_failed = telemetry_failed;
   if (incident_captured) episode.incident = incident;
   const vcloud::InvariantOracle* oracle = system.oracle();
   if (oracle != nullptr) {

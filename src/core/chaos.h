@@ -136,6 +136,9 @@ struct ChaosEpisode {
   // needs to render the causal timeline. Null when the episode was clean.
   // shared_ptr keeps ChaosEpisode cheaply copyable for the soak harness.
   std::shared_ptr<obs::IncidentBundle> incident;
+  // Set when the episode was asked to export into a directory and some
+  // file there (trace, metrics, violations, incident) could not be written.
+  bool telemetry_failed = false;
 
   [[nodiscard]] bool ok() const { return violation_count == 0; }
 };

@@ -131,8 +131,7 @@ void VehicularCloudSystem::start() {
                               : config_.fault_plan;
   if (!plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
-        net, std::move(plan), scenario_.fork_rng(14));
-    injector_->register_cloud(*cloud_);
+        net, *cloud_, std::move(plan), scenario_.fork_rng(14));
     injector_->set_flight(&flight_);
     injector_->attach();
   }
@@ -152,7 +151,7 @@ void VehicularCloudSystem::start() {
   // its own fork — enabling storage never reshuffles the other streams.
   if (config_.storage.enabled) {
     storage_ = std::make_unique<storage::StorageService>(
-        net, *cloud_, config_.storage, scenario_.fork_rng(21));
+        net, *cloud_, scenario_.fork_rng(21));
     storage_->set_flight(&flight_);
     storage_->attach();
     if (oracle_ != nullptr) {

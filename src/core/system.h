@@ -73,8 +73,8 @@ struct SystemConfig {
   // run is bit-identical to the seed. The storm schedule itself is a fault
   // plan (fault::StormConfig), not part of this config.
   bool adversary = false;
-  // The admission policy (defense switch, freshness window, sybil
-  // tolerance) the adversary path builds its AdmissionControl from.
+  // The admission policy (defense switch, freshness window) the adversary
+  // path builds its AdmissionControl from.
   vcloud::AdmissionConfig admission;
   // Observability (DESIGN.md §6): tracing, metric sampling and kernel
   // profiling, all off by default — a disabled run pays one branch per

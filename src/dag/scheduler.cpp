@@ -16,24 +16,22 @@ const char* to_string(DagPolicy policy) {
   return "unknown";
 }
 
+namespace {
+
+constexpr std::size_t kMaxNodeAttempts = 6;  // total attempt budget per node
+constexpr double kDwellMargin = 1.25;  // safety factor on expected remaining
+constexpr SimTime kCheckPeriod = 1.0;  // reliability-aware scan period
+
+}  // namespace
+
 std::string validate(const DagConfig& config, std::size_t fleet_size) {
   if (config.replicas == 0) {
     return "replicas must be >= 1 (k attempts per node)";
   }
-  if (config.max_node_attempts < config.replicas) {
+  if (config.replicas > kMaxNodeAttempts) {
     std::ostringstream os;
-    os << "max_node_attempts (" << config.max_node_attempts
-       << ") must be >= replicas (" << config.replicas << ")";
-    return os.str();
-  }
-  if (config.dwell_margin <= 0.0) {
-    std::ostringstream os;
-    os << "dwell_margin must be > 0 (got " << config.dwell_margin << ")";
-    return os.str();
-  }
-  if (config.check_period <= 0.0) {
-    std::ostringstream os;
-    os << "check_period must be > 0 (got " << config.check_period << ")";
+    os << "replicas (" << config.replicas << ") exceed the per-node attempt "
+       << "budget (" << kMaxNodeAttempts << ")";
     return os.str();
   }
   if (config.graph_deadline < 0.0) {
@@ -65,7 +63,7 @@ void DagScheduler::attach() {
   });
   if (config_.policy == DagPolicy::kReliabilityAware) {
     net_.simulator().schedule_every(
-        config_.check_period, [this] { reliability_scan(); }, -1.0,
+        kCheckPeriod, [this] { reliability_scan(); }, -1.0,
         "dag.check");
   }
 }
@@ -127,7 +125,7 @@ void DagScheduler::submit_node(GraphRun& g, std::size_t node, SimTime now) {
 
   std::size_t copies = 1;
   if (config_.policy == DagPolicy::kBlindK) {
-    copies = std::min(config_.replicas, config_.max_node_attempts);
+    copies = config_.replicas;
   }
   for (std::size_t c = 0; c < copies; ++c) {
     submit_attempt(g, node, now);
@@ -186,7 +184,7 @@ void DagScheduler::on_task_terminal(const vcloud::Task& task, SimTime now) {
   if (n.live > 0) return;
   if (cloud_.seeded_bug() == vcloud::SeededBug::kFailedResubmit) return;
   const bool out_of_time = g.deadline > 0.0 && now >= g.deadline;
-  if (!out_of_time && n.attempt_count < config_.max_node_attempts) {
+  if (!out_of_time && n.attempt_count < kMaxNodeAttempts) {
     ++stats_.resubmits;
     submit_attempt(g, node, now);
     return;
@@ -258,7 +256,7 @@ void DagScheduler::reliability_scan() {
       NodeRun& n = g.nodes[i];
       if (!n.submitted || n.succeeded) continue;
       if (n.live >= config_.replicas) continue;  // replica budget spent
-      if (n.attempt_count >= config_.max_node_attempts) continue;
+      if (n.attempt_count >= kMaxNodeAttempts) continue;
       // At risk when any live running attempt sits on a host predicted to
       // leave before the attempt can finish. A crashed or despawned host
       // predicts zero dwell, so its attempt is flagged immediately —
@@ -279,7 +277,7 @@ void DagScheduler::reliability_scan() {
         const double expected_remaining = task->remaining() / rate;
         if (!region) region = cloud_.region();
         const double dwell = cloud_.worker_dwell(task->worker, *region);
-        if (dwell < config_.dwell_margin * expected_remaining) {
+        if (dwell < kDwellMargin * expected_remaining) {
           at_risk = true;
           break;
         }

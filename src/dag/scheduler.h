@@ -12,19 +12,23 @@
 //
 // Placement/replication policies at equal replica budget k:
 //
-//   none        one attempt per node; failures resubmit (up to
-//               max_node_attempts) only after the cloud detects them;
+//   none        one attempt per node; failures resubmit (up to 6
+//               attempts per node) only after the cloud detects them;
 //   blind-k     k attempts per node up front, first finisher wins — the
 //               classic baseline that pays k× load for every node;
 //   reliability-aware
-//               one attempt up front; a periodic scan ("dag.check")
+//               one attempt up front; a scan every second ("dag.check")
 //               compares each running host's predicted dwell time against
 //               the node's expected remaining execution time and launches
 //               a backup attempt only when the host is predicted to leave
-//               before the node finishes (dwell < margin × remaining/rate),
+//               before the node finishes (dwell < 1.25 × remaining/rate),
 //               capped at k live attempts per node. Crashed hosts predict
 //               zero dwell, so backups launch before the failure detector
 //               even fires.
+//
+// The attempt budget (6), the dwell margin (1.25) and the scan period (1 s)
+// are named constants in scheduler.cpp; DagConfig picks only the policy, k
+// and the graph deadline.
 //
 // The scheduler claims the cloud's terminal hook (every attempt's terminal
 // transition routes back here), is deterministic per (config, seed), and
@@ -58,16 +62,13 @@ struct DagConfig {
   DagPolicy policy = DagPolicy::kNone;
   std::size_t replicas = 2;    // k: attempts per node (blind-k up front;
                                // reliability-aware live-attempt cap)
-  std::size_t max_node_attempts = 6;  // total attempt budget per node
-  double dwell_margin = 1.25;  // safety factor on expected remaining time
-  SimTime check_period = 1.0;  // reliability-aware scan period
   SimTime graph_deadline = 0.0;  // relative deadline per graph (0 = none)
 };
 
 // Empty string when sane, else a one-line description of the first problem
-// (same contract as storage::validate): k >= 1, attempt budget >= k,
-// positive margin/period, and — when the fleet size is known (> 0) — a
-// replication factor that the fleet can actually host.
+// (same contract as fault::validate): 1 <= k <= the per-node attempt budget,
+// a non-negative graph deadline, and — when the fleet size is known (> 0) —
+// a replication factor that the fleet can actually host.
 [[nodiscard]] std::string validate(const DagConfig& config,
                                    std::size_t fleet_size = 0);
 

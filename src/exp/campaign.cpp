@@ -3,12 +3,25 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <utility>
 
 #include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace vcl::exp {
+
+namespace {
+// Carries the directory of a failed export out of the replication.
+struct TelemetryExportError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+}  // namespace
+
+void export_telemetry(const obs::Telemetry& telemetry,
+                      const std::string& dir) {
+  if (!obs::write_telemetry(telemetry, dir)) throw TelemetryExportError(dir);
+}
 
 Cell::Cell(const Summary& s, int decimals) {
   text = Table::num(s.mean(), decimals);
@@ -102,7 +115,14 @@ std::map<std::string, Summary> Campaign::replicate(std::uint64_t base_seed,
     opts.out_dir = telemetry_dir_ + "/cell" + std::to_string(cells_);
   }
   ++cells_;
-  return exp::replicate(opts, fn, pool_.get());
+  try {
+    return exp::replicate(opts, fn, pool_.get());
+  } catch (const TelemetryExportError& e) {
+    // exp::replicate rethrows only after every replication finished.
+    std::cerr << "error: could not write telemetry to " << e.what() << "\n";
+    pool_.reset();  // join the idle workers before leaving
+    std::exit(1);
+  }
 }
 
 void Campaign::emit(const std::string& title,

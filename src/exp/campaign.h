@@ -34,6 +34,7 @@
 
 #include "exp/replicator.h"
 #include "obs/bench_output.h"
+#include "obs/telemetry.h"
 #include "util/table.h"
 
 namespace vcl::exp {
@@ -56,6 +57,12 @@ struct Cell {
   static Cell tail(const Summary& s, int decimals);
 };
 
+// Writes one replication's telemetry into `dir` (obs::write_telemetry). On
+// failure it throws; Campaign::replicate lets every replication of the cell
+// finish, then prints "error: could not write telemetry to <dir>" on the
+// calling thread and exits 1.
+void export_telemetry(const obs::Telemetry& telemetry, const std::string& dir);
+
 class Campaign {
  public:
   // Scans argv for --reps (1..10000) / --jobs (0..1024) (and --json via
@@ -73,7 +80,7 @@ class Campaign {
   // when export is off. Each replicate() call routes its replications to
   // "<dir>/cell<c>/rep<k>" (c counts replicate() calls, one per sweep
   // cell); the replication fn sees its directory as RepContext::out_dir
-  // and is expected to enable SystemConfig::telemetry + obs::write_telemetry
+  // and is expected to enable SystemConfig::telemetry + export_telemetry
   // when it is nonempty.
   [[nodiscard]] const std::string& telemetry_dir() const {
     return telemetry_dir_;

@@ -48,8 +48,9 @@ std::map<std::string, Summary> replicate(const ReplicateOptions& opts,
 
   // Per-rep export dirs are created serially up front: replications then
   // only ever write inside their own tree, so the parallel phase needs no
-  // filesystem coordination. Creation is best-effort — the writer surfaces
-  // the failure when the replication tries to export.
+  // filesystem coordination. Creation is best-effort — the writer
+  // (exp::export_telemetry) surfaces the failure when the replication tries
+  // to export.
   std::vector<std::string> rep_dirs(reps);
   if (!opts.out_dir.empty()) {
     for (std::size_t r = 0; r < reps; ++r) {

@@ -9,6 +9,43 @@ namespace vcl::fault {
 
 namespace {
 
+// Storm shapes: every storm of one kind has the same shape, only the rates
+// in StormConfig (and the replay window and age) vary.
+constexpr std::size_t kBurstSize = 4;  // mean crashes per burst (Poisson, >= 1)
+constexpr SimTime kBurstWindow = 2.0;  // a burst's crashes land in [t, t + w]
+constexpr int kFlapCycles = 4;         // outage/repair cycles of one RSU
+constexpr SimTime kFlapPeriod = 3.0;   // one cycle every period
+constexpr SimTime kFlapOutage = 1.0;   // each outage lasts this long
+constexpr std::size_t kDagCrashes = 2;  // crashes per DAG storm, spread over
+constexpr SimTime kDagWindow = 6.0;     // [t, t + window)
+constexpr SimTime kCrlVisible = 2.0;  // revoke -> the first RSU holds the CRL
+constexpr SimTime kCrlHorizon = 4.0;  // first RSU -> every RSU holds it
+constexpr std::size_t kReplayCount = 3;  // captures re-injected per flood
+
+// The blackout storms: a radio blackout of fixed duration from the storm's
+// arrival, centered in the base box, with `events` events of one kind
+// spaced strictly inside its window.
+struct BlackoutStorm {
+  SimTime duration;
+  std::size_t events;
+  FaultKind kind;
+  std::uint64_t FaultEvent::*tag;  // where the events' tags go; null = none
+  bool tag_per_event;              // else one tag shared by the storm
+};
+// Broker kills while the heartbeats that would elect a successor's
+// worldview are already being eaten by the channel.
+constexpr BlackoutStorm kCascade{10.0, 2, FaultKind::kBrokerCrash, nullptr,
+                                 false};
+// Crashes that all resolve against the SAME object's live holders, so the
+// storm can eat a write quorum of one object while the blackout hides its
+// lease renewals.
+constexpr BlackoutStorm kStorage{8.0, 2, FaultKind::kVehicleCrash,
+                                 &FaultEvent::storage_tag, false};
+// Fabricated identities (distinct tags) that knock exactly while the
+// channel is eating the beacons that would expose them.
+constexpr BlackoutStorm kSybil{8.0, 3, FaultKind::kSybilJoin,
+                               &FaultEvent::attack_tag, true};
+
 // Homogeneous Poisson storm arrivals over [0, horizon].
 std::vector<SimTime> storm_arrivals(double rate, SimTime horizon, Rng& rng) {
   std::vector<SimTime> times;
@@ -21,6 +58,38 @@ std::vector<SimTime> storm_arrivals(double rate, SimTime horizon, Rng& rng) {
   return times;
 }
 
+std::uint64_t draw_tag(Rng& rng) {
+  return 1 + static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+}
+
+// Appends one blackout storm arriving at `t`; every event joins `group`
+// (0 = ungrouped). Draw order: center x, center y, then the tags.
+void push_blackout_storm(FaultPlan& plan, const BlackoutStorm& shape,
+                         const FaultPlanConfig& base, SimTime t,
+                         std::uint64_t group, Rng& rng) {
+  FaultEvent blackout;
+  blackout.kind = FaultKind::kRadioBlackout;
+  blackout.at = t;
+  blackout.center = {rng.uniform(base.blackout_lo.x, base.blackout_hi.x),
+                     rng.uniform(base.blackout_lo.y, base.blackout_hi.y)};
+  blackout.radius = base.blackout_radius;
+  blackout.duration = shape.duration;
+  blackout.group = group;
+  plan.push_back(blackout);
+  const bool shared_tag = shape.tag != nullptr && !shape.tag_per_event;
+  std::uint64_t tag = shared_tag ? draw_tag(rng) : 0;
+  for (std::size_t i = 1; i <= shape.events; ++i) {
+    FaultEvent e;
+    e.kind = shape.kind;
+    e.at = t + shape.duration * static_cast<double>(i) /
+                   static_cast<double>(shape.events + 1);
+    if (shape.tag_per_event) tag = draw_tag(rng);
+    if (shape.tag != nullptr) e.*shape.tag = tag;
+    e.group = group;
+    plan.push_back(e);
+  }
+}
+
 }  // namespace
 
 std::string validate(const ChaosConfig& config) {
@@ -29,89 +98,32 @@ std::string validate(const ChaosConfig& config) {
   }
   const StormConfig& s = config.storms;
   if (s.burst_rate < 0.0) return "burst_rate is negative";
-  if (s.burst_rate > 0.0) {
-    if (s.burst_size == 0) return "burst_size is zero";
-    if (s.burst_window < 0.0) return "burst_window is negative";
-  }
   if (s.cascade_rate < 0.0) return "cascade_rate is negative";
-  if (s.cascade_rate > 0.0) {
-    if (s.cascade_blackout_duration <= 0.0) {
-      return "cascade_blackout_duration must be positive";
-    }
-    if (s.cascade_broker_kills < 1) return "cascade_broker_kills must be >= 1";
-    // Cascade blackout centers draw from the base box even when the base
-    // blackout rate is zero, so the box must be usable on its own.
-    if (config.base.blackout_lo.x > config.base.blackout_hi.x ||
-        config.base.blackout_lo.y > config.base.blackout_hi.y) {
-      return "blackout box is inverted (lo > hi)";
-    }
-    if (config.base.blackout_lo.x == 0.0 && config.base.blackout_lo.y == 0.0 &&
-        config.base.blackout_hi.x == 0.0 &&
-        config.base.blackout_hi.y == 0.0) {
-      return "cascade_rate > 0 but the blackout box was left at its "
-             "all-zero default (set it from the road bounding box)";
-    }
-    if (config.base.blackout_radius < 0.0) return "blackout_radius is negative";
-  }
   if (s.flap_rate < 0.0) return "flap_rate is negative";
-  if (s.flap_rate > 0.0) {
-    if (s.flap_cycles < 1) return "flap_cycles must be >= 1";
-    if (s.flap_period <= 0.0) return "flap_period must be positive";
-    if (s.flap_outage <= 0.0) return "flap_outage must be positive";
-  }
+  if (s.storage_rate < 0.0) return "storage_rate is negative";
   if (s.dag_rate < 0.0) return "dag_rate is negative";
-  if (s.dag_rate > 0.0) {
-    if (s.dag_window <= 0.0) return "dag_window must be positive";
-    if (s.dag_crashes == 0) return "dag_crashes must be >= 1";
-  }
   if (s.sybil_rate < 0.0) return "sybil_rate is negative";
-  if (s.sybil_rate > 0.0) {
-    if (s.sybil_blackout_duration <= 0.0) {
-      return "sybil_blackout_duration must be positive";
-    }
-    if (s.sybil_count == 0) return "sybil_count must be >= 1";
-    // Sybil blackout centers draw from the base box, same as cascades.
-    if (config.base.blackout_lo.x > config.base.blackout_hi.x ||
-        config.base.blackout_lo.y > config.base.blackout_hi.y) {
-      return "blackout box is inverted (lo > hi)";
-    }
-    if (config.base.blackout_lo.x == 0.0 && config.base.blackout_lo.y == 0.0 &&
-        config.base.blackout_hi.x == 0.0 &&
-        config.base.blackout_hi.y == 0.0) {
-      return "sybil_rate > 0 but the blackout box was left at its "
-             "all-zero default (set it from the road bounding box)";
-    }
-    if (config.base.blackout_radius < 0.0) return "blackout_radius is negative";
-  }
   if (s.revoke_rate < 0.0) return "revoke_rate is negative";
-  if (s.revoke_rate > 0.0) {
-    if (s.revoke_crl_visible < 0.0) return "revoke_crl_visible is negative";
-    if (s.revoke_crl_horizon < 0.0) return "revoke_crl_horizon is negative";
-  }
   if (s.replay_rate < 0.0) return "replay_rate is negative";
   if (s.replay_rate > 0.0) {
     if (s.replay_window <= 0.0) return "replay_window must be positive";
-    if (s.replay_count == 0) return "replay_count must be >= 1";
     if (s.replay_age <= 0.0) return "replay_age must be positive";
   }
-  if (s.storage_rate < 0.0) return "storage_rate is negative";
-  if (s.storage_rate > 0.0) {
-    if (s.storage_blackout_duration <= 0.0) {
-      return "storage_blackout_duration must be positive";
-    }
-    if (s.storage_crashes == 0) return "storage_crashes must be >= 1";
-    // Storage blackout centers draw from the base box, same as cascades.
-    if (config.base.blackout_lo.x > config.base.blackout_hi.x ||
-        config.base.blackout_lo.y > config.base.blackout_hi.y) {
+  // Blackout storms draw their centers from the base box even when the base
+  // blackout rate is zero, so the box must be usable on its own.
+  if (s.cascade_rate > 0.0 || s.storage_rate > 0.0 || s.sybil_rate > 0.0) {
+    const FaultPlanConfig& b = config.base;
+    if (b.blackout_lo.x > b.blackout_hi.x ||
+        b.blackout_lo.y > b.blackout_hi.y) {
       return "blackout box is inverted (lo > hi)";
     }
-    if (config.base.blackout_lo.x == 0.0 && config.base.blackout_lo.y == 0.0 &&
-        config.base.blackout_hi.x == 0.0 &&
-        config.base.blackout_hi.y == 0.0) {
-      return "storage_rate > 0 but the blackout box was left at its "
-             "all-zero default (set it from the road bounding box)";
+    if (b.blackout_lo.x == 0.0 && b.blackout_lo.y == 0.0 &&
+        b.blackout_hi.x == 0.0 && b.blackout_hi.y == 0.0) {
+      return "a blackout storm (cascade, storage or sybil) is on but the "
+             "blackout box was left at its all-zero default (set it from "
+             "the road bounding box)";
     }
-    if (config.base.blackout_radius < 0.0) return "blackout_radius is negative";
+    if (b.blackout_radius < 0.0) return "blackout_radius is negative";
   }
   return {};
 }
@@ -124,27 +136,26 @@ ChaosPlanner::ChaosPlanner(ChaosConfig config) : config_(std::move(config)) {
 
 FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
   const Rng root(seed);
-  const SimTime horizon = config_.base.horizon;
+  const FaultPlanConfig& base = config_.base;
+  const SimTime horizon = base.horizon;
   const StormConfig& storms = config_.storms;
 
   // The background and each storm shape consume independent forked streams:
   // turning a storm knob never reshuffles the others' schedules.
   Rng base_rng = root.fork(1);
-  FaultPlan plan = make_fault_plan(config_.base, base_rng);
+  FaultPlan plan = make_fault_plan(base, base_rng);
 
   Rng burst_rng = root.fork(2);
   for (const SimTime t :
        storm_arrivals(storms.burst_rate, horizon, burst_rng)) {
-    // Poisson scatter around the configured size, never below one crash.
+    // Poisson scatter around the burst size, never below one crash.
     const std::size_t size =
-        1 + static_cast<std::size_t>(burst_rng.poisson(
-                storms.burst_size > 1
-                    ? static_cast<double>(storms.burst_size - 1)
-                    : 0.0));
+        1 + static_cast<std::size_t>(
+                burst_rng.poisson(static_cast<double>(kBurstSize - 1)));
     for (std::size_t i = 0; i < size; ++i) {
       FaultEvent e;
       e.kind = FaultKind::kVehicleCrash;
-      e.at = t + burst_rng.uniform(0.0, std::max(storms.burst_window, 1e-9));
+      e.at = t + burst_rng.uniform(0.0, kBurstWindow);
       plan.push_back(e);  // victim picked from the live pool at fire time
     }
   }
@@ -152,26 +163,7 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
   Rng cascade_rng = root.fork(3);
   for (const SimTime t :
        storm_arrivals(storms.cascade_rate, horizon, cascade_rng)) {
-    FaultEvent blackout;
-    blackout.kind = FaultKind::kRadioBlackout;
-    blackout.at = t;
-    blackout.center = {cascade_rng.uniform(config_.base.blackout_lo.x,
-                                           config_.base.blackout_hi.x),
-                       cascade_rng.uniform(config_.base.blackout_lo.y,
-                                           config_.base.blackout_hi.y)};
-    blackout.radius = config_.base.blackout_radius;
-    blackout.duration = storms.cascade_blackout_duration;
-    plan.push_back(blackout);
-    // Broker kills spaced strictly INSIDE the blackout window: the cloud
-    // loses its broker while the heartbeats that would elect a successor's
-    // worldview are already being eaten by the channel.
-    for (int i = 1; i <= storms.cascade_broker_kills; ++i) {
-      FaultEvent kill;
-      kill.kind = FaultKind::kBrokerCrash;
-      kill.at = t + blackout.duration * static_cast<double>(i) /
-                        static_cast<double>(storms.cascade_broker_kills + 1);
-      plan.push_back(kill);
-    }
+    push_blackout_storm(plan, kCascade, base, t, 0, cascade_rng);
   }
 
   Rng flap_rng = root.fork(4);
@@ -181,12 +173,12 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
     // into the deployed range (modulo), so every cycle hits the same RSU.
     const RsuId victim{static_cast<std::uint64_t>(
         flap_rng.uniform_int(0, 1024))};
-    for (int i = 0; i < storms.flap_cycles; ++i) {
+    for (int i = 0; i < kFlapCycles; ++i) {
       FaultEvent e;
       e.kind = FaultKind::kRsuOutage;
-      e.at = t + storms.flap_period * static_cast<double>(i);
+      e.at = t + kFlapPeriod * static_cast<double>(i);
       e.rsu = victim;
-      e.repair_after = storms.flap_outage;
+      e.repair_after = kFlapOutage;
       plan.push_back(e);
     }
   }
@@ -194,29 +186,7 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
   Rng storage_rng = root.fork(5);
   for (const SimTime t :
        storm_arrivals(storms.storage_rate, horizon, storage_rng)) {
-    FaultEvent blackout;
-    blackout.kind = FaultKind::kRadioBlackout;
-    blackout.at = t;
-    blackout.center = {storage_rng.uniform(config_.base.blackout_lo.x,
-                                           config_.base.blackout_hi.x),
-                       storage_rng.uniform(config_.base.blackout_lo.y,
-                                           config_.base.blackout_hi.y)};
-    blackout.radius = config_.base.blackout_radius;
-    blackout.duration = storms.storage_blackout_duration;
-    plan.push_back(blackout);
-    // One tag for the whole storm: every crash resolves against the SAME
-    // object's live holders, so the storm can eat a write quorum of one
-    // object while the blackout hides its lease renewals.
-    const std::uint64_t tag =
-        1 + static_cast<std::uint64_t>(storage_rng.uniform_int(0, 1 << 20));
-    for (std::size_t i = 1; i <= storms.storage_crashes; ++i) {
-      FaultEvent kill;
-      kill.kind = FaultKind::kVehicleCrash;
-      kill.at = t + blackout.duration * static_cast<double>(i) /
-                        static_cast<double>(storms.storage_crashes + 1);
-      kill.storage_tag = tag;
-      plan.push_back(kill);
-    }
+    push_blackout_storm(plan, kStorage, base, t, 0, storage_rng);
   }
 
   Rng dag_rng = root.fork(6);
@@ -224,13 +194,12 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
     // One tag for the whole storm: every crash re-resolves against the SAME
     // DAG run, so the storm chases that run's critical path from host to
     // host as the scheduler re-places the node after each kill.
-    const std::uint64_t tag =
-        1 + static_cast<std::uint64_t>(dag_rng.uniform_int(0, 1 << 20));
-    for (std::size_t i = 0; i < storms.dag_crashes; ++i) {
+    const std::uint64_t tag = draw_tag(dag_rng);
+    for (std::size_t i = 0; i < kDagCrashes; ++i) {
       FaultEvent kill;
       kill.kind = FaultKind::kVehicleCrash;
-      kill.at = t + storms.dag_window * static_cast<double>(i) /
-                        static_cast<double>(storms.dag_crashes);
+      kill.at = t + kDagWindow * static_cast<double>(i) /
+                        static_cast<double>(kDagCrashes);
       kill.dag_tag = tag;
       plan.push_back(kill);
     }
@@ -245,31 +214,7 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
   Rng sybil_rng = root.fork(7);
   for (const SimTime t :
        storm_arrivals(storms.sybil_rate, horizon, sybil_rng)) {
-    const std::uint64_t group = next_group++;
-    FaultEvent blackout;
-    blackout.kind = FaultKind::kRadioBlackout;
-    blackout.at = t;
-    blackout.center = {sybil_rng.uniform(config_.base.blackout_lo.x,
-                                         config_.base.blackout_hi.x),
-                       sybil_rng.uniform(config_.base.blackout_lo.y,
-                                         config_.base.blackout_hi.y)};
-    blackout.radius = config_.base.blackout_radius;
-    blackout.duration = storms.sybil_blackout_duration;
-    blackout.group = group;
-    plan.push_back(blackout);
-    // Joins spaced strictly INSIDE the blackout window: the fabricated
-    // identities knock exactly while the channel is eating the beacons that
-    // would expose them. Distinct tags = distinct fabricated identities.
-    for (std::size_t i = 1; i <= storms.sybil_count; ++i) {
-      FaultEvent join;
-      join.kind = FaultKind::kSybilJoin;
-      join.at = t + blackout.duration * static_cast<double>(i) /
-                        static_cast<double>(storms.sybil_count + 1);
-      join.attack_tag =
-          1 + static_cast<std::uint64_t>(sybil_rng.uniform_int(0, 1 << 20));
-      join.group = group;
-      plan.push_back(join);
-    }
+    push_blackout_storm(plan, kSybil, base, t, next_group++, sybil_rng);
   }
 
   Rng revoke_rng = root.fork(8);
@@ -285,8 +230,8 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
     plan.push_back(revoke);
     FaultEvent deliver;
     deliver.kind = FaultKind::kCrlDeliver;
-    deliver.at = t + storms.revoke_crl_visible;
-    deliver.crl_horizon_after = storms.revoke_crl_horizon;
+    deliver.at = t + kCrlVisible;
+    deliver.crl_horizon_after = kCrlHorizon;
     deliver.group = group;
     plan.push_back(deliver);
   }
@@ -295,13 +240,12 @@ FaultPlan ChaosPlanner::plan(std::uint64_t seed) const {
   for (const SimTime t :
        storm_arrivals(storms.replay_rate, horizon, replay_rng)) {
     const std::uint64_t group = next_group++;
-    for (std::size_t i = 0; i < storms.replay_count; ++i) {
+    for (std::size_t i = 0; i < kReplayCount; ++i) {
       FaultEvent inject;
       inject.kind = FaultKind::kReplayInject;
       inject.at = t + storms.replay_window * static_cast<double>(i) /
-                          static_cast<double>(storms.replay_count);
-      inject.attack_tag =
-          1 + static_cast<std::uint64_t>(replay_rng.uniform_int(0, 1 << 20));
+                          static_cast<double>(kReplayCount);
+      inject.attack_tag = draw_tag(replay_rng);
       inject.replay_age = storms.replay_age;
       inject.group = group;
       plan.push_back(inject);

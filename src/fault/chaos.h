@@ -5,7 +5,10 @@
 // incidents are compound: a broker dies *while* a radio blackout already
 // hides the heartbeats, several workers crash within one second, the same
 // RSU flaps up and down faster than anyone re-anchors to it. The planner
-// layers three storm shapes on top of the independent background:
+// layers five storm shapes on top of the independent background (the three
+// §IV attack shapes are described on StormConfig below). Every shape is
+// fixed — the named constants in chaos.cpp — and StormConfig sets only how
+// often each arrives:
 //
 //  * burst   — a cluster of vehicle crashes packed into a short window
 //              (cascaded worker churn; stresses requeue + detector sweep);
@@ -46,71 +49,56 @@
 namespace vcl::fault {
 
 // Storm intensities over the base config's [0, horizon]. All rates default
-// to 0 = that storm shape off; a default StormConfig adds nothing.
+// to 0 = that storm shape off; a default StormConfig adds nothing. Each
+// shape is fixed (the named constants in chaos.cpp); only how often storms
+// arrive varies, plus the replay flood's window and age.
 struct StormConfig {
-  // Burst crashes: Poisson storm arrivals; each storm packs `burst_size`
-  // (+/- Poisson scatter) vehicle crashes into [t, t + burst_window].
+  // Burst crashes: Poisson storm arrivals; each storm packs 4 (+/- Poisson
+  // scatter, at least 1) vehicle crashes into [t, t + 2 s].
   double burst_rate = 0.0;  // storms per second
-  std::size_t burst_size = 4;
-  SimTime burst_window = 2.0;
 
-  // Broker-kill-during-blackout cascades: a blackout of fixed duration with
-  // `cascade_broker_kills` broker crashes spaced inside its window. Centers
-  // draw from the base config's blackout box.
+  // Broker-kill-during-blackout cascades: a 10 s blackout with 2 broker
+  // crashes spaced inside its window. Centers draw from the base config's
+  // blackout box.
   double cascade_rate = 0.0;
-  SimTime cascade_blackout_duration = 10.0;
-  int cascade_broker_kills = 2;
 
-  // Flapping RSU: `flap_cycles` outage/repair cycles of ONE explicit RSU,
-  // one cycle every flap_period, each outage lasting flap_outage.
+  // Flapping RSU: 4 outage/repair cycles of ONE explicit RSU, one cycle
+  // every 3 s, each outage lasting 1 s.
   double flap_rate = 0.0;
-  int flap_cycles = 4;
-  SimTime flap_period = 3.0;
-  SimTime flap_outage = 1.0;
 
-  // Storage-targeted storm: a blackout of fixed duration plus
-  // `storage_crashes` vehicle crashes spaced inside its window, all carrying
-  // the same storage_tag so the injector burst-kills the live holders of one
-  // object while its leases cannot renew. Centers draw from the base box.
+  // Storage-targeted storm: an 8 s blackout plus 2 vehicle crashes spaced
+  // inside its window, both carrying the same storage_tag so the injector
+  // burst-kills the live holders of one object while its leases cannot
+  // renew. Centers draw from the base box.
   double storage_rate = 0.0;
-  SimTime storage_blackout_duration = 8.0;
-  std::size_t storage_crashes = 2;
 
-  // DAG-targeted storm: `dag_crashes` vehicle crashes spaced over
-  // [t, t + dag_window], all carrying the same dag_tag so each crash
-  // re-resolves (at fire time) against the SAME DAG run's current
-  // critical-path holder — the storm chases the run's heaviest pending
-  // node from host to host as the scheduler re-places it.
+  // DAG-targeted storm: 2 vehicle crashes spaced over [t, t + 6 s), both
+  // carrying the same dag_tag so each crash re-resolves (at fire time)
+  // against the SAME DAG run's current critical-path holder — the storm
+  // chases the run's heaviest pending node from host to host as the
+  // scheduler re-places it.
   double dag_rate = 0.0;
-  SimTime dag_window = 6.0;
-  std::size_t dag_crashes = 2;
 
-  // Sybil burst inside a radio blackout (paper §IV.B): a blackout of fixed
-  // duration plus `sybil_count` fabricated-identity joins spaced inside its
-  // window — the fabricated hosts present themselves exactly while the real
-  // holders are dark and verification traffic is being eaten. Centers draw
-  // from the base box. The blackout and its joins share one shrink group.
+  // Sybil burst inside a radio blackout (paper §IV.B): an 8 s blackout plus
+  // 3 fabricated-identity joins spaced inside its window — the fabricated
+  // hosts present themselves exactly while the real holders are dark and
+  // verification traffic is being eaten. Centers draw from the base box.
+  // The blackout and its joins share one shrink group.
   double sybil_rate = 0.0;
-  SimTime sybil_blackout_duration = 8.0;
-  std::size_t sybil_count = 3;
 
   // CRL-propagation race (paper §IV.A): the authority revokes an identity
   // that may hold tasks/leases at storm time; the fresh CRL reaches the
-  // RSUs only `revoke_crl_visible` later, and the LAST RSU only
-  // `revoke_crl_horizon` after that. Inside the horizon the race is legal;
-  // past it a revoked member is a safety violation. The revoke and its
-  // delivery share one shrink group.
+  // RSUs 2 s later, and the LAST RSU 4 s after that. Inside the horizon
+  // the race is legal; past it a revoked member is a safety violation. The
+  // revoke and its delivery share one shrink group.
   double revoke_rate = 0.0;
-  SimTime revoke_crl_visible = 2.0;
-  SimTime revoke_crl_horizon = 4.0;
 
-  // Replay flood (paper §IV.C): `replay_count` captured join/ack messages
-  // re-injected over [t, t + replay_window], each `replay_age` seconds past
-  // its original timestamp — stale by construction, so a working freshness
+  // Replay flood (paper §IV.C): 3 captured join/ack messages re-injected
+  // over [t, t + replay_window), each `replay_age` seconds past its
+  // original timestamp — stale by construction, so a working freshness
   // window rejects every one. The flood shares one shrink group.
   double replay_rate = 0.0;
   SimTime replay_window = 4.0;
-  std::size_t replay_count = 3;
   SimTime replay_age = 5.0;
 
   [[nodiscard]] bool any() const {
@@ -125,9 +113,11 @@ struct ChaosConfig {
   StormConfig storms;
 };
 
-// Like validate(FaultPlanConfig): empty string when sane, else the problem.
-// A cascade_rate > 0 requires a usable blackout box in `base` even when
-// base.blackout_rate is zero (cascade blackouts draw centers from it).
+// Like validate(FaultPlanConfig): empty string when sane, else the problem:
+// a negative rate, a non-positive replay window or age while replays are
+// on, or — when a cascade, storage or sybil storm is on — an unusable
+// blackout box in `base`, even when base.blackout_rate is zero (those
+// storms' blackouts draw their centers from it).
 [[nodiscard]] std::string validate(const ChaosConfig& config);
 
 class ChaosPlanner {

@@ -13,18 +13,14 @@ void FaultInjector::attach() {
 }
 
 VehicleId FaultInjector::pick_crash_victim() {
-  // Pool = live workers of registered clouds, sorted and deduplicated so the
-  // draw is deterministic regardless of cloud registration order.
+  // Pool = live workers of the cloud, sorted so the draw is deterministic.
   std::vector<VehicleId> pool;
-  for (const vcloud::VehicularCloud* cloud : clouds_) {
-    for (const VehicleId v : cloud->worker_ids()) {
-      if (cloud->worker_crashed(v)) continue;  // already dead
-      if (net_.traffic().find(v) == nullptr) continue;
-      pool.push_back(v);
-    }
+  for (const VehicleId v : cloud_.worker_ids()) {
+    if (cloud_.worker_crashed(v)) continue;  // already dead
+    if (net_.traffic().find(v) == nullptr) continue;
+    pool.push_back(v);
   }
   std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
   if (pool.empty()) {
     // No cloud workers: any live vehicle will do (still a fault, just not
     // one the cloud feels directly).
@@ -39,9 +35,9 @@ VehicleId FaultInjector::pick_crash_victim() {
 
 void FaultInjector::crash_vehicle(VehicleId v) {
   if (!v.valid() || net_.traffic().find(v) == nullptr) return;
-  // Order matters: the clouds must snapshot in-flight progress while the
+  // Order matters: the cloud must snapshot in-flight progress while the
   // vehicle still exists; only then does it vanish from traffic.
-  for (vcloud::VehicularCloud* cloud : clouds_) cloud->crash_worker(v);
+  cloud_.crash_worker(v);
   net_.traffic().despawn(v);
 }
 
@@ -71,25 +67,18 @@ void FaultInjector::fire(const FaultEvent& e) {
       return;
     }
     case FaultKind::kBrokerCrash: {
-      // Kill the first registered cloud's current broker (round-robin over
-      // clouds would add plan-order coupling for little realism gain).
-      for (vcloud::VehicularCloud* cloud : clouds_) {
-        const VehicleId broker = cloud->broker();
-        if (broker.valid() && net_.traffic().find(broker) != nullptr) {
-          crash_vehicle(broker);
-          ++stats_.broker_crashes;
-          if (trace_ != nullptr) {
-            trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                           "fault.broker.crash",
-                           {{"vehicle", static_cast<double>(broker.value())}});
-          }
-          if (flight_ != nullptr) {
-            flight_->record(net_.simulator().now(),
-                            obs::FlightCategory::kFault, "fault.broker.crash",
-                            broker.value());
-          }
-          return;
-        }
+      const VehicleId broker = cloud_.broker();
+      if (!broker.valid() || net_.traffic().find(broker) == nullptr) return;
+      crash_vehicle(broker);
+      ++stats_.broker_crashes;
+      if (trace_ != nullptr) {
+        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
+                       "fault.broker.crash",
+                       {{"vehicle", static_cast<double>(broker.value())}});
+      }
+      if (flight_ != nullptr) {
+        flight_->record(net_.simulator().now(), obs::FlightCategory::kFault,
+                        "fault.broker.crash", broker.value());
       }
       return;
     }

@@ -4,13 +4,12 @@
 // vcloud/dependability.h defends against. It schedules every FaultEvent on
 // the sim clock at attach() time; each fires exactly once:
 //
-//  * kVehicleCrash — picks a victim (a random busy-or-idle worker of a
-//    registered cloud, falling back to any live vehicle), tells each
-//    registered cloud crash_worker() (zombie bookkeeping: the cloud is NOT
-//    notified of the loss) and despawns the vehicle from traffic.
-//  * kBrokerCrash — same, but the victim is a registered cloud's current
-//    broker: the worst-case single failure (§III.A — broker state IS cloud
-//    state).
+//  * kVehicleCrash — picks a victim (a random busy-or-idle worker of the
+//    cloud, falling back to any live vehicle), tells the cloud
+//    crash_worker() (zombie bookkeeping: the cloud is NOT notified of the
+//    loss) and despawns the vehicle from traffic.
+//  * kBrokerCrash — same, but the victim is the cloud's current broker: the
+//    worst-case single failure (§III.A — broker state IS cloud state).
 //  * kRsuOutage — takes an RSU offline and schedules its repair.
 //  * kRadioBlackout — installs a Channel blackout region for a window;
 //    every transmission with an endpoint inside it is lost (heartbeats
@@ -58,14 +57,11 @@ struct BlackoutWindow {
 
 class FaultInjector {
  public:
-  FaultInjector(net::Network& net, FaultPlan plan, Rng rng)
-      : net_(net), plan_(std::move(plan)), rng_(rng) {}
-
-  // Clouds whose workers are crash candidates (and which must be told about
-  // crashes so their zombie bookkeeping starts at the right instant).
-  void register_cloud(vcloud::VehicularCloud& cloud) {
-    clouds_.push_back(&cloud);
-  }
+  // `cloud`'s workers are the crash candidates, and it is told about every
+  // crash so its zombie bookkeeping starts at the right instant.
+  FaultInjector(net::Network& net, vcloud::VehicularCloud& cloud,
+                FaultPlan plan, Rng rng)
+      : net_(net), cloud_(cloud), plan_(std::move(plan)), rng_(rng) {}
 
   // Resolves a FaultEvent::storage_tag into a concrete victim when a
   // storage-targeted crash fires (installed by the system wiring when the
@@ -118,14 +114,14 @@ class FaultInjector {
  private:
   void fire(const FaultEvent& e);
   void crash_vehicle(VehicleId v);
-  // Random live worker across registered clouds (sorted pool, injector RNG);
-  // falls back to any live vehicle. Invalid when nothing is alive.
+  // Random live worker of the cloud (sorted pool, injector RNG); falls back
+  // to any live vehicle. Invalid when nothing is alive.
   [[nodiscard]] VehicleId pick_crash_victim();
 
   net::Network& net_;
+  vcloud::VehicularCloud& cloud_;
   FaultPlan plan_;
   Rng rng_;
-  std::vector<vcloud::VehicularCloud*> clouds_;
   StorageVictimResolver storage_resolver_;
   DagVictimResolver dag_resolver_;
   AttackHandler attack_handler_;

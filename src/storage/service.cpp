@@ -2,42 +2,37 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "vcloud/dwell.h"
 
 namespace vcl::storage {
 
-std::string validate(const StorageConfig& config) {
-  if (config.replicas == 0) return "replicas (N) must be >= 1";
-  if (config.write_quorum == 0) return "write_quorum (W) must be >= 1";
-  if (config.read_quorum == 0) return "read_quorum (R) must be >= 1";
-  if (config.write_quorum > config.replicas) {
-    return "write_quorum (W) exceeds replicas (N)";
-  }
-  if (config.read_quorum > config.replicas) {
-    return "read_quorum (R) exceeds replicas (N)";
-  }
-  if (config.write_quorum + config.read_quorum <= config.replicas) {
-    return "W + R must exceed N (quorum intersection, else reads can miss "
-           "every acked copy)";
-  }
-  if (config.lease_duration <= 0.0) return "lease_duration must be positive";
-  if (config.op_deadline < 0.0) return "op_deadline is negative";
-  if (config.repair_period < 0.0) return "repair_period is negative";
-  if (config.repair_rate == 0) return "repair_rate must be >= 1";
-  if (config.object_bytes == 0) return "object_bytes must be >= 1";
-  return {};
-}
+namespace {
+
+// The one deployment every bench, tool and chaos episode runs: the N = 3,
+// W = 2, R = 2 quorum model of arXiv 1711.02014.
+constexpr std::size_t kReplicas = 3;     // N: target replica count per object
+constexpr std::size_t kWriteQuorum = 2;  // W: acks before a write is acked
+constexpr std::size_t kReadQuorum = 2;   // R: responses for a fresh read
+static_assert(kWriteQuorum <= kReplicas && kReadQuorum <= kReplicas);
+static_assert(kWriteQuorum + kReadQuorum > kReplicas,
+              "quorum intersection: else reads can miss every acked copy");
+constexpr SimTime kLeaseDuration = 3.0;  // holder lease, heartbeat-renewed
+constexpr SimTime kOpDeadline = 2.0;     // per-op retry budget (virtual time)
+constexpr SimTime kRepairPeriod = 1.0;   // minimum spacing of repair rounds
+constexpr std::size_t kRepairRate = 2;   // max copy attempts per repair round
+constexpr std::size_t kObjectBytes = 1 << 20;  // replica payload on the wire
+constexpr vcloud::RetryConfig kRetry{true, 4, 0.2, 2.0, 0.5};  // per-op sends
+
+}  // namespace
 
 StorageService::StorageService(net::Network& net,
-                               vcloud::VehicularCloud& cloud,
-                               StorageConfig config, Rng rng)
-    : net_(net), cloud_(cloud), config_(std::move(config)), rng_(rng) {
-  if (const std::string problem = validate(config_); !problem.empty()) {
-    throw std::invalid_argument("StorageConfig: " + problem);
-  }
-}
+                               vcloud::VehicularCloud& cloud, Rng rng)
+    : net_(net), cloud_(cloud), rng_(rng) {}
+
+std::size_t StorageService::replica_target() const { return kReplicas; }
+
+std::size_t StorageService::write_quorum() const { return kWriteQuorum; }
 
 void StorageService::attach() {
   cloud_.set_heartbeat_hook(
@@ -114,10 +109,10 @@ void StorageService::prune_holder(ObjectState& obj, VehicleId v) {
 FileId StorageService::create(SimTime now) {
   const std::uint64_t id = next_object_id_++;
   ObjectState& obj = objects_[id];
-  obj.leases = LeaseTable(config_.lease_duration);
+  obj.leases = LeaseTable(kLeaseDuration);
   const std::vector<VehicleId> hosts = ranked_candidates({});
   for (const VehicleId v : hosts) {
-    if (obj.placement.size() >= config_.replicas) break;
+    if (obj.placement.size() >= kReplicas) break;
     obj.placement.push_back(v);
     grant_lease(obj, v, now);
   }
@@ -140,7 +135,7 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
 
   // Bounded quorum write: every attempt offers the version to each
   // placement member that has not taken it yet; attempts stop once W
-  // replicas have it or the op's virtual retry budget (op_deadline worth of
+  // replicas have it or the op's virtual retry budget (kOpDeadline worth of
   // retry_backoff) runs out. Replies and retries happen within one sim
   // instant — the channel's sampled losses (blackouts included) are what
   // the retries fight.
@@ -167,9 +162,7 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
 
   std::vector<VehicleId> written;
   SimTime elapsed = 0.0;
-  const int max_attempts =
-      config_.retry.enabled ? std::max(1, config_.retry.max_attempts) : 1;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
     const SimTime leg_begin = elapsed;
     obs::TraceContext leg_ctx;
     if (traced) {
@@ -183,7 +176,7 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
         continue;
       }
       if (!holder_alive(v)) continue;
-      if (!send_to(v, net::MessageKind::kStorageWrite, config_.object_bytes)) {
+      if (!send_to(v, net::MessageKind::kStorageWrite, kObjectBytes)) {
         continue;
       }
       obj.copy_version[v.value()] = version;
@@ -195,27 +188,27 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
                         {"version", static_cast<double>(version)}});
       }
     }
-    if (written.size() >= config_.write_quorum || attempt == max_attempts) {
+    if (written.size() >= kWriteQuorum || attempt == kRetry.max_attempts) {
       if (traced) {
         trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
                          "storage.leg.attempt", leg_ctx);
       }
       break;
     }
-    elapsed += vcloud::retry_backoff(config_.retry, attempt, rng_);
+    elapsed += vcloud::retry_backoff(kRetry, attempt, rng_);
     if (traced) {
       trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
                        "storage.leg.attempt", leg_ctx,
                        {{"backoff", elapsed - leg_begin}});
     }
-    if (elapsed > config_.op_deadline) break;
+    if (elapsed > kOpDeadline) break;
   }
   stats_.put_latency_tail.add(elapsed);
 
   if (!written.empty()) obj.latest_version = version;
   result.version = written.empty() ? 0 : version;
   result.replicas = written.size();
-  if (written.size() >= config_.write_quorum) {
+  if (written.size() >= kWriteQuorum) {
     obj.acked_version = version;
     obj.loss_logged = false;
     result.acked = true;
@@ -278,9 +271,7 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
   std::vector<VehicleId> answered;
   std::uint64_t max_seen = 0;
   SimTime elapsed = 0.0;
-  const int max_attempts =
-      config_.retry.enabled ? std::max(1, config_.retry.max_attempts) : 1;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
     const SimTime leg_begin = elapsed;
     obs::TraceContext leg_ctx;
     if (traced) {
@@ -308,20 +299,20 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
                                                  : 0)}});
       }
     }
-    if (answered.size() >= config_.read_quorum || attempt == max_attempts) {
+    if (answered.size() >= kReadQuorum || attempt == kRetry.max_attempts) {
       if (traced) {
         trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
                          "storage.leg.attempt", leg_ctx);
       }
       break;
     }
-    elapsed += vcloud::retry_backoff(config_.retry, attempt, rng_);
+    elapsed += vcloud::retry_backoff(kRetry, attempt, rng_);
     if (traced) {
       trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
                        "storage.leg.attempt", leg_ctx,
                        {{"backoff", elapsed - leg_begin}});
     }
-    if (elapsed > config_.op_deadline) break;
+    if (elapsed > kOpDeadline) break;
   }
   stats_.get_latency_tail.add(elapsed);
   const auto end_op_span = [&](double ok, double degraded) {
@@ -349,7 +340,7 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
   // least one up-to-date holder in any R responses; an unacked newer
   // version on a minority replica stays invisible). Anything less is a
   // degraded read: best live copy, flagged stale-risk.
-  if (answered.size() >= config_.read_quorum && max_seen >= obj.acked_version) {
+  if (answered.size() >= kReadQuorum && max_seen >= obj.acked_version) {
     result.version = obj.acked_version;
     ++stats_.reads_quorum;
     if (oracle_ != nullptr) {
@@ -418,9 +409,9 @@ void StorageService::maintenance(SimTime now) {
     }
   }
 
-  if (now < last_repair_ + config_.repair_period) return;
+  if (now < last_repair_ + kRepairPeriod) return;
   last_repair_ = now;
-  std::size_t budget = config_.repair_rate;
+  std::size_t budget = kRepairRate;
   for (auto& [id, obj] : objects_) {
     repair_object(id, obj, now, budget);
   }
@@ -499,12 +490,12 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
         if (!live_leased(v) || version_of(v) >= best) continue;
         --budget;  // attempts are charged, success or not (rate limit)
         if (!send_between(src, v, net::MessageKind::kStorageRepair,
-                          config_.object_bytes)) {
+                          kObjectBytes)) {
           continue;
         }
         obj.copy_version[v.value()] = best;
         ++stats_.freshen_copies;
-        stats_.mb_copied += static_cast<double>(config_.object_bytes) / 1e6;
+        stats_.mb_copied += static_cast<double>(kObjectBytes) / 1e6;
       }
     }
   }
@@ -520,10 +511,10 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
   while (budget > 0) {
     std::size_t healthy = 0;
     for (const VehicleId v : obj.placement) healthy += live_leased(v);
-    if (healthy >= config_.replicas) break;
+    if (healthy >= kReplicas) break;
     bool has_prunable = false;
     for (const VehicleId v : obj.placement) has_prunable |= prunable(v);
-    if (obj.placement.size() >= config_.replicas && !has_prunable) break;
+    if (obj.placement.size() >= kReplicas && !has_prunable) break;
 
     const std::vector<VehicleId> candidates = ranked_candidates(obj.placement);
     if (candidates.empty()) break;
@@ -534,14 +525,14 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
       if (!src.valid()) break;  // no live leased source: never risk the rest
       --budget;
       if (!send_between(src, dst, net::MessageKind::kStorageRepair,
-                        config_.object_bytes)) {
+                        kObjectBytes)) {
         break;  // channel down (blackout); retry next round
       }
       obj.placement.push_back(dst);
       obj.copy_version[dst.value()] = best;
       grant_lease(obj, dst, now);
       ++stats_.repair_copies;
-      stats_.mb_copied += static_cast<double>(config_.object_bytes) / 1e6;
+      stats_.mb_copied += static_cast<double>(kObjectBytes) / 1e6;
       if (trace_ != nullptr) {
         trace_->record(now, obs::TraceCategory::kCloud, "storage.repair.copy",
                        {{"object", static_cast<double>(id)},
@@ -556,7 +547,7 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
       grant_lease(obj, dst, now);
     }
 
-    if (obj.placement.size() > config_.replicas) {
+    if (obj.placement.size() > kReplicas) {
       // Swap complete: drop the worst suspect — dead first, stale second.
       std::vector<VehicleId> sorted = obj.placement;
       std::sort(sorted.begin(), sorted.end());

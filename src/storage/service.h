@@ -29,9 +29,9 @@
 // the InvariantOracle treat any regression as a hard violation.
 //
 // Determinism: placement ranking, repair order and victim resolution are
-// pure functions of (config, cloud state); the only randomness is the
+// pure functions of the cloud state; the only randomness is the
 // service's own forked RNG used for retry jitter, so a run is bit-identical
-// per (config, seed) and completely absent when the service is disabled.
+// per seed and completely absent when the service is disabled.
 #pragma once
 
 #include <cstdint>
@@ -49,23 +49,13 @@
 
 namespace vcl::storage {
 
+// The service has one shape: N = 3 replicas, W = 2, R = 2 (W + R > N is a
+// static_assert), 3 s leases, a 2 s per-op deadline with 4 send attempts,
+// and repair rounds at least 1 s apart of at most 2 copies each (the named
+// constants in service.cpp). The only setting is whether it runs.
 struct StorageConfig {
-  bool enabled = false;       // gate used by core::SystemConfig wiring
-  std::size_t replicas = 3;   // N: target replica count per object
-  std::size_t write_quorum = 2;  // W: acks required before a write is acked
-  std::size_t read_quorum = 2;   // R: responses required for a fresh read
-  SimTime lease_duration = 3.0;  // holder lease lifetime, heartbeat-renewed
-  SimTime op_deadline = 2.0;     // per-op retry budget (virtual backoff time)
-  SimTime repair_period = 1.0;   // minimum spacing between repair rounds
-  std::size_t repair_rate = 2;   // max copy attempts per repair round
-  std::size_t object_bytes = 1 << 20;  // replica payload size on the wire
-  vcloud::RetryConfig retry{true, 4, 0.2, 2.0, 0.5};  // per-op send retries
+  bool enabled = false;  // gate used by core::SystemConfig wiring
 };
-
-// Empty string when sane, else a one-line description of the first problem
-// (same contract as fault::validate): W ≤ N, R ≤ N, W + R > N, positive
-// lease/op/repair intervals, non-zero repair rate.
-[[nodiscard]] std::string validate(const StorageConfig& config);
 
 struct StorageStats {
   std::size_t objects = 0;
@@ -103,9 +93,7 @@ struct ReadResult {
 
 class StorageService final : public vcloud::StorageIntrospection {
  public:
-  // Throws std::invalid_argument when validate(config) reports a problem.
-  StorageService(net::Network& net, vcloud::VehicularCloud& cloud,
-                 StorageConfig config, Rng rng);
+  StorageService(net::Network& net, vcloud::VehicularCloud& cloud, Rng rng);
 
   // Claims the cloud's heartbeat hook (lease renewal) and refresh hook
   // (lease bookkeeping + repair). Call once, after the cloud's attach().
@@ -115,8 +103,8 @@ class StorageService final : public vcloud::StorageIntrospection {
   // grants their leases. The object holds no data until the first put.
   FileId create(SimTime now);
 
-  // Quorum write of the next version. Bounded retries within op_deadline;
-  // acked once W live replicas took the version.
+  // Quorum write of the next version. Bounded retries within the 2 s op
+  // deadline; acked once W live replicas took the version.
   WriteResult put(std::uint64_t client, FileId object, SimTime now);
 
   // Quorum read. Fresh (R responses covering the acked version) returns
@@ -132,7 +120,6 @@ class StorageService final : public vcloud::StorageIntrospection {
   [[nodiscard]] VehicleId storm_victim(std::uint64_t tag) const;
 
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
-  [[nodiscard]] const StorageConfig& config() const { return config_; }
   [[nodiscard]] std::vector<FileId> object_ids() const;
   // Live replicas holding at least the acked version (tests/benches).
   [[nodiscard]] std::size_t live_replicas(FileId object) const;
@@ -142,12 +129,8 @@ class StorageService final : public vcloud::StorageIntrospection {
   void for_each_object(
       const std::function<void(const vcloud::StorageObjectView&)>& fn)
       const override;
-  [[nodiscard]] std::size_t replica_target() const override {
-    return config_.replicas;
-  }
-  [[nodiscard]] std::size_t write_quorum() const override {
-    return config_.write_quorum;
-  }
+  [[nodiscard]] std::size_t replica_target() const override;
+  [[nodiscard]] std::size_t write_quorum() const override;
 
   // Nullable hookups, same inertness contract as the cloud's.
   void set_oracle(vcloud::InvariantOracle* oracle) { oracle_ = oracle; }
@@ -191,7 +174,6 @@ class StorageService final : public vcloud::StorageIntrospection {
 
   net::Network& net_;
   vcloud::VehicularCloud& cloud_;
-  StorageConfig config_;
   Rng rng_;
   std::map<std::uint64_t, ObjectState> objects_;  // ordered: deterministic
   std::uint64_t next_object_id_ = 1;

@@ -85,19 +85,8 @@ AdmissionControl::ClaimOutcome AdmissionControl::offer_claim(VehicleId v,
     return ClaimOutcome::kRejected;
   }
   if (fabricated) {
-    // Verification policy: an unverifiable identity may be admitted only
-    // while the configured tolerance lasts; past it, quarantine — the pen
-    // costs capacity, never correctness.
-    if (unverified_admitted_ < config_.max_unverified_admissions) {
-      ++unverified_admitted_;
-      ++stats_.sybil_admitted;
-      admitted_claims_.insert(v.value());
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kAttack,
-                        "attack.sybil.admit", v.value(), 1);
-      }
-      return ClaimOutcome::kAdmitted;
-    }
+    // Verification policy: an unverifiable identity is never admitted but
+    // quarantined — the pen costs capacity, never correctness.
     quarantine_.insert(v.value());
     ++stats_.sybil_quarantined;
     if (flight_ != nullptr) {

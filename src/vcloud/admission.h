@@ -54,14 +54,11 @@ struct AdmissionConfig {
   // seconds old are rejected (age exactly equal to the window is accepted —
   // attack::FreshnessChecker's boundary is strict staleness).
   SimTime freshness_window = 2.0;
-  // Fabricated identities the verification policy tolerates as full
-  // members; 0 = strict (every sybil claim is quarantined, never admitted).
-  std::size_t max_unverified_admissions = 0;
 };
 
 struct AdmissionStats {
   std::size_t sybil_claims = 0;       // fabricated join claims presented
-  std::size_t sybil_admitted = 0;     // admitted under the policy bound
+  std::size_t sybil_admitted = 0;     // admitted with the defense off
   std::size_t sybil_quarantined = 0;  // parked in the quarantine pen
   std::size_t replays_seen = 0;       // replayed messages presented
   std::size_t replays_rejected = 0;   // killed by the freshness window
@@ -82,7 +79,6 @@ class AdmissionControl {
   // kAuth/kAttack flight categories. Null = one branch per decision.
   void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
-  [[nodiscard]] const AdmissionConfig& config() const { return config_; }
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }
   // The RSU-side CRL view refresh consults (Bloom fast path).
   [[nodiscard]] const auth::Crl& crl() const { return crl_; }
@@ -159,7 +155,6 @@ class AdmissionControl {
   std::unordered_map<std::uint64_t, Delivery> deliveries_;
   std::unordered_set<std::uint64_t> admitted_claims_;
   std::unordered_set<std::uint64_t> quarantine_;
-  std::size_t unverified_admitted_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
 };
 

@@ -17,6 +17,11 @@ constexpr SimTime kNeverStarted = std::numeric_limits<double>::infinity();
 // Control-plane descriptor size for dispatch/result envelopes; the bulk
 // input/output transfer is charged separately as bandwidth time.
 constexpr std::size_t kControlBytes = 512;
+// Worker -> broker heartbeat payload.
+constexpr std::size_t kHeartbeatBytes = 64;
+// Speculation launches a replica only while more than this many idle
+// workers remain: it must not starve the queue.
+constexpr std::size_t kMinSpareWorkers = 1;
 
 // Bitwise, so a memo never treats -0.0 as 0.0 or differs from a fresh read.
 bool same_region(const CloudRegion& a, const CloudRegion& b) {
@@ -49,8 +54,8 @@ void VehicularCloud::attach() {
       config_.refresh_period, [this] { refresh(); }, -1.0, "cloud.refresh");
   if (config_.dependability.detector.enabled) {
     net_.simulator().schedule_every(
-        config_.dependability.detector.heartbeat_period,
-        [this] { heartbeat_round(); }, -1.0, "cloud.heartbeat");
+        kHeartbeatPeriod, [this] { heartbeat_round(); }, -1.0,
+        "cloud.heartbeat");
   }
   if (config_.dependability.checkpoint.enabled) {
     net_.simulator().schedule_every(
@@ -425,8 +430,9 @@ void VehicularCloud::dispatch() {
 }
 
 void VehicularCloud::maybe_replicate(Task& task) {
-  const SpeculationConfig& spec = config_.dependability.speculation;
-  if (!spec.enabled || task.deadline <= 0.0) return;
+  if (!config_.dependability.speculation.enabled || task.deadline <= 0.0) {
+    return;
+  }
   if (replicas_.find(task.id.value()) != replicas_.end()) return;
   if (!pending_.empty()) return;  // speculation must never starve the queue
 
@@ -434,7 +440,7 @@ void VehicularCloud::maybe_replicate(Task& task) {
   const std::vector<WorkerView>& worker_views = views();
   std::size_t idle = 0;
   for (const WorkerView& w : worker_views) idle += w.busy ? 0 : 1;
-  if (idle <= spec.min_spare_workers) return;
+  if (idle <= kMinSpareWorkers) return;
 
   const VehicleId pick = scheduler_->pick(task, worker_views, rng_);
   if (!pick.valid() || pick == task.worker) return;
@@ -658,7 +664,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
     if (target_it != workers_.end() && !target_it->second.running.valid()) {
       const SimTime latency =
           migration_latency(task, departed.profile, target_it->second.profile,
-                            config_.handover, config_.costs);
+                            config_.costs);
       task.state = TaskState::kMigrating;
       task.worker = target;
       ++task.migrations;
@@ -875,7 +881,7 @@ void VehicularCloud::heartbeat_round() {
     beat.kind = net::MessageKind::kHeartbeat;
     beat.src = net::Address::vehicle(v);
     beat.dst = net::Address::vehicle(broker);
-    beat.size_bytes = config_.dependability.detector.heartbeat_bytes;
+    beat.size_bytes = kHeartbeatBytes;
     if (net_.send(beat)) {
       detector_.observe(v, now);
       if (heartbeat_rtt_enabled_) {
@@ -917,7 +923,7 @@ void VehicularCloud::checkpoint_round() {
     // shipped to the broker grows with completed work.
     Task snapshot = task;
     snapshot.progress = earned;
-    stats_.checkpoint_mb += checkpoint_mb(snapshot, config_.handover);
+    stats_.checkpoint_mb += checkpoint_mb(snapshot);
   }
 }
 

@@ -32,11 +32,12 @@
 
 namespace vcl::vcloud {
 
+// Worker -> broker heartbeat interval: the detector's clock tick.
+inline constexpr SimTime kHeartbeatPeriod = 1.0;
+
 struct FailureDetectorConfig {
   bool enabled = false;
-  SimTime heartbeat_period = 1.0;  // worker -> broker beat interval
-  int missed_beats_to_kill = 3;    // k: beats missed before declared dead
-  std::size_t heartbeat_bytes = 64;
+  int missed_beats_to_kill = 3;  // k: beats missed before declared dead
 };
 
 struct RetryConfig {
@@ -52,11 +53,10 @@ struct CheckpointConfig {
   SimTime period = 5.0;  // checkpoint cadence per running task, seconds
 };
 
+// Replicas launch only while at least one idle worker would remain
+// afterwards: speculation must not starve the queue.
 struct SpeculationConfig {
   bool enabled = false;
-  // Launch a replica only while at least this many idle workers would
-  // remain afterwards — speculation must not starve the queue.
-  std::size_t min_spare_workers = 1;
 };
 
 struct DependabilityConfig {
@@ -108,7 +108,7 @@ class FailureDetector {
   // tracked ⊆ membership through this).
   [[nodiscard]] std::vector<VehicleId> tracked_ids() const;
   [[nodiscard]] SimTime kill_after() const {
-    return config_.heartbeat_period *
+    return kHeartbeatPeriod *
            static_cast<double>(config_.missed_beats_to_kill);
   }
 

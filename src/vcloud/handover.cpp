@@ -4,25 +4,25 @@
 
 namespace vcl::vcloud {
 
-double checkpoint_mb(const Task& task, const HandoverConfig& config) {
-  return config.checkpoint_mb_base +
-         config.checkpoint_mb_per_work * task.progress;
+namespace {
+constexpr double kCheckpointMbBase = 0.5;     // minimum checkpoint size
+constexpr double kCheckpointMbPerWork = 0.1;  // grows with completed work
+}  // namespace
+
+double checkpoint_mb(const Task& task) {
+  return kCheckpointMbBase + kCheckpointMbPerWork * task.progress;
 }
 
 SimTime migration_latency(const Task& task, const ResourceProfile& from,
                           const ResourceProfile& to,
-                          const HandoverConfig& config,
                           const crypto::CostModel& costs) {
-  const double mb = checkpoint_mb(task, config);
+  const double mb = checkpoint_mb(task);
   const double link_mbps = std::min(from.bandwidth_mbps, to.bandwidth_mbps);
-  SimTime latency = mb * 8.0 / std::max(link_mbps, 0.1);
-  if (config.encrypted) {
-    latency += costs.cost(crypto::Op::kKemEncap) +
-               costs.cost(crypto::Op::kKemDecap) +
-               // Integrity over the checkpoint, one HMAC per MB equivalent.
-               costs.cost(crypto::Op::kHmac) * std::max(1.0, mb);
-  }
-  return latency;
+  const SimTime transfer = mb * 8.0 / std::max(link_mbps, 0.1);
+  return transfer + (costs.cost(crypto::Op::kKemEncap) +
+                     costs.cost(crypto::Op::kKemDecap) +
+                     // Integrity over the checkpoint, one HMAC per MB.
+                     costs.cost(crypto::Op::kHmac) * std::max(1.0, mb));
 }
 
 }  // namespace vcl::vcloud

@@ -2,10 +2,11 @@
 // vehicle hand over the unfinished, encrypted task to some other vehicles
 // ... without bringing too much overhead").
 //
-// A checkpoint grows with the work already completed; migrating it costs
-// transfer time (checkpoint over the V2V link) plus sealing/unsealing
-// (KEM encapsulation at the source, decapsulation at the target) charged at
-// production-crypto rates via the CostModel.
+// A checkpoint is 0.5 MB plus 0.1 MB per unit of completed work; migrating
+// it costs transfer time (checkpoint over the V2V link) plus sealing and
+// unsealing (KEM encapsulation at the source, decapsulation at the target,
+// an HMAC per MB) charged at production-crypto rates via the CostModel.
+// Checkpoints are always sealed.
 #pragma once
 
 #include "crypto/cost_model.h"
@@ -16,18 +17,14 @@ namespace vcl::vcloud {
 
 struct HandoverConfig {
   bool enabled = true;
-  double checkpoint_mb_base = 0.5;      // minimum checkpoint size
-  double checkpoint_mb_per_work = 0.1;  // grows with completed work
-  bool encrypted = true;                // seal checkpoints (costs crypto ops)
 };
 
 // Checkpoint size for a task's current progress, MB.
-double checkpoint_mb(const Task& task, const HandoverConfig& config);
+double checkpoint_mb(const Task& task);
 
 // End-to-end migration latency: seal + transfer + unseal.
 SimTime migration_latency(const Task& task, const ResourceProfile& from,
                           const ResourceProfile& to,
-                          const HandoverConfig& config,
                           const crypto::CostModel& costs);
 
 }  // namespace vcl::vcloud

@@ -8,6 +8,12 @@
 
 namespace vcl::vcloud {
 
+namespace {
+// Fabricated identities the verification policy tolerates as members:
+// none (AdmissionControl quarantines every sybil claim it defends against).
+constexpr std::size_t kMaxUnverifiedMembers = 0;
+}  // namespace
+
 std::string InvariantViolation::to_string() const {
   std::ostringstream os;
   os << "[" << invariant << "] t=" << at;
@@ -279,12 +285,12 @@ void InvariantOracle::check_admission(const VehicularCloud& cloud,
     }
   }
 
-  // auth-sybil-admission: fabricated members stay within the verification
-  // policy's tolerance (0 = strict: quarantine, never membership).
-  if (fabricated_members > adm.config().max_unverified_admissions) {
+  // auth-sybil-admission: the verification policy is strict — a sybil claim
+  // is quarantined, never a member.
+  if (fabricated_members > kMaxUnverifiedMembers) {
     std::ostringstream os;
     os << fabricated_members << " fabricated member(s) exceed the policy "
-       << "bound of " << adm.config().max_unverified_admissions;
+       << "bound of " << kMaxUnverifiedMembers;
     report("auth-sybil-admission", os.str(), now);
   }
 

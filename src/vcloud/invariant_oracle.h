@@ -189,9 +189,8 @@ class InvariantOracle {
   //  * auth-revoked-holder — no task, lease or replica is held by an
   //    identity that is revoked past its horizon, or fabricated and never
   //    admitted under the verification policy;
-  //  * auth-sybil-admission — fabricated identities among current members
-  //    never exceed the configured unverified-admission tolerance (0 under
-  //    the strict policy: quarantine, never membership);
+  //  * auth-sybil-admission — no fabricated identity is a current member
+  //    (the policy is strict: quarantine, never membership);
   //  * membership-census — every worker is traffic-backed, a known crashed
   //    zombie, or an explicitly admitted claim (nothing joins membership
   //    without an accounted-for path).

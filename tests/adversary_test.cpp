@@ -21,10 +21,10 @@ namespace vcl::core {
 namespace {
 
 TEST(AdversaryValidation, DisabledConfigIsAlwaysValid) {
-  // A storm whose rate is zero is off: its count is never consulted.
+  // A storm whose rate is zero is off: its shape is never consulted.
   fault::ChaosConfig chaos;
-  chaos.storms.sybil_count = 0;
-  chaos.storms.replay_count = 0;
+  chaos.storms.replay_window = 0.0;
+  chaos.storms.replay_age = -1.0;
   EXPECT_TRUE(fault::validate(chaos).empty());
   // With the adversary off no AdmissionControl is built, so its policy is
   // never checked either.
@@ -50,10 +50,10 @@ TEST(AdversaryValidation, RejectsBadConfigsWithMessages) {
   EXPECT_EQ(problem([](fault::StormConfig& s) { s.replay_rate = -1.0; }),
             "replay_rate is negative");
   EXPECT_EQ(problem([](fault::StormConfig& s) {
-              s.sybil_rate = 0.1;
-              s.sybil_count = 0;
+              s.replay_rate = 0.1;
+              s.replay_age = 0.0;
             }),
-            "sybil_count must be >= 1");
+            "replay_age must be positive");
   // A sane attack config passes.
   EXPECT_TRUE(problem([](fault::StormConfig& s) {
                 s.sybil_rate = 0.05;
@@ -170,7 +170,7 @@ TEST(AdmissionControl, RememberedNonceDiesEvenInsideWindow) {
 }
 
 TEST(AdmissionControl, StrictPolicyQuarantinesEverySybil) {
-  AdmissionControl adm(AdmissionConfig{});  // max_unverified_admissions == 0
+  AdmissionControl adm(AdmissionConfig{});
   const VehicleId fake{(1ULL << 48) | 1};
   adm.note_fabricated(fake);
   EXPECT_TRUE(adm.is_fabricated(fake));
@@ -182,20 +182,6 @@ TEST(AdmissionControl, StrictPolicyQuarantinesEverySybil) {
   EXPECT_EQ(adm.stats().sybil_claims, 1u);
   EXPECT_EQ(adm.stats().sybil_quarantined, 1u);
   EXPECT_EQ(adm.stats().sybil_admitted, 0u);
-}
-
-TEST(AdmissionControl, UnverifiedToleranceAdmitsUpToBound) {
-  AdmissionConfig cfg;
-  cfg.max_unverified_admissions = 1;
-  AdmissionControl adm(cfg);
-  const VehicleId a{(1ULL << 48) | 1}, b{(1ULL << 48) | 2};
-  EXPECT_EQ(adm.offer_claim(a, true, 1.0),
-            AdmissionControl::ClaimOutcome::kAdmitted);
-  EXPECT_TRUE(adm.was_admitted_claim(a));
-  EXPECT_EQ(adm.offer_claim(b, true, 2.0),
-            AdmissionControl::ClaimOutcome::kQuarantined);
-  EXPECT_EQ(adm.stats().sybil_admitted, 1u);
-  EXPECT_EQ(adm.stats().sybil_quarantined, 1u);
 }
 
 TEST(AdmissionControl, DefenseOffOpensTheDoorButKeepsBooks) {

@@ -202,17 +202,10 @@ TEST(DagConfigValidation, RejectsBadKnobs) {
   EXPECT_NE(dag::validate(cfg), "");
 
   cfg = {};
-  cfg.replicas = 4;
-  cfg.max_node_attempts = 3;  // budget below k
+  cfg.replicas = 7;  // more than the 6 attempts a node may ever get
   EXPECT_NE(dag::validate(cfg), "");
-
-  cfg = {};
-  cfg.dwell_margin = 0.0;
-  EXPECT_NE(dag::validate(cfg), "");
-
-  cfg = {};
-  cfg.check_period = 0.0;
-  EXPECT_NE(dag::validate(cfg), "");
+  cfg.replicas = 6;
+  EXPECT_EQ(dag::validate(cfg), "");
 
   cfg = {};
   cfg.graph_deadline = -1.0;
@@ -222,7 +215,6 @@ TEST(DagConfigValidation, RejectsBadKnobs) {
 TEST(DagConfigValidation, ReplicationBeyondTheFleetIsRejected) {
   dag::DagConfig cfg;
   cfg.replicas = 5;
-  cfg.max_node_attempts = 6;
   const std::string problem = dag::validate(cfg, /*fleet_size=*/4);
   EXPECT_NE(problem.find("exceeds the fleet"), std::string::npos) << problem;
   EXPECT_EQ(dag::validate(cfg, 5), "");
@@ -236,8 +228,7 @@ TEST(DagConfigValidation, SystemStartThrowsOnInvalidConfig) {
   sys.scenario.vehicles_parked = true;
   sys.architecture = core::CloudArchitecture::kStationary;
   sys.dag.enabled = true;
-  sys.dag.replicas = 8;  // > fleet
-  sys.dag.max_node_attempts = 8;
+  sys.dag.replicas = 4;  // > fleet
   core::VehicularCloudSystem system(sys);
   EXPECT_THROW(system.start(), std::invalid_argument);
 }
@@ -319,7 +310,6 @@ TEST(DagScheduler, ReliabilityAwareBacksUpACrashedHost) {
   core::SystemConfig sys = parked_dag_system(23);
   sys.dag.policy = dag::DagPolicy::kReliabilityAware;
   sys.dag.replicas = 2;
-  sys.dag.check_period = 0.5;
   core::VehicularCloudSystem system(sys);
   system.start();
   system.run_for(2.0);
@@ -505,8 +495,6 @@ fault::ChaosConfig dag_storm_config() {
   fault::ChaosConfig cfg;
   cfg.base.horizon = 200.0;
   cfg.storms.dag_rate = 0.05;
-  cfg.storms.dag_window = 6.0;
-  cfg.storms.dag_crashes = 3;
   return cfg;
 }
 
@@ -524,9 +512,9 @@ TEST(ChaosPlanner, DagStormCrashesShareATagAndSpanTheWindow) {
   }
   ASSERT_FALSE(by_tag.empty());
   for (const auto& [tag, times] : by_tag) {
-    ASSERT_EQ(times.size(), 3u) << "tag " << tag;
-    // Crashes spread across the storm window: t, t + w/3, t + 2w/3.
-    EXPECT_NEAR(times.back() - times.front(), 6.0 * 2.0 / 3.0, 1e-9);
+    ASSERT_EQ(times.size(), 2u) << "tag " << tag;
+    // Crashes spread across the 6 s storm window: t, t + w/2.
+    EXPECT_NEAR(times.back() - times.front(), 6.0 / 2.0, 1e-9);
   }
 
   // Deterministic per seed.
@@ -563,17 +551,10 @@ TEST(ChaosPlanner, DagTagRoundTripsThroughJsonl) {
 
 TEST(ChaosConfigValidation, DagStormKnobsAreChecked) {
   fault::ChaosConfig cfg = dag_storm_config();
-  cfg.storms.dag_crashes = 0;
-  EXPECT_NE(fault::validate(cfg), "");
-
-  cfg = dag_storm_config();
-  cfg.storms.dag_window = 0.0;
-  EXPECT_NE(fault::validate(cfg), "");
-
-  cfg = dag_storm_config();
   cfg.storms.dag_rate = -0.1;
-  EXPECT_NE(fault::validate(cfg), "");
+  EXPECT_EQ(fault::validate(cfg), "dag_rate is negative");
 
+  // DAG storms install no blackout, so they need no blackout box.
   EXPECT_EQ(fault::validate(dag_storm_config()), "");
 }
 

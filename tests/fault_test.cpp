@@ -120,8 +120,7 @@ TEST_F(InjectorFixture, VehicleCrashDetectedAndRecovered) {
   FaultEvent crash;
   crash.kind = FaultKind::kVehicleCrash;
   crash.at = 5.0;  // victim picked from the live worker pool at fire time
-  FaultInjector injector(net_, {crash}, Rng(9));
-  injector.register_cloud(*cloud);
+  FaultInjector injector(net_, *cloud, {crash}, Rng(9));
   injector.attach();
 
   vcloud::Task t;
@@ -147,8 +146,7 @@ TEST_F(InjectorFixture, BrokerCrashTriggersResync) {
   FaultEvent crash;
   crash.kind = FaultKind::kBrokerCrash;
   crash.at = 3.0;
-  FaultInjector injector(net_, {crash}, Rng(9));
-  injector.register_cloud(*cloud);
+  FaultInjector injector(net_, *cloud, {crash}, Rng(9));
   injector.attach();
   sim_.run_until(60.0);
   EXPECT_EQ(injector.stats().broker_crashes, 1u);
@@ -165,7 +163,8 @@ TEST_F(InjectorFixture, RsuOutageIsRepaired) {
   outage.at = 2.0;
   outage.rsu = rsu;
   outage.repair_after = 5.0;
-  FaultInjector injector(net_, {outage}, Rng(9));
+  auto cloud = make_cloud(2, {});
+  FaultInjector injector(net_, *cloud, {outage}, Rng(9));
   injector.attach();
   sim_.run_until(3.0);
   EXPECT_FALSE(net_.rsus().find(rsu)->online);
@@ -182,7 +181,8 @@ TEST_F(InjectorFixture, BlackoutWindowInstallsAndExpires) {
   blackout.center = {100, 0};
   blackout.radius = 5000.0;
   blackout.duration = 4.0;
-  FaultInjector injector(net_, {blackout}, Rng(9));
+  auto cloud = make_cloud(2, {});
+  FaultInjector injector(net_, *cloud, {blackout}, Rng(9));
   injector.attach();
   sim_.run_until(2.0);
   EXPECT_EQ(net_.channel().blackout_count(), 1u);

@@ -58,49 +58,38 @@ TEST(TaskStateLabels, CoversEveryState) {
 }
 
 TEST(Handover, CheckpointGrowsWithProgress) {
-  HandoverConfig cfg;
   Task t;
   t.work = 100;
   t.progress = 0;
-  const double empty = checkpoint_mb(t, cfg);
+  const double empty = checkpoint_mb(t);
   t.progress = 50;
-  EXPECT_GT(checkpoint_mb(t, cfg), empty);
+  EXPECT_GT(checkpoint_mb(t), empty);
 }
 
 TEST(Handover, EncryptionAddsLatency) {
-  HandoverConfig enc;
-  HandoverConfig plain = enc;
-  plain.encrypted = false;
+  // Checkpoints are always sealed: the latency is the transfer plus the
+  // KEM seal/unseal and one HMAC per MB.
   Task t;
   t.progress = 10;
   const crypto::CostModel costs;
   const ResourceProfile p;
-  EXPECT_GT(migration_latency(t, p, p, enc, costs),
-            migration_latency(t, p, p, plain, costs));
+  const double mb = checkpoint_mb(t);
+  const double transfer = mb * 8.0 / std::max(p.bandwidth_mbps, 0.1);
+  const double sealing = costs.cost(crypto::Op::kKemEncap) +
+                         costs.cost(crypto::Op::kKemDecap) +
+                         costs.cost(crypto::Op::kHmac) * std::max(1.0, mb);
+  EXPECT_GT(sealing, 0.0);
+  EXPECT_DOUBLE_EQ(migration_latency(t, p, p, costs), transfer + sealing);
 }
 
 TEST(Handover, ZeroProgressCheckpointIsBaseSize) {
-  HandoverConfig cfg;
   Task t;
   t.work = 100;
   t.progress = 0;
-  EXPECT_DOUBLE_EQ(checkpoint_mb(t, cfg), cfg.checkpoint_mb_base);
-}
-
-TEST(Handover, UnencryptedMigrationIsTransferOnly) {
-  HandoverConfig cfg;
-  cfg.encrypted = false;
-  Task t;
-  t.progress = 10;
-  const crypto::CostModel costs;
-  const ResourceProfile p;
-  const double mb = checkpoint_mb(t, cfg);
-  const double transfer = mb * 8.0 / std::max(p.bandwidth_mbps, 0.1);
-  EXPECT_DOUBLE_EQ(migration_latency(t, p, p, cfg, costs), transfer);
+  EXPECT_DOUBLE_EQ(checkpoint_mb(t), 0.5);
 }
 
 TEST(Handover, MigrationLatencyMonotonicInProgress) {
-  HandoverConfig cfg;
   const crypto::CostModel costs;
   const ResourceProfile p;
   Task t;
@@ -108,7 +97,7 @@ TEST(Handover, MigrationLatencyMonotonicInProgress) {
   double prev = -1.0;
   for (const double progress : {0.0, 10.0, 40.0, 90.0}) {
     t.progress = progress;
-    const double lat = migration_latency(t, p, p, cfg, costs);
+    const double lat = migration_latency(t, p, p, costs);
     EXPECT_GT(lat, prev);
     prev = lat;
   }
@@ -135,8 +124,7 @@ TEST(Dependability, RetryBackoffGrowsAndStaysPositive) {
 }
 
 TEST(Dependability, DetectorSweepsOnlySilentWorkers) {
-  FailureDetectorConfig cfg;
-  cfg.heartbeat_period = 1.0;
+  FailureDetectorConfig cfg;  // beats every kHeartbeatPeriod = 1 s
   cfg.missed_beats_to_kill = 3;
   FailureDetector det(cfg);
   det.track(VehicleId{1}, 0.0);
@@ -180,8 +168,7 @@ TEST(Dependability, RetryBackoffDeterministicAndBaseGrowsMonotonically) {
 }
 
 TEST(Dependability, DetectorForgetAndResetEdgeCases) {
-  FailureDetectorConfig cfg;
-  cfg.heartbeat_period = 1.0;
+  FailureDetectorConfig cfg;  // beats every kHeartbeatPeriod = 1 s
   cfg.missed_beats_to_kill = 3;
   FailureDetector det(cfg);
   // forget() of an id that was never tracked is a no-op.
@@ -418,8 +405,9 @@ TEST_F(CloudFixture, MigrationTargetDepartingDoesNotInflateProgress) {
   // double-count progress from its stale run_started.
   CloudConfig config;
   config.handover.enabled = true;
-  // Big checkpoints make the transfer slow enough to interrupt.
-  config.handover.checkpoint_mb_base = 50.0;
+  // The target dies at the instant the migration starts, so any transfer
+  // (a checkpoint of at least 0.5 MB over a link of at most 16 Mb/s) is
+  // still in flight.
   auto cloud = make_stationary_cloud(3, config);
   Task t;
   t.work = 100.0;
@@ -703,9 +691,7 @@ TEST_F(CloudFixture, ViewMemoMatchesFreshBuildInStationaryLot) {
   const geo::Vec2 center = traffic_.find(parked[0])->pos;
   constexpr double kRadius = 120.0;  // link 0 runs out of it
   net_.refresh();
-  AdmissionConfig admission_config;
-  admission_config.max_unverified_admissions = 2;
-  AdmissionControl admission(admission_config);
+  AdmissionControl admission(AdmissionConfig{});
   VehicularCloud cloud(CloudId{7}, net_,
                        stationary_membership(traffic_, center, kRadius),
                        fixed_region(center, kRadius),
@@ -749,14 +735,14 @@ TEST_F(CloudFixture, ViewMemoMatchesFreshBuildInStationaryLot) {
   // spawn_parked and spawn: an admitted claim names the next vehicle id
   // before that vehicle exists (dwell 0); the spawn gives it a dwell.
   const VehicleId claimed{parked.back().value() + 1};
-  ASSERT_TRUE(cloud.offer_join(claimed, /*fabricated=*/true));
+  ASSERT_TRUE(cloud.offer_join(claimed, /*fabricated=*/false));
   submit("after a claim");
   EXPECT_EQ(dwell_of(claimed), 0.0);
   ASSERT_EQ(traffic_.spawn_parked(LinkId{0}, 70.0), claimed);
   expect_fresh_views(cloud, "after spawn_parked");
   EXPECT_TRUE(std::isinf(dwell_of(claimed)));
   const VehicleId claimed_moving{claimed.value() + 1};
-  ASSERT_TRUE(cloud.offer_join(claimed_moving, /*fabricated=*/true));
+  ASSERT_TRUE(cloud.offer_join(claimed_moving, /*fabricated=*/false));
   expect_fresh_views(cloud, "after a second claim");
   ASSERT_EQ(traffic_.spawn({LinkId{0}}, 3.0), claimed_moving);
   expect_fresh_views(cloud, "after spawn");
@@ -882,7 +868,6 @@ TEST_F(CloudFixture, CrashWithoutDetectorHangsForever) {
 TEST_F(CloudFixture, HeartbeatLossWithoutCrashIsFalsePositive) {
   CloudConfig config;
   config.dependability.detector.enabled = true;
-  config.dependability.detector.heartbeat_period = 1.0;
   config.dependability.detector.missed_beats_to_kill = 3;
   auto cloud = make_stationary_cloud(4, config);
   cloud->attach();
@@ -929,7 +914,7 @@ TEST_F(CloudFixture, CrashRecoveryResumesFromCheckpoint) {
   EXPECT_EQ(cloud->stats().false_positive_kills, 0u);
   ASSERT_EQ(cloud->stats().detection_latency.count(), 1u);
   EXPECT_GE(cloud->stats().detection_latency.mean(),
-            config.dependability.detector.heartbeat_period *
+            kHeartbeatPeriod *
                 config.dependability.detector.missed_beats_to_kill);
   EXPECT_GT(cloud->stats().checkpoints, 0u);
   EXPECT_GT(cloud->stats().checkpoint_mb, 0.0);
@@ -1046,7 +1031,6 @@ TEST_F(CloudFixture, RetryExhaustionFreesWorkerForTheSameRound) {
 TEST_F(CloudFixture, SpeculativeReplicaFirstFinisherWins) {
   CloudConfig config;
   config.dependability.speculation.enabled = true;
-  config.dependability.speculation.min_spare_workers = 1;
   auto cloud = make_stationary_cloud(4, config);
   cloud->attach();
   Task t;
@@ -1090,7 +1074,6 @@ TEST_F(CloudFixture, ReplicaCompletingAQueuedTaskRetiresItOnce) {
   CloudConfig config;
   config.handover.enabled = true;
   config.dependability.speculation.enabled = true;
-  config.dependability.speculation.min_spare_workers = 1;
   auto cloud = make_stationary_cloud(3, config);
   InvariantOracle oracle;
   cloud->set_oracle(&oracle);

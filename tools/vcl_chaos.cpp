@@ -104,6 +104,25 @@ void print_violations(const core::ChaosEpisode& episode) {
   }
 }
 
+// Creates the output directory; on failure prints why (the caller exits 2,
+// the IO code).
+bool make_out_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::cerr << "error: cannot create " << dir << ": " << ec.message()
+              << "\n";
+  }
+  return !ec;
+}
+
+bool exported(const core::ChaosEpisode& episode, const std::string& dir) {
+  if (episode.telemetry_failed) {
+    std::cerr << "error: could not write telemetry to " << dir << "\n";
+  }
+  return !episode.telemetry_failed;
+}
+
 int run_repro(const Options& opt) {
   std::ifstream in(opt.repro_path);
   if (!in) {
@@ -120,9 +139,10 @@ int run_repro(const Options& opt) {
   std::cout << "replaying " << opt.repro_path << ": seed " << cfg.seed << ", "
             << plan.size() << " fault events, " << cfg.vehicles
             << " vehicles, " << cfg.duration << " s\n";
-  std::filesystem::create_directories(opt.out_dir);
+  if (!make_out_dir(opt.out_dir)) return 2;
   const core::ChaosEpisode episode =
       core::run_chaos_episode(cfg, plan, opt.out_dir);
+  if (!exported(episode, opt.out_dir)) return 2;
   std::cout << "episode: " << episode.submitted << " submitted, "
             << episode.completed << " completed, " << episode.expired
             << " expired, " << episode.crashes << " crashes, "
@@ -257,16 +277,21 @@ int run_soak(const Options& opt) {
     std::cout << "  " << fault::to_string(e) << "\n";
   }
 
-  std::filesystem::create_directories(opt.out_dir);
+  if (!make_out_dir(opt.out_dir)) return 2;
   const std::string repro_path = opt.out_dir + "/repro.jsonl";
   {
     std::ofstream out(repro_path);
     core::write_chaos_repro(cfg, minimal, out);
+    if (!out.flush()) {
+      std::cerr << "error: could not write " << repro_path << "\n";
+      return 2;
+    }
   }
   // Re-run the minimal schedule once more with telemetry on: the exported
   // trace.jsonl is the post-mortem view of the exact failing episode.
   const core::ChaosEpisode final_run =
       core::run_chaos_episode(cfg, minimal, opt.out_dir);
+  if (!exported(final_run, opt.out_dir)) return 2;
   std::cout << "repro written to " << repro_path << " (re-run with --repro)\n"
             << "trace exported to " << opt.out_dir
             << "/trace.jsonl (vcl_traceview-ready); final run: "
