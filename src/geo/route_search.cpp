@@ -25,8 +25,14 @@ bool RouteSearch::goal_directed_is_exact(const RoadNetwork& net) {
          32.0 * std::numeric_limits<double>::epsilon() * scale;
 }
 
-std::optional<std::vector<LinkId>> RouteSearch::find(const RoadNetwork& net,
-                                                     NodeId from, NodeId to) {
+void RouteSearch::reserve(const RoadNetwork& net) {
+  if (slots_.size() < net.node_count()) slots_.resize(net.node_count());
+  // A node settles once and relaxes each of its links once, and only a
+  // relaxation pushes: at most one entry per link besides the start.
+  heap_.reserve(net.link_count() + 1);
+}
+
+bool RouteSearch::search(const RoadNetwork& net, NodeId from, NodeId to) {
   const std::size_t n = net.node_count();
   if (from.value() >= n || to.value() >= n) {
     throw std::out_of_range("RouteSearch::find: unknown node");
@@ -66,7 +72,6 @@ std::optional<std::vector<LinkId>> RouteSearch::find(const RoadNetwork& net,
   Slot& start = reach(from.value());
   start.g = 0.0;
   push(start.h, from.value());
-  bool found = false;
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), pops_later);
     const std::uint64_t u = heap_.back().node;
@@ -74,10 +79,7 @@ std::optional<std::vector<LinkId>> RouteSearch::find(const RoadNetwork& net,
     Slot& su = slots_[u];
     if (su.closed == generation_) continue;  // a stale entry
     su.closed = generation_;
-    if (u == to.value()) {
-      found = true;
-      break;
-    }
+    if (u == to.value()) return true;
     const double gu = su.g;
     for (const LinkId lid : nodes[u].out_links) {
       const double nd = gu + times[lid.value()];
@@ -100,17 +102,41 @@ std::optional<std::vector<LinkId>> RouteSearch::find(const RoadNetwork& net,
       }
     }
   }
-  if (!found) return std::nullopt;
-  // Count first, so the route a vehicle keeps holds no spare capacity.
+  return false;
+}
+
+std::size_t RouteSearch::path_links(NodeId from, NodeId to) const {
   std::size_t links = 0;
   for (std::uint64_t at = to.value(); at != from.value(); at = slots_[at].pred) {
     ++links;
   }
-  std::vector<LinkId> path(links);
+  return links;
+}
+
+void RouteSearch::write_path(NodeId from, NodeId to,
+                             std::span<LinkId> out) const {
+  std::size_t links = out.size();
   for (std::uint64_t at = to.value(); at != from.value(); at = slots_[at].pred) {
-    path[--links] = LinkId{slots_[at].via};
+    out[--links] = LinkId{slots_[at].via};
   }
+}
+
+std::optional<std::vector<LinkId>> RouteSearch::find(const RoadNetwork& net,
+                                                     NodeId from, NodeId to) {
+  if (!search(net, from, to)) return std::nullopt;
+  // Count first, so the route a vehicle keeps holds no spare capacity.
+  std::vector<LinkId> path(path_links(from, to));
+  write_path(from, to, path);
   return path;
+}
+
+std::optional<std::size_t> RouteSearch::find_into(const RoadNetwork& net,
+                                                  NodeId from, NodeId to,
+                                                  std::span<LinkId> out) {
+  if (!search(net, from, to)) return std::nullopt;
+  const std::size_t links = path_links(from, to);
+  if (links <= out.size()) write_path(from, to, out.first(links));
+  return links;
 }
 
 }  // namespace vcl::geo

@@ -10,11 +10,14 @@
 // The workspace keeps generation-stamped per-node slots and the heap, so a
 // search allocates nothing and fills nothing O(V) beyond its first use on a
 // network of that size. A RouteSearch belongs to one thread; the network is
-// only read, so many searches may share one const RoadNetwork.
+// only read, so many searches may share one const RoadNetwork. After
+// reserve(net), find_into on `net` allocates nothing at all, so it may run
+// where allocation is not allowed (a helped round's helper threads).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geo/road_network.h"
@@ -28,6 +31,14 @@ class RouteSearch {
   // std::out_of_range for a node `net` does not have.
   [[nodiscard]] std::optional<std::vector<LinkId>> find(const RoadNetwork& net,
                                                         NodeId from, NodeId to);
+  // find() into caller storage: the path's link count, or nullopt when `to`
+  // is unreachable. The links are written to the front of `out` only when
+  // they fit; otherwise `out` is left as it was.
+  [[nodiscard]] std::optional<std::size_t> find_into(const RoadNetwork& net,
+                                                     NodeId from, NodeId to,
+                                                     std::span<LinkId> out);
+  // Sizes the workspace for any search on `net`.
+  void reserve(const RoadNetwork& net);
 
   // True when goal-directed search on `net` provably returns Dijkstra's path;
   // otherwise find() runs with a zero heuristic.
@@ -46,6 +57,13 @@ class RouteSearch {
     double f;  // g + h when pushed
     std::uint64_t node;
   };
+
+  // Runs the search; true when it reached `to`, whose path then follows
+  // the `pred` chain back to `from`.
+  bool search(const RoadNetwork& net, NodeId from, NodeId to);
+  [[nodiscard]] std::size_t path_links(NodeId from, NodeId to) const;
+  // Writes the path's links, which must number exactly out.size().
+  void write_path(NodeId from, NodeId to, std::span<LinkId> out) const;
 
   std::vector<Slot> slots_;  // by node id
   std::vector<Entry> heap_;

@@ -62,21 +62,6 @@ std::uint32_t Network::slot_of(VehicleId v) const {
   return v.value() < slot_by_id_.size() ? slot_by_id_[v.value()] : kNoSlot;
 }
 
-namespace {
-
-// The process's helper threads for stage A, shared by every Network: one
-// fewer than the CPUs the process may run on, at most 3. Created by the
-// first round that invites helpers; nullptr when there are none.
-ThreadPool* reception_pool() {
-  static const std::size_t helpers =
-      std::min<std::size_t>(available_cpus() - 1, 3);
-  if (helpers == 0) return nullptr;
-  static ThreadPool pool(helpers);
-  return &pool;
-}
-
-}  // namespace
-
 std::size_t Network::fill_rows(std::size_t chunk,
                                std::vector<std::uint32_t>& nearby,
                                RowChunk& out) const {
@@ -190,7 +175,7 @@ void Network::beacon_round_tables() {
   const std::size_t receivers = snap_id_.size();
   const std::size_t chunks = (receivers + kRowChunk - 1) / kRowChunk;
   ThreadPool* pool =
-      replay || receivers < kHelpedFloor ? nullptr : reception_pool();
+      replay || receivers < kHelpedFloor ? nullptr : helper_pool();
   if (pool != nullptr) open_helped_round(*pool, chunks);
   // Helpers read this Network until the round is closed, on every path.
   struct CloseRound {

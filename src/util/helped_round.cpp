@@ -27,6 +27,14 @@ void backoff(std::uint32_t& spins) {
 
 }  // namespace
 
+ThreadPool* helper_pool() {
+  static const std::size_t helpers =
+      std::min<std::size_t>(available_cpus() - 1, 3);
+  if (helpers == 0) return nullptr;
+  static ThreadPool pool(helpers);
+  return &pool;
+}
+
 HelpedRound::HelpedRound(std::size_t slots, std::size_t helpers)
     : filled_(std::max<std::size_t>(slots, 1)), queued_(helpers) {}
 

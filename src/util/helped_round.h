@@ -1,7 +1,8 @@
 // One round of work cut into chunks that the calling thread consumes in
 // order, while helper tasks on a ThreadPool produce chunks ahead of it
-// (DESIGN.md §4 "World-model round"; the beacon round's reception stage is
-// the user).
+// (DESIGN.md §4 "World-model round" and "Prefill"; the users are the
+// beacon round's reception stage and the prefill's route searches, both on
+// helper_pool()).
 //
 // The caller walks chunks 0, 1, ..., chunks - 1. For each one it either
 // finds the chunk produced by a helper in a ring slot, or produces it
@@ -41,6 +42,11 @@
 #include "util/thread_pool.h"
 
 namespace vcl {
+
+// The process's helper threads, shared by every helped round: one fewer
+// than the CPUs the process may run on (available_cpus), at most 3.
+// Created by the first call; nullptr when there are none.
+[[nodiscard]] ThreadPool* helper_pool();
 
 class HelpedRound : public std::enable_shared_from_this<HelpedRound> {
  public:

@@ -1,6 +1,7 @@
 // Work-stealing thread pool (DESIGN.md §7). Two users: the experiment
-// engine runs replications on it, and the beacon round's reception stage
-// runs its helper tasks on one process-wide instance (net/network.cpp).
+// engine runs replications on it, and helped rounds (the beacon round's
+// reception stage and the prefill's route searches) run their helper tasks
+// on one process-wide instance, helper_pool() in util/helped_round.h.
 //
 // The pool optimizes for correctness and clean shutdown rather than
 // nanosecond dispatch: per-worker deques with LIFO pop / FIFO steal, a
@@ -59,7 +60,7 @@ class ThreadPool {
   bool take_task(std::size_t index, std::packaged_task<void()>& out);
 
   // One mutex guards every deque: tasks are whole simulator runs or one
-  // beacon round's share of helper work, so queue contention is irrelevant
+  // helped round's share of helper work, so queue contention is irrelevant
   // next to shutdown/blocking correctness.
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;   // workers wait here for tasks

@@ -6,6 +6,7 @@
 #include "mobility/idm.h"
 #include "mobility/traffic.h"
 #include "mobility/trip_generator.h"
+#include "reference_prefill.h"
 #include "reference_route.h"
 #include "sim/simulator.h"
 
@@ -239,6 +240,64 @@ TEST(TripGenerator, PrefilledRoutesAreDijkstraPaths) {
     ++checked;
   }
   EXPECT_EQ(checked, 3200);
+}
+
+// Prefills `vehicles` vehicles on `net` and checks every vehicle against
+// the serial reference loop, then the generator's next draw.
+void expect_prefill_matches_reference(const geo::RoadNetwork& net,
+                                      int vehicles) {
+  TripGeneratorConfig cfg;
+  cfg.target_population = vehicles;
+  TrafficModel traffic(net, Rng(1));
+  TripGenerator gen(traffic, cfg, Rng(2));
+  gen.prefill();
+  TrafficModel want_traffic(net, Rng(1));
+  Rng want_rng(2);
+  reference_prefill(want_traffic, cfg, want_rng);
+
+  ASSERT_EQ(traffic.vehicle_count(), want_traffic.vehicle_count());
+  EXPECT_EQ(gen.spawned(), static_cast<int>(want_traffic.vehicle_count()));
+  for (const auto& [id, want] : want_traffic.vehicles()) {
+    const VehicleState* got = traffic.find(VehicleId{id});
+    ASSERT_NE(got, nullptr) << "vehicle " << id;
+    ASSERT_EQ(got->route, want.route) << "vehicle " << id;
+    // Bitwise: the same draws give the same doubles.
+    ASSERT_EQ(got->speed, want.speed) << "vehicle " << id;
+    ASSERT_EQ(got->automation, want.automation) << "vehicle " << id;
+    ASSERT_EQ(got->speed_factor, want.speed_factor) << "vehicle " << id;
+    ASSERT_EQ(got->offset, want.offset) << "vehicle " << id;
+  }
+  // The generator's RNG is where the serial loop left it.
+  EXPECT_EQ(gen.random_route(), reference_random_route(net, want_rng));
+}
+
+// The fleet of city_infra_large: every pair is searched ahead.
+TEST(TripGenerator, PrefillMatchesSerialReferenceOnCityGrid) {
+  expect_prefill_matches_reference(geo::make_manhattan_grid(34, 34, 200.0),
+                                   3200);
+}
+
+// On a 4 x 4 grid nearly half the drawn pairs lie within two hops and are
+// rejected as too short.
+TEST(TripGenerator, PrefillMatchesSerialReferenceWithShortPairs) {
+  expect_prefill_matches_reference(geo::make_manhattan_grid(4, 4, 150.0),
+                                   1500);
+}
+
+// A 30 x 30 grid plus a dead end (entered, never left) and an on-ramp (left,
+// never entered): about 0.2% of the pairs are unreachable, and each one
+// that was searched ahead sends the prefill back to speculate again.
+TEST(TripGenerator, PrefillMatchesSerialReferenceWithUnreachablePairs) {
+  auto net = geo::make_manhattan_grid(30, 30, 200.0);
+  const NodeId corner{0};
+  const geo::Vec2 at = net.node(corner).pos;
+  const NodeId dead_end = net.add_node({at.x - 200.0, at.y});
+  net.add_link(corner, dead_end, 13.9);
+  const NodeId on_ramp = net.add_node({at.x, at.y - 200.0});
+  net.add_link(on_ramp, corner, 13.9);
+  ASSERT_FALSE(net.shortest_path(dead_end, corner).has_value());
+  ASSERT_FALSE(net.shortest_path(corner, on_ramp).has_value());
+  expect_prefill_matches_reference(net, 3000);
 }
 
 }  // namespace
