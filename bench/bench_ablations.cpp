@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       // cloud over the same membership with a custom broker config — the
       // broker is internal, so this ablation re-elects externally.
       system.start();
-      vcloud::BrokerElection broker({120.0, h});
+      vcloud::BrokerElection broker({h});
       std::size_t completions = 0;
       vcloud::WorkloadGenerator workload({10.0, 1.0, 0.2, 60.0},
                                          system.scenario().fork_rng(5));

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
     core::Scenario scenario(cfg);
     scenario.start();
 
-    vcloud::CloudletGrid grid(scenario.network(), vcloud::CloudletConfig{},
-                              scenario.fork_rng(9));
+    vcloud::CloudletGrid grid(scenario.network(), scenario.fork_rng(9));
     grid.attach();
 
     vcloud::WorkloadGenerator workload({6.0, 0.5, 0.1, 0.0},

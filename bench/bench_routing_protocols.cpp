@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       geo::RoadNetwork road = geo::make_manhattan_grid(2, 8, 300.0);
       sim::Simulator sim;
       mobility::TrafficModel traffic(road, Rng(71));
-      net::Network net(sim, traffic, net::ChannelConfig{}, Rng(72));
+      net::Network net(sim, traffic, Rng(72));
       std::vector<VehicleId> west, east;
       for (double off : {0.0, 60.0, 120.0}) {
         west.push_back(traffic.spawn_parked(LinkId{0}, off));

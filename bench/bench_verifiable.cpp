@@ -28,7 +28,7 @@ VerifRow run(std::size_t replicas, double cheater_fraction,
   const auto road = geo::make_manhattan_grid(2, 2, 200.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(seed));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(seed + 1));
+  net::Network net(sim, traffic, Rng(seed + 1));
   std::vector<VehicleId> workers;
   for (int i = 0; i < 10; ++i) {
     workers.push_back(traffic.spawn_parked(LinkId{0}, 12.0 * i));

@@ -46,7 +46,10 @@ OUT="${positional[1]:-BENCH_summary.json}"
 # bench_crypto_micro reports wall-clock timings; since it repeats each
 # benchmark (--reps, default 5) its cells carry {mean, ci95, n} stats, so
 # bench_diff.py applies CI-overlap instead of exact comparison. Across
-# truly unlike hardware --skip-bench bench_crypto_micro still applies.
+# truly unlike hardware --skip-bench bench_crypto_micro still applies. It
+# runs each repetition for 0.05 s instead of google-benchmark's default
+# 0.5 s: the summary tracks its cells across runs, and the default made it
+# the longest bench of the collection by far.
 BENCHES=(
   bench_fig1_resource_pool
   bench_fig2_cloud_comparison
@@ -92,8 +95,12 @@ for bench in "${BENCHES[@]}"; do
     sleep 0.2
   done
   echo "running $bench ..." >&2
+  bench_flags=("${extra_flags[@]}")
+  if [[ "$bench" == bench_crypto_micro ]]; then
+    bench_flags+=(--benchmark_min_time=0.05)
+  fi
   "$BUILD_DIR/bench/$bench" --json "$tmpdir/$bench.json" \
-    "${extra_flags[@]}" > "$tmpdir/$bench.log" 2>&1 &
+    "${bench_flags[@]}" > "$tmpdir/$bench.log" 2>&1 &
   pids+=("$!")
 done
 

@@ -20,9 +20,8 @@ struct MitmConfig {
 class MitmGreedyRouter final : public routing::GreedyGeo {
  public:
   MitmGreedyRouter(net::Network& net, const AdversaryRoster& roster,
-                   MitmConfig config, Rng rng,
-                   routing::RouterConfig router_config = {})
-      : routing::GreedyGeo(net, router_config),
+                   MitmConfig config, Rng rng)
+      : routing::GreedyGeo(net),
         roster_(roster),
         config_(config),
         rng_(rng) {}

@@ -20,9 +20,8 @@ struct SuppressionConfig {
 class SuppressedGreedyRouter final : public routing::GreedyGeo {
  public:
   SuppressedGreedyRouter(net::Network& net, const AdversaryRoster& roster,
-                         SuppressionConfig config, Rng rng,
-                         routing::RouterConfig router_config = {})
-      : routing::GreedyGeo(net, router_config),
+                         SuppressionConfig config, Rng rng)
+      : routing::GreedyGeo(net),
         roster_(roster),
         config_(config),
         rng_(rng) {}

@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace vcl::attack {
+namespace {
+
+constexpr double kMaxSpeed = 40.0;  // m/s bound used for kinematic linking
+
+}  // namespace
 
 TrackingScore TrackingAdversary::analyze(
     std::vector<auth::AirObservation> obs) const {
@@ -35,8 +40,7 @@ TrackingScore TrackingAdversary::analyze(
       const bool id_match =
           o.visible_id != 0 && o.visible_id == prev.visible_id;
       const double dist = geo::distance(o.pos, prev.pos);
-      const bool kinematic_ok =
-          config_.use_kinematics && dist <= config_.max_speed * dt + 15.0;
+      const bool kinematic_ok = dist <= kMaxSpeed * dt + 15.0;
       if (!id_match && !kinematic_ok) continue;
       // Prefer id matches strongly; otherwise nearest continuation.
       const double cost = id_match ? -1.0 : dist;

@@ -3,8 +3,9 @@
 // vehicles").
 //
 // Two linking signals: (1) identifier reuse — same visible id implies same
-// vehicle; (2) kinematic continuity — an observation within `max_speed x dt`
-// of a trajectory head is chained to it even across an id change. Scoring
+// vehicle; (2) kinematic continuity — an observation within
+// 40 m/s x dt + 15 m of a trajectory head is chained to it even across an
+// id change. Scoring
 // compares chains against ground truth.
 #pragma once
 
@@ -13,11 +14,6 @@
 #include "auth/privacy_metrics.h"
 
 namespace vcl::attack {
-
-struct TrackerConfig {
-  double max_speed = 40.0;  // m/s bound used for kinematic linking
-  bool use_kinematics = true;
-};
 
 struct TrackingScore {
   // Fraction of adjacent same-vehicle observation pairs the adversary
@@ -30,14 +26,9 @@ struct TrackingScore {
 
 class TrackingAdversary {
  public:
-  explicit TrackingAdversary(TrackerConfig config = {}) : config_(config) {}
-
   // Consumes time-ordered observations and scores the reconstruction.
   [[nodiscard]] TrackingScore analyze(
       std::vector<auth::AirObservation> observations) const;
-
- private:
-  TrackerConfig config_;
 };
 
 }  // namespace vcl::attack

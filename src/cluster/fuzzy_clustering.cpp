@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace vcl::cluster {
+namespace {
+
+constexpr double kSpeedDevFull = 8.0;  // m/s mapped to membership 0
+constexpr double kCentralityFull = 250.0;  // mean neighbor distance mapped to 0
+constexpr double kDegreeFull = 12.0;  // neighbor count mapped to membership 1
+constexpr double kHysteresis = 0.1;   // scores live in [0,1]
+
+}  // namespace
 
 double membership_low(double x, double full_at) {
   if (full_at <= 0.0) return 0.0;
@@ -16,9 +24,9 @@ double membership_high(double x, double full_at) {
 
 double FuzzyClustering::suitability(double speed_dev, double mean_dist,
                                     double degree) const {
-  const double stable = membership_low(speed_dev, config_.speed_dev_full);
-  const double central = membership_low(mean_dist, config_.centrality_full);
-  const double connected = membership_high(degree, config_.degree_full);
+  const double stable = membership_low(speed_dev, kSpeedDevFull);
+  const double central = membership_low(mean_dist, kCentralityFull);
+  const double connected = membership_high(degree, kDegreeFull);
 
   // Rule base (min = AND, max = OR aggregation):
   //  R1: stable AND central            -> strongly suitable
@@ -50,7 +58,7 @@ void FuzzyClustering::update() {
     scores[vid] = suitability(rel_speed, mean_dist,
                               static_cast<double>(neighbors.size()));
   }
-  elect_by_score(scores, config_.hysteresis);
+  elect_by_score(scores, kHysteresis);
 }
 
 }  // namespace vcl::cluster

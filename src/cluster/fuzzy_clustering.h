@@ -11,21 +11,13 @@
 
 namespace vcl::cluster {
 
-struct FuzzyClusteringConfig {
-  double speed_dev_full = 8.0;   // m/s mapped to membership 0 ("high dev")
-  double centrality_full = 250.0;  // mean neighbor distance mapped to 0
-  double degree_full = 12.0;     // neighbor count mapped to membership 1
-  double hysteresis = 0.1;       // scores live in [0,1]
-};
-
 // Triangular membership helpers exposed for unit tests.
 double membership_low(double x, double full_at);   // 1 at 0, 0 at full_at
 double membership_high(double x, double full_at);  // 0 at 0, 1 at full_at
 
 class FuzzyClustering final : public ClusterManager {
  public:
-  FuzzyClustering(net::Network& net, FuzzyClusteringConfig config = {})
-      : ClusterManager(net), config_(config) {}
+  explicit FuzzyClustering(net::Network& net) : ClusterManager(net) {}
 
   [[nodiscard]] const char* name() const override { return "fuzzy"; }
   void update() override;
@@ -33,9 +25,6 @@ class FuzzyClustering final : public ClusterManager {
   // Suitability in [0,1] given crisp inputs; pure so tests can probe it.
   [[nodiscard]] double suitability(double speed_dev, double mean_dist,
                                    double degree) const;
-
- private:
-  FuzzyClusteringConfig config_;
 };
 
 }  // namespace vcl::cluster

@@ -7,20 +7,23 @@ namespace vcl::cluster {
 
 namespace {
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
+constexpr double kMaxSpeedDiff = 6.0;       // m/s
+constexpr double kMaxAngleRad = 0.6;        // heading difference (~34 degrees)
+constexpr double kCaptainHysteresis = 30.0;  // meters of centroid slack
 }  // namespace
 
 bool MovingZone::compatible(geo::Vec2 vel_a, double speed_a, geo::Vec2 vel_b,
                             double speed_b) const {
   // Parked/near-stationary vehicles group by proximity alone.
   if (speed_a < 0.5 && speed_b < 0.5) return true;
-  if (std::abs(speed_a - speed_b) > config_.max_speed_diff) return false;
+  if (std::abs(speed_a - speed_b) > kMaxSpeedDiff) return false;
   // geo::angle_between, reusing the norms.
   double angle = 0.0;
   if (speed_a != 0.0 && speed_b != 0.0) {
     const double c = vel_a.dot(vel_b) / (speed_a * speed_b);
     angle = std::acos(std::clamp(c, -1.0, 1.0));
   }
-  return angle <= config_.max_angle_rad;
+  return angle <= kMaxAngleRad;
 }
 
 void MovingZone::update() {
@@ -90,7 +93,7 @@ void MovingZone::update() {
       auto cur = assignments().find(id.value());
       if (cur != assignments().end() &&
           cur->second.role == ClusterRole::kHead) {
-        d -= config_.captain_hysteresis;
+        d -= kCaptainHysteresis;
       }
       if (d < best || (d == best && id.value() < captain.value())) {
         best = d;

@@ -12,16 +12,9 @@
 
 namespace vcl::cluster {
 
-struct MovingZoneConfig {
-  double max_speed_diff = 6.0;    // m/s
-  double max_angle_rad = 0.6;     // heading difference (~34 degrees)
-  double captain_hysteresis = 30.0;  // meters of centroid-distance slack
-};
-
 class MovingZone final : public ClusterManager {
  public:
-  MovingZone(net::Network& net, MovingZoneConfig config = {})
-      : ClusterManager(net), config_(config) {}
+  explicit MovingZone(net::Network& net) : ClusterManager(net) {}
 
   [[nodiscard]] const char* name() const override { return "mozo"; }
   void update() override;
@@ -32,7 +25,6 @@ class MovingZone final : public ClusterManager {
                                 geo::Vec2 vel_b, double speed_b) const;
 
  private:
-  MovingZoneConfig config_;
   // update() scratch, indexed by slot (position in vehicles() order) or,
   // for slot_by_id_, by vehicle id; kept to reuse the allocations.
   std::vector<const mobility::VehicleState*> vehicle_;

@@ -1,6 +1,12 @@
 #include "cluster/passive_clustering.h"
 
 namespace vcl::cluster {
+namespace {
+
+constexpr int kMaxHops = 2;
+constexpr double kHysteresis = 0.5;  // incumbent-head priority bonus
+
+}  // namespace
 
 void PassiveClustering::update() {
   prune_departed();
@@ -17,7 +23,7 @@ void PassiveClustering::update() {
     double p = -rel;
     auto cur = assignments().find(vid);
     if (cur != assignments().end() && cur->second.role == ClusterRole::kHead) {
-      p += config_.hysteresis;
+      p += kHysteresis;
     }
     priority[vid] = p;
   }
@@ -45,7 +51,7 @@ void PassiveClustering::update() {
   for (const auto& [vid, v] : vehicles) {
     VehicleId at = v.id;
     bool reached = false;
-    for (int hop = 0; hop <= config_.max_hops; ++hop) {
+    for (int hop = 0; hop <= kMaxHops; ++hop) {
       const VehicleId next = follows[at.value()];
       if (next == at) {
         reached = true;

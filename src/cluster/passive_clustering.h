@@ -3,7 +3,7 @@
 // Vehicles passively follow the most stable neighbor within N hops: each
 // vehicle points at the neighbor with the highest priority (lowest relative
 // mobility); chains of "following" relationships terminate at local maxima,
-// which become cluster heads. Members further than `max_hops` from their
+// which become cluster heads. Members further than 2 hops from their
 // head break off and form their own cluster.
 #pragma once
 
@@ -11,21 +11,12 @@
 
 namespace vcl::cluster {
 
-struct PassiveClusteringConfig {
-  int max_hops = 2;
-  double hysteresis = 0.5;
-};
-
 class PassiveClustering final : public ClusterManager {
  public:
-  PassiveClustering(net::Network& net, PassiveClusteringConfig config = {})
-      : ClusterManager(net), config_(config) {}
+  explicit PassiveClustering(net::Network& net) : ClusterManager(net) {}
 
   [[nodiscard]] const char* name() const override { return "pmc"; }
   void update() override;
-
- private:
-  PassiveClusteringConfig config_;
 };
 
 }  // namespace vcl::cluster

@@ -1,6 +1,13 @@
 #include "cluster/speed_clustering.h"
 
 namespace vcl::cluster {
+namespace {
+
+constexpr double kSpeedWeight = 1.0;   // penalty per m/s of relative speed
+constexpr double kDegreeWeight = 0.2;  // reward per heard neighbor
+constexpr double kHysteresis = 0.5;    // incumbent-head score bonus
+
+}  // namespace
 
 void SpeedClustering::update() {
   std::unordered_map<std::uint64_t, double> scores;
@@ -13,10 +20,10 @@ void SpeedClustering::update() {
     if (!neighbors.empty()) {
       rel_speed /= static_cast<double>(neighbors.size());
     }
-    scores[vid] = -config_.speed_weight * rel_speed +
-                  config_.degree_weight * static_cast<double>(neighbors.size());
+    scores[vid] = -kSpeedWeight * rel_speed +
+                  kDegreeWeight * static_cast<double>(neighbors.size());
   }
-  elect_by_score(scores, config_.hysteresis);
+  elect_by_score(scores, kHysteresis);
 }
 
 }  // namespace vcl::cluster

@@ -9,22 +9,12 @@
 
 namespace vcl::cluster {
 
-struct SpeedClusteringConfig {
-  double speed_weight = 1.0;     // penalty per m/s of relative speed
-  double degree_weight = 0.2;    // reward per heard neighbor
-  double hysteresis = 0.5;       // incumbent-head score bonus
-};
-
 class SpeedClustering final : public ClusterManager {
  public:
-  SpeedClustering(net::Network& net, SpeedClusteringConfig config = {})
-      : ClusterManager(net), config_(config) {}
+  explicit SpeedClustering(net::Network& net) : ClusterManager(net) {}
 
   [[nodiscard]] const char* name() const override { return "speed"; }
   void update() override;
-
- private:
-  SpeedClusteringConfig config_;
 };
 
 }  // namespace vcl::cluster

@@ -1,11 +1,18 @@
 #include "core/bootstrap.h"
 
 namespace vcl::core {
+namespace {
+
+constexpr std::size_t kPseudonymPool = 8;  // pseudonyms issued per join
+constexpr crypto::CostModel kCosts;
+// A relay path adds hops; modeled as a multiplier on the RSU RTT.
+constexpr double kRelayPenalty = 2.0;
+
+}  // namespace
 
 BootstrapProtocol::BootstrapProtocol(net::Network& net,
-                                     auth::TrustedAuthority& ta,
-                                     BootstrapConfig config)
-    : net_(net), ta_(ta), config_(config), drbg_(std::uint64_t{0xB007}) {}
+                                     auth::TrustedAuthority& ta)
+    : net_(net), ta_(ta), drbg_(std::uint64_t{0xB007}) {}
 
 void BootstrapProtocol::attach(SimTime period) {
   net_.simulator().schedule_every(period, [this] { step(); }, -1.0,
@@ -33,10 +40,9 @@ SimTime BootstrapProtocol::registration_latency(VehicleId v,
   const std::size_t density =
       s != nullptr ? net_.local_density(s->pos) : 0;
   SimTime rtt = 2.0 * net_.channel().hop_delay(512, density);
-  if (!via_rsu) rtt *= config_.relay_penalty;
+  if (!via_rsu) rtt *= kRelayPenalty;
   const SimTime issuance =
-      config_.costs.cost(crypto::Op::kSign) *
-      static_cast<double>(config_.pseudonym_pool);
+      kCosts.cost(crypto::Op::kSign) * static_cast<double>(kPseudonymPool);
   return rtt + issuance;
 }
 
@@ -60,7 +66,7 @@ void BootstrapProtocol::complete_join(VehicleId v, bool via_rsu) {
   // Issue the credential pool and a DH key for session establishment.
   ta_.register_vehicle(v);
   signers_[v.value()] = std::make_unique<auth::PseudonymAuth>(
-      ta_, v, config_.pseudonym_pool);
+      ta_, v, kPseudonymPool);
   const crypto::Schnorr schnorr(ta_.group());
   dh_keys_[v.value()] = schnorr.keygen(drbg_);
 }

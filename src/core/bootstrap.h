@@ -33,17 +33,9 @@ struct JoinRecord {
   bool via_rsu = false;  // direct RSU registration vs neighbor relay
 };
 
-struct BootstrapConfig {
-  std::size_t pseudonym_pool = 8;
-  crypto::CostModel costs;
-  // A relay path adds hops; modeled as a multiplier on the RSU RTT.
-  double relay_penalty = 2.0;
-};
-
 class BootstrapProtocol {
  public:
-  BootstrapProtocol(net::Network& net, auth::TrustedAuthority& ta,
-                    BootstrapConfig config = {});
+  BootstrapProtocol(net::Network& net, auth::TrustedAuthority& ta);
 
   // Drives the state machines once per period.
   void attach(SimTime period = 1.0);
@@ -79,7 +71,6 @@ class BootstrapProtocol {
 
   net::Network& net_;
   auth::TrustedAuthority& ta_;
-  BootstrapConfig config_;
   std::unordered_map<std::uint64_t, JoinRecord> records_;
   std::unordered_map<std::uint64_t, std::unique_ptr<auth::PseudonymAuth>>
       signers_;

@@ -1,6 +1,12 @@
 #include "core/pipeline.h"
 
 namespace vcl::core {
+namespace {
+
+constexpr crypto::CostModel kCosts;  // OBU-class rates
+constexpr double kTrustThreshold = 0.5;  // validator score to accept
+
+}  // namespace
 
 const char* to_string(AuthProtocolKind p) {
   switch (p) {
@@ -38,7 +44,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
   result.authenticated = verdict.ok;
   if (!verdict.ok) {
     result.rejected_at = "authentication";
-    result.latency = config_.costs.total(ops);
+    result.latency = kCosts.total(ops);
     result.within_budget = result.latency <= config_.budget;
     return result;
   }
@@ -50,7 +56,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
     result.authorized = plain.has_value();
     if (!result.authorized) {
       result.rejected_at = "authorization";
-      result.latency = config_.costs.total(ops);
+      result.latency = kCosts.total(ops);
       result.within_budget = result.latency <= config_.budget;
       return result;
     }
@@ -59,15 +65,14 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
   }
 
   // Stage 3: trust validation ("do I need to verify data trustworthiness?").
-  if (config_.require_trust_validation && trust_in.validator != nullptr &&
-      trust_in.cluster != nullptr) {
+  if (trust_in.validator != nullptr && trust_in.cluster != nullptr) {
     const trust::TrustDecision decision =
         trust_in.validator->evaluate(*trust_in.cluster);
     ops.hash += trust_in.cluster->reports.size();  // content checks
-    result.trusted = decision.score > config_.trust_threshold;
+    result.trusted = decision.score > kTrustThreshold;
     if (!result.trusted) {
       result.rejected_at = "trust";
-      result.latency = config_.costs.total(ops);
+      result.latency = kCosts.total(ops);
       result.within_budget = result.latency <= config_.budget;
       return result;
     }
@@ -76,7 +81,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
   }
 
   result.accepted = true;
-  result.latency = config_.costs.total(ops);
+  result.latency = kCosts.total(ops);
   result.within_budget = result.latency <= config_.budget;
   return result;
 }

@@ -22,10 +22,7 @@ enum class AuthProtocolKind : std::uint8_t { kPseudonym, kGroup, kHybrid };
 const char* to_string(AuthProtocolKind p);
 
 struct PipelineConfig {
-  crypto::CostModel costs;
   SimTime budget = 100 * kMilliseconds;  // end-to-end deadline per message
-  bool require_trust_validation = true;
-  double trust_threshold = 0.5;
 };
 
 struct PipelineResult {
@@ -70,8 +67,6 @@ class SecurePipeline {
                                        const AuthzInput& authz_in,
                                        const TrustInput& trust_in,
                                        SimTime now);
-
-  [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
  private:
   PipelineConfig config_;

@@ -1,6 +1,14 @@
 #include "core/scenario.h"
 
 namespace vcl::core {
+namespace {
+
+constexpr double kHighwayLength = 5000.0;  // meters
+constexpr int kLotRows = 8;
+constexpr int kLotCols = 8;
+constexpr double kMobilityDt = 0.1;  // traffic step, seconds
+
+}  // namespace
 
 geo::RoadNetwork Scenario::build_road(const ScenarioConfig& config) {
   switch (config.environment) {
@@ -8,9 +16,9 @@ geo::RoadNetwork Scenario::build_road(const ScenarioConfig& config) {
       return geo::make_manhattan_grid(config.grid_rows, config.grid_cols,
                                       config.grid_spacing);
     case Environment::kHighway:
-      return geo::make_highway(config.highway_length);
+      return geo::make_highway(kHighwayLength);
     case Environment::kParkingLot:
-      return geo::make_parking_lot(config.lot_rows, config.lot_cols);
+      return geo::make_parking_lot(kLotRows, kLotCols);
   }
   return geo::make_manhattan_grid(4, 4, 200.0);
 }
@@ -27,7 +35,7 @@ Scenario::Scenario(ScenarioConfig config)
                return tg;
              }(),
              Rng(config.seed).fork(2)),
-      net_(sim_, traffic_, config.channel, Rng(config.seed).fork(3)) {
+      net_(sim_, traffic_, Rng(config.seed).fork(3)) {
   if (config_.rsu_spacing > 0.0) {
     net_.rsus().place_grid(road_, config_.rsu_spacing, config_.rsu_range);
   }
@@ -50,7 +58,7 @@ void Scenario::start() {
     park_population();
   } else {
     trips_.prefill();
-    traffic_.attach(sim_, config_.mobility_dt);
+    traffic_.attach(sim_, kMobilityDt);
     trips_.attach(sim_);
   }
   net_.start_beacons(config_.beacon_period);

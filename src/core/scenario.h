@@ -18,24 +18,18 @@ struct ScenarioConfig {
   Environment environment = Environment::kCity;
   std::uint64_t seed = 42;
 
-  // City grid.
+  // City grid. The highway is 5 km long and the parking lot has 8 x 8
+  // stalls in every scenario.
   int grid_rows = 6;
   int grid_cols = 6;
   double grid_spacing = 200.0;
-  // Highway.
-  double highway_length = 5000.0;
-  // Parking lot.
-  int lot_rows = 8;
-  int lot_cols = 8;
 
   int vehicles = 100;
   bool vehicles_parked = false;  // park the population (stationary clouds)
   // Automation-level mix, indexed by SAE level 0..5 (normalized weights).
   std::vector<double> automation_weights = {0.05, 0.15, 0.3, 0.3, 0.15, 0.05};
 
-  double mobility_dt = 0.1;
   SimTime beacon_period = 1.0;
-  net::ChannelConfig channel;
   // RSU deployment: grid spacing in meters; 0 = no infrastructure.
   double rsu_spacing = 0.0;
   double rsu_range = 500.0;

@@ -3,6 +3,12 @@
 #include <stdexcept>
 
 namespace vcl::core {
+namespace {
+
+constexpr SimTime kClusterPeriod = 1.0;  // moving-zone re-clustering
+constexpr SimTime kSamplePeriod = 1.0;   // telemetry metric sampling
+
+}  // namespace
 
 const char* to_string(CloudArchitecture a) {
   switch (a) {
@@ -36,7 +42,7 @@ void VehicularCloudSystem::start() {
   started_ = true;
   scenario_.start();
   scenario_.network().refresh();
-  zones_.attach(config_.cluster_period);
+  zones_.attach(kClusterPeriod);
   zones_.update();
 
   // Register the initial population with the TA.
@@ -76,8 +82,8 @@ void VehicularCloudSystem::start() {
     }
     case CloudArchitecture::kDynamic: {
       membership = vcloud::largest_cluster_membership(zones_);
-      region = vcloud::largest_cluster_region(
-          scenario_.traffic(), zones_, config_.scenario.channel.max_range);
+      region = vcloud::largest_cluster_region(scenario_.traffic(), zones_,
+                                              net::Channel::kMaxRange);
       break;
     }
   }
@@ -220,8 +226,7 @@ void VehicularCloudSystem::start() {
       telemetry_->metrics.gauge("sim.queue.high_water", [this] {
         return static_cast<double>(scenario_.simulator().queue_high_water());
       });
-      telemetry_->metrics.start_sampling(scenario_.simulator(),
-                                         config_.telemetry.sample_period);
+      telemetry_->metrics.start_sampling(scenario_.simulator(), kSamplePeriod);
     }
     if (config_.telemetry.profile_kernel) {
       scenario_.simulator().enable_profiling(true);

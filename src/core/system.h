@@ -43,7 +43,6 @@ struct SystemConfig {
   // Stationary clouds anchor here (defaults to the road bounding-box
   // center).
   double stationary_radius = 400.0;
-  SimTime cluster_period = 1.0;
   // Fault injection (paper §III): all rates default to 0 = no faults. The
   // blackout box is filled from the road bounding box unless set explicitly.
   fault::FaultPlanConfig faults;

@@ -1,13 +1,19 @@
 #include "core/vtl.h"
 
 namespace vcl::core {
+namespace {
 
-VtlController::VtlController(net::Network& net, VtlConfig config)
-    : net_(net), config_(config), map_(net.traffic().network()) {}
+constexpr double kDetectionRadius = 120.0;  // how far the leader "sees" demand
+constexpr SimTime kMinPhase = 6.0;
+constexpr SimTime kDecisionPeriod = 1.0;
+
+}  // namespace
+
+VtlController::VtlController(net::Network& net)
+    : net_(net), map_(net.traffic().network()) {}
 
 void VtlController::attach() {
-  net_.simulator().schedule_every(config_.decision_period,
-                                  [this] { decide(); });
+  net_.simulator().schedule_every(kDecisionPeriod, [this] { decide(); });
 }
 
 VehicleId VtlController::leader(NodeId node) const {
@@ -24,12 +30,12 @@ void VtlController::decide_junction(NodeId node, JunctionState& state) {
   std::size_t demand_ew = 0;
   std::size_t demand_ns = 0;
   VehicleId nearest;
-  double nearest_dist = config_.detection_radius;
+  double nearest_dist = kDetectionRadius;
   for (const auto& [vid, v] : net_.traffic().vehicles()) {
     if (v.parked) continue;
     if (map_.network().link(v.link).to != node) continue;
     const double dist = geo::distance(v.pos, center);
-    if (dist > config_.detection_radius) continue;
+    if (dist > kDetectionRadius) continue;
     if (mobility::approach_group(map_.network(), v.link) ==
         mobility::ApproachGroup::kEastWest) {
       ++demand_ew;
@@ -49,7 +55,7 @@ void VtlController::decide_junction(NodeId node, JunctionState& state) {
   const bool old_still_approaching =
       old_leader != nullptr && !old_leader->parked &&
       map_.network().link(old_leader->link).to == node &&
-      geo::distance(old_leader->pos, center) <= config_.detection_radius;
+      geo::distance(old_leader->pos, center) <= kDetectionRadius;
   if (!old_still_approaching) {
     if (state.leader.valid() || nearest.valid()) {
       if (!(state.leader == nearest)) ++leader_changes_;
@@ -60,7 +66,7 @@ void VtlController::decide_junction(NodeId node, JunctionState& state) {
   // Phase decision by the leader: serve the group with more demand, with a
   // minimum-phase hold.
   if (!state.leader.valid()) return;  // empty junction: hold current state
-  if (now - state.phase_started < config_.min_phase) return;
+  if (now - state.phase_started < kMinPhase) return;
   const mobility::ApproachGroup wanted =
       demand_ew >= demand_ns ? mobility::ApproachGroup::kEastWest
                              : mobility::ApproachGroup::kNorthSouth;

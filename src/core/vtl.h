@@ -6,7 +6,7 @@
 // At each signalized intersection, the approaching vehicles elect a leader
 // (the closest vehicle to the junction); the leader acts as the light:
 // it grants green to the approach group with the greater demand, holding
-// each phase at least `min_phase` seconds to avoid thrashing, and yields
+// each phase at least 6 seconds to avoid thrashing, and yields
 // leadership when it crosses or leaves. No RSU is involved — the exact
 // infrastructure-reduction argument of the paper, applied to the paper's
 // own example application.
@@ -17,15 +17,9 @@
 
 namespace vcl::core {
 
-struct VtlConfig {
-  double detection_radius = 120.0;  // how far the leader "sees" demand
-  SimTime min_phase = 6.0;
-  SimTime decision_period = 1.0;
-};
-
 class VtlController {
  public:
-  VtlController(net::Network& net, VtlConfig config = {});
+  explicit VtlController(net::Network& net);
 
   // Schedules periodic leader election + phase decisions.
   void attach();
@@ -51,7 +45,6 @@ class VtlController {
   void decide_junction(NodeId node, JunctionState& state);
 
   net::Network& net_;
-  VtlConfig config_;
   mobility::IntersectionMap map_;
   std::unordered_map<std::uint64_t, JunctionState> junctions_;
   std::size_t leader_changes_ = 0;

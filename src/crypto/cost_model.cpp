@@ -18,16 +18,16 @@ OpCounts& OpCounts::operator+=(const OpCounts& o) {
 
 SimTime CostModel::cost(Op op) const {
   switch (op) {
-    case Op::kHash: return hash_s * scale_;
-    case Op::kHmac: return hmac_s * scale_;
-    case Op::kSign: return sign_s * scale_;
-    case Op::kVerify: return verify_s * scale_;
-    case Op::kKemEncap: return kem_encap_s * scale_;
-    case Op::kKemDecap: return kem_decap_s * scale_;
-    case Op::kGroupSign: return group_sign_s * scale_;
-    case Op::kGroupVerify: return group_verify_s * scale_;
-    case Op::kAbeEncrypt: return abe_leaf_encrypt_s * scale_;
-    case Op::kAbeDecrypt: return abe_leaf_decrypt_s * scale_;
+    case Op::kHash: return hash_s;
+    case Op::kHmac: return hmac_s;
+    case Op::kSign: return sign_s;
+    case Op::kVerify: return verify_s;
+    case Op::kKemEncap: return kem_encap_s;
+    case Op::kKemDecap: return kem_decap_s;
+    case Op::kGroupSign: return group_sign_s;
+    case Op::kGroupVerify: return group_verify_s;
+    case Op::kAbeEncrypt: return abe_leaf_encrypt_s;
+    case Op::kAbeDecrypt: return abe_leaf_decrypt_s;
   }
   return 0.0;
 }

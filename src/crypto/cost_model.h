@@ -52,9 +52,6 @@ class CostModel {
   [[nodiscard]] SimTime cost(Op op) const;
   [[nodiscard]] SimTime total(const OpCounts& counts) const;
 
-  // Uniformly scales all costs (e.g. 0.1 models a 10x faster OBU).
-  void scale(double factor) { scale_ *= factor; }
-
   // Per-op overrides, seconds.
   SimTime hash_s = 5 * kMicroseconds;
   SimTime hmac_s = 8 * kMicroseconds;
@@ -66,9 +63,6 @@ class CostModel {
   SimTime group_verify_s = 9.0 * kMilliseconds;
   SimTime abe_leaf_encrypt_s = 2.2 * kMilliseconds;
   SimTime abe_leaf_decrypt_s = 1.8 * kMilliseconds;
-
- private:
-  double scale_ = 1.0;
 };
 
 }  // namespace vcl::crypto

@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace vcl::dag {
+namespace {
+
+constexpr double kEdgeProb = 0.5;  // layered-random inter-layer edge prob
+
+}  // namespace
 
 TaskGraph DagWorkloadGenerator::make(DagShape shape) {
   TaskGraph g;
@@ -55,7 +60,7 @@ TaskGraph DagWorkloadGenerator::make(DagShape shape) {
           if (l == 0) continue;
           bool connected = false;
           for (const std::size_t p : prev_layer) {
-            if (rng_.bernoulli(config_.edge_prob)) {
+            if (rng_.bernoulli(kEdgeProb)) {
               g.add_edge(p, u, draw_transfer());
               connected = true;
             }

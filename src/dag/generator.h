@@ -28,7 +28,6 @@ struct DagWorkloadConfig {
   std::size_t fanout = 6;           // fork-join branch count
   std::size_t layers = 4;           // layered-random depth
   std::size_t layer_width = 3;
-  double edge_prob = 0.5;           // layered-random inter-layer edge prob
 };
 
 class DagWorkloadGenerator {

@@ -2,7 +2,7 @@
 //
 // A bench binary owns one Campaign. It parses `--reps N --jobs J` (plus
 // `--json <path>` through the embedded obs::BenchReporter), runs replicated
-// cells through exp::replicate on one shared work-stealing pool, and emits
+// cells through exp::replicate on one shared thread pool, and emits
 // tables whose cells carry cross-replication statistics:
 //
 //   exp::Campaign campaign("bench_fig1_resource_pool", argc, argv);

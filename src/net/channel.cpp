@@ -4,6 +4,16 @@
 #include <cmath>
 
 namespace vcl::net {
+namespace {
+
+constexpr double kPathLossExponent = 2.7;
+constexpr double kShadowingSigma = 3.0;  // dB
+constexpr double kDataRateBps = 6e6;     // 802.11p nominal 6 Mbit/s
+constexpr SimTime kSlotTime = 50 * kMicroseconds;
+constexpr double kContentionPerNeighbor = 0.004;  // loss per local transmitter
+constexpr double kBaseLoss = 0.02;  // irreducible packet error rate
+
+}  // namespace
 
 std::uint64_t Channel::add_blackout(BlackoutRegion region) {
   const std::uint64_t token = next_blackout_token_++;
@@ -26,35 +36,31 @@ bool Channel::blacked_out(geo::Vec2 pos) const {
 double Channel::reception_probability(geo::Vec2 from, geo::Vec2 to,
                                       std::size_t local_density) const {
   const double d = geo::distance(from, to);
-  if (d > config_.max_range) return 0.0;
+  if (d > kMaxRange) return 0.0;
   if (!blackouts_.empty() && (blacked_out(from) || blacked_out(to))) {
     return 0.0;
   }
-  double p = 1.0 - config_.base_loss;
-  if (d > config_.reference_range) {
+  double p = 1.0 - kBaseLoss;
+  if (d > kReferenceRange) {
     // Log-distance fade: success decays with (d/ref)^(-alpha), smoothed so
     // p -> ~0 at the cutoff. Shadowing sigma widens the transition band.
     const double ratio =
-        (d - config_.reference_range) /
-        std::max(config_.max_range - config_.reference_range, 1.0);
-    const double fade =
-        std::pow(1.0 - ratio, config_.path_loss_exponent / 2.0);
-    p *= std::clamp(fade + 0.02 * config_.shadowing_sigma * (1.0 - ratio),
-                    0.0, 1.0);
+        (d - kReferenceRange) / (kMaxRange - kReferenceRange);
+    const double fade = std::pow(1.0 - ratio, kPathLossExponent / 2.0);
+    p *= std::clamp(fade + 0.02 * kShadowingSigma * (1.0 - ratio), 0.0, 1.0);
   }
   // CSMA contention: every concurrent transmitter in range erodes success.
-  p *= std::max(0.0, 1.0 - config_.contention_per_neighbor *
+  p *= std::max(0.0, 1.0 - kContentionPerNeighbor *
                                static_cast<double>(local_density));
   return std::clamp(p, 0.0, 1.0);
 }
 
 SimTime Channel::hop_delay(std::size_t size_bytes,
                            std::size_t local_density) const {
-  const SimTime tx_time =
-      static_cast<double>(size_bytes) * 8.0 / config_.data_rate_bps;
+  const SimTime tx_time = static_cast<double>(size_bytes) * 8.0 / kDataRateBps;
   // Expected backoff grows with contenders (simplified binary backoff).
   const SimTime backoff =
-      config_.slot_time * (1.0 + static_cast<double>(local_density) * 0.5);
+      kSlotTime * (1.0 + static_cast<double>(local_density) * 0.5);
   return tx_time + backoff;
 }
 

@@ -19,19 +19,6 @@
 
 namespace vcl::net {
 
-struct ChannelConfig {
-  double max_range = 300.0;        // hard cutoff, meters (DSRC-class)
-  double reference_range = 150.0;  // distance where loss starts to bite
-  double path_loss_exponent = 2.7;
-  double shadowing_sigma = 3.0;    // dB
-  double data_rate_bps = 6e6;      // 802.11p nominal 6 Mbit/s
-  SimTime slot_time = 50 * kMicroseconds;
-  double contention_per_neighbor = 0.004;  // loss added per local transmitter
-  double base_loss = 0.02;                 // irreducible packet error rate
-
-  friend bool operator==(const ChannelConfig&, const ChannelConfig&) = default;
-};
-
 struct ReceptionResult {
   bool received = false;
   SimTime delay = 0.0;  // valid when received
@@ -58,7 +45,10 @@ struct BlackoutRegion {
 
 class Channel {
  public:
-  explicit Channel(ChannelConfig config = {}) : config_(config) {}
+  // The two ranges other layers size by: the hard reception cutoff
+  // (DSRC-class) and the distance where path loss starts to bite, meters.
+  static constexpr double kMaxRange = 300.0;
+  static constexpr double kReferenceRange = 150.0;
 
   // Probability that a packet from `from` reaches `to` given `local_density`
   // concurrent transmitters in range (deterministic; no RNG).
@@ -74,9 +64,6 @@ class Channel {
   // Deterministic per-hop latency (used for expectation-style accounting).
   [[nodiscard]] SimTime hop_delay(std::size_t size_bytes,
                                   std::size_t local_density) const;
-
-  [[nodiscard]] const ChannelConfig& config() const { return config_; }
-  ChannelConfig& config() { return config_; }
 
   // Radio blackout windows (fault injection): while any region covers
   // either endpoint, reception probability is forced to 0. Returns a token
@@ -95,7 +82,6 @@ class Channel {
   [[nodiscard]] const ChannelCounters& counters() const { return counters_; }
 
  private:
-  ChannelConfig config_;
   std::vector<std::pair<std::uint64_t, BlackoutRegion>> blackouts_;
   std::uint64_t next_blackout_token_ = 1;
   // attempt() is logically const (sampling does not change the model);

@@ -5,13 +5,8 @@
 
 namespace vcl::net {
 
-Network::Network(sim::Simulator& sim, mobility::TrafficModel& traffic,
-                 ChannelConfig channel_cfg, Rng rng)
-    : sim_(sim),
-      traffic_(traffic),
-      channel_(channel_cfg),
-      rng_(rng),
-      index_(channel_cfg.max_range) {}
+Network::Network(sim::Simulator& sim, mobility::TrafficModel& traffic, Rng rng)
+    : sim_(sim), traffic_(traffic), rng_(rng), index_(Channel::kMaxRange) {}
 
 void Network::start_beacons(SimTime period) {
   refresh();
@@ -65,7 +60,7 @@ std::uint32_t Network::slot_of(VehicleId v) const {
 std::size_t Network::fill_rows(std::size_t chunk,
                                std::vector<std::uint32_t>& nearby,
                                RowChunk& out) const {
-  const double range = channel_.config().max_range;
+  const double range = Channel::kMaxRange;
   const std::size_t first = chunk * kRowChunk;
   const std::size_t last = std::min(first + kRowChunk, snap_pos_.size());
   std::size_t k = 0;
@@ -129,21 +124,19 @@ void Network::beacon_round_tables() {
   const SimTime now = sim_.now();
   ++stats_.beacon_rounds;
 
-  // Reception probabilities depend on the snapshot ids and positions, the
-  // channel config and the blackout set; velocities and extra load do not
-  // enter them. A round whose inputs equal the previous round's replays
-  // the plan if one is held. Otherwise it computes, and records a plan
-  // only in a later round with the same inputs, so the world held still
-  // for a whole period (set-up refreshes twice at t=0 and records nothing).
-  const bool held_still = same_snapshot_ &&
-                          channel_.config() == last_config_ &&
-                          channel_.blackouts() == last_blackouts_;
+  // Reception probabilities depend on the snapshot ids and positions and
+  // the blackout set; velocities and extra load do not enter them. A round
+  // whose inputs equal the previous round's replays the plan if one is
+  // held. Otherwise it computes, and records a plan only in a later round
+  // with the same inputs, so the world held still for a whole period
+  // (set-up refreshes twice at t=0 and records nothing).
+  const bool held_still =
+      same_snapshot_ && channel_.blackouts() == last_blackouts_;
   if (!held_still) {
     plan_start_ = {};
     plan_sender_ = {};
     plan_p_ = {};
     plan_valid_ = false;
-    last_config_ = channel_.config();
     last_blackouts_ = channel_.blackouts();
   }
   const bool replay = held_still && plan_valid_;
@@ -273,7 +266,7 @@ std::optional<geo::Vec2> Network::position_of(Address addr) const {
 }
 
 std::size_t Network::local_density(geo::Vec2 pos) const {
-  const double radius = channel_.config().reference_range;
+  const double radius = Channel::kReferenceRange;
   if (extra_load_.empty()) return index_.count(pos, radius);
   index_.query(pos, radius, nearby_);
   double extra = 0.0;
@@ -337,11 +330,11 @@ bool Network::transmit(const Message& msg, Address to_addr) {
     const Rsu* r = msg.src.is_rsu() ? rsus_.find(msg.src.as_rsu())
                                     : rsus_.find(to_addr.as_rsu());
     if (r != nullptr) {
-      range_bonus = r->range / channel_.config().max_range;
+      range_bonus = r->range / Channel::kMaxRange;
     }
   }
   const double dist = geo::distance(*from, *to);
-  if (dist > channel_.config().max_range * range_bonus) {
+  if (dist > Channel::kMaxRange * range_bonus) {
     ++stats_.dropped;
     if (trace_ != nullptr) {
       trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.drop",
@@ -400,7 +393,7 @@ std::size_t Network::broadcast(Message msg) {
 
   std::size_t reached = 0;
   // Grid positions are the last snapshot's; reception uses live ones.
-  index_.query(*from, channel_.config().max_range, nearby_);
+  index_.query(*from, Channel::kMaxRange, nearby_);
   for (const std::uint32_t slot : nearby_) {
     const VehicleId nid = snap_id_[slot];
     const Address addr = Address::vehicle(nid);

@@ -8,14 +8,14 @@
 //    MAC behaviour; beacons themselves are not individually evented, which
 //    keeps a 1000-vehicle scenario tractable). A round has two stages.
 //    Stage A computes, for each receiver, a row of (sender, reception
-//    probability) pairs; it only reads the snapshot, the grid, the channel
-//    config and the blackout set. Stage B draws each pair's reception and
-//    merges the heard beacons into the tables, serially, in snapshot order.
+//    probability) pairs; it only reads the snapshot, the grid and the
+//    blackout set. Stage B draws each pair's reception and merges the
+//    heard beacons into the tables, serially, in snapshot order.
 //    A world above a size floor has stage A rows computed ahead by up to 3
 //    helper threads (one fewer than the process's CPUs) that the calling
 //    thread joins; the draws and merges, and so every output, are the same
 //    with any number of helpers. A world that holds still (parked cars, no
-//    channel change) replays its last round's rows instead of computing
+//    blackout change) replays its last round's rows instead of computing
 //    them.
 //  * Data messages. `send`/`broadcast` are per-message: reception is
 //    sampled on the live channel and delivery callbacks fire after the
@@ -64,8 +64,7 @@ struct NetStats {
 
 class Network {
  public:
-  Network(sim::Simulator& sim, mobility::TrafficModel& traffic,
-          ChannelConfig channel_cfg, Rng rng);
+  Network(sim::Simulator& sim, mobility::TrafficModel& traffic, Rng rng);
   // Helper threads hold `this` during a beacon round.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -191,10 +190,9 @@ class Network {
   bool same_snapshot_ = false;  // ids equal, positions bitwise equal
   std::vector<std::uint32_t> slot_by_id_;  // vehicle id -> slot / kNoSlot
   geo::SpatialGrid index_;
-  // The previous beacon round's time, and its inputs to reception
+  // The previous beacon round's time, and its input to reception
   // probabilities besides the snapshot.
   SimTime last_round_at_ = 0.0;
-  ChannelConfig last_config_;
   std::vector<std::pair<std::uint64_t, BlackoutRegion>> last_blackouts_;
   // Reception plan: the rows of a whole round, slot s hearing senders
   // plan_sender_[k] at probability plan_p_[k] for k in

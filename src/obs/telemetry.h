@@ -18,12 +18,10 @@ namespace vcl::obs {
 struct TelemetryConfig {
   // Structured sim-time event tracing (TraceRecorder).
   bool tracing = false;
-  std::uint32_t trace_categories = kAllTraceCategories;
-  std::size_t trace_capacity = 1 << 16;
 
-  // Periodic metric sampling (MetricsRegistry time series).
+  // Metric sampling once per simulated second (MetricsRegistry time
+  // series).
   bool metrics = false;
-  SimTime sample_period = 1.0;
 
   // Per-label wall-clock/event attribution in sim::Simulator.
   bool profile_kernel = false;
@@ -34,8 +32,7 @@ struct TelemetryConfig {
 };
 
 struct Telemetry {
-  explicit Telemetry(const TelemetryConfig& cfg)
-      : config(cfg), trace(cfg.trace_capacity, cfg.trace_categories) {}
+  explicit Telemetry(const TelemetryConfig& cfg) : config(cfg) {}
 
   TelemetryConfig config;
   TraceRecorder trace;

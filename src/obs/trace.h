@@ -103,7 +103,6 @@ class TraceRecorder {
   [[nodiscard]] bool enabled(TraceCategory c) const {
     return (mask_ & category_bit(c)) != 0;
   }
-  void set_mask(std::uint32_t mask) { mask_ = mask; }
 
   // Allocates a fresh trace id (the root of a new causal tree).
   [[nodiscard]] std::uint64_t new_trace_id() { return next_trace_id_++; }

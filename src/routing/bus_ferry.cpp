@@ -1,6 +1,11 @@
 #include "routing/bus_ferry.h"
 
 namespace vcl::routing {
+namespace {
+
+constexpr double kDeliveryRadius = 250.0;  // bus hands off this close to dst
+
+}  // namespace
 
 void BusRegistry::register_bus(VehicleId bus, std::vector<LinkId> loop) {
   loops_[bus.value()] = std::move(loop);
@@ -67,7 +72,7 @@ void BusFerryRouting::forward(VehicleId self, const net::Message& msg) {
   // A carrying bus holds on until the destination area (its trajectory is
   // the plan; greedy hops off the bus would squander it) — unless a
   // neighbor makes direct final delivery possible above.
-  if (buses_.is_bus(self) && my_dist > ferry_config_.delivery_radius) {
+  if (buses_.is_bus(self) && my_dist > kDeliveryRadius) {
     buffer_message(self, msg);
     return;
   }
@@ -90,8 +95,7 @@ void BusFerryRouting::forward(VehicleId self, const net::Message& msg) {
   if (!buses_.is_bus(self)) {
     for (const net::NeighborEntry& n : net_.neighbors(self)) {
       if (!buses_.is_bus(n.id)) continue;
-      if (!buses_.route_covers(n.id, msg.dst_pos,
-                               ferry_config_.delivery_radius,
+      if (!buses_.route_covers(n.id, msg.dst_pos, kDeliveryRadius,
                                net_.traffic().network())) {
         continue;
       }

@@ -11,7 +11,6 @@
 // predictable ferries.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "routing/router.h"
@@ -40,20 +39,13 @@ std::vector<LinkId> build_loop_route(const geo::RoadNetwork& net,
                                      const std::vector<NodeId>& stops,
                                      int repetitions);
 
-struct BusFerryConfig {
-  double delivery_radius = 250.0;  // bus hands off when this close to dst
-  // Ferrying is delay-tolerant: messages live for minutes (a bus ride),
-  // not the seconds-scale lifetime of connected-path routing.
-  SimTime message_ttl = 900.0;
-};
-
 class BusFerryRouting final : public Router {
  public:
-  BusFerryRouting(net::Network& net, const BusRegistry& buses,
-                  BusFerryConfig ferry_config = {}, RouterConfig config = {})
-      : Router(net, dtn_config(config, ferry_config)),
-        buses_(buses),
-        ferry_config_(ferry_config) {}
+  // Ferrying is delay-tolerant: messages live for minutes (a bus ride),
+  // not the seconds-scale lifetime of connected-path routing, and cross
+  // long bus chains (64 hops).
+  BusFerryRouting(net::Network& net, const BusRegistry& buses)
+      : Router(net, 64, 900.0), buses_(buses) {}
 
   [[nodiscard]] const char* name() const override { return "bus_ferry"; }
   [[nodiscard]] std::size_t ferry_handoffs() const { return handoffs_; }
@@ -62,15 +54,7 @@ class BusFerryRouting final : public Router {
   void forward(VehicleId self, const net::Message& msg) override;
 
  private:
-  static RouterConfig dtn_config(RouterConfig base,
-                                 const BusFerryConfig& ferry) {
-    base.max_age = std::max(base.max_age, ferry.message_ttl);
-    base.default_ttl = std::max(base.default_ttl, 64);  // long bus chains
-    return base;
-  }
-
   const BusRegistry& buses_;
-  BusFerryConfig ferry_config_;
   std::size_t handoffs_ = 0;
 };
 

@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace vcl::routing {
+namespace {
+
+constexpr double kMinProgress = 5.0;  // meters of required progress per hop
+
+}  // namespace
 
 void Cbltr::forward(VehicleId self, const net::Message& msg) {
   const VehicleId dst = msg.dst.as_vehicle();
@@ -19,13 +24,13 @@ void Cbltr::forward(VehicleId self, const net::Message& msg) {
   const mobility::VehicleState* me = net_.traffic().find(self);
   if (me == nullptr) return;
   const double my_dist = geo::distance(me->pos, msg.dst_pos);
-  const double range = net_.channel().config().max_range;
+  const double range = net::Channel::kMaxRange;
 
   VehicleId best;
   double best_lifetime = -1.0;
   for (const net::NeighborEntry& n : net_.neighbors(self)) {
     const double progress = my_dist - geo::distance(n.pos, msg.dst_pos);
-    if (progress < cbltr_config_.min_progress) continue;
+    if (progress < kMinProgress) continue;
     const double life =
         link_lifetime(me->pos, me->vel, n.pos, n.vel, range);
     if (life > best_lifetime) {

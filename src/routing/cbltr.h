@@ -10,23 +10,14 @@
 
 namespace vcl::routing {
 
-struct CbltrConfig {
-  double min_progress = 5.0;  // meters of required progress per hop
-};
-
 class Cbltr final : public Router {
  public:
-  Cbltr(net::Network& net, CbltrConfig cbltr_config = {},
-        RouterConfig config = {})
-      : Router(net, config), cbltr_config_(cbltr_config) {}
+  explicit Cbltr(net::Network& net) : Router(net) {}
 
   [[nodiscard]] const char* name() const override { return "cbltr"; }
 
  protected:
   void forward(VehicleId self, const net::Message& msg) override;
-
- private:
-  CbltrConfig cbltr_config_;
 };
 
 }  // namespace vcl::routing

@@ -8,8 +8,7 @@ namespace vcl::routing {
 
 class Flooding final : public Router {
  public:
-  explicit Flooding(net::Network& net, RouterConfig config = {})
-      : Router(net, config) {}
+  explicit Flooding(net::Network& net) : Router(net) {}
 
   [[nodiscard]] const char* name() const override { return "flooding"; }
 

@@ -12,8 +12,7 @@ namespace vcl::routing {
 
 class GreedyGeo : public Router {
  public:
-  explicit GreedyGeo(net::Network& net, RouterConfig config = {})
-      : Router(net, config) {}
+  explicit GreedyGeo(net::Network& net) : Router(net) {}
 
   [[nodiscard]] const char* name() const override { return "greedy_geo"; }
 

@@ -14,9 +14,8 @@ namespace vcl::routing {
 
 class MozoRouting final : public Router {
  public:
-  MozoRouting(net::Network& net, cluster::MovingZone& zones,
-              RouterConfig config = {})
-      : Router(net, config), zones_(zones) {}
+  MozoRouting(net::Network& net, cluster::MovingZone& zones)
+      : Router(net), zones_(zones) {}
 
   [[nodiscard]] const char* name() const override { return "mozo"; }
 

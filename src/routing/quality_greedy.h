@@ -14,8 +14,7 @@ namespace vcl::routing {
 
 class QualityGreedy final : public Router {
  public:
-  explicit QualityGreedy(net::Network& net, RouterConfig config = {})
-      : Router(net, config) {}
+  explicit QualityGreedy(net::Network& net) : Router(net) {}
 
   [[nodiscard]] const char* name() const override { return "quality_greedy"; }
 

@@ -1,18 +1,23 @@
 #include "routing/router.h"
 
 namespace vcl::routing {
+namespace {
 
-Router::Router(net::Network& net, RouterConfig config)
-    : net_(net), config_(config) {}
+constexpr SimTime kRetryPeriod = 1.0;     // carry-and-forward retry tick
+constexpr std::size_t kBufferLimit = 64;  // per-vehicle carry buffer
+
+}  // namespace
+
+Router::Router(net::Network& net, int default_ttl, SimTime max_age)
+    : net_(net), default_ttl_(default_ttl), max_age_(max_age) {}
 
 void Router::attach() {
   net_.set_default_vehicle_handler(
       [this](VehicleId self, const net::Message& msg) {
         on_receive(self, msg);
       });
-  net_.simulator().schedule_every(config_.retry_period,
-                                  [this] { retry_tick(); }, -1.0,
-                                  "routing.retry");
+  net_.simulator().schedule_every(kRetryPeriod, [this] { retry_tick(); },
+                                  -1.0, "routing.retry");
 }
 
 MessageId Router::originate(VehicleId src, VehicleId dst,
@@ -24,7 +29,7 @@ MessageId Router::originate(VehicleId src, VehicleId dst,
   msg.kind = net::MessageKind::kData;
   msg.size_bytes = size_bytes;
   msg.created = net_.simulator().now();
-  msg.ttl = config_.default_ttl;
+  msg.ttl = default_ttl_;
   if (const auto pos = net_.position_of(msg.dst)) {
     msg.dst_pos = *pos;
     msg.has_dst_pos = true;
@@ -43,13 +48,13 @@ void Router::on_receive(VehicleId self, const net::Message& msg) {
   if (seen(self, msg.id)) return;
   mark_seen(self, msg.id);
   if (msg.hops >= msg.ttl) return;
-  if (net_.simulator().now() - msg.created > config_.max_age) return;
+  if (net_.simulator().now() - msg.created > max_age_) return;
   forward(self, msg);
 }
 
 void Router::buffer_message(VehicleId self, const net::Message& msg) {
   auto& buf = buffers_[self.value()];
-  if (buf.size() >= config_.buffer_limit) buf.pop_front();
+  if (buf.size() >= kBufferLimit) buf.pop_front();
   buf.push_back(msg);
 }
 
@@ -69,7 +74,7 @@ void Router::retry_tick() {
     pending.swap(it->second);
     ++it;
     for (const net::Message& msg : pending) {
-      if (now - msg.created > config_.max_age) continue;
+      if (now - msg.created > max_age_) continue;
       retry(self, msg);
     }
   }

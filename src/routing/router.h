@@ -19,16 +19,13 @@
 
 namespace vcl::routing {
 
-struct RouterConfig {
-  int default_ttl = 16;
-  SimTime max_age = 30.0;       // drop messages older than this
-  SimTime retry_period = 1.0;   // carry-and-forward retry tick
-  std::size_t buffer_limit = 64;  // per-vehicle carry buffer
-};
-
 class Router {
  public:
-  Router(net::Network& net, RouterConfig config = {});
+  // Messages start with `default_ttl` hops and are dropped once older than
+  // `max_age`; the defaults suit connected-path routing, delay-tolerant
+  // routers pass longer ones.
+  explicit Router(net::Network& net, int default_ttl = 16,
+                  SimTime max_age = 30.0);
   virtual ~Router() = default;
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -69,7 +66,8 @@ class Router {
   void mark_seen(VehicleId self, MessageId id);
 
   net::Network& net_;
-  RouterConfig config_;
+  const int default_ttl_;
+  const SimTime max_age_;
   RoutingMetrics metrics_;
 
  private:

@@ -1,13 +1,13 @@
-// Work-stealing thread pool (DESIGN.md §7). Two users: the experiment
-// engine runs replications on it, and helped rounds (the beacon round's
-// reception stage and the prefill's route searches) run their helper tasks
-// on one process-wide instance, helper_pool() in util/helped_round.h.
+// Thread pool (DESIGN.md §7). Two users: the experiment engine runs
+// replications on it, and helped rounds (the beacon round's reception stage
+// and the prefill's route searches) run their helper tasks on one
+// process-wide instance, helper_pool() in util/helped_round.h.
 //
 // The pool optimizes for correctness and clean shutdown rather than
-// nanosecond dispatch: per-worker deques with LIFO pop / FIFO steal, a
-// bounded total queue (submit blocks when `queue_capacity` tasks are already
-// pending), and exception propagation through the returned future — a task
-// that throws surfaces at the caller's `get()`, never as a dead worker.
+// nanosecond dispatch: one FIFO queue, bounded (submit blocks while
+// kQueueCapacity tasks are already pending), and exception propagation
+// through the returned future — a task that throws surfaces at the
+// caller's `get()`, never as a dead worker.
 //
 // Determinism note: the pool schedules work in a nondeterministic order by
 // design. Callers that need reproducible aggregates (exp::replicate) must
@@ -32,46 +32,35 @@ namespace vcl {
 
 class ThreadPool {
  public:
-  struct Stats {
-    std::size_t executed = 0;  // tasks run to completion (including throwers)
-    std::size_t stolen = 0;    // tasks a worker took from another's deque
-  };
+  // Pending tasks at which submit() blocks. vcl_chaos can queue up to 10^6
+  // episodes; the bound keeps their closures from piling up.
+  static constexpr std::size_t kQueueCapacity = 1024;
 
-  static constexpr std::size_t kDefaultCapacity = 1024;
-
-  explicit ThreadPool(std::size_t threads,
-                      std::size_t queue_capacity = kDefaultCapacity);
+  explicit ThreadPool(std::size_t threads);
   // Runs every queued task to completion, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues `fn`; blocks while the pool already holds `queue_capacity`
+  // Enqueues `fn`; blocks while the pool already holds kQueueCapacity
   // pending tasks. The future rethrows whatever the task threw.
   std::future<void> submit(std::function<void()> fn);
 
   [[nodiscard]] std::size_t threads() const { return workers_.size(); }
-  [[nodiscard]] Stats stats() const;
 
  private:
-  void worker_loop(std::size_t index);
-  // Pops the worker's own newest task, else steals another's oldest.
-  bool take_task(std::size_t index, std::packaged_task<void()>& out);
+  void worker_loop();
 
-  // One mutex guards every deque: tasks are whole simulator runs or one
+  // One mutex guards the queue: tasks are whole simulator runs or one
   // helped round's share of helper work, so queue contention is irrelevant
   // next to shutdown/blocking correctness.
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_work_;   // workers wait here for tasks
   std::condition_variable cv_space_;  // submit waits here when full
-  std::vector<std::deque<std::packaged_task<void()>>> queues_;
+  std::deque<std::packaged_task<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t queue_capacity_;
-  std::size_t pending_ = 0;      // queued, not yet started
-  std::size_t next_queue_ = 0;   // round-robin submit target
   bool stop_ = false;
-  Stats stats_;
 };
 
 }  // namespace vcl

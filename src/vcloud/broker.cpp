@@ -3,9 +3,14 @@
 #include <algorithm>
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr double kDwellCap = 120.0;  // seconds of dwell that saturate the score
+
+}  // namespace
 
 double BrokerElection::score(const WorkerView& w) const {
-  return w.profile.compute * std::min(w.dwell_seconds, config_.dwell_cap);
+  return w.profile.compute * std::min(w.dwell_seconds, kDwellCap);
 }
 
 VehicleId BrokerElection::elect(const std::vector<WorkerView>& members) {

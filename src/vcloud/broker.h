@@ -2,7 +2,7 @@
 // selected in order to serve as the cloud brokers").
 //
 // The broker mediates task allocation; a good broker is both capable and
-// likely to stay. Score = compute x min(dwell, cap); elections re-run each
+// likely to stay. Score = compute x min(dwell, 120 s); elections re-run each
 // refresh, with hysteresis so a marginally-better challenger does not churn
 // the brokership (every change re-syncs cloud state).
 #pragma once
@@ -12,7 +12,6 @@
 namespace vcl::vcloud {
 
 struct BrokerConfig {
-  double dwell_cap = 120.0;  // seconds of dwell that saturate the score
   double hysteresis = 1.25;  // challenger must beat incumbent by this factor
 };
 

@@ -11,6 +11,8 @@
 namespace vcl::vcloud {
 
 namespace {
+// Membership, broker and dispatch round.
+constexpr SimTime kRefreshPeriod = 1.0;
 // run_started sentinel while a task is assigned but not yet executing
 // (dispatch ack outstanding, or its worker crashed): no progress accrues.
 constexpr SimTime kNeverStarted = std::numeric_limits<double>::infinity();
@@ -51,7 +53,7 @@ VehicularCloud::VehicularCloud(CloudId id, net::Network& net,
 
 void VehicularCloud::attach() {
   net_.simulator().schedule_every(
-      config_.refresh_period, [this] { refresh(); }, -1.0, "cloud.refresh");
+      kRefreshPeriod, [this] { refresh(); }, -1.0, "cloud.refresh");
   if (config_.dependability.detector.enabled) {
     net_.simulator().schedule_every(
         kHeartbeatPeriod, [this] { heartbeat_round(); }, -1.0,
@@ -663,8 +665,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
                                     : workers_.end();
     if (target_it != workers_.end() && !target_it->second.running.valid()) {
       const SimTime latency =
-          migration_latency(task, departed.profile, target_it->second.profile,
-                            config_.costs);
+          migration_latency(task, departed.profile, target_it->second.profile);
       task.state = TaskState::kMigrating;
       task.worker = target;
       ++task.migrations;

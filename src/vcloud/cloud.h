@@ -106,8 +106,6 @@ struct CloudStats {
 struct CloudConfig {
   DwellMode dwell_mode = DwellMode::kKinematic;
   HandoverConfig handover;
-  crypto::CostModel costs;
-  SimTime refresh_period = 1.0;
   DependabilityConfig dependability;
 };
 

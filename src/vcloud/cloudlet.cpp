@@ -1,9 +1,15 @@
 #include "vcloud/cloudlet.h"
 
 namespace vcl::vcloud {
+namespace {
 
-CloudletGrid::CloudletGrid(net::Network& net, CloudletConfig config, Rng rng)
-    : net_(net), config_(config), rng_(rng) {}
+constexpr double kCentralCompute = 200.0;  // work-units/s at the datacenter
+constexpr SimTime kWanRtt = 80 * kMilliseconds;  // backhaul + WAN to central
+constexpr SimTime kRoamCheckPeriod = 1.0;
+
+}  // namespace
+
+CloudletGrid::CloudletGrid(net::Network& net, Rng rng) : net_(net), rng_(rng) {}
 
 void CloudletGrid::attach() {
   if (attached_) return;
@@ -12,14 +18,13 @@ void CloudletGrid::attach() {
     auto cloud = std::make_unique<VehicularCloud>(
         CloudId{rsu.id.value() + 1000}, net_,
         rsu_membership(net_, rsu.id), rsu_region(net_, rsu.id),
-        std::make_unique<DwellAwareScheduler>(), config_.cloud,
+        std::make_unique<DwellAwareScheduler>(), CloudConfig{},
         rng_.fork(rsu.id.value()));
     cloud->attach();
     cloud->refresh();
     clouds_.push_back(std::move(cloud));
   }
-  net_.simulator().schedule_every(config_.roam_check_period,
-                                  [this] { roam_check(); });
+  net_.simulator().schedule_every(kRoamCheckPeriod, [this] { roam_check(); });
 }
 
 VehicularCloud* CloudletGrid::cloudlet_for(VehicleId v) {
@@ -77,11 +82,11 @@ CloudletGrid::SubmitResult CloudletGrid::submit(VehicleId requester,
   result.to_central = true;
   ++central_.submitted;
   const SimTime created = net_.simulator().now();
-  const SimTime exec = task.work / config_.central_compute;
-  const SimTime done_at = created + config_.wan_rtt + exec;
+  const SimTime exec = task.work / kCentralCompute;
+  const SimTime done_at = created + kWanRtt + exec;
   const SimTime deadline = task.deadline;
   net_.simulator().schedule_after(
-      config_.wan_rtt + exec, [this, created, done_at, deadline] {
+      kWanRtt + exec, [this, created, done_at, deadline] {
         if (deadline > 0.0 && done_at > deadline) return;  // expired
         ++central_.completed;
         central_.latency.add(done_at - created);

@@ -16,13 +16,6 @@
 
 namespace vcl::vcloud {
 
-struct CloudletConfig {
-  CloudConfig cloud;                 // per-cloudlet settings
-  double central_compute = 200.0;    // work-units/s at the datacenter
-  SimTime wan_rtt = 80 * kMilliseconds;  // backhaul + WAN to central
-  SimTime roam_check_period = 1.0;
-};
-
 struct CentralStats {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -31,7 +24,7 @@ struct CentralStats {
 
 class CloudletGrid {
  public:
-  CloudletGrid(net::Network& net, CloudletConfig config, Rng rng);
+  CloudletGrid(net::Network& net, Rng rng);
 
   // Builds one cloud per (online) RSU and starts roaming checks.
   void attach();
@@ -64,7 +57,6 @@ class CloudletGrid {
 
  private:
   net::Network& net_;
-  CloudletConfig config_;
   Rng rng_;
   std::vector<std::unique_ptr<VehicularCloud>> clouds_;
   std::unordered_map<std::uint64_t, std::uint64_t> current_cloudlet_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "crypto/cost_model.h"
+
 namespace vcl::vcloud {
 
 namespace {
@@ -14,8 +16,8 @@ double checkpoint_mb(const Task& task) {
 }
 
 SimTime migration_latency(const Task& task, const ResourceProfile& from,
-                          const ResourceProfile& to,
-                          const crypto::CostModel& costs) {
+                          const ResourceProfile& to) {
+  constexpr crypto::CostModel costs;
   const double mb = checkpoint_mb(task);
   const double link_mbps = std::min(from.bandwidth_mbps, to.bandwidth_mbps);
   const SimTime transfer = mb * 8.0 / std::max(link_mbps, 0.1);

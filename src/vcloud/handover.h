@@ -9,7 +9,6 @@
 // Checkpoints are always sealed.
 #pragma once
 
-#include "crypto/cost_model.h"
 #include "vcloud/resource.h"
 #include "vcloud/task.h"
 
@@ -24,7 +23,6 @@ double checkpoint_mb(const Task& task);
 
 // End-to-end migration latency: seal + transfer + unseal.
 SimTime migration_latency(const Task& task, const ResourceProfile& from,
-                          const ResourceProfile& to,
-                          const crypto::CostModel& costs);
+                          const ResourceProfile& to);
 
 }  // namespace vcl::vcloud

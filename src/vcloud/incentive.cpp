@@ -1,19 +1,26 @@
 #include "vcloud/incentive.h"
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr double kInitialCredit = 50.0;
+constexpr double kPricePerWork = 1.0;  // requester pays per work unit
+constexpr double kEarnPerWork = 0.8;   // worker earns per work unit
+
+}  // namespace
 
 double& IncentiveLedger::account(std::uint64_t id) {
-  return balances_.try_emplace(id, config_.initial_credit).first->second;
+  return balances_.try_emplace(id, kInitialCredit).first->second;
 }
 
 double IncentiveLedger::balance(std::uint64_t id) const {
   auto it = balances_.find(id);
-  return it == balances_.end() ? config_.initial_credit : it->second;
+  return it == balances_.end() ? kInitialCredit : it->second;
 }
 
 bool IncentiveLedger::charge(std::uint64_t id, double work) {
   double& bal = account(id);
-  const double cost = work * config_.price_per_work;
+  const double cost = work * kPricePerWork;
   if (bal < cost) {
     ++throttled_;
     return false;
@@ -23,7 +30,7 @@ bool IncentiveLedger::charge(std::uint64_t id, double work) {
 }
 
 void IncentiveLedger::reward(std::uint64_t id, double work) {
-  account(id) += work * config_.earn_per_work;
+  account(id) += work * kEarnPerWork;
 }
 
 }  // namespace vcl::vcloud

@@ -2,10 +2,12 @@
 // "a secure and privacy-preserving incentive framework for vehicular cloud
 // on the road").
 //
-// Vehicles spend credits to submit work and earn credits by executing other
-// vehicles' tasks. A requester that only consumes (a free rider) drains its
-// balance and gets throttled; a lender accumulates spending power — the
-// economic loop that makes resource pooling individually rational.
+// Vehicles start with 50 credits, spend 1 credit per work unit to submit
+// work and earn 0.8 per work unit by executing other vehicles' tasks (the
+// spread funds the broker/system overhead). A requester that only
+// consumes (a free rider) drains its balance and gets throttled; a lender
+// accumulates spending power — the economic loop that makes resource
+// pooling individually rational.
 // Credentials are pseudonymous ids, so the ledger learns balances, not
 // identities (the privacy-preserving part is inherited from the auth
 // layer's pseudonym handling).
@@ -18,17 +20,8 @@
 
 namespace vcl::vcloud {
 
-struct IncentiveConfig {
-  double initial_credit = 50.0;
-  double price_per_work = 1.0;  // requester pays per work unit
-  double earn_per_work = 0.8;   // worker earns per work unit (the spread
-                                // funds the broker/system overhead)
-};
-
 class IncentiveLedger {
  public:
-  explicit IncentiveLedger(IncentiveConfig config = {}) : config_(config) {}
-
   [[nodiscard]] double balance(std::uint64_t account) const;
 
   // Charges the requester at submission; false (and no charge) when the
@@ -43,7 +36,6 @@ class IncentiveLedger {
  private:
   double& account(std::uint64_t id);
 
-  IncentiveConfig config_;
   std::unordered_map<std::uint64_t, double> balances_;
   std::size_t throttled_ = 0;
 };

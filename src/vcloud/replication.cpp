@@ -4,6 +4,11 @@
 #include <unordered_set>
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr std::size_t kChunkBytes = 250'000;  // Merkle leaf granularity
+
+}  // namespace
 
 std::vector<std::uint64_t> ReplicationManager::live_members() const {
   std::vector<std::uint64_t> out;
@@ -18,11 +23,9 @@ FileId ReplicationManager::store(const crypto::Bytes& payload) {
   f.size_mb = static_cast<double>(payload.size()) / 1e6;
 
   // Merkle root over fixed-size chunks.
-  const auto chunk_bytes =
-      std::max<std::size_t>(1, static_cast<std::size_t>(config_.chunk_mb * 1e6));
   std::vector<crypto::Bytes> chunks;
-  for (std::size_t off = 0; off < payload.size(); off += chunk_bytes) {
-    const std::size_t len = std::min(chunk_bytes, payload.size() - off);
+  for (std::size_t off = 0; off < payload.size(); off += kChunkBytes) {
+    const std::size_t len = std::min(kChunkBytes, payload.size() - off);
     chunks.emplace_back(payload.begin() + static_cast<std::ptrdiff_t>(off),
                         payload.begin() + static_cast<std::ptrdiff_t>(off + len));
   }

@@ -21,7 +21,6 @@ namespace vcl::vcloud {
 
 struct ReplicationConfig {
   std::size_t target_replicas = 3;
-  double chunk_mb = 0.25;  // Merkle leaf granularity
 };
 
 struct StoredFile {

@@ -218,7 +218,7 @@ class AdmissionOracleFixture : public ::testing::Test {
   AdmissionOracleFixture()
       : road_(geo::make_manhattan_grid(3, 3, 200.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {}
+        net_(sim_, traffic_, Rng(2)) {}
 
   std::unique_ptr<VehicularCloud> make_stationary_cloud(int members) {
     for (int i = 0; i < members; ++i) {

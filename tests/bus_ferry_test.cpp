@@ -48,7 +48,7 @@ class FerryFixture : public ::testing::Test {
   FerryFixture()
       : road_(geo::make_manhattan_grid(2, 8, 300.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {
+        net_(sim_, traffic_, Rng(2)) {
     // Island A at the west end, island B at the east end (x: 0 vs 2100).
     west_ = traffic_.spawn_parked(LinkId{0}, 0.0);
     traffic_.spawn_parked(LinkId{0}, 60.0);

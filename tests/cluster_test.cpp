@@ -18,7 +18,7 @@ class ClusterFixture : public ::testing::Test {
   ClusterFixture()
       : road_(geo::make_manhattan_grid(2, 10, 400.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {}
+        net_(sim_, traffic_, Rng(2)) {}
 
   VehicleId park_at(double offset) {
     // Link 0 runs 400 m along the bottom row.
@@ -190,7 +190,7 @@ TEST_F(ClusterFixture, MovingZoneSplitsOppositeTraffic) {
   // Two vehicles driving in opposite directions on a highway, side by side.
   const auto highway = geo::make_highway(2000.0, 500.0);
   mobility::TrafficModel traffic(highway, Rng(5));
-  net::Network net(sim_, traffic, net::ChannelConfig{}, Rng(6));
+  net::Network net(sim_, traffic, Rng(6));
   // Eastbound on link 0, westbound on the reverse carriageway.
   const auto east = traffic.spawn({LinkId{0}, LinkId{1}}, 25.0);
   // Find a westbound link (from node on the west carriageway).
@@ -318,7 +318,7 @@ TEST_F(ClusterFixture, OnePassClustersMatchPerHeadConstruction) {
     geo::RoadNetwork road = geo::make_manhattan_grid(4, 4, 250.0);
     sim::Simulator sim;
     mobility::TrafficModel traffic(road, Rng(seed));
-    net::Network net(sim, traffic, net::ChannelConfig{}, Rng(seed + 100));
+    net::Network net(sim, traffic, Rng(seed + 100));
     Rng rng(seed + 200);
     for (int i = 0; i < 40; ++i) {
       const LinkId link{static_cast<std::uint64_t>(rng.index(road.link_count()))};
@@ -433,7 +433,7 @@ TEST_F(ClusterFixture, ClustersRebuildAtMostOncePerUpdate) {
   geo::RoadNetwork road = geo::make_manhattan_grid(4, 4, 250.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(4));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(104));
+  net::Network net(sim, traffic, Rng(104));
   Rng rng(204);
   for (int i = 0; i < 40; ++i) {
     const LinkId link{static_cast<std::uint64_t>(rng.index(road.link_count()))};

@@ -523,13 +523,6 @@ TEST(CostModel, TotalsAccumulate) {
   EXPECT_DOUBLE_EQ(cm.total(c), 2 * cm.sign_s + cm.verify_s);
 }
 
-TEST(CostModel, ScaleMultiplies) {
-  CostModel cm;
-  const SimTime base = cm.cost(Op::kSign);
-  cm.scale(0.5);
-  EXPECT_DOUBLE_EQ(cm.cost(Op::kSign), base * 0.5);
-}
-
 TEST(CostModel, OpCountsCompose) {
   OpCounts a;
   a.sign = 1;

@@ -133,7 +133,7 @@ TEST(Incentive, CloudCompletionRewardsWorkers) {
   const auto road = geo::make_manhattan_grid(2, 2, 200.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   for (int i = 0; i < 3; ++i) traffic.spawn_parked(LinkId{0}, 20.0 * i);
   net.refresh();
   vcloud::VehicularCloud cloud(

@@ -87,7 +87,7 @@ TEST(CloudEdge, SubmitWithNoMembersQueues) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   vcloud::VehicularCloud cloud(
       CloudId{1}, net, [] { return std::vector<VehicleId>{}; },
       vcloud::fixed_region({0, 0}, 100.0),
@@ -108,7 +108,7 @@ TEST(CloudEdge, MembersArrivingLaterDrainTheQueue) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   vcloud::VehicularCloud cloud(
       CloudId{1}, net, vcloud::stationary_membership(traffic, {0, 0}, 500.0),
       vcloud::fixed_region({0, 0}, 500.0),
@@ -130,7 +130,7 @@ TEST(CloudEdge, ZeroWorkTaskCompletesImmediately) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   traffic.spawn_parked(LinkId{0}, 10.0);
   net.refresh();
   vcloud::VehicularCloud cloud(
@@ -153,7 +153,7 @@ TEST(NetworkEdge, SendToDespawnedVehicleDrops) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   const auto a = traffic.spawn_parked(LinkId{0}, 0.0);
   const auto b = traffic.spawn_parked(LinkId{0}, 50.0);
   net.refresh();
@@ -170,7 +170,7 @@ TEST(NetworkEdge, BroadcastFromGhostReachesNobody) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   net::Message msg;
   msg.id = net.next_message_id();
   msg.src = net::Address::vehicle(VehicleId{404});
@@ -182,7 +182,7 @@ TEST(NetworkEdge, SelfSendDoesNotLoop) {
   const auto road = geo::make_manhattan_grid(2, 2, 100.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(1));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim, traffic, Rng(2));
   const auto a = traffic.spawn_parked(LinkId{0}, 0.0);
   net.refresh();
   int received = 0;

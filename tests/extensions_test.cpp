@@ -19,7 +19,7 @@ class AggregateFixture : public ::testing::Test {
   AggregateFixture()
       : road_(geo::make_manhattan_grid(3, 3, 200.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {}
+        net_(sim_, traffic_, Rng(2)) {}
 
   std::unique_ptr<vcloud::VehicularCloud> make_cloud(int members) {
     for (int i = 0; i < members; ++i) {
@@ -228,7 +228,7 @@ class SplitMergeFixture : public ::testing::Test {
   SplitMergeFixture()
       : road_(geo::make_manhattan_grid(2, 12, 400.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {}
+        net_(sim_, traffic_, Rng(2)) {}
 
   geo::RoadNetwork road_;
   sim::Simulator sim_;
@@ -320,9 +320,8 @@ class CloudletFixture : public ::testing::Test {
     cfg.rsu_range = 350.0;  // partial coverage: some vehicles uncovered
     scenario_ = std::make_unique<core::Scenario>(cfg);
     scenario_->start();
-    grid_ = std::make_unique<vcloud::CloudletGrid>(
-        scenario_->network(), vcloud::CloudletConfig{},
-        scenario_->fork_rng(44));
+    grid_ = std::make_unique<vcloud::CloudletGrid>(scenario_->network(),
+                                                   scenario_->fork_rng(44));
     grid_->attach();
   }
   std::unique_ptr<core::Scenario> scenario_;

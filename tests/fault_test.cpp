@@ -69,7 +69,7 @@ TEST(FaultPlan, ZeroRatesYieldEmptyPlan) {
 }
 
 TEST(Blackout, ZeroesReceptionInsideRegionOnly) {
-  net::Channel channel{net::ChannelConfig{}};
+  net::Channel channel;
   const geo::Vec2 a{0, 0}, b{30, 0}, far_a{2000, 0}, far_b{2030, 0};
   EXPECT_GT(channel.reception_probability(a, b, 0), 0.0);
   const std::uint64_t token = channel.add_blackout({{10, 0}, 100.0});
@@ -89,7 +89,7 @@ class InjectorFixture : public ::testing::Test {
   InjectorFixture()
       : road_(geo::make_manhattan_grid(3, 3, 200.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {}
+        net_(sim_, traffic_, Rng(2)) {}
 
   std::unique_ptr<vcloud::VehicularCloud> make_cloud(
       int members, vcloud::CloudConfig config) {

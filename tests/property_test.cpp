@@ -179,7 +179,7 @@ TEST_P(CloudProperty, TaskAccountingBalancesUnderChurn) {
   const auto road = geo::make_manhattan_grid(3, 3, 200.0);
   sim::Simulator sim;
   mobility::TrafficModel traffic(road, Rng(seed));
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(seed + 1));
+  net::Network net(sim, traffic, Rng(seed + 1));
   std::vector<VehicleId> members;
   for (int i = 0; i < 8; ++i) {
     members.push_back(traffic.spawn_parked(LinkId{0}, 15.0 * i));

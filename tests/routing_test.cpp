@@ -70,7 +70,7 @@ class ChainFixture : public ::testing::Test {
   ChainFixture()
       : road_(make_chain_road()),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {
+        net_(sim_, traffic_, Rng(2)) {
     // Vehicles every 150 m along the 1500 m road.
     for (int i = 0; i <= 10; ++i) {
       const double pos = i * 150.0;
@@ -148,7 +148,7 @@ TEST(RoutingOverhead, GreedyBeatsFloodingInDenseScene) {
   auto run = [&](auto make_router) {
     sim::Simulator sim;
     mobility::TrafficModel traffic(road, Rng(21));
-    net::Network net(sim, traffic, net::ChannelConfig{}, Rng(22));
+    net::Network net(sim, traffic, Rng(22));
     // One parked vehicle near every intersection: a dense 2-D cloud.
     std::vector<VehicleId> ids;
     for (const auto& node : road.nodes()) {
@@ -175,10 +175,20 @@ TEST(RoutingOverhead, GreedyBeatsFloodingInDenseScene) {
   EXPECT_LT(greedy_oh, flood_oh);
 }
 
+// Flooding that stamps 2 hops of TTL, not enough for a ~10-hop chain.
+class ShortTtlFlooding final : public Router {
+ public:
+  explicit ShortTtlFlooding(net::Network& net) : Router(net, 2) {}
+  [[nodiscard]] const char* name() const override { return "flooding/ttl2"; }
+
+ protected:
+  void forward(VehicleId self, const net::Message& msg) override {
+    broadcast_from(self, msg);
+  }
+};
+
 TEST_F(ChainFixture, TtlLimitsPropagation) {
-  RouterConfig cfg;
-  cfg.default_ttl = 2;  // not enough for a ~10-hop chain
-  Flooding router(net_, cfg);
+  ShortTtlFlooding router(net_);
   router.attach();
   net_.refresh();
   router.originate(chain_.front(), chain_.back());
@@ -205,7 +215,7 @@ TEST(RoutingMobile, GreedyDeliversInMovingTraffic) {
   cfg.target_population = 80;
   mobility::TripGenerator gen(traffic, cfg, Rng(12));
   gen.prefill();
-  net::Network net(sim, traffic, net::ChannelConfig{}, Rng(13));
+  net::Network net(sim, traffic, Rng(13));
   traffic.attach(sim, 0.1);
   gen.attach(sim);
   net.start_beacons(1.0);

@@ -1,4 +1,4 @@
-// The work-stealing pool, and the helped round that runs on it: a caller
+// The thread pool, and the helped round that runs on it: a caller
 // consuming chunks in order while helper tasks produce them ahead.
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@ TEST(ThreadPool, RunsEveryTask) {
       futures.push_back(pool.submit([&count] { ++count; }));
     }
     for (auto& f : futures) f.get();
-    EXPECT_EQ(pool.stats().executed, 100u);
   }
   EXPECT_EQ(count.load(), 100);
 }
@@ -52,7 +51,6 @@ TEST(ThreadPool, ExceptionReachesFutureAndPoolSurvives) {
   EXPECT_THROW(bad.get(), std::runtime_error);
   auto good = pool.submit([] {});
   EXPECT_NO_THROW(good.get());
-  EXPECT_EQ(pool.stats().executed, 2u);
 }
 
 TEST(ThreadPool, IdleWorkerStealsFromBlockedPeer) {
@@ -60,10 +58,9 @@ TEST(ThreadPool, IdleWorkerStealsFromBlockedPeer) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   std::promise<void> started;
-  // One worker parks on the blocker; once it has STARTED, later tasks
-  // round-robin into both deques and the free worker must steal the blocked
-  // worker's share. (Without the started-gate the blocked worker could drain
-  // its own deque first and no steal would ever happen.)
+  // One worker parks on the blocker; once it has STARTED, the free worker
+  // must run every later task on its own. (Without the started-gate the
+  // blocker could still be queued behind them.)
   auto blocker = pool.submit([gate, &started] {
     started.set_value();
     gate.wait();
@@ -76,30 +73,41 @@ TEST(ThreadPool, IdleWorkerStealsFromBlockedPeer) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(count.load(), 10);
-  EXPECT_GE(pool.stats().stolen, 1u);
   release.set_value();
   blocker.get();
 }
 
 TEST(ThreadPool, BoundedQueueBlocksSubmitUntilSpaceFrees) {
-  ThreadPool pool(1, /*queue_capacity=*/2);
+  constexpr std::size_t kTasks = ThreadPool::kQueueCapacity + 8;
+  ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  auto blocker = pool.submit([gate] { gate.wait(); });
+  std::promise<void> started;
+  auto blocker = pool.submit([gate, &started] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
   std::atomic<int> count{0};
-  // Submitted from a helper thread because submit() must block once two
-  // tasks are pending behind the gated worker.
+  std::atomic<std::size_t> submitted{0};
+  // Submitted from a helper thread because submit() must block once
+  // kQueueCapacity tasks are pending behind the gated worker.
   std::thread submitter([&] {
-    for (int i = 0; i < 8; ++i) pool.submit([&count] { ++count; });
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      pool.submit([&count] { ++count; });
+      ++submitted;
+    }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LT(count.load(), 8);  // the queue bound throttled the submitter
+  // The queue bound throttled the submitter; nothing ran past the gate.
+  EXPECT_LE(submitted.load(), ThreadPool::kQueueCapacity);
+  EXPECT_EQ(count.load(), 0);
   release.set_value();
   submitter.join();
   blocker.get();
   // Destructor drains the rest.
-  while (count.load() < 8) std::this_thread::yield();
-  EXPECT_EQ(count.load(), 8);
+  while (count.load() < static_cast<int>(kTasks)) std::this_thread::yield();
+  EXPECT_EQ(count.load(), static_cast<int>(kTasks));
 }
 
 TEST(ThreadPool, AvailableCpusIsAtLeastOne) {

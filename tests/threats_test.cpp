@@ -57,7 +57,7 @@ void tap_deliveries(net::Network& net, routing::Router& router, VehicleId at,
 }
 
 TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
-  net::Network net(sim_, traffic_, net::ChannelConfig{}, Rng(2));
+  net::Network net(sim_, traffic_, Rng(2));
   const auto src = traffic_.spawn_parked(LinkId{0}, 0.0);
   const auto mid = traffic_.spawn_parked(LinkId{0}, 250.0);
   const auto dst = traffic_.spawn_parked(LinkId{0}, 500.0);
@@ -115,7 +115,7 @@ TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
 }
 
 TEST_F(MitmFixture, HonestRelayPreservesPayload) {
-  net::Network net(sim_, traffic_, net::ChannelConfig{}, Rng(4));
+  net::Network net(sim_, traffic_, Rng(4));
   const auto src = traffic_.spawn_parked(LinkId{0}, 0.0);
   traffic_.spawn_parked(LinkId{0}, 250.0);
   const auto dst = traffic_.spawn_parked(LinkId{0}, 500.0);

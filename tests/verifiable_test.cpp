@@ -72,7 +72,7 @@ class VerifiableFixture : public ::testing::Test {
   VerifiableFixture()
       : road_(geo::make_manhattan_grid(2, 2, 200.0)),
         traffic_(road_, Rng(1)),
-        net_(sim_, traffic_, net::ChannelConfig{}, Rng(2)) {
+        net_(sim_, traffic_, Rng(2)) {
     for (int i = 0; i < 6; ++i) {
       workers_.push_back(traffic_.spawn_parked(LinkId{0}, 15.0 * i));
     }

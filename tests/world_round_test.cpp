@@ -78,13 +78,13 @@ class ReferenceBeacons {
         channel_(channel),
         rng_(rng),
         ttl_(ttl),
-        index_(channel.config().max_range) {}
+        index_(net::Channel::kMaxRange) {}
 
   void round(SimTime now) {
     index_.clear();
     for (const auto& [vid, v] : traffic_.vehicles()) index_.insert(v.id, v.pos);
 
-    const double range = channel_.config().max_range;
+    const double range = net::Channel::kMaxRange;
     std::vector<VehicleId> nearby;
     // A departed vehicle keeps an empty table, so the comparison also
     // checks that the flat round empties it.
@@ -189,7 +189,7 @@ class ReferenceZones {
         auto cur = assignments_.find(m.value());
         if (cur != assignments_.end() &&
             cur->second.role == cluster::ClusterRole::kHead) {
-          d -= config_.captain_hysteresis;
+          d -= kCaptainHysteresis;
         }
         if (d < best || (d == best && m.value() < captain.value())) {
           best = d;
@@ -217,13 +217,17 @@ class ReferenceZones {
  private:
   [[nodiscard]] bool compatible(geo::Vec2 a, geo::Vec2 b) const {
     if (a.norm() < 0.5 && b.norm() < 0.5) return true;
-    if (std::abs(a.norm() - b.norm()) > config_.max_speed_diff) return false;
-    return geo::angle_between(a, b) <= config_.max_angle_rad;
+    if (std::abs(a.norm() - b.norm()) > kMaxSpeedDiff) return false;
+    return geo::angle_between(a, b) <= kMaxAngleRad;
   }
+
+  // cluster::MovingZone's rules.
+  static constexpr double kMaxSpeedDiff = 6.0;
+  static constexpr double kMaxAngleRad = 0.6;
+  static constexpr double kCaptainHysteresis = 30.0;
 
   const mobility::TrafficModel& traffic_;
   const ReferenceBeacons& beacons_;
-  cluster::MovingZoneConfig config_;
   std::unordered_map<std::uint64_t, cluster::ClusterAssignment> assignments_;
 };
 
@@ -387,8 +391,7 @@ TEST(WorldRound, MovingCityMatchesKeyedReference) {
 // A moving city big enough that one round spans many more chunks of rows
 // than the helpers' ring holds (16 receivers a chunk, 4 slots), so on a
 // host with more than one CPU its rows come through the ring. Every input
-// of the rows changes once: a blackout comes and goes, the channel config
-// changes and a vehicle leaves.
+// of the rows changes once: a blackout comes and goes and a vehicle leaves.
 TEST(WorldRound, LargeMovingCityMatchesKeyedReference) {
   core::ScenarioConfig config;
   config.grid_rows = 12;
@@ -412,7 +415,6 @@ TEST(WorldRound, LargeMovingCityMatchesKeyedReference) {
           }
         }
         if (round == 4) net.channel().remove_blackout(blackout);
-        if (round == 5) net.channel().config().base_loss = 0.1;
         if (round == 6) despawn_lowest(sides.s);
       });
   EXPECT_EQ(counts.rounds, kRounds);
@@ -457,9 +459,9 @@ TEST(WorldRound, ParkedLotMatchesKeyedReference) {
 }
 
 // A parked lot replays its reception plan while nothing changes. Every
-// input of the plan's key changes once (a blackout comes and goes, the
-// channel config changes, a vehicle leaves), and the round after each
-// change must compute afresh and still match the reference.
+// input of the plan's key changes (a blackout comes and goes, a second one
+// comes, a vehicle leaves), and the round after each change must compute
+// afresh and still match the reference.
 TEST(WorldRound, ParkedLotReplayMatchesKeyedReference) {
   core::ScenarioConfig config;
   config.environment = core::Environment::kParkingLot;
@@ -471,6 +473,7 @@ TEST(WorldRound, ParkedLotReplayMatchesKeyedReference) {
   std::vector<std::size_t> replays_after(1, 0);
   std::size_t beacon_rounds = 0;
   std::uint64_t blackout = 0;
+  net::BlackoutRegion quarter;
   std::size_t blacked_out = 0;
   const RoundCounts counts =
       run_side_by_side(config, kRounds, [&](int round, Sides& sides) {
@@ -489,15 +492,16 @@ TEST(WorldRound, ParkedLotReplayMatchesKeyedReference) {
             dist.push_back(geo::distance(p, center));
           }
           std::nth_element(dist.begin(), dist.begin() + 25, dist.end());
-          const double radius = dist[25];
-          blackout = net.channel().add_blackout({center, radius});
+          quarter = {center, dist[25]};
+          blackout = net.channel().add_blackout(quarter);
           for (const geo::Vec2 p : pos) {
             blacked_out += net.channel().blacked_out(p);
           }
         }
         if (round == 8) net.channel().remove_blackout(blackout);
         if (round == 11) {
-          net.channel().config().base_loss = 0.1;
+          // The same quarter goes dark again, to the end of the run.
+          net.channel().add_blackout(quarter);
           // Two extra rounds at one instant: neither replays (the key
           // changed, then the world did not hold still for a period), and
           // neither records.
