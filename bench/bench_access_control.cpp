@@ -1,7 +1,7 @@
 // E12 — Authorization latency under stringent time constraints (§III.C).
 //
-// Measures, as modeled OBU latency (CostModel) and as measured wall-clock
-// of the toy substrate:
+// Measures, as modeled OBU latency (crypto::total) and as measured
+// wall-clock of the toy substrate:
 //   * ABE encrypt/keygen/decrypt vs policy size;
 //   * sticky-package end-to-end access overhead (ABE + envelope + audit);
 //   * context-switch attribute churn (role changes when hopping clusters);
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   std::cout << "E12: access control latency (paper §III.C)\n\n";
   AbeAuthority authority(99);
   crypto::Drbg drbg(std::uint64_t{1});
-  const crypto::CostModel costs;
 
   Table abe_table("ABE cost vs policy size",
                   {"leaves", "enc_obu_ms", "dec_obu_ms", "enc_us(toy)",
@@ -69,8 +68,8 @@ int main(int argc, char** argv) {
     });
 
     abe_table.add_row({std::to_string(leaves),
-                       Table::num(costs.total(enc_ops) / kMilliseconds, 2),
-                       Table::num(costs.total(dec_ops) / kMilliseconds, 2),
+                       Table::num(crypto::total(enc_ops) / kMilliseconds, 2),
+                       Table::num(crypto::total(dec_ops) / kMilliseconds, 2),
                        Table::num(enc_us, 1), Table::num(dec_us, 1)});
   }
   reporter.emit(abe_table);
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
     StickyPackage pkg(authority, drbg.generate(1024), policy->clone(),
                       owner_key, 1, drbg, seal_ops);
     pkg_table.add_row({"seal (owner, once)",
-                       Table::num(costs.total(seal_ops) / kMilliseconds, 2),
+                       Table::num(crypto::total(seal_ops) / kMilliseconds, 2),
                        "ABE header + DEM + envelope MAC"});
 
     const AttributeSet attrs{"role:head", "zone:z"};
@@ -94,7 +93,7 @@ int main(int argc, char** argv) {
     crypto::OpCounts access_ops;
     (void)pkg.access(key, attrs, 42, 0.0, access_ops);
     pkg_table.add_row({"authorized access",
-                       Table::num(costs.total(access_ops) / kMilliseconds, 2),
+                       Table::num(crypto::total(access_ops) / kMilliseconds, 2),
                        "decrypt + audit append"});
 
     const AttributeSet bad{"role:member"};
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
     crypto::OpCounts deny_ops;
     (void)pkg.access(bad_key, bad, 43, 1.0, deny_ops);
     pkg_table.add_row({"denied access",
-                       Table::num(costs.total(deny_ops) / kMilliseconds, 2),
+                       Table::num(crypto::total(deny_ops) / kMilliseconds, 2),
                        "fails at first unsatisfied gate; still audited"});
   }
   reporter.emit(pkg_table);
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
     crypto::OpCounts ops;
     ops.abe_decrypt_leaves = delta;  // keygen ~ one exponentiation per attr
     ctx_table.add_row({t.label, std::to_string(delta),
-                       Table::num(costs.total(ops) / kMilliseconds, 2)});
+                       Table::num(crypto::total(ops) / kMilliseconds, 2)});
   }
   reporter.emit(ctx_table);
 
@@ -158,7 +157,7 @@ int main(int argc, char** argv) {
     const AbeUserKey key = authority.keygen(attrs);
     crypto::OpCounts grant_ops;
     (void)AbeAuthority::decrypt(ct, key, attrs, grant_ops);
-    const double ms = costs.total(grant_ops) / kMilliseconds;
+    const double ms = crypto::total(grant_ops) / kMilliseconds;
     std::cout << "emergency grant latency (modeled OBU): " << Table::num(ms, 2)
               << " ms  -> " << (ms < 10.0 ? "meets" : "MISSES")
               << " the paper's milliseconds budget\n";

@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
     attack::AdversaryRoster roster;
     Rng rng(9);
     roster.recruit(scenario.traffic(), 0.15, rng);
-    attack::DosFlooder flooder(scenario.network(), roster,
-                               attack::DosConfig{1500.0, 1024});
+    attack::DosFlooder flooder(scenario.network(), roster, 1500.0);
 
     struct PhaseResult {
       double delivery;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     scenario.start();
     auth::TrustedAuthority ta(1);
     core::BootstrapProtocol bootstrap(scenario.network(), ta);
-    bootstrap.attach(1.0);
+    bootstrap.attach();
     scenario.run_for(120.0);
     table.add_row({spacing == 0.0 ? "none" : Table::num(spacing, 0),
                    std::to_string(scenario.network().rsus().count()),

@@ -1,7 +1,7 @@
 // E14 — Crypto substrate microbenchmarks (google-benchmark).
 //
 // Measures the toy-group primitives' real wall-clock costs. These are NOT
-// the latencies used by the in-sim experiments (the CostModel charges
+// the latencies used by the in-sim experiments (crypto::cost charges
 // production OBU-class figures, see crypto/cost_model.h); this bench exists
 // to document the gap and to catch performance regressions in the substrate
 // itself.

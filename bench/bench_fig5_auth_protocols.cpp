@@ -1,8 +1,8 @@
 // E3 (Fig. 5) — Pseudonym vs group vs hybrid authentication.
 //
 // Reproduces Fig. 5's qualitative comparison quantitatively:
-//   * message authentication overhead: modeled OBU latency (CostModel) and
-//     wire bytes per message;
+//   * message authentication overhead: modeled OBU latency (crypto::total)
+//     and wire bytes per message;
 //   * pseudonym pain: CRL check cost growth with the revocation history
 //     (and the Bloom filter's mitigation);
 //   * privacy: identifier linkability, anonymity-set size and tracking-
@@ -64,11 +64,10 @@ exp::RepReport run_protocol(core::Scenario& scenario, SignFn sign,
     }
   }
 
-  const crypto::CostModel costs;
   exp::RepReport rep;
-  rep.value("sign_ms", costs.total(sign_ops) / std::max<double>(1, emitted) /
+  rep.value("sign_ms", crypto::total(sign_ops) / std::max<double>(1, emitted) /
                            kMilliseconds);
-  rep.value("verify_ms", costs.total(verify_ops) /
+  rep.value("verify_ms", crypto::total(verify_ops) /
                              std::max<double>(1, emitted) / kMilliseconds);
   rep.value("wire_bytes", static_cast<double>(wire_bytes));
   rep.value("linkability", auth::id_linkability(observations));

@@ -34,7 +34,7 @@ exp::RepReport run(std::size_t target, bool repair_enabled,
   scenario.run_for(5.0);
 
   cluster::MovingZone zones(scenario.network());
-  zones.attach(1.0);
+  zones.attach();
   zones.update();
 
   auto membership = vcloud::largest_cluster_membership(zones);

@@ -39,7 +39,7 @@ RunResult run(const std::string& controller, int vehicles,
   std::unique_ptr<core::VtlController> vtl;
   if (controller == "fixed") {
     fixed = std::make_unique<mobility::FixedCycleController>(
-        scenario.road(), scenario.simulator(), 15.0);
+        scenario.road(), scenario.simulator());
     scenario.traffic().set_right_of_way(
         [&f = *fixed](LinkId l, VehicleId v) { return f.can_enter(l, v); });
   } else if (controller == "vtl") {

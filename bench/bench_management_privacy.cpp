@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     cfg.seed = 31;
     core::Scenario scenario(cfg);
     scenario.start();
-    core::TopologyArchive archive(scenario.network(), {5.0, retention});
+    core::TopologyArchive archive(scenario.network(), retention);
     archive.attach();
 
     // Ground truth: at t=60 note which vehicle is nearest the center (the
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   core::Scenario scenario(cfg);
   scenario.start();
   cluster::MovingZone zones(scenario.network());
-  zones.attach(1.0);
+  zones.attach();
   scenario.run_for(10.0);
   zones.update();
 

@@ -52,7 +52,7 @@ RunResult run_protocol(const std::string& protocol, core::Environment env,
     router = std::make_unique<routing::QualityGreedy>(scenario.network());
   } else if (protocol == "mozo") {
     zones = std::make_unique<cluster::MovingZone>(scenario.network());
-    zones->attach(1.0);
+    zones->attach();
     zones->update();
     router = std::make_unique<routing::MozoRouting>(scenario.network(), *zones);
   } else {
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       const auto bus = traffic.spawn(
           loop, 14.0, mobility::AutomationLevel::kHighAutomation, 1.0);
       registry.register_bus(bus, loop);
-      traffic.attach(sim, 0.1);
+      traffic.attach(sim);
       net.start_beacons(0.5);
 
       std::unique_ptr<routing::Router> router;

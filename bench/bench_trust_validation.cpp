@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
 
   const MajorityVote majority;
   const DistanceWeightedVote weighted;
-  const BayesianInference bayes(0.8);
+  const BayesianInference bayes;
   const DempsterShafer ds;
 
   for (const std::size_t sybil : {1UL, 4UL, 10UL}) {

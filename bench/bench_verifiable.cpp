@@ -49,9 +49,8 @@ VerifRow run(std::size_t replicas, double cheater_fraction,
       cheater_fraction * static_cast<double>(workers.size()) + 0.5);
   for (std::size_t i = 0; i < n_cheat; ++i) cheaters.add(workers[i]);
 
-  vcloud::ReplicatedSubmitter submitter(cloud, cheaters,
-                                        {replicas, 1.0}, Rng(seed + 4));
-  submitter.attach(sim, 1.0);
+  vcloud::ReplicatedSubmitter submitter(cloud, cheaters, replicas);
+  submitter.attach(sim);
   for (int i = 0; i < 40; ++i) {
     vcloud::Task t;
     t.work = 2.0;
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   reporter.emit(table);
 
   // ---- SCRA ---------------------------------------------------------------
-  const crypto::CostModel costs;
   Table scra_table("SCRA: online signing vs plain signing (OBU-class costs)",
                    {"scheme", "online_ms_per_msg", "offline_ms_per_msg",
                     "table_for_60s@10Hz"});
@@ -98,7 +96,7 @@ int main(int argc, char** argv) {
     crypto::OpCounts plain;
     plain.sign = 1;
     scra_table.add_row({"plain schnorr",
-                        Table::num(costs.total(plain) / kMilliseconds, 2),
+                        Table::num(crypto::total(plain) / kMilliseconds, 2),
                         "0.00", "-"});
     // SCRA: online = 1 hash; offline = 1 sign amortized per message.
     crypto::OpCounts online;
@@ -106,8 +104,8 @@ int main(int argc, char** argv) {
     crypto::OpCounts offline;
     offline.sign = 1;
     scra_table.add_row({"scra (precomputed)",
-                        Table::num(costs.total(online) / kMilliseconds, 3),
-                        Table::num(costs.total(offline) / kMilliseconds, 2),
+                        Table::num(crypto::total(online) / kMilliseconds, 3),
+                        Table::num(crypto::total(offline) / kMilliseconds, 2),
                         std::to_string(60 * 10) + " entries"});
   }
   reporter.emit(scra_table);

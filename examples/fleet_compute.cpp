@@ -28,7 +28,7 @@ int main() {
   // Phase 1: bootstrap.
   core::BootstrapProtocol bootstrap(system.scenario().network(),
                                     system.authority());
-  bootstrap.attach(1.0);
+  bootstrap.attach();
   system.run_for(30.0);
   std::cout << "after 30 s: " << bootstrap.joined_count() << "/"
             << system.scenario().traffic().vehicle_count()
@@ -44,7 +44,7 @@ int main() {
 
   // Phase 3: aggregation job.
   vcloud::Aggregator aggregator(system.cloud());
-  aggregator.attach(system.scenario().simulator(), 1.0);
+  aggregator.attach(system.scenario().simulator());
   vcloud::AggregateJobSpec job_spec;
   job_spec.total_work = 120.0;
   job_spec.parts = 12;

@@ -35,7 +35,7 @@ int main() {
     std::unique_ptr<core::VtlController> vtl;
     if (regime == "fixed signals") {
       fixed = std::make_unique<mobility::FixedCycleController>(
-          scenario.road(), scenario.simulator(), 15.0);
+          scenario.road(), scenario.simulator());
       scenario.traffic().set_right_of_way(
           [&f = *fixed](LinkId l, VehicleId v) { return f.can_enter(l, v); });
     } else if (regime == "virtual traffic lights") {

@@ -64,7 +64,7 @@ int main() {
 
   const MajorityVote majority;
   const DistanceWeightedVote weighted;
-  const BayesianInference bayes(0.8);
+  const BayesianInference bayes;
   const DempsterShafer ds;
 
   Table table("per-event validator decisions (ground truth in brackets)",

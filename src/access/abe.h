@@ -15,7 +15,7 @@
 // set satisfies the policy tree (property-tested). LIMITATION (documented in
 // DESIGN.md): keys are not per-user randomized, so two users can pool
 // attributes (collusion) — acceptable for a simulation substrate, never for
-// production. Costs are charged per leaf via the CostModel so the paper's
+// production. Costs are charged per leaf via crypto::total so the paper's
 // "authorization within stringent time constraints" experiments (E12) see
 // production-shaped latencies.
 #pragma once

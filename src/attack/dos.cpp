@@ -1,6 +1,11 @@
 #include "attack/dos.h"
 
 namespace vcl::attack {
+namespace {
+
+constexpr std::size_t kJunkBytes = 1024;
+
+}  // namespace
 
 void DosFlooder::start() {
   if (active_) return;
@@ -8,7 +13,7 @@ void DosFlooder::start() {
   // Contention load: each junk message occupies roughly one slot; express
   // the rate as equivalent concurrent transmitters (empirically, rate/10
   // beacons-per-second-equivalents).
-  const double load = config_.messages_per_second / 10.0;
+  const double load = messages_per_second_ / 10.0;
   for (const VehicleId v : roster_.members()) {
     net_.set_extra_load(v, load);
   }
@@ -33,7 +38,7 @@ void DosFlooder::tick() {
     junk.src = net::Address::vehicle(v);
     junk.dst = net::Address::broadcast();
     junk.kind = net::MessageKind::kData;
-    junk.size_bytes = config_.junk_bytes;
+    junk.size_bytes = kJunkBytes;
     junk.created = net_.simulator().now();
     net_.broadcast(junk);
     ++junk_sent_;

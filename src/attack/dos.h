@@ -1,10 +1,11 @@
 // Denial-of-service flooding (paper §III: "attackers may send a large
 // amount of junk messages so as to block the services").
 //
-// Flooder vehicles broadcast junk at a configurable rate. Two effects are
-// modeled: (1) the junk transmissions consume air time — the flooder
-// registers as extra contention load on the channel, eroding reception for
-// everyone nearby; (2) victims burn verification budget rejecting junk.
+// Flooder vehicles broadcast 1 KiB junk messages at a given rate. Two
+// effects are modeled: (1) the junk transmissions consume air time — the
+// flooder registers as extra contention load on the channel, eroding
+// reception for everyone nearby; (2) victims burn verification budget
+// rejecting junk.
 #pragma once
 
 #include "attack/adversary.h"
@@ -12,16 +13,14 @@
 
 namespace vcl::attack {
 
-struct DosConfig {
-  double messages_per_second = 50.0;
-  std::size_t junk_bytes = 1024;
-};
-
 class DosFlooder {
  public:
+  // Every roster member floods at `messages_per_second`.
   DosFlooder(net::Network& net, const AdversaryRoster& roster,
-             DosConfig config = {})
-      : net_(net), roster_(roster), config_(config) {}
+             double messages_per_second)
+      : net_(net),
+        roster_(roster),
+        messages_per_second_(messages_per_second) {}
 
   // Registers contention load and schedules the junk broadcasts.
   void start();
@@ -35,7 +34,7 @@ class DosFlooder {
 
   net::Network& net_;
   const AdversaryRoster& roster_;
-  DosConfig config_;
+  double messages_per_second_;
   bool active_ = false;
   std::size_t junk_sent_ = 0;
   sim::EventHandle tick_handle_;

@@ -5,8 +5,7 @@ namespace vcl::attack {
 void MitmGreedyRouter::forward(VehicleId self, const net::Message& msg) {
   const bool is_relay = msg.hops > 0 &&
                         !(msg.src.is_vehicle() && msg.src.as_vehicle() == self);
-  if (is_relay && roster_.is_malicious(self) && !msg.payload.empty() &&
-      rng_.bernoulli(config_.tamper_prob)) {
+  if (is_relay && roster_.is_malicious(self) && !msg.payload.empty()) {
     net::Message altered = msg;
     // Flip one byte: enough to corrupt content while keeping size/shape
     // (traffic-analysis-resistant tampering).

@@ -1,6 +1,12 @@
 #include "auth/authority.h"
 
 namespace vcl::auth {
+namespace {
+
+constexpr std::size_t kOpeningThreshold = 2;    // shares needed to open
+constexpr std::size_t kOpeningAuthorities = 3;  // escrow shares issued
+
+}  // namespace
 
 crypto::Bytes cert_body(std::uint64_t pseudo_id, std::uint64_t pub) {
   crypto::Bytes b;
@@ -9,18 +15,15 @@ crypto::Bytes cert_body(std::uint64_t pseudo_id, std::uint64_t pub) {
   return b;
 }
 
-TrustedAuthority::TrustedAuthority(std::uint64_t seed,
-                                   std::size_t opening_threshold,
-                                   std::size_t opening_authorities)
+TrustedAuthority::TrustedAuthority(std::uint64_t seed)
     : group_(crypto::default_group()),
       drbg_(seed ^ 0x5441ULL /* "TA" */),
       schnorr_(group_),
-      keypair_(schnorr_.keygen(drbg_)),
-      threshold_(opening_threshold) {
+      keypair_(schnorr_.keygen(drbg_)) {
   escrow_secret_ = drbg_.next_scalar(group_.q());
   const crypto::Shamir shamir(group_.q());
   escrow_shares_ =
-      shamir.split(escrow_secret_, opening_threshold, opening_authorities,
+      shamir.split(escrow_secret_, kOpeningThreshold, kOpeningAuthorities,
                    drbg_);
 }
 
@@ -74,7 +77,7 @@ crypto::Share TrustedAuthority::escrow_share(std::size_t i) const {
 
 std::optional<VehicleId> TrustedAuthority::open(
     std::uint64_t pseudo_id, const std::vector<crypto::Share>& shares) const {
-  if (shares.size() < threshold_) return std::nullopt;
+  if (shares.size() < kOpeningThreshold) return std::nullopt;
   const crypto::Shamir shamir(group_.q());
   if (shamir.reconstruct(shares) != escrow_secret_) return std::nullopt;
   auto it = escrow_map_.find(pseudo_id);

@@ -35,10 +35,9 @@ struct PseudonymCredential {
 
 class TrustedAuthority {
  public:
-  // `opening_threshold` of `opening_authorities` shares are needed to
-  // de-anonymize a credential.
-  TrustedAuthority(std::uint64_t seed, std::size_t opening_threshold = 2,
-                   std::size_t opening_authorities = 3);
+  // 2 of the 3 authorities' escrow shares are needed to de-anonymize a
+  // credential.
+  explicit TrustedAuthority(std::uint64_t seed);
 
   [[nodiscard]] std::uint64_t public_key() const { return keypair_.pub; }
   [[nodiscard]] const crypto::SchnorrGroup& group() const { return group_; }
@@ -71,7 +70,6 @@ class TrustedAuthority {
       std::uint64_t pseudo_id, const std::vector<crypto::Share>& shares) const;
   // Authority share `i` (0-based) for quorum assembly.
   [[nodiscard]] crypto::Share escrow_share(std::size_t i) const;
-  [[nodiscard]] std::size_t opening_threshold() const { return threshold_; }
 
   crypto::Drbg& drbg() { return drbg_; }
 
@@ -87,7 +85,6 @@ class TrustedAuthority {
   // deployment; here the secrecy is enforced by requiring a share quorum in
   // the API.)
   std::uint64_t escrow_secret_;
-  std::size_t threshold_;
   std::vector<crypto::Share> escrow_shares_;
   std::unordered_map<std::uint64_t, VehicleId> escrow_map_;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> issued_;

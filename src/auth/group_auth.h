@@ -9,8 +9,9 @@
 //
 // Simulation-grade honesty note: a shared-MAC scheme lets a malicious
 // *insider* frame another member, which real group signatures prevent; the
-// CostModel therefore charges full group-signature costs so latency results
-// transfer, and the limitation is documented in DESIGN.md.
+// cost table (crypto/cost_model.h) therefore charges full group-signature
+// costs so latency results transfer, and the limitation is documented in
+// DESIGN.md.
 #pragma once
 
 #include <optional>

@@ -3,6 +3,8 @@
 namespace vcl::auth {
 namespace {
 
+constexpr SimTime kUnlockValidity = 300.0;  // biometric freshness window
+
 crypto::Digest bind_driver(const crypto::Digest& biometric_hash,
                            const crypto::Bytes& payload) {
   crypto::Sha256 h;
@@ -21,9 +23,8 @@ crypto::Digest mac_message(const crypto::Bytes& system_key,
 
 }  // namespace
 
-TwoFactorDevice::TwoFactorDevice(crypto::Bytes system_key,
-                                 TwoFactorConfig config)
-    : system_key_(std::move(system_key)), config_(config) {}
+TwoFactorDevice::TwoFactorDevice(crypto::Bytes system_key)
+    : system_key_(std::move(system_key)) {}
 
 void TwoFactorDevice::enroll_driver(std::uint64_t driver_id,
                                     const crypto::Digest& biometric_hash) {
@@ -44,7 +45,7 @@ std::optional<std::uint64_t> TwoFactorDevice::unlock(
 
 bool TwoFactorDevice::is_unlocked(SimTime now) const {
   return unlocked_driver_.has_value() &&
-         now - unlocked_at_ <= config_.unlock_validity;
+         now - unlocked_at_ <= kUnlockValidity;
 }
 
 std::optional<TwoFactorMessage> TwoFactorDevice::sign(

@@ -26,21 +26,18 @@ struct TwoFactorMessage {
   crypto::Digest mac{};             // HMAC(system_key, payload || binding)
 };
 
-struct TwoFactorConfig {
-  SimTime unlock_validity = 300.0;  // biometric freshness window
-};
-
 class TwoFactorDevice {
  public:
   // `system_key` is the network-wide MAC key provisioned into every TPD.
-  TwoFactorDevice(crypto::Bytes system_key, TwoFactorConfig config = {});
+  explicit TwoFactorDevice(crypto::Bytes system_key);
 
   // Enrolls a driver's biometric template (hash thereof) with the device.
   void enroll_driver(std::uint64_t driver_id,
                      const crypto::Digest& biometric_hash);
 
   // Presents a biometric sample: unlocks the device for the validity
-  // window when it matches an enrolled driver. Returns the driver id.
+  // window (300 s) when it matches an enrolled driver. Returns the driver
+  // id.
   std::optional<std::uint64_t> unlock(const crypto::Digest& biometric_sample,
                                       SimTime now);
   void lock() { unlocked_driver_.reset(); }
@@ -57,7 +54,6 @@ class TwoFactorDevice {
 
  private:
   crypto::Bytes system_key_;
-  TwoFactorConfig config_;
   std::unordered_map<std::uint64_t, crypto::Digest> drivers_;
   std::optional<std::uint64_t> unlocked_driver_;
   SimTime unlocked_at_ = 0.0;

@@ -3,9 +3,14 @@
 #include <algorithm>
 
 namespace vcl::cluster {
+namespace {
 
-void ClusterManager::attach(SimTime period) {
-  net_.simulator().schedule_every(period, [this] { update(); }, -1.0,
+constexpr SimTime kUpdatePeriod = 1.0;
+
+}  // namespace
+
+void ClusterManager::attach() {
+  net_.simulator().schedule_every(kUpdatePeriod, [this] { update(); }, -1.0,
                                   "cluster.update");
 }
 

@@ -36,8 +36,9 @@ class ClusterManager {
   // Recomputes assignments from the current neighbor tables.
   virtual void update() = 0;
 
-  // Schedules periodic updates (after the network's beacon rounds).
-  void attach(SimTime period = 1.0);
+  // Schedules an update every simulated second (after the network's beacon
+  // rounds).
+  void attach();
 
   // --- queries ---------------------------------------------------------------
   [[nodiscard]] ClusterRole role(VehicleId v) const;

@@ -4,9 +4,9 @@ namespace vcl::core {
 namespace {
 
 constexpr std::size_t kPseudonymPool = 8;  // pseudonyms issued per join
-constexpr crypto::CostModel kCosts;
 // A relay path adds hops; modeled as a multiplier on the RSU RTT.
 constexpr double kRelayPenalty = 2.0;
+constexpr SimTime kStepPeriod = 1.0;  // attach()'s state-machine period
 
 }  // namespace
 
@@ -14,8 +14,8 @@ BootstrapProtocol::BootstrapProtocol(net::Network& net,
                                      auth::TrustedAuthority& ta)
     : net_(net), ta_(ta), drbg_(std::uint64_t{0xB007}) {}
 
-void BootstrapProtocol::attach(SimTime period) {
-  net_.simulator().schedule_every(period, [this] { step(); }, -1.0,
+void BootstrapProtocol::attach() {
+  net_.simulator().schedule_every(kStepPeriod, [this] { step(); }, -1.0,
                                   "core.bootstrap");
 }
 
@@ -42,7 +42,7 @@ SimTime BootstrapProtocol::registration_latency(VehicleId v,
   SimTime rtt = 2.0 * net_.channel().hop_delay(512, density);
   if (!via_rsu) rtt *= kRelayPenalty;
   const SimTime issuance =
-      kCosts.cost(crypto::Op::kSign) * static_cast<double>(kPseudonymPool);
+      crypto::cost(crypto::Op::kSign) * static_cast<double>(kPseudonymPool);
   return rtt + issuance;
 }
 

@@ -37,8 +37,8 @@ class BootstrapProtocol {
  public:
   BootstrapProtocol(net::Network& net, auth::TrustedAuthority& ta);
 
-  // Drives the state machines once per period.
-  void attach(SimTime period = 1.0);
+  // Drives the state machines once per simulated second.
+  void attach();
   void step();  // public for tests
 
   [[nodiscard]] JoinState state(VehicleId v) const;

@@ -3,7 +3,6 @@
 namespace vcl::core {
 namespace {
 
-constexpr crypto::CostModel kCosts;  // OBU-class rates
 constexpr double kTrustThreshold = 0.5;  // validator score to accept
 
 }  // namespace
@@ -44,7 +43,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
   result.authenticated = verdict.ok;
   if (!verdict.ok) {
     result.rejected_at = "authentication";
-    result.latency = kCosts.total(ops);
+    result.latency = crypto::total(ops);
     result.within_budget = result.latency <= config_.budget;
     return result;
   }
@@ -56,7 +55,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
     result.authorized = plain.has_value();
     if (!result.authorized) {
       result.rejected_at = "authorization";
-      result.latency = kCosts.total(ops);
+      result.latency = crypto::total(ops);
       result.within_budget = result.latency <= config_.budget;
       return result;
     }
@@ -72,7 +71,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
     result.trusted = decision.score > kTrustThreshold;
     if (!result.trusted) {
       result.rejected_at = "trust";
-      result.latency = kCosts.total(ops);
+      result.latency = crypto::total(ops);
       result.within_budget = result.latency <= config_.budget;
       return result;
     }
@@ -81,7 +80,7 @@ PipelineResult SecurePipeline::process(const AuthInput& auth_in,
   }
 
   result.accepted = true;
-  result.latency = kCosts.total(ops);
+  result.latency = crypto::total(ops);
   result.within_budget = result.latency <= config_.budget;
   return result;
 }

@@ -4,7 +4,7 @@
 // The pipeline answers Fig. 3's four questions in order — does the sender
 // have a valid identity? what may it access? is the action allowed on this
 // data? does the content need (and pass) trust validation? — charging every
-// cryptographic step at production rates through the CostModel, so the
+// cryptographic step at production rates through crypto::total, so the
 // "stringent time constraints" of §III are measurable.
 #pragma once
 

@@ -6,7 +6,6 @@ namespace {
 constexpr double kHighwayLength = 5000.0;  // meters
 constexpr int kLotRows = 8;
 constexpr int kLotCols = 8;
-constexpr double kMobilityDt = 0.1;  // traffic step, seconds
 
 }  // namespace
 
@@ -58,7 +57,7 @@ void Scenario::start() {
     park_population();
   } else {
     trips_.prefill();
-    traffic_.attach(sim_, kMobilityDt);
+    traffic_.attach(sim_);
     trips_.attach(sim_);
   }
   net_.start_beacons(config_.beacon_period);

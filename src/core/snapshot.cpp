@@ -1,17 +1,23 @@
 #include "core/snapshot.h"
 
 namespace vcl::core {
+namespace {
 
-TopologyArchive::TopologyArchive(net::Network& net, SnapshotConfig config,
+constexpr SimTime kSnapshotPeriod = 5.0;
+
+}  // namespace
+
+TopologyArchive::TopologyArchive(net::Network& net, std::size_t retention,
                                  CredentialFn credential_of)
-    : net_(net), config_(config), credential_of_(std::move(credential_of)) {
+    : net_(net), retention_(retention),
+      credential_of_(std::move(credential_of)) {
   if (!credential_of_) {
     credential_of_ = [](VehicleId v) { return v.value(); };
   }
 }
 
 void TopologyArchive::attach() {
-  net_.simulator().schedule_every(config_.period, [this] { capture(); }, -1.0,
+  net_.simulator().schedule_every(kSnapshotPeriod, [this] { capture(); }, -1.0,
                                   "core.snapshot");
 }
 
@@ -24,7 +30,7 @@ void TopologyArchive::capture() {
         SnapshotEntry{v.id, credential_of_(v.id), v.pos});
   }
   snapshots_.push_back(std::move(snap));
-  while (snapshots_.size() > config_.retention) snapshots_.pop_front();
+  while (snapshots_.size() > retention_) snapshots_.pop_front();
 }
 
 std::vector<SnapshotEntry> TopologyArchive::query(geo::Vec2 where,

@@ -4,11 +4,11 @@
 // management data recorded, the more possible that the user privacy will be
 // violated").
 //
-// A bounded ring of periodic snapshots (who was where, under which
+// A bounded ring of snapshots taken every 5 s (who was where, under which
 // credential) supports forensic queries — "which credentials were within R
 // of position P around time T?" — while exposing the exact management/
-// privacy trade-off: retention and sampling rate determine both forensic
-// recall and the volume of location data at risk.
+// privacy trade-off: retention determines both forensic recall and the
+// volume of location data at risk.
 #pragma once
 
 #include <deque>
@@ -30,18 +30,14 @@ struct TopologySnapshot {
   std::vector<SnapshotEntry> entries;
 };
 
-struct SnapshotConfig {
-  SimTime period = 5.0;
-  std::size_t retention = 60;  // snapshots kept (ring buffer)
-};
-
 class TopologyArchive {
  public:
   // `credential_of` maps a vehicle to its currently visible credential
-  // (pseudonym id etc.); defaults to the raw vehicle id.
+  // (pseudonym id etc.); defaults to the raw vehicle id. The archive keeps
+  // the newest `retention` snapshots.
   using CredentialFn = std::function<std::uint64_t(VehicleId)>;
 
-  TopologyArchive(net::Network& net, SnapshotConfig config = {},
+  TopologyArchive(net::Network& net, std::size_t retention,
                   CredentialFn credential_of = {});
 
   void attach();
@@ -64,7 +60,7 @@ class TopologyArchive {
 
  private:
   net::Network& net_;
-  SnapshotConfig config_;
+  std::size_t retention_;
   CredentialFn credential_of_;
   std::deque<TopologySnapshot> snapshots_;
 };

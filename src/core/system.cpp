@@ -5,7 +5,6 @@
 namespace vcl::core {
 namespace {
 
-constexpr SimTime kClusterPeriod = 1.0;  // moving-zone re-clustering
 constexpr SimTime kSamplePeriod = 1.0;   // telemetry metric sampling
 
 }  // namespace
@@ -42,7 +41,7 @@ void VehicularCloudSystem::start() {
   started_ = true;
   scenario_.start();
   scenario_.network().refresh();
-  zones_.attach(kClusterPeriod);
+  zones_.attach();
   zones_.update();
 
   // Register the initial population with the TA.

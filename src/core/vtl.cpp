@@ -6,6 +6,7 @@ namespace {
 constexpr double kDetectionRadius = 120.0;  // how far the leader "sees" demand
 constexpr SimTime kMinPhase = 6.0;
 constexpr SimTime kDecisionPeriod = 1.0;
+constexpr SimTime kMeterPeriod = 1.0;  // StopMeter sampling
 
 }  // namespace
 
@@ -93,8 +94,8 @@ bool VtlController::can_enter(LinkId link, VehicleId /*v*/) const {
   return mobility::approach_group(map_.network(), link) == it->second.green;
 }
 
-void StopMeter::attach(sim::Simulator& sim, SimTime period) {
-  sim.schedule_every(period, [this] { sample(); });
+void StopMeter::attach(sim::Simulator& sim) {
+  sim.schedule_every(kMeterPeriod, [this] { sample(); });
 }
 
 void StopMeter::sample() {

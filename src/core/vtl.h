@@ -56,7 +56,8 @@ class StopMeter {
  public:
   explicit StopMeter(mobility::TrafficModel& traffic) : traffic_(traffic) {}
 
-  void attach(sim::Simulator& sim, SimTime period = 1.0);
+  // Samples once per simulated second.
+  void attach(sim::Simulator& sim);
   void sample();
 
   [[nodiscard]] double stopped_fraction() const {

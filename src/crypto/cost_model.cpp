@@ -1,6 +1,27 @@
 #include "crypto/cost_model.h"
 
+#include <iterator>
+
 namespace vcl::crypto {
+namespace {
+
+// Simulated seconds per op on an OBU-class ARM Cortex-A, in `Op` order.
+constexpr SimTime kOpCost[] = {
+    5 * kMicroseconds,    // kHash
+    8 * kMicroseconds,    // kHmac
+    1.2 * kMilliseconds,  // kSign
+    2.0 * kMilliseconds,  // kVerify
+    1.6 * kMilliseconds,  // kKemEncap
+    1.4 * kMilliseconds,  // kKemDecap
+    6.0 * kMilliseconds,  // kGroupSign
+    9.0 * kMilliseconds,  // kGroupVerify
+    2.2 * kMilliseconds,  // kAbeEncrypt, per policy leaf
+    1.8 * kMilliseconds,  // kAbeDecrypt, per satisfied leaf
+};
+static_assert(std::size(kOpCost) ==
+              static_cast<std::size_t>(Op::kAbeDecrypt) + 1);
+
+}  // namespace
 
 OpCounts& OpCounts::operator+=(const OpCounts& o) {
   hash += o.hash;
@@ -16,23 +37,9 @@ OpCounts& OpCounts::operator+=(const OpCounts& o) {
   return *this;
 }
 
-SimTime CostModel::cost(Op op) const {
-  switch (op) {
-    case Op::kHash: return hash_s;
-    case Op::kHmac: return hmac_s;
-    case Op::kSign: return sign_s;
-    case Op::kVerify: return verify_s;
-    case Op::kKemEncap: return kem_encap_s;
-    case Op::kKemDecap: return kem_decap_s;
-    case Op::kGroupSign: return group_sign_s;
-    case Op::kGroupVerify: return group_verify_s;
-    case Op::kAbeEncrypt: return abe_leaf_encrypt_s;
-    case Op::kAbeDecrypt: return abe_leaf_decrypt_s;
-  }
-  return 0.0;
-}
+SimTime cost(Op op) { return kOpCost[static_cast<std::size_t>(op)]; }
 
-SimTime CostModel::total(const OpCounts& c) const {
+SimTime total(const OpCounts& c) {
   return cost(Op::kHash) * static_cast<double>(c.hash) +
          cost(Op::kHmac) * static_cast<double>(c.hmac) +
          cost(Op::kSign) * static_cast<double>(c.sign) +

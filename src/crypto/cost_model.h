@@ -4,10 +4,10 @@
 // The toy 61-bit group executes orders of magnitude faster than ECDSA-P256
 // on a real on-board unit. Experiments that reason about the paper's
 // "stringent time constraints" (authorization in milliseconds, §III.C) must
-// charge realistic costs: protocols report *operation counts*, and the
-// CostModel converts them to simulated seconds. Defaults follow published
-// measurements for automotive-grade ARM OBUs (e.g. ~1-5 ms per ECDSA op);
-// each figure bench states the numbers it assumes.
+// charge realistic costs: protocols report *operation counts*, and
+// `cost`/`total` convert them to simulated seconds through one fixed table
+// (cost_model.cpp) that follows published measurements for automotive-grade
+// ARM OBUs (e.g. ~1-5 ms per ECDSA op).
 #pragma once
 
 #include <cstddef>
@@ -44,25 +44,10 @@ struct OpCounts {
   OpCounts& operator+=(const OpCounts& o);
 };
 
-class CostModel {
- public:
-  // Default: OBU-class ARM Cortex-A (DSRC literature ballpark).
-  CostModel() = default;
-
-  [[nodiscard]] SimTime cost(Op op) const;
-  [[nodiscard]] SimTime total(const OpCounts& counts) const;
-
-  // Per-op overrides, seconds.
-  SimTime hash_s = 5 * kMicroseconds;
-  SimTime hmac_s = 8 * kMicroseconds;
-  SimTime sign_s = 1.2 * kMilliseconds;
-  SimTime verify_s = 2.0 * kMilliseconds;
-  SimTime kem_encap_s = 1.6 * kMilliseconds;
-  SimTime kem_decap_s = 1.4 * kMilliseconds;
-  SimTime group_sign_s = 6.0 * kMilliseconds;
-  SimTime group_verify_s = 9.0 * kMilliseconds;
-  SimTime abe_leaf_encrypt_s = 2.2 * kMilliseconds;
-  SimTime abe_leaf_decrypt_s = 1.8 * kMilliseconds;
-};
+// Simulated seconds one `op` costs on an OBU-class ARM Cortex-A (DSRC
+// literature ballpark).
+[[nodiscard]] SimTime cost(Op op);
+// Sum of cost(op) x count over every op in `counts`.
+[[nodiscard]] SimTime total(const OpCounts& counts);
 
 }  // namespace vcl::crypto

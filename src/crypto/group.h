@@ -6,7 +6,7 @@
 // ABE-style policy encryption) is algebraically faithful — signatures really
 // verify, forgeries really fail, decryption really requires satisfying
 // attribute shares — but the key size offers NO real-world security. The
-// CostModel (crypto/cost_model.h) maps operation counts onto published
+// cost table (crypto/cost_model.h) maps operation counts onto published
 // OBU-class ECDSA-P256 timings when an experiment needs absolute latencies.
 #pragma once
 

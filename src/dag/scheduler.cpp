@@ -331,19 +331,6 @@ bool DagScheduler::all_done() const {
   return true;
 }
 
-std::size_t DagScheduler::active_graphs() const {
-  std::size_t n = 0;
-  for (const auto& [gid, g] : graphs_) {
-    if (!g.terminal()) ++n;
-  }
-  return n;
-}
-
-bool DagScheduler::graph_completed(std::uint64_t id) const {
-  const auto it = graphs_.find(id);
-  return it != graphs_.end() && it->second.completed;
-}
-
 void DagScheduler::for_each_graph(
     const std::function<void(const vcloud::DagGraphView&)>& fn) const {
   for (const auto& [gid, g] : graphs_) {

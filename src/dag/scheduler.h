@@ -107,8 +107,6 @@ class DagScheduler final : public vcloud::DagIntrospection {
   [[nodiscard]] const DagConfig& config() const { return config_; }
   // True when every submitted graph reached a terminal state.
   [[nodiscard]] bool all_done() const;
-  [[nodiscard]] std::size_t active_graphs() const;
-  [[nodiscard]] bool graph_completed(std::uint64_t id) const;
 
   // Deterministic victim resolution for DAG-targeted chaos storms: the
   // worker currently running the heaviest-downstream-critical-weight node

@@ -109,7 +109,6 @@ std::map<std::string, Summary> Campaign::replicate(std::uint64_t base_seed,
   }
   ReplicateOptions opts;
   opts.reps = reps_;
-  opts.jobs = jobs_;
   opts.base_seed = base_seed;
   if (!telemetry_dir_.empty()) {
     opts.out_dir = telemetry_dir_ + "/cell" + std::to_string(cells_);

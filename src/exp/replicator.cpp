@@ -1,7 +1,6 @@
 #include "exp/replicator.h"
 
 #include <filesystem>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -60,18 +59,13 @@ std::map<std::string, Summary> replicate(const ReplicateOptions& opts,
     }
   }
 
-  if (opts.jobs <= 1 || reps == 1) {
+  if (pool == nullptr || reps == 1) {
     for (std::size_t r = 0; r < reps; ++r) {
       reports[r] = fn(RepContext{r, rep_seed(opts.base_seed, r), rep_dirs[r]});
     }
     return reduce(reports);
   }
 
-  std::unique_ptr<ThreadPool> owned;
-  if (pool == nullptr) {
-    owned = std::make_unique<ThreadPool>(std::min(opts.jobs, reps));
-    pool = owned.get();
-  }
   std::vector<std::future<void>> futures;
   futures.reserve(reps);
   for (std::size_t r = 0; r < reps; ++r) {

@@ -5,9 +5,9 @@
 // seed (`Rng::fork(rep)`-derived; replication 0 keeps the base seed so a
 // single-rep run reproduces the historical single-seed experiment exactly)
 // and reports named metrics into a `RepReport`. `replicate()` runs the N
-// replications — inline for jobs=1, across a `ThreadPool` otherwise —
-// then reduces per-metric in replication order, so the aggregate is
-// bit-identical regardless of `jobs`.
+// replications — inline without a pool, across the caller's `ThreadPool`
+// otherwise — then reduces per-metric in replication order, so the aggregate
+// is bit-identical with or without the pool, whatever its size.
 #pragma once
 
 #include <cstddef>
@@ -73,7 +73,6 @@ struct Summary {
 
 struct ReplicateOptions {
   std::size_t reps = 1;
-  std::size_t jobs = 1;
   std::uint64_t base_seed = 0;
   // When nonempty, "<out_dir>/rep<k>" is created (serially, before any
   // parallel dispatch) and handed to replication k as RepContext::out_dir.
@@ -89,8 +88,9 @@ std::uint64_t rep_seed(std::uint64_t base_seed, std::size_t rep);
 
 // Runs `fn` opts.reps times and reduces. A replication that throws aborts
 // the run: the first exception (in replication order) is rethrown after all
-// in-flight replications finish. Pass `pool` to reuse one pool across many
-// calls (cells of a sweep); nullptr creates a private pool when jobs > 1.
+// in-flight replications finish. With a `pool` (Campaign shares one across
+// the cells of a sweep) the replications run on it; nullptr runs them
+// inline, one after another.
 std::map<std::string, Summary> replicate(const ReplicateOptions& opts,
                                          const RepFn& fn,
                                          ThreadPool* pool = nullptr);

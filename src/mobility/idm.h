@@ -3,19 +3,13 @@
 
 namespace vcl::mobility {
 
-struct IdmParams {
-  double desired_speed = 30.0;     // v0, m/s
-  double time_headway = 1.5;       // T, s
-  double max_accel = 1.5;          // a, m/s^2
-  double comfort_decel = 2.0;      // b, m/s^2
-  double min_gap = 2.0;            // s0, m
-  double exponent = 4.0;           // delta
-};
-
 // Acceleration for a follower at `speed` with closing speed `approach_rate`
-// (= follower speed - leader speed) and bumper-to-bumper `gap` to the leader.
-// Pass an infinite gap for a free road.
+// (= follower speed - leader speed) and bumper-to-bumper `gap` to the leader,
+// driving toward `desired_speed` (v0, m/s; floored at 0.1). Pass an infinite
+// gap for a free road. The other IDM parameters are fixed in idm.cpp: time
+// headway 1.5 s, maximum acceleration 1.5 m/s^2, comfortable deceleration
+// 2 m/s^2, minimum gap 2 m, exponent 4.
 double idm_acceleration(double speed, double approach_rate, double gap,
-                        const IdmParams& p);
+                        double desired_speed);
 
 }  // namespace vcl::mobility

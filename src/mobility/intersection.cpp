@@ -3,6 +3,11 @@
 #include <cmath>
 
 namespace vcl::mobility {
+namespace {
+
+constexpr SimTime kPhase = 15.0;  // green time per approach group
+
+}  // namespace
 
 ApproachGroup approach_group(const geo::RoadNetwork& net, LinkId link) {
   const geo::Vec2 dir = net.link_direction(link);
@@ -20,13 +25,13 @@ IntersectionMap::IntersectionMap(const geo::RoadNetwork& net) : net_(net) {
 }
 
 FixedCycleController::FixedCycleController(const geo::RoadNetwork& net,
-                                           sim::Simulator& sim, SimTime phase)
-    : map_(net), sim_(sim), phase_(phase) {}
+                                           sim::Simulator& sim)
+    : map_(net), sim_(sim) {}
 
 ApproachGroup FixedCycleController::green_group(NodeId node) const {
   // Phase-offset by node id so adjacent intersections are not synchronized.
-  const double t = sim_.now() + static_cast<double>(node.value() % 2) * phase_;
-  const auto cycle = static_cast<std::uint64_t>(t / phase_);
+  const double t = sim_.now() + static_cast<double>(node.value() % 2) * kPhase;
+  const auto cycle = static_cast<std::uint64_t>(t / kPhase);
   return (cycle % 2 == 0) ? ApproachGroup::kEastWest
                           : ApproachGroup::kNorthSouth;
 }

@@ -43,13 +43,12 @@ class IntersectionMap {
   std::unordered_set<std::uint64_t> signalized_set_;
 };
 
-// Conventional fixed-cycle signals: every intersection alternates EW/NS on
-// a common timer (offset by node id so the grid does not pulse in
-// lockstep).
+// Conventional fixed-cycle signals: every intersection alternates EW/NS
+// every 15 s on a common timer (offset by node id so the grid does not pulse
+// in lockstep).
 class FixedCycleController {
  public:
-  FixedCycleController(const geo::RoadNetwork& net, sim::Simulator& sim,
-                       SimTime phase = 15.0);
+  FixedCycleController(const geo::RoadNetwork& net, sim::Simulator& sim);
 
   // Right-of-way oracle to plug into TrafficModel::set_right_of_way.
   [[nodiscard]] bool can_enter(LinkId link, VehicleId v) const;
@@ -61,7 +60,6 @@ class FixedCycleController {
 
   IntersectionMap map_;
   sim::Simulator& sim_;
-  SimTime phase_;
 };
 
 }  // namespace vcl::mobility

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <limits>
 
+#include "mobility/idm.h"
+
 namespace vcl::mobility {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kStepDt = 0.1;  // attach()'s step, seconds
 
 std::uint64_t lane_key(LinkId link, int lane) {
   return (link.value() << 8) | static_cast<std::uint64_t>(lane & 0xff);
@@ -118,9 +121,6 @@ void TrafficModel::advance_vehicle(VehicleState& v, double dt,
                                    const std::vector<LaneSlot>& lane_order,
                                    std::size_t pos_in_lane) {
   const geo::RoadLink& link = net_.link(v.link);
-  IdmParams p = idm_;
-  p.desired_speed = link.speed_limit * v.speed_factor;
-
   double gap = kInf;
   double approach = 0.0;
   if (pos_in_lane > 0) {
@@ -159,7 +159,8 @@ void TrafficModel::advance_vehicle(VehicleState& v, double dt,
     }
   }
 
-  v.accel = idm_acceleration(v.speed, approach, gap, p);
+  v.accel = idm_acceleration(v.speed, approach, gap,
+                             link.speed_limit * v.speed_factor);
   v.speed = std::max(0.0, v.speed + v.accel * dt);
   v.offset += v.speed * dt;
 
@@ -214,8 +215,9 @@ void TrafficModel::step(double dt) {
   for (auto& [vid, v] : vehicles_) refresh_world_frame(v);
 }
 
-void TrafficModel::attach(sim::Simulator& sim, double dt) {
-  sim.schedule_every(dt, [this, dt] { step(dt); }, -1.0, "mobility.step");
+void TrafficModel::attach(sim::Simulator& sim) {
+  sim.schedule_every(kStepDt, [this] { step(kStepDt); }, -1.0,
+                     "mobility.step");
 }
 
 double TrafficModel::route_time_to_exit(const VehicleState& v,

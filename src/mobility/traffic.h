@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "geo/road_network.h"
-#include "mobility/idm.h"
 #include "mobility/vehicle.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -49,8 +48,8 @@ class TrafficModel {
 
   // Advances all vehicles by dt seconds.
   void step(double dt);
-  // Registers the periodic step with a simulator.
-  void attach(sim::Simulator& sim, double dt = 0.1);
+  // Registers a step of 0.1 s every 0.1 simulated seconds with `sim`.
+  void attach(sim::Simulator& sim);
 
   [[nodiscard]] const VehicleState* find(VehicleId id) const;
   [[nodiscard]] VehicleState* find_mutable(VehicleId id);
@@ -79,8 +78,6 @@ class TrafficModel {
   [[nodiscard]] double oracle_time_to_exit(VehicleId id, geo::Vec2 center,
                                            double radius) const;
 
-  IdmParams& idm_params() { return idm_; }
-
  private:
   // One vehicle in a lane bucket; `offset` is the sort key, copied so the
   // sort reads no vehicle state.
@@ -100,7 +97,6 @@ class TrafficModel {
 
   const geo::RoadNetwork& net_;
   Rng rng_;
-  IdmParams idm_;
   std::unordered_map<std::uint64_t, VehicleState> vehicles_;
   // (link, lane) -> bucket in lane_buckets_ holding the lane's vehicles
   // sorted by decreasing offset (leader first). The map is rebuilt every

@@ -18,12 +18,6 @@ void DisseminationScheduler::request(VehicleId requester, FileId item,
   queues_[item.value()].push_back(Pending{requester, now});
 }
 
-std::size_t DisseminationScheduler::pending_requests() const {
-  std::size_t n = 0;
-  for (const auto& [item, q] : queues_) n += q.size();
-  return n;
-}
-
 FileId DisseminationScheduler::serve_slot(SimTime now) {
   // Deficit accrual happens every slot regardless of policy (cheap, and
   // keeps switching policies mid-run well-defined).

@@ -46,7 +46,6 @@ class DisseminationScheduler {
   // pending requests. Returns the served item (invalid when idle).
   FileId serve_slot(SimTime now);
 
-  [[nodiscard]] std::size_t pending_requests() const;
   [[nodiscard]] std::size_t served_requests() const { return served_; }
   [[nodiscard]] const Accumulator& wait_time() const { return wait_; }
   // Every served request's wait, in service order (for exact percentiles).

@@ -18,9 +18,8 @@ const char* to_string(FlightCategory c) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::size_t per_category) {
-  const std::size_t capacity = std::max<std::size_t>(1, per_category);
-  for (Ring& r : rings_) r.slots.resize(capacity);
+FlightRecorder::FlightRecorder() {
+  for (Ring& r : rings_) r.slots.resize(kPerCategory);
 }
 
 void FlightRecorder::record(SimTime t, FlightCategory cat, const char* name,

@@ -62,9 +62,9 @@ class FlightRecorder {
   // enough to leave on for every run, deep enough that the causal chain
   // behind a violation (fault → detection → recovery → failure) survives
   // even when one category is chatty.
-  static constexpr std::size_t kDefaultPerCategory = 256;
+  static constexpr std::size_t kPerCategory = 256;
 
-  explicit FlightRecorder(std::size_t per_category = kDefaultPerCategory);
+  FlightRecorder();
 
   void record(SimTime t, FlightCategory cat, const char* name,
               std::uint64_t a = 0, std::uint64_t b = 0, double x = 0.0);
@@ -78,9 +78,6 @@ class FlightRecorder {
     const Ring& r = ring(c);
     return r.recorded - r.count;
   }
-  [[nodiscard]] std::size_t per_category_capacity() const {
-    return rings_[0].slots.size();
-  }
 
   // Retained events merged across every category, oldest first (global
   // sequence order). This is the "flight-recorder tail" an incident bundle
@@ -89,7 +86,7 @@ class FlightRecorder {
 
  private:
   struct Ring {
-    std::vector<FlightEvent> slots;
+    std::vector<FlightEvent> slots;  // kPerCategory
     std::size_t head = 0;   // next write slot
     std::size_t count = 0;  // retained (<= capacity)
     std::uint64_t recorded = 0;

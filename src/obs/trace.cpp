@@ -20,8 +20,7 @@ const char* to_string(TraceCategory c) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(std::size_t capacity, std::uint32_t category_mask)
-    : mask_(category_mask), ring_(std::max<std::size_t>(capacity, 1)) {}
+TraceRecorder::TraceRecorder() : ring_(kCapacity) {}
 
 TraceRecorder::Event& TraceRecorder::push(
     SimTime t, TraceCategory cat, TracePhase phase, const char* name,
@@ -50,14 +49,12 @@ TraceRecorder::Event& TraceRecorder::push(
 
 void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
                            std::initializer_list<Field> fields) {
-  if (!enabled(cat)) return;
   push(t, cat, TracePhase::kInstant, name, fields);
 }
 
 void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
                            TraceContext ctx,
                            std::initializer_list<Field> fields) {
-  if (!enabled(cat)) return;
   Event& ev = push(t, cat, TracePhase::kInstant, name, fields);
   ev.trace_id = ctx.trace_id;
   ev.parent_id = ctx.span_id;
@@ -66,7 +63,6 @@ void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
 std::uint64_t TraceRecorder::begin_span(SimTime t, TraceCategory cat,
                                         const char* name, TraceContext parent,
                                         std::initializer_list<Field> fields) {
-  if (!enabled(cat)) return 0;
   Event& ev = push(t, cat, TracePhase::kBegin, name, fields);
   ev.trace_id = parent.trace_id;
   ev.span_id = next_span_id_++;
@@ -77,7 +73,7 @@ std::uint64_t TraceRecorder::begin_span(SimTime t, TraceCategory cat,
 void TraceRecorder::end_span(SimTime t, TraceCategory cat, const char* name,
                              TraceContext ctx,
                              std::initializer_list<Field> fields) {
-  if (!enabled(cat) || ctx.span_id == 0) return;
+  if (ctx.span_id == 0) return;
   Event& ev = push(t, cat, TracePhase::kEnd, name, fields);
   ev.trace_id = ctx.trace_id;
   ev.span_id = ctx.span_id;

@@ -9,9 +9,9 @@
 // across vehicle crashes and radio blackouts. Events land in a
 // fixed-capacity ring buffer so a long run overwrites its oldest history
 // instead of growing without bound; `overwritten()` reports how much was
-// lost. A per-category enable mask gates recording, and instrumented code
-// holds a nullable `TraceRecorder*`, so a run with tracing off pays exactly
-// one pointer test per would-be event or span.
+// lost. The ring holds 2^16 events and records every category; instrumented
+// code holds a nullable `TraceRecorder*`, so a run with tracing off pays
+// exactly one pointer test per would-be event or span.
 //
 // Exports:
 //  * JSONL — a leading metadata record (`recorded`/`overwritten`/
@@ -48,12 +48,6 @@ inline constexpr std::size_t kTraceCategoryCount = 7;
 
 [[nodiscard]] const char* to_string(TraceCategory c);
 
-[[nodiscard]] constexpr std::uint32_t category_bit(TraceCategory c) {
-  return 1u << static_cast<std::uint8_t>(c);
-}
-inline constexpr std::uint32_t kAllTraceCategories =
-    (1u << kTraceCategoryCount) - 1;
-
 // Instant events vs the two halves of a duration span.
 enum class TracePhase : std::uint8_t { kInstant = 0, kBegin = 1, kEnd = 2 };
 
@@ -78,6 +72,8 @@ inline constexpr double kOutcomeFailed = 2.0;
 class TraceRecorder {
  public:
   static constexpr std::size_t kMaxFields = 4;
+  // Events the ring retains before it overwrites the oldest.
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
 
   struct Field {
     const char* key;
@@ -97,12 +93,7 @@ class TraceRecorder {
     std::array<Field, kMaxFields> fields{};
   };
 
-  explicit TraceRecorder(std::size_t capacity = 1 << 16,
-                         std::uint32_t category_mask = kAllTraceCategories);
-
-  [[nodiscard]] bool enabled(TraceCategory c) const {
-    return (mask_ & category_bit(c)) != 0;
-  }
+  TraceRecorder();
 
   // Allocates a fresh trace id (the root of a new causal tree).
   [[nodiscard]] std::uint64_t new_trace_id() { return next_trace_id_++; }
@@ -118,19 +109,18 @@ class TraceRecorder {
               TraceContext ctx, std::initializer_list<Field> fields = {});
 
   // Opens a duration span under `parent` (parent.span_id may be 0 for a
-  // root span) and returns its span id — keep it to close the span later.
-  // Returns 0 when the category is masked off (end_span of 0 is a no-op).
+  // root span) and returns its span id (never 0) — keep it to close the
+  // span later.
   std::uint64_t begin_span(SimTime t, TraceCategory cat, const char* name,
                            TraceContext parent,
                            std::initializer_list<Field> fields = {});
   // Closes the span `ctx.span_id` of tree `ctx.trace_id`; `name` should
   // match the begin (exports pair the two by span id, the name is for
-  // humans reading the JSONL).
+  // humans reading the JSONL). A `ctx.span_id` of 0 (no span) is a no-op.
   void end_span(SimTime t, TraceCategory cat, const char* name,
                 TraceContext ctx, std::initializer_list<Field> fields = {});
 
   [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
   // Events lost to ring wrap-around (recorded - retained).
   [[nodiscard]] std::uint64_t overwritten() const {
@@ -159,8 +149,7 @@ class TraceRecorder {
   Event& push(SimTime t, TraceCategory cat, TracePhase phase,
               const char* name, std::initializer_list<Field> fields);
 
-  std::uint32_t mask_;
-  std::vector<Event> ring_;
+  std::vector<Event> ring_;  // kCapacity slots
   std::size_t head_ = 0;   // next write slot
   std::size_t count_ = 0;  // retained events (<= capacity)
   std::uint64_t recorded_ = 0;

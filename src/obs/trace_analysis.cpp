@@ -468,13 +468,6 @@ double storm_overlap(const std::vector<FaultWindow>& windows, double begin,
   return covered;
 }
 
-const TaskBreakdown* TraceAnalysis::find(std::uint64_t trace_id) const {
-  for (const TaskBreakdown& t : tasks_) {
-    if (t.trace_id == trace_id) return &t;
-  }
-  return nullptr;
-}
-
 void TraceAnalysis::write_diagnostics(std::ostream& os,
                                       const TraceMeta& meta) const {
   os << "\ndiagnostics:\n";

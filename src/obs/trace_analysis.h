@@ -212,7 +212,6 @@ class TraceAnalysis {
   [[nodiscard]] const std::vector<TaskBreakdown>& tasks() const {
     return tasks_;
   }
-  [[nodiscard]] const TaskBreakdown* find(std::uint64_t trace_id) const;
   [[nodiscard]] const std::vector<StorageOpBreakdown>& storage_ops() const {
     return storage_ops_;
   }

@@ -13,8 +13,8 @@
 // grant/renew/revoke observations and queries held()/expired().
 //
 // Timing contract (the chaos soak leans on these exact edges):
-//  * a lease granted or renewed at time t is held through t + duration
-//    INCLUSIVE: held(v, t + duration) is true;
+//  * a lease lasts 3 s: one granted or renewed at time t is held through
+//    t + 3 INCLUSIVE: held(v, t + 3) is true;
 //  * a renewal racing expiry at the same sim time therefore succeeds —
 //    renew(v, expiry_instant) extends the lease (renewal wins the race);
 //  * expired(now) lists holders whose expiry is strictly before `now`.
@@ -31,22 +31,13 @@ namespace vcl::storage {
 
 class LeaseTable {
  public:
-  explicit LeaseTable(SimTime duration = 3.0) : duration_(duration) {}
-
-  // Grants (or re-grants) a lease expiring at now + duration.
-  void grant(VehicleId v, SimTime now) {
-    expiry_[v.value()] = now + duration_;
-  }
+  // Grants (or re-grants) a lease expiring at now + 3 s.
+  void grant(VehicleId v, SimTime now);
   // Renews only a lease that is still held at `now` (inclusive of the
   // expiry instant); a renewal of an expired or unknown lease is ignored —
   // the repair pipeline must explicitly re-grant. Returns whether the
   // renewal took effect.
-  bool renew(VehicleId v, SimTime now) {
-    auto it = expiry_.find(v.value());
-    if (it == expiry_.end() || now > it->second) return false;
-    it->second = now + duration_;
-    return true;
-  }
+  bool renew(VehicleId v, SimTime now);
   void revoke(VehicleId v) { expiry_.erase(v.value()); }
 
   // Held = granted and not yet expired (expiry instant inclusive).
@@ -67,11 +58,9 @@ class LeaseTable {
   // (deterministic iteration for the repair pipeline).
   [[nodiscard]] std::vector<VehicleId> expired(SimTime now) const;
 
-  [[nodiscard]] SimTime duration() const { return duration_; }
   [[nodiscard]] std::size_t size() const { return expiry_.size(); }
 
  private:
-  SimTime duration_;
   std::unordered_map<std::uint64_t, SimTime> expiry_;
 };
 

@@ -17,7 +17,6 @@ constexpr std::size_t kReadQuorum = 2;   // R: responses for a fresh read
 static_assert(kWriteQuorum <= kReplicas && kReadQuorum <= kReplicas);
 static_assert(kWriteQuorum + kReadQuorum > kReplicas,
               "quorum intersection: else reads can miss every acked copy");
-constexpr SimTime kLeaseDuration = 3.0;  // holder lease, heartbeat-renewed
 constexpr SimTime kOpDeadline = 2.0;     // per-op retry budget (virtual time)
 constexpr SimTime kRepairPeriod = 1.0;   // minimum spacing of repair rounds
 constexpr std::size_t kRepairRate = 2;   // max copy attempts per repair round
@@ -109,7 +108,6 @@ void StorageService::prune_holder(ObjectState& obj, VehicleId v) {
 FileId StorageService::create(SimTime now) {
   const std::uint64_t id = next_object_id_++;
   ObjectState& obj = objects_[id];
-  obj.leases = LeaseTable(kLeaseDuration);
   const std::vector<VehicleId> hosts = ranked_candidates({});
   for (const VehicleId v : hosts) {
     if (obj.placement.size() >= kReplicas) break;
@@ -147,8 +145,7 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
   // that takes the version leaves a storage.replica.write instant in the
   // leg, so the span tree carries the full replica set. Tracing draws no
   // RNG, so an instrumented run stays bit-identical.
-  const bool traced =
-      trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage);
+  const bool traced = trace_ != nullptr;
   obs::TraceContext op_ctx;
   if (traced) {
     op_ctx.trace_id = trace_->new_trace_id();
@@ -256,8 +253,7 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
   // Same virtual-timeline span structure as put(): root storage.get over
   // [now, now + elapsed], attempt legs partitioning it, and one
   // storage.replica.read instant per responding holder (the replica set).
-  const bool traced =
-      trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage);
+  const bool traced = trace_ != nullptr;
   obs::TraceContext op_ctx;
   if (traced) {
     op_ctx.trace_id = trace_->new_trace_id();
@@ -583,7 +579,7 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
   // object id, what the cycle did, and (as child instants) the replica set
   // it left behind. trace_analysis buckets these per object and attributes
   // them to fault windows.
-  if (trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage)) {
+  if (trace_ != nullptr) {
     const std::size_t copies = stats_.repair_copies - copies0;
     const std::size_t freshened = stats_.freshen_copies - freshened0;
     const std::size_t regranted = stats_.leases_regranted - regranted0;
@@ -621,31 +617,6 @@ VehicleId StorageService::storm_victim(std::uint64_t tag) const {
   }
   if (live.empty()) return VehicleId{};
   return *std::min_element(live.begin(), live.end());
-}
-
-std::vector<FileId> StorageService::object_ids() const {
-  std::vector<FileId> out;
-  out.reserve(objects_.size());
-  for (const auto& [id, obj] : objects_) out.push_back(FileId{id});
-  return out;
-}
-
-std::size_t StorageService::live_replicas(FileId object) const {
-  const auto it = objects_.find(object.value());
-  if (it == objects_.end()) return 0;
-  std::size_t live = 0;
-  for (const VehicleId v : it->second.placement) {
-    if (!holder_alive(v)) continue;
-    const auto cv = it->second.copy_version.find(v.value());
-    const std::uint64_t ver = cv == it->second.copy_version.end() ? 0 : cv->second;
-    if (ver >= it->second.acked_version) ++live;
-  }
-  return live;
-}
-
-std::uint64_t StorageService::acked_version(FileId object) const {
-  const auto it = objects_.find(object.value());
-  return it == objects_.end() ? 0 : it->second.acked_version;
 }
 
 void StorageService::for_each_object(

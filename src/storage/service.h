@@ -120,10 +120,6 @@ class StorageService final : public vcloud::StorageIntrospection {
   [[nodiscard]] VehicleId storm_victim(std::uint64_t tag) const;
 
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
-  [[nodiscard]] std::vector<FileId> object_ids() const;
-  // Live replicas holding at least the acked version (tests/benches).
-  [[nodiscard]] std::size_t live_replicas(FileId object) const;
-  [[nodiscard]] std::uint64_t acked_version(FileId object) const;
 
   // --- StorageIntrospection (invariant oracle view) --------------------------
   void for_each_object(

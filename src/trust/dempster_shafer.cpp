@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace vcl::trust {
+namespace {
+
+constexpr double kWitnessMass = 0.6;  // evidence mass of one report
+
+}  // namespace
 
 MassAssignment MassAssignment::combine(const MassAssignment& o) const {
   // Conflict: one source says Event, the other NoEvent.
@@ -27,11 +32,11 @@ TrustDecision DempsterShafer::evaluate(const EventCluster& c) const {
   for (const Report& r : c.reports) {
     MassAssignment m;
     if (r.positive) {
-      m.event = witness_mass_;
+      m.event = kWitnessMass;
     } else {
-      m.no_event = witness_mass_;
+      m.no_event = kWitnessMass;
     }
-    m.theta = 1.0 - witness_mass_;
+    m.theta = 1.0 - kWitnessMass;
     acc = acc.combine(m);
   }
   TrustDecision d;

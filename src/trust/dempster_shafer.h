@@ -23,18 +23,11 @@ struct MassAssignment {
   [[nodiscard]] double plausibility_event() const { return event + theta; }
 };
 
+// A single report carries evidence mass 0.6; the rest is ignorance.
 class DempsterShafer final : public Validator {
  public:
-  // `witness_mass` is the evidence mass a single report carries; the rest is
-  // ignorance.
-  explicit DempsterShafer(double witness_mass = 0.6)
-      : witness_mass_(witness_mass) {}
-
   [[nodiscard]] const char* name() const override { return "dempster_shafer"; }
   [[nodiscard]] TrustDecision evaluate(const EventCluster& c) const override;
-
- private:
-  double witness_mass_;
 };
 
 }  // namespace vcl::trust

@@ -3,6 +3,15 @@
 #include <cmath>
 
 namespace vcl::trust {
+namespace {
+
+constexpr double kMaxSpeed = 60.0;       // m/s (216 km/h), generous bound
+constexpr double kJumpTolerance = 25.0;  // meters of slack on displacement
+// Largest |position - predicted position| as a share of the claimed travel.
+constexpr double kDirectionTolerance = 0.9;
+constexpr SimTime kTrackTimeout = 10.0;  // forget stale tracks
+
+}  // namespace
 
 PlausibilityVerdict PlausibilityChecker::check(const BeaconClaim& claim) {
   ++checked_;
@@ -15,13 +24,13 @@ PlausibilityVerdict PlausibilityChecker::check(const BeaconClaim& claim) {
     return verdict;
   };
 
-  if (claim.vel.norm() > config_.max_speed) {
+  if (claim.vel.norm() > kMaxSpeed) {
     return finish(PlausibilityVerdict::kSpeedViolation);
   }
 
   auto it = tracks_.find(claim.credential);
   if (it == tracks_.end() ||
-      claim.time - it->second.time > config_.track_timeout ||
+      claim.time - it->second.time > kTrackTimeout ||
       claim.time <= it->second.time) {
     return finish(PlausibilityVerdict::kPlausible);  // no usable history
   }
@@ -31,7 +40,7 @@ PlausibilityVerdict PlausibilityChecker::check(const BeaconClaim& claim) {
 
   // Teleport check against the physical bound.
   if (displacement.norm() >
-      config_.max_speed * dt + config_.jump_tolerance) {
+      kMaxSpeed * dt + kJumpTolerance) {
     return finish(PlausibilityVerdict::kPositionJump);
   }
 
@@ -41,8 +50,8 @@ PlausibilityVerdict PlausibilityChecker::check(const BeaconClaim& claim) {
   if (claimed_travel > 5.0) {
     const geo::Vec2 predicted = prev.pos + prev.vel * dt;
     const double error = geo::distance(predicted, claim.pos);
-    if (error > config_.direction_tolerance * claimed_travel +
-                    config_.jump_tolerance) {
+    if (error > kDirectionTolerance * claimed_travel +
+                    kJumpTolerance) {
       return finish(PlausibilityVerdict::kKinematicMismatch);
     }
   }

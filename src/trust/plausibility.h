@@ -4,11 +4,13 @@
 //
 // Each received beacon claims (position, velocity, time). The checker keeps
 // a short track per sender credential and flags physical impossibilities:
-//   * speed bound:    claimed speed beyond anything road vehicles do;
+//   * speed bound:    claimed speed beyond anything road vehicles do
+//     (60 m/s, 216 km/h);
 //   * position jump:  displacement between consecutive beacons exceeding
-//     claimed-speed x dt by more than the tolerance (teleportation);
+//     that bound x dt by more than 25 m (teleportation);
 //   * kinematic mismatch: claimed velocity pointing somewhere entirely
 //     different from the observed displacement.
+// A track older than 10 s is stale and gives no verdict.
 // This is content validation at the single-message level — the layer below
 // the event-cluster validators in trust/validators.h.
 #pragma once
@@ -35,18 +37,8 @@ enum class PlausibilityVerdict : std::uint8_t {
   kKinematicMismatch,  // displacement disagrees with claimed velocity
 };
 
-struct PlausibilityConfig {
-  double max_speed = 60.0;          // m/s (216 km/h), generous bound
-  double jump_tolerance = 25.0;     // meters of slack on displacement
-  double direction_tolerance = 0.9; // max |displacement - vel*dt| / (v*dt)
-  SimTime track_timeout = 10.0;     // forget stale tracks
-};
-
 class PlausibilityChecker {
  public:
-  explicit PlausibilityChecker(PlausibilityConfig config = {})
-      : config_(config) {}
-
   // Checks a claim against the sender's track and updates the track.
   PlausibilityVerdict check(const BeaconClaim& claim);
 
@@ -55,7 +47,6 @@ class PlausibilityChecker {
   [[nodiscard]] std::size_t tracked_senders() const { return tracks_.size(); }
 
  private:
-  PlausibilityConfig config_;
   std::unordered_map<std::uint64_t, BeaconClaim> tracks_;
   std::size_t checked_ = 0;
   std::size_t flagged_ = 0;

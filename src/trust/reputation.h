@@ -1,9 +1,10 @@
 // Sender reputation store (baseline after Son et al. [35]).
 //
-// Scores live in [0,1], start at 0.5 (unknown), move up on confirmed-correct
-// reports and down on confirmed-wrong ones. The paper's critique — which E10
-// demonstrates — is that pseudonym rotation resets credentials faster than
-// reputation can accumulate in an ephemeral network.
+// Scores live in [0,1], start at 0.5 (unknown), and move a fifth of the way
+// toward 1 on confirmed-correct reports and toward 0 on confirmed-wrong
+// ones. The paper's critique — which E10 demonstrates — is that pseudonym
+// rotation resets credentials faster than reputation can accumulate in an
+// ephemeral network.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +14,6 @@ namespace vcl::trust {
 
 class ReputationStore {
  public:
-  explicit ReputationStore(double learning_rate = 0.2)
-      : rate_(learning_rate) {}
-
   [[nodiscard]] double score(std::uint64_t credential) const;
   // Feedback after an event outcome became known.
   void record(std::uint64_t credential, bool was_correct);
@@ -24,7 +22,6 @@ class ReputationStore {
   }
 
  private:
-  double rate_;
   std::unordered_map<std::uint64_t, double> scores_;
 };
 

@@ -6,6 +6,9 @@
 namespace vcl::trust {
 namespace {
 
+constexpr double kHalfWeightDistance = 150.0;  // m
+constexpr double kSensorAccuracy = 0.8;        // alpha
+
 TrustDecision from_score(double score) {
   TrustDecision d;
   d.score = std::clamp(score, 0.0, 1.0);
@@ -28,7 +31,7 @@ TrustDecision DistanceWeightedVote::evaluate(const EventCluster& c) const {
   double positive = 0.0;
   for (const Report& r : c.reports) {
     const double d = geo::distance(r.reporter_pos, c.centroid);
-    const double w = half_dist_ / (half_dist_ + d);
+    const double w = kHalfWeightDistance / (kHalfWeightDistance + d);
     total += w;
     if (r.positive) positive += w;
   }
@@ -39,7 +42,7 @@ TrustDecision DistanceWeightedVote::evaluate(const EventCluster& c) const {
 TrustDecision BayesianInference::evaluate(const EventCluster& c) const {
   if (c.reports.empty()) return from_score(0.0);
   // Log-odds accumulation; prior = 0.5 (log-odds 0).
-  const double step = std::log(alpha_ / (1.0 - alpha_));
+  const double step = std::log(kSensorAccuracy / (1.0 - kSensorAccuracy));
   double log_odds = 0.0;
   for (const Report& r : c.reports) {
     log_odds += r.positive ? step : -step;

@@ -33,30 +33,20 @@ class MajorityVote final : public Validator {
 };
 
 // Votes weighted by witness proximity to the claimed event: a reporter that
-// claims to have been far away carries less evidence.
+// claims to have been far away carries less evidence (half weight at 150 m).
 class DistanceWeightedVote final : public Validator {
  public:
-  explicit DistanceWeightedVote(double half_weight_distance = 150.0)
-      : half_dist_(half_weight_distance) {}
   [[nodiscard]] const char* name() const override { return "dist_weighted"; }
   [[nodiscard]] TrustDecision evaluate(const EventCluster& c) const override;
-
- private:
-  double half_dist_;
 };
 
-// Bayesian update from a 0.5 prior with per-witness sensor accuracy alpha:
-// each positive claim multiplies the odds by alpha/(1-alpha), each negative
-// divides (Raya et al.'s Bayesian-inference instantiation).
+// Bayesian update from a 0.5 prior with per-witness sensor accuracy
+// alpha = 0.8: each positive claim multiplies the odds by alpha/(1-alpha),
+// each negative divides (Raya et al.'s Bayesian-inference instantiation).
 class BayesianInference final : public Validator {
  public:
-  explicit BayesianInference(double sensor_accuracy = 0.8)
-      : alpha_(sensor_accuracy) {}
   [[nodiscard]] const char* name() const override { return "bayesian"; }
   [[nodiscard]] TrustDecision evaluate(const EventCluster& c) const override;
-
- private:
-  double alpha_;
 };
 
 // Sender-reputation baseline (the approach §III.D argues is insufficient):

@@ -3,6 +3,11 @@
 #include "crypto/schnorr.h"
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr SimTime kPollPeriod = 1.0;
+
+}  // namespace
 
 TaskId Aggregator::submit(const AggregateJobSpec& spec) {
   Job job;
@@ -64,21 +69,13 @@ void Aggregator::poll(SimTime now) {
   }
 }
 
-void Aggregator::attach(sim::Simulator& sim, SimTime period) {
-  sim.schedule_every(period, [this, &sim] { poll(sim.now()); });
+void Aggregator::attach(sim::Simulator& sim) {
+  sim.schedule_every(kPollPeriod, [this, &sim] { poll(sim.now()); });
 }
 
 const AggregateJobStatus* Aggregator::status(TaskId job) const {
   auto it = jobs_.find(job.value());
   return it == jobs_.end() ? nullptr : &it->second.status;
-}
-
-std::size_t Aggregator::active_jobs() const {
-  std::size_t n = 0;
-  for (const auto& [jid, job] : jobs_) {
-    n += (!job.status.completed && !job.status.failed) ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace vcl::vcloud

@@ -48,10 +48,10 @@ class Aggregator {
 
   // Re-examines part states; fires completion when all parts are terminal.
   void poll(SimTime now);
-  void attach(sim::Simulator& sim, SimTime period = 1.0);
+  // Polls once per simulated second.
+  void attach(sim::Simulator& sim);
 
   [[nodiscard]] const AggregateJobStatus* status(TaskId job) const;
-  [[nodiscard]] std::size_t active_jobs() const;
 
  private:
   struct Job {

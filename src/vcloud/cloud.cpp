@@ -161,13 +161,6 @@ const ResourceProfile* VehicularCloud::worker_profile(VehicleId v) const {
   return it == workers_.end() ? nullptr : &it->second.profile;
 }
 
-bool VehicularCloud::drained() const {
-  for (const auto& [tid, t] : tasks_) {
-    if (!t.terminal()) return false;
-  }
-  return true;
-}
-
 double VehicularCloud::earned_progress(const Task& task,
                                        const ResourceProfile& profile,
                                        SimTime now) const {

@@ -273,9 +273,6 @@ class VehicularCloud {
     return dwell_estimates_;
   }
 
-  // True when every submitted task reached a terminal state.
-  [[nodiscard]] bool drained() const;
-
  private:
   struct WorkerState {
     ResourceProfile profile;

@@ -94,10 +94,4 @@ CloudletGrid::SubmitResult CloudletGrid::submit(VehicleId requester,
   return result;
 }
 
-std::size_t CloudletGrid::cloudlet_completed() const {
-  std::size_t n = 0;
-  for (const auto& c : clouds_) n += c->stats().completed;
-  return n;
-}
-
 }  // namespace vcl::vcloud

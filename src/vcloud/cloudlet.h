@@ -50,8 +50,6 @@ class CloudletGrid {
   // void -> covered transitions (re-entering coverage after a gap).
   [[nodiscard]] std::size_t attaches() const { return attaches_; }
   [[nodiscard]] const CentralStats& central() const { return central_; }
-  // Aggregated cloudlet stats.
-  [[nodiscard]] std::size_t cloudlet_completed() const;
 
   void roam_check();  // public for tests
 

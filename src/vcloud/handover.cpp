@@ -17,14 +17,13 @@ double checkpoint_mb(const Task& task) {
 
 SimTime migration_latency(const Task& task, const ResourceProfile& from,
                           const ResourceProfile& to) {
-  constexpr crypto::CostModel costs;
   const double mb = checkpoint_mb(task);
   const double link_mbps = std::min(from.bandwidth_mbps, to.bandwidth_mbps);
   const SimTime transfer = mb * 8.0 / std::max(link_mbps, 0.1);
-  return transfer + (costs.cost(crypto::Op::kKemEncap) +
-                     costs.cost(crypto::Op::kKemDecap) +
+  return transfer + (crypto::cost(crypto::Op::kKemEncap) +
+                     crypto::cost(crypto::Op::kKemDecap) +
                      // Integrity over the checkpoint, one HMAC per MB.
-                     costs.cost(crypto::Op::kHmac) * std::max(1.0, mb));
+                     crypto::cost(crypto::Op::kHmac) * std::max(1.0, mb));
 }
 
 }  // namespace vcl::vcloud

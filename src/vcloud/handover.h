@@ -5,7 +5,7 @@
 // A checkpoint is 0.5 MB plus 0.1 MB per unit of completed work; migrating
 // it costs transfer time (checkpoint over the V2V link) plus sealing and
 // unsealing (KEM encapsulation at the source, decapsulation at the target,
-// an HMAC per MB) charged at production-crypto rates via the CostModel.
+// an HMAC per MB) charged at production-crypto rates via crypto::cost.
 // Checkpoints are always sealed.
 #pragma once
 

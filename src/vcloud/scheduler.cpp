@@ -1,6 +1,11 @@
 #include "vcloud/scheduler.h"
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr double kDwellSafetyMargin = 1.25;  // x the execution time
+
+}  // namespace
 
 VehicleId RandomScheduler::pick(const Task& task,
                                 const std::vector<WorkerView>& workers,
@@ -38,7 +43,7 @@ VehicleId DwellAwareScheduler::pick(const Task& task,
   for (const WorkerView& w : workers) {
     if (w.busy) continue;
     const double exec = task.remaining() / w.profile.compute;
-    if (w.dwell_seconds >= exec * margin_) {
+    if (w.dwell_seconds >= exec * kDwellSafetyMargin) {
       if (best_fit == nullptr ||
           w.profile.compute > best_fit->profile.compute) {
         best_fit = &w;

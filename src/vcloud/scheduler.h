@@ -46,19 +46,14 @@ class GreedyResourceScheduler final : public Scheduler {
 };
 
 // Dwell-aware: among idle workers predicted to stay long enough to finish
-// the task (execution + a safety margin), pick the fastest; if none
-// qualifies, fall back to the longest-staying worker.
+// the task (execution time x a 1.25 safety margin), pick the fastest; if
+// none qualifies, fall back to the longest-staying worker.
 class DwellAwareScheduler final : public Scheduler {
  public:
-  explicit DwellAwareScheduler(double safety_margin = 1.25)
-      : margin_(safety_margin) {}
   [[nodiscard]] const char* name() const override { return "dwell_aware"; }
   [[nodiscard]] VehicleId pick(const Task& task,
                                const std::vector<WorkerView>& workers,
                                Rng& rng) const override;
-
- private:
-  double margin_;
 };
 
 }  // namespace vcl::vcloud

@@ -1,21 +1,21 @@
 #include "vcloud/verifiable.h"
 
 namespace vcl::vcloud {
+namespace {
+
+constexpr SimTime kPollPeriod = 1.0;
+
+}  // namespace
 
 ReplicatedSubmitter::ReplicatedSubmitter(
     VehicularCloud& cloud, const attack::AdversaryRoster& cheaters,
-    VerifiableConfig config, Rng rng)
-    : cloud_(cloud), cheaters_(cheaters), config_(config), rng_(rng) {}
-
-bool ReplicatedSubmitter::result_correct(VehicleId worker) {
-  if (!cheaters_.is_malicious(worker)) return true;
-  return !rng_.bernoulli(config_.cheat_prob);
-}
+    std::size_t replicas)
+    : cloud_(cloud), cheaters_(cheaters), replicas_(replicas) {}
 
 TaskId ReplicatedSubmitter::submit(Task spec) {
   Job job;
-  job.status.replicas_total = config_.replicas;
-  for (std::size_t i = 0; i < config_.replicas; ++i) {
+  job.status.replicas_total = replicas_;
+  for (std::size_t i = 0; i < replicas_; ++i) {
     Task replica = spec;
     job.replicas.push_back(cloud_.submit(std::move(replica)));
   }
@@ -38,10 +38,12 @@ void ReplicatedSubmitter::poll() {
       if (t->state == TaskState::kCompleted) {
         ++done;
         ++terminal;
-        // Sample the worker's digest once, at completion.
+        // Record the worker's digest once, at completion: honest workers
+        // return the canonical digest, cheaters a wrong one.
         if (replica_correct_.find(replica.value()) ==
             replica_correct_.end()) {
-          replica_correct_[replica.value()] = result_correct(t->worker);
+          replica_correct_[replica.value()] =
+              !cheaters_.is_malicious(t->worker);
         }
       } else if (t->terminal()) {
         ++terminal;
@@ -80,8 +82,8 @@ void ReplicatedSubmitter::poll() {
   }
 }
 
-void ReplicatedSubmitter::attach(sim::Simulator& sim, SimTime period) {
-  sim.schedule_every(period, [this] { poll(); });
+void ReplicatedSubmitter::attach(sim::Simulator& sim) {
+  sim.schedule_every(kPollPeriod, [this] { poll(); });
 }
 
 }  // namespace vcl::vcloud

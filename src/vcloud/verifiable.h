@@ -6,9 +6,9 @@
 // collect credit. The replicated submitter runs each logical task on `r`
 // distinct workers and accepts the result only when a majority of the
 // returned digests agree. Worker honesty is modeled per-vehicle (an
-// AdversaryRoster of cheaters whose digests are wrong with probability
-// `cheat_prob`); detection feeds a reputation store, closing the PTVC loop
-// (reputation-based worker selection is the caller's policy knob).
+// AdversaryRoster of cheaters, whose digests are always wrong); detection
+// feeds a reputation store, closing the PTVC loop (reputation-based worker
+// selection is the caller's policy knob).
 //
 // Known simplification vs PTVC: replicas are ordinary cloud tasks, so the
 // scheduler may hand two replicas of one job to the same worker over time —
@@ -22,11 +22,6 @@
 
 namespace vcl::vcloud {
 
-struct VerifiableConfig {
-  std::size_t replicas = 2;
-  double cheat_prob = 1.0;  // P(wrong result) for a cheating worker
-};
-
 struct VerifiedJobStatus {
   std::size_t replicas_done = 0;
   std::size_t replicas_total = 0;
@@ -39,13 +34,14 @@ class ReplicatedSubmitter {
  public:
   ReplicatedSubmitter(VehicularCloud& cloud,
                       const attack::AdversaryRoster& cheaters,
-                      VerifiableConfig config, Rng rng);
+                      std::size_t replicas);
 
   // Submits `spec` as `replicas` independent tasks; returns a job handle.
   TaskId submit(Task spec);
 
   void poll();
-  void attach(sim::Simulator& sim, SimTime period = 1.0);
+  // Polls once per simulated second.
+  void attach(sim::Simulator& sim);
 
   [[nodiscard]] std::size_t accepted_jobs() const { return accepted_; }
   [[nodiscard]] std::size_t rejected_jobs() const { return rejected_; }
@@ -60,14 +56,9 @@ class ReplicatedSubmitter {
     VerifiedJobStatus status;
   };
 
-  // Simulated result digest: honest workers produce the canonical digest;
-  // cheaters flip it with cheat_prob.
-  [[nodiscard]] bool result_correct(VehicleId worker);
-
   VehicularCloud& cloud_;
   const attack::AdversaryRoster& cheaters_;
-  VerifiableConfig config_;
-  Rng rng_;
+  std::size_t replicas_;
   trust::ReputationStore reputation_;
   std::unordered_map<std::uint64_t, Job> jobs_;
   std::unordered_map<std::uint64_t, bool> replica_correct_;  // task -> digest ok

@@ -223,7 +223,7 @@ TEST(Dos, FloodingDegradesNeighborReception) {
   const int before = send_many();
   AdversaryRoster roster;
   roster.add(flooder);
-  DosFlooder dos(net, roster, DosConfig{400.0, 512});
+  DosFlooder dos(net, roster, 400.0);
   dos.start();
   sim.run_until(sim.now() + 3.0);  // let the junk broadcasts fire
   const int during = send_many();

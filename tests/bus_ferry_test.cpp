@@ -69,7 +69,7 @@ class FerryFixture : public ::testing::Test {
     bus_ = traffic_.spawn(loop, 14.0, mobility::AutomationLevel::kHighAutomation,
                           1.0);
     registry_.register_bus(bus_, loop);
-    traffic_.attach(sim_, 0.1);
+    traffic_.attach(sim_);
     net_.start_beacons(0.5);
   }
 

@@ -515,12 +515,44 @@ TEST(ChaumPedersenTest, NonElementInputsRejected) {
 
 // ---- Cost model -------------------------------------------------------------
 
+// OBU-class per-op costs in Op order, recorded as hex floats so any change
+// to the table (or to how it is folded) fails loudly.
+constexpr double kPinnedCosts[] = {
+    0x1.4f8b588e368fp-18,
+    0x1.0c6f7a0b5ed8dp-17,
+    0x1.3a92a30553261p-10,
+    0x1.0624dd2f1a9fcp-9,
+    0x1.a36e2eb1c432dp-10,
+    0x1.6f0068db8bac7p-10,
+    0x1.89374bc6a7efap-8,
+    0x1.26e978d4fdf3cp-7,
+    0x1.205bc01a36e2fp-9,
+    0x1.d7dbf487fcb93p-10,
+};
+
+TEST(CostModel, PerOpCostsMatchPinnedTable) {
+  for (std::size_t i = 0; i < std::size(kPinnedCosts); ++i) {
+    EXPECT_EQ(cost(static_cast<Op>(i)), kPinnedCosts[i]) << "op " << i;
+  }
+  OpCounts mixed;
+  mixed.hash = 7;
+  mixed.hmac = 3;
+  mixed.sign = 2;
+  mixed.verify = 5;
+  mixed.kem_encap = 1;
+  mixed.kem_decap = 1;
+  mixed.group_sign = 4;
+  mixed.group_verify = 6;
+  mixed.abe_encrypt_leaves = 9;
+  mixed.abe_decrypt_leaves = 3;
+  EXPECT_EQ(total(mixed), 0x1.e606fac6045bcp-4);
+}
+
 TEST(CostModel, TotalsAccumulate) {
-  const CostModel cm;
   OpCounts c;
   c.sign = 2;
   c.verify = 1;
-  EXPECT_DOUBLE_EQ(cm.total(c), 2 * cm.sign_s + cm.verify_s);
+  EXPECT_DOUBLE_EQ(total(c), 2 * cost(Op::kSign) + cost(Op::kVerify));
 }
 
 TEST(CostModel, OpCountsCompose) {

@@ -49,10 +49,10 @@ RepReport stochastic_rep(const RepContext& ctx) {
 }
 
 TEST(Replicate, AggregateBitIdenticalAcrossJobCounts) {
-  ReplicateOptions serial{/*reps=*/8, /*jobs=*/1, /*base_seed=*/99, /*out_dir=*/{}};
-  ReplicateOptions parallel{/*reps=*/8, /*jobs=*/8, /*base_seed=*/99, /*out_dir=*/{}};
-  const auto a = replicate(serial, stochastic_rep);
-  const auto b = replicate(parallel, stochastic_rep);
+  const ReplicateOptions opts{/*reps=*/8, /*base_seed=*/99, /*out_dir=*/{}};
+  ThreadPool pool(8);
+  const auto a = replicate(opts, stochastic_rep);
+  const auto b = replicate(opts, stochastic_rep, &pool);
   ASSERT_EQ(a.size(), b.size());
   for (const auto& [name, sa] : a) {
     const Summary& sb = b.at(name);
@@ -78,10 +78,10 @@ TEST(Replicate, TailSketchesBitIdenticalAcrossJobCounts) {
   // Tail sketches fold in fixed rep order regardless of which worker
   // finished first, and bucket-count merges are exact — so every quantile
   // (and even the order-sensitive sum) is bit-identical for any --jobs.
-  ReplicateOptions serial{/*reps=*/8, /*jobs=*/1, /*base_seed=*/99, /*out_dir=*/{}};
-  ReplicateOptions parallel{/*reps=*/8, /*jobs=*/8, /*base_seed=*/99, /*out_dir=*/{}};
-  const auto a = replicate(serial, tailed_rep);
-  const auto b = replicate(parallel, tailed_rep);
+  const ReplicateOptions opts{/*reps=*/8, /*base_seed=*/99, /*out_dir=*/{}};
+  ThreadPool pool(8);
+  const auto a = replicate(opts, tailed_rep);
+  const auto b = replicate(opts, tailed_rep, &pool);
   const Summary& sa = a.at("latency");
   const Summary& sb = b.at("latency");
   ASSERT_TRUE(sa.has_tail);
@@ -96,7 +96,7 @@ TEST(Replicate, TailSketchesBitIdenticalAcrossJobCounts) {
 }
 
 TEST(Replicate, RepZeroSeesBaseSeedAndOthersDiffer) {
-  ReplicateOptions opts{/*reps=*/4, /*jobs=*/1, /*base_seed=*/77, /*out_dir=*/{}};
+  ReplicateOptions opts{/*reps=*/4, /*base_seed=*/77, /*out_dir=*/{}};
   std::vector<std::uint64_t> seeds(4, 0);
   replicate(opts, [&](const RepContext& ctx) {
     seeds[ctx.rep] = ctx.seed;
@@ -109,7 +109,7 @@ TEST(Replicate, RepZeroSeesBaseSeedAndOthersDiffer) {
 }
 
 TEST(Replicate, SummaryCi95MatchesHandComputation) {
-  ReplicateOptions opts{/*reps=*/4, /*jobs=*/1, /*base_seed=*/0, /*out_dir=*/{}};
+  ReplicateOptions opts{/*reps=*/4, /*base_seed=*/0, /*out_dir=*/{}};
   const auto summary = replicate(opts, [](const RepContext& ctx) {
     RepReport rep;
     rep.value("v", static_cast<double>(ctx.rep));  // 0, 1, 2, 3
@@ -124,7 +124,7 @@ TEST(Replicate, SummaryCi95MatchesHandComputation) {
 }
 
 TEST(Replicate, AcrossTakesOneMeanPerReplication) {
-  ReplicateOptions opts{/*reps=*/3, /*jobs=*/1, /*base_seed=*/0, /*out_dir=*/{}};
+  ReplicateOptions opts{/*reps=*/3, /*base_seed=*/0, /*out_dir=*/{}};
   const auto summary = replicate(opts, [](const RepContext& ctx) {
     RepReport rep;
     rep.value("x", static_cast<double>(ctx.rep));
@@ -138,15 +138,19 @@ TEST(Replicate, AcrossTakesOneMeanPerReplication) {
 }
 
 TEST(Replicate, FirstExceptionInRepOrderIsRethrown) {
+  ThreadPool four(4);
   for (const std::size_t jobs : {1UL, 4UL}) {
-    ReplicateOptions opts{/*reps=*/6, /*jobs=*/jobs, /*base_seed=*/0, /*out_dir=*/{}};
+    const ReplicateOptions opts{/*reps=*/6, /*base_seed=*/0, /*out_dir=*/{}};
     try {
-      replicate(opts, [](const RepContext& ctx) -> RepReport {
-        if (ctx.rep == 2 || ctx.rep == 4) {
-          throw std::runtime_error("rep " + std::to_string(ctx.rep));
-        }
-        return {};
-      });
+      replicate(
+          opts,
+          [](const RepContext& ctx) -> RepReport {
+            if (ctx.rep == 2 || ctx.rep == 4) {
+              throw std::runtime_error("rep " + std::to_string(ctx.rep));
+            }
+            return {};
+          },
+          jobs > 1 ? &four : nullptr);
       FAIL() << "replicate() should have rethrown (jobs=" << jobs << ")";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "rep 2") << "jobs=" << jobs;
@@ -160,14 +164,18 @@ TEST(Replicate, OutDirCreatesOneDirectoryPerReplication) {
   // replication fn can write into it without filesystem races.
   const std::string root =
       ::testing::TempDir() + "vcl_replicate_out/deep/tree";
-  ReplicateOptions opts{/*reps=*/3, /*jobs=*/2, /*base_seed=*/5, root};
-  replicate(opts, [](const RepContext& ctx) {
-    EXPECT_FALSE(ctx.out_dir.empty());
-    std::ofstream(ctx.out_dir + "/marker.txt") << ctx.rep << "\n";
-    RepReport rep;
-    rep.value("x", 0.0);
-    return rep;
-  });
+  const ReplicateOptions opts{/*reps=*/3, /*base_seed=*/5, root};
+  ThreadPool pool(2);
+  replicate(
+      opts,
+      [](const RepContext& ctx) {
+        EXPECT_FALSE(ctx.out_dir.empty());
+        std::ofstream(ctx.out_dir + "/marker.txt") << ctx.rep << "\n";
+        RepReport rep;
+        rep.value("x", 0.0);
+        return rep;
+      },
+      &pool);
   for (std::size_t r = 0; r < 3; ++r) {
     const std::string dir = root + "/rep" + std::to_string(r);
     EXPECT_TRUE(std::filesystem::is_directory(dir)) << dir;
@@ -177,8 +185,7 @@ TEST(Replicate, OutDirCreatesOneDirectoryPerReplication) {
 }
 
 TEST(Replicate, EmptyOutDirLeavesContextsPathless) {
-  ReplicateOptions opts{/*reps=*/2, /*jobs=*/1, /*base_seed=*/5,
-                        /*out_dir=*/{}};
+  ReplicateOptions opts{/*reps=*/2, /*base_seed=*/5, /*out_dir=*/{}};
   replicate(opts, [](const RepContext& ctx) {
     EXPECT_TRUE(ctx.out_dir.empty());
     RepReport rep;

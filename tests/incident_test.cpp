@@ -20,7 +20,7 @@ namespace vcl::obs {
 namespace {
 
 TEST(FlightRecorder, RecordsAndCountsPerCategory) {
-  FlightRecorder flight(8);
+  FlightRecorder flight;
   flight.record(1.0, FlightCategory::kTask, "task.complete", 7, 3, 2.5);
   flight.record(2.0, FlightCategory::kDetector, "detector.evict", 3, 1, 0.5);
   EXPECT_EQ(flight.recorded(), 2u);
@@ -38,18 +38,20 @@ TEST(FlightRecorder, RecordsAndCountsPerCategory) {
   EXPECT_DOUBLE_EQ(tail[0].x, 2.5);
 }
 
+constexpr std::uint64_t kRing = FlightRecorder::kPerCategory;
+
 TEST(FlightRecorder, OverwriteKeepsNewestPerCategory) {
-  FlightRecorder flight(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
+  FlightRecorder flight;
+  for (std::uint64_t i = 0; i < kRing + 6; ++i) {
     flight.record(static_cast<double>(i), FlightCategory::kTask, "task.expire",
                   i);
   }
-  EXPECT_EQ(flight.recorded(), 10u);
+  EXPECT_EQ(flight.recorded(), kRing + 6);
   EXPECT_EQ(flight.overwritten(), 6u);
   EXPECT_EQ(flight.overwritten(FlightCategory::kTask), 6u);
   const std::vector<FlightEvent> tail = flight.tail();
-  ASSERT_EQ(tail.size(), 4u);
-  // The retained tail is the newest 4, in recording order.
+  ASSERT_EQ(tail.size(), kRing);
+  // The retained tail is the newest kRing, in recording order.
   for (std::size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i].a, 6u + i);
   }
@@ -60,33 +62,33 @@ TEST(FlightRecorder, OverwriteKeepsNewestPerCategory) {
 // sees the newer history — the "overwrite during capture" contract the
 // incident snapshot relies on (the hook captures mid-run, the run goes on).
 TEST(FlightRecorder, CaptureIsStableWhileRecordingContinues) {
-  FlightRecorder flight(4);
-  for (std::uint64_t i = 0; i < 6; ++i) {
+  FlightRecorder flight;
+  for (std::uint64_t i = 0; i < kRing + 2; ++i) {
     flight.record(static_cast<double>(i), FlightCategory::kFault,
                   "fault.crash", i);
   }
   const std::vector<FlightEvent> first = flight.tail();
-  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(first.size(), kRing);
   EXPECT_EQ(first.front().a, 2u);
 
-  for (std::uint64_t i = 6; i < 20; ++i) {
+  for (std::uint64_t i = kRing + 2; i < 5 * kRing; ++i) {
     flight.record(static_cast<double>(i), FlightCategory::kFault,
                   "fault.crash", i);
   }
   // The first capture is untouched by the later overwrites...
-  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(first.size(), kRing);
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].a, 2u + i);
   }
   // ...and a fresh capture shows the newest window.
   const std::vector<FlightEvent> second = flight.tail();
-  ASSERT_EQ(second.size(), 4u);
-  EXPECT_EQ(second.front().a, 16u);
-  EXPECT_EQ(flight.overwritten(), 16u);
+  ASSERT_EQ(second.size(), kRing);
+  EXPECT_EQ(second.front().a, 4 * kRing);
+  EXPECT_EQ(flight.overwritten(), 4 * kRing);
 }
 
 TEST(FlightRecorder, MixedCategoriesInterleaveBySequence) {
-  FlightRecorder flight(4);
+  FlightRecorder flight;
   flight.record(1.0, FlightCategory::kFault, "fault.crash", 9);
   flight.record(1.5, FlightCategory::kDetector, "detector.evict", 9);
   flight.record(2.0, FlightCategory::kFault, "fault.crash", 4);
@@ -100,7 +102,7 @@ TEST(FlightRecorder, MixedCategoriesInterleaveBySequence) {
 }
 
 TEST(TraceRecorder, OpenSpansAreBegunButNotEnded) {
-  TraceRecorder trace(64);
+  TraceRecorder trace;
   TraceContext root{trace.new_trace_id(), 0};
   const std::uint64_t open =
       trace.begin_span(1.0, TraceCategory::kTask, "task.life", root);
@@ -180,7 +182,7 @@ TEST(IncidentBundle, ParserRejectsMissingMetaAndUnknownRecords) {
 }
 
 TEST(IncidentBundle, FlightTailCopyOwnsNames) {
-  FlightRecorder flight(4);
+  FlightRecorder flight;
   flight.record(1.0, FlightCategory::kQuorum, "quorum.write.failed", 8, 2,
                 1.0);
   IncidentBundle b;

@@ -33,7 +33,7 @@ TEST(IntersectionMapTest, OnlyRealIntersectionsSignalized) {
 TEST(FixedCycle, AlternatesGroups) {
   const auto net = geo::make_manhattan_grid(3, 3, 100.0);
   sim::Simulator sim;
-  mobility::FixedCycleController ctrl(net, sim, 10.0);
+  mobility::FixedCycleController ctrl(net, sim);
   // Find an EW link into the center node.
   LinkId ew_link, ns_link;
   for (const auto& l : net.links()) {
@@ -64,7 +64,7 @@ TEST(FixedCycle, AlternatesGroups) {
 TEST(FixedCycle, NonSignalizedAlwaysGreen) {
   const auto net = geo::make_manhattan_grid(3, 3, 100.0);
   sim::Simulator sim;
-  mobility::FixedCycleController ctrl(net, sim, 10.0);
+  mobility::FixedCycleController ctrl(net, sim);
   // A link into a corner node (2 in-links) is never gated.
   for (const auto& l : net.links()) {
     if (l.to == NodeId{0}) {

@@ -16,22 +16,137 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(Idm, FreeRoadAcceleratesTowardDesiredSpeed) {
-  IdmParams p;
-  p.desired_speed = 30.0;
-  EXPECT_GT(idm_acceleration(10.0, 0.0, kInf, p), 0.0);
-  EXPECT_NEAR(idm_acceleration(30.0, 0.0, kInf, p), 0.0, 1e-9);
-  EXPECT_LT(idm_acceleration(35.0, 0.0, kInf, p), 0.0);
+  EXPECT_GT(idm_acceleration(10.0, 0.0, kInf, 30.0), 0.0);
+  EXPECT_NEAR(idm_acceleration(30.0, 0.0, kInf, 30.0), 0.0, 1e-9);
+  EXPECT_LT(idm_acceleration(35.0, 0.0, kInf, 30.0), 0.0);
 }
 
 TEST(Idm, BrakesWhenGapSmall) {
-  IdmParams p;
-  EXPECT_LT(idm_acceleration(20.0, 0.0, 3.0, p), -1.0);
+  EXPECT_LT(idm_acceleration(20.0, 0.0, 3.0, 30.0), -1.0);
 }
 
+// Emergency braking is capped at three times the comfortable 2 m/s^2.
+constexpr double kMaxBrake = -6.0;
+constexpr double kMaxAccel = 1.5;
+
 TEST(Idm, DecelerationIsBounded) {
-  IdmParams p;
-  const double a = idm_acceleration(40.0, 40.0, 0.1, p);
-  EXPECT_GE(a, -3.0 * p.comfort_decel - 1e-9);
+  const double a = idm_acceleration(40.0, 40.0, 0.1, 30.0);
+  EXPECT_GE(a, kMaxBrake - 1e-9);
+}
+
+// idm_acceleration over desired speed x speed x approach rate x gap,
+// recorded as hex floats. The first desired speed is below the 0.1 m/s floor
+// and the last gap is a free road.
+constexpr double kPinnedDesired[] = {0.05, 13.9, 33.3};
+constexpr double kPinnedSpeeds[] = {0.0, 4.5, 13.9, 41.0};
+constexpr double kPinnedApproach[] = {-6.0, 0.0, 15.0};
+constexpr double kPinnedGaps[] = {0.004, 2.5, 18.0, 120.0, kInf};
+constexpr double kPinnedAccel[3][4][3][5] = {
+    {
+        {  // v0 0.05, speed 0
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+        },
+        {  // v0 0.05, speed 4.5
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+        },
+        {  // v0 0.05, speed 13.9
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+        },
+        {  // v0 0.05, speed 41
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+        },
+    },
+    {
+        {  // v0 13.9, speed 0
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+        },
+        {  // v0 13.9, speed 4.5
+            {-0x1.8p+2, 0x1.0c0b2fd91cb3cp-1, 0x1.770a86194f03dp+0,
+             0x1.7bacd8c702679p+0, 0x1.7bc82748b74fbp+0},
+            {-0x1.8p+2, -0x1.8p+2, 0x1.210a86194f03ep+0, 0x1.79bd7c9e0ca5p+0,
+             0x1.7bc82748b74fbp+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.1a8d527c31ad1p+1, 0x1.66859c49cfabep+0,
+             0x1.7bc82748b74fbp+0},
+        },
+        {  // v0 13.9, speed 13.9
+            {-0x1.8p+2, -0x1.eb851eb851ebap-1, -0x1.2f684bda12f68p-6,
+             -0x1.b4e81b4e81b4ep-12, 0x0p+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.3567eac2f0736p+1, -0x1.bd8b66895a3fbp-5,
+             0x0p+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.6fc1b1b67aa4p-1, 0x0p+0},
+        },
+        {  // v0 13.9, speed 41
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2},
+        },
+    },
+    {
+        {  // v0 33.3, speed 0
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+            {-0x1.8p+2, 0x1.147ae147ae146p-1, 0x1.7b425ed097b42p+0,
+             0x1.7fe4b17e4b17ep+0, 0x1.8p+0},
+        },
+        {  // v0 33.3, speed 4.5
+            {-0x1.8p+2, 0x1.1439508dab403p-1, 0x1.7b219673964ap+0,
+             0x1.7fc3e92149adcp+0, 0x1.7fdf37a2fe95ep+0},
+            {-0x1.8p+2, -0x1.8p+2, 0x1.25219673964a1p+0, 0x1.7dd48cf853eb4p+0,
+             0x1.7fdf37a2fe95ep+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.1881ca4f0e09fp+1, 0x1.6a9caca416f21p+0,
+             0x1.7fdf37a2fe95ep+0},
+        },
+        {  // v0 33.3, speed 13.9
+            {-0x1.8p+2, 0x1.fa54421d23bacp-2, 0x1.6f99feb40998ap+0,
+             0x1.743c5161bcfc6p+0, 0x1.74579fe371e48p+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.ecf06b44de047p-1, 0x1.666b44af27128p+0,
+             0x1.74579fe371e48p+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, 0x1.78ed8e106925p-1,
+             0x1.74579fe371e48p+0},
+        },
+        {  // v0 33.3, speed 41
+            {-0x1.8p+2, -0x1.741ac74c5ec34p+1, -0x1.f730a06bfcdc9p+0,
+             -0x1.f28e4dbe4978dp+0, -0x1.f272ff3c9490bp+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.2efce96e80e56p+1,
+             -0x1.f272ff3c9490bp+0},
+            {-0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.8p+2, -0x1.f272ff3c9490bp+0},
+        },
+    },
+};
+
+TEST(Idm, AccelerationMatchesPinnedModel) {
+  for (std::size_t d = 0; d < std::size(kPinnedDesired); ++d) {
+    for (std::size_t s = 0; s < std::size(kPinnedSpeeds); ++s) {
+      for (std::size_t a = 0; a < std::size(kPinnedApproach); ++a) {
+        for (std::size_t g = 0; g < std::size(kPinnedGaps); ++g) {
+          EXPECT_EQ(idm_acceleration(kPinnedSpeeds[s], kPinnedApproach[a],
+                                     kPinnedGaps[g], kPinnedDesired[d]),
+                    kPinnedAccel[d][s][a][g])
+              << "v0 " << kPinnedDesired[d] << ", speed " << kPinnedSpeeds[s]
+              << ", approach " << kPinnedApproach[a] << ", gap "
+              << kPinnedGaps[g];
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: across speeds/gaps, acceleration stays within the
@@ -39,13 +154,12 @@ TEST(Idm, DecelerationIsBounded) {
 class IdmEnvelope : public ::testing::TestWithParam<double> {};
 
 TEST_P(IdmEnvelope, AccelWithinBounds) {
-  IdmParams p;
   const double speed = GetParam();
   for (double gap = 0.5; gap < 200.0; gap *= 2) {
     for (double approach = -10.0; approach <= 20.0; approach += 5.0) {
-      const double a = idm_acceleration(speed, approach, gap, p);
-      EXPECT_LE(a, p.max_accel + 1e-9);
-      EXPECT_GE(a, -3.0 * p.comfort_decel - 1e-9);
+      const double a = idm_acceleration(speed, approach, gap, 30.0);
+      EXPECT_LE(a, kMaxAccel + 1e-9);
+      EXPECT_GE(a, kMaxBrake - 1e-9);
     }
   }
 }
@@ -198,7 +312,7 @@ TEST(TripGenerator, KeepAliveMaintainsPopulation) {
   cfg.target_population = 30;
   TripGenerator gen(traffic, cfg, Rng(2));
   sim::Simulator sim;
-  traffic.attach(sim, 0.1);
+  traffic.attach(sim);
   gen.attach(sim);
   gen.prefill();
   sim.run_until(120.0);

@@ -253,7 +253,7 @@ std::string incident_doc() {
 }
 
 std::string trace_doc() {
-  obs::TraceRecorder trace(64);
+  obs::TraceRecorder trace;
   trace.record(0.5, obs::TraceCategory::kFault, "fault.window",
                {{"start", 0.5}, {"end", 2.0}, {"radius", 300.0}});
   obs::TraceContext task{trace.new_trace_id(), 0};

@@ -134,7 +134,7 @@ TEST_F(ChainFixture, CbltrDeliversAlongChain) {
 
 TEST_F(ChainFixture, MozoDeliversAlongChain) {
   cluster::MovingZone zones(net_);
-  zones.attach(0.5);
+  zones.attach();
   MozoRouting router(net_, zones);
   net_.refresh();
   zones.update();
@@ -216,7 +216,7 @@ TEST(RoutingMobile, GreedyDeliversInMovingTraffic) {
   mobility::TripGenerator gen(traffic, cfg, Rng(12));
   gen.prefill();
   net::Network net(sim, traffic, Rng(13));
-  traffic.attach(sim, 0.1);
+  traffic.attach(sim);
   gen.attach(sim);
   net.start_beacons(1.0);
 

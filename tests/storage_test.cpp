@@ -18,6 +18,16 @@
 namespace vcl {
 namespace {
 
+// Object `id` as the invariant oracle sees it (for_each_object).
+vcloud::StorageObjectView object_view(const storage::StorageService& store,
+                                      FileId id) {
+  vcloud::StorageObjectView out;
+  store.for_each_object([&](const vcloud::StorageObjectView& v) {
+    if (v.object == id) out = v;
+  });
+  return out;
+}
+
 // ---- the one deployment -----------------------------------------------------
 
 TEST(StorageConfig, DefaultIsValid) {
@@ -40,7 +50,7 @@ TEST(StorageConfig, DefaultIsValid) {
 // ---- lease timing edges -----------------------------------------------------
 
 TEST(LeaseTable, RenewalRacingExpiryAtTheSameInstantSucceeds) {
-  storage::LeaseTable leases(3.0);
+  storage::LeaseTable leases;
   const VehicleId v{7};
   leases.grant(v, 10.0);  // expires at 13.0
   EXPECT_TRUE(leases.held(v, 13.0));       // expiry instant inclusive
@@ -50,7 +60,7 @@ TEST(LeaseTable, RenewalRacingExpiryAtTheSameInstantSucceeds) {
 }
 
 TEST(LeaseTable, HolderSilentBetweenGrantAndFirstRenewalExpires) {
-  storage::LeaseTable leases(3.0);
+  storage::LeaseTable leases;
   const VehicleId v{7};
   leases.grant(v, 0.0);
   // The holder crashes before its first heartbeat: no renewals arrive.
@@ -65,7 +75,7 @@ TEST(LeaseTable, HolderSilentBetweenGrantAndFirstRenewalExpires) {
 }
 
 TEST(LeaseTable, RepairReGrantsARecoveredHolder) {
-  storage::LeaseTable leases(2.0);
+  storage::LeaseTable leases;
   const VehicleId v{3};
   leases.grant(v, 0.0);
   EXPECT_FALSE(leases.held(v, 5.0));   // expired long ago
@@ -98,20 +108,26 @@ TEST(StorageService, QuorumWriteThenFreshRead) {
   auto& sim = system.scenario().simulator();
 
   const FileId object = store.create(sim.now());
-  EXPECT_EQ(store.object_ids().size(), 1u);
+  EXPECT_EQ(store.stats().objects, 1u);
 
   const storage::WriteResult w = store.put(1, object, sim.now());
   ASSERT_TRUE(w.acked);
   EXPECT_EQ(w.version, 1u);
   EXPECT_GE(w.replicas, store.write_quorum());
-  EXPECT_EQ(store.acked_version(object), 1u);
+  EXPECT_EQ(object_view(store, object).acked_version, 1u);
 
   const storage::ReadResult r = store.get(1, object, sim.now());
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.version, 1u);
   EXPECT_GE(r.responses, 2u);  // R = 2
-  EXPECT_GE(store.live_replicas(object), store.write_quorum());
+  // Live replicas holding the acked version.
+  const vcloud::StorageObjectView view = object_view(store, object);
+  EXPECT_GE(std::count_if(view.replicas.begin(), view.replicas.end(),
+                          [&](const vcloud::StorageReplicaView& r) {
+                            return r.alive && r.version >= view.acked_version;
+                          }),
+            static_cast<std::ptrdiff_t>(store.write_quorum()));
 }
 
 TEST(StorageService, ReadDegradesInsideABlackoutAndRecoversAfter) {
@@ -138,7 +154,7 @@ TEST(StorageService, ReadDegradesInsideABlackoutAndRecoversAfter) {
   const storage::ReadResult light = store.get(1, object, sim.now());
   ASSERT_TRUE(light.ok);
   EXPECT_FALSE(light.degraded);
-  EXPECT_EQ(light.version, store.acked_version(object));
+  EXPECT_EQ(light.version, object_view(store, object).acked_version);
 }
 
 // ---- storage-targeted storm shape -------------------------------------------

@@ -65,8 +65,7 @@ TEST_F(MitmFixture, RelayAltersPayloadAndSignatureCatchesIt) {
 
   attack::AdversaryRoster roster;
   roster.add(mid);
-  attack::MitmGreedyRouter router(net, roster, attack::MitmConfig{1.0},
-                                  Rng(3));
+  attack::MitmGreedyRouter router(net, roster, Rng(3));
   router.attach();
   net.refresh();
 
@@ -121,8 +120,7 @@ TEST_F(MitmFixture, HonestRelayPreservesPayload) {
   const auto dst = traffic_.spawn_parked(LinkId{0}, 500.0);
   net.start_beacons(0.5);
   attack::AdversaryRoster empty_roster;
-  attack::MitmGreedyRouter router(net, empty_roster, attack::MitmConfig{1.0},
-                                  Rng(5));
+  attack::MitmGreedyRouter router(net, empty_roster, Rng(5));
   router.attach();
   net.refresh();
   crypto::Bytes received;
@@ -201,7 +199,7 @@ TEST(TopologyArchive, CapturesAndQueries) {
   cfg.seed = 9;
   core::Scenario scenario(cfg);
   scenario.start();
-  core::TopologyArchive archive(scenario.network(), {5.0, 10});
+  core::TopologyArchive archive(scenario.network(), 10);
   archive.attach();
   scenario.run_for(30.0);
   EXPECT_GE(archive.snapshot_count(), 5u);
@@ -221,11 +219,11 @@ TEST(TopologyArchive, RetentionBoundsPrivacyExposure) {
   cfg.seed = 10;
   core::Scenario scenario(cfg);
   scenario.start();
-  core::TopologyArchive small(scenario.network(), {1.0, 5});
-  core::TopologyArchive large(scenario.network(), {1.0, 50});
+  core::TopologyArchive small(scenario.network(), 5);
+  core::TopologyArchive large(scenario.network(), 50);
   small.attach();
   large.attach();
-  scenario.run_for(60.0);
+  scenario.run_for(300.0);  // 60 snapshots, one every 5 s
   EXPECT_EQ(small.snapshot_count(), 5u);     // ring buffer capped
   EXPECT_GT(large.snapshot_count(), 40u);
   EXPECT_LT(small.records_held(), large.records_held());
@@ -239,7 +237,7 @@ TEST(TopologyArchive, UsesCredentialMapping) {
   core::Scenario scenario(cfg);
   scenario.start();
   core::TopologyArchive archive(
-      scenario.network(), {1.0, 10},
+      scenario.network(), 10,
       [](VehicleId v) { return v.value() + 5000; });
   archive.capture();
   const auto hits = archive.query({0, 0}, 1e9, 0.0, 1e9);

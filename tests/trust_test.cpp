@@ -124,7 +124,7 @@ TEST(MajorityVoteTest, TieRejects) {
 }
 
 TEST(DistanceWeightedTest, CloseWitnessesOutweighFar) {
-  const DistanceWeightedVote v(100.0);
+  const DistanceWeightedVote v;
   EventCluster c;
   c.centroid = {0, 0};
   // One close positive witness vs two far negative ones.
@@ -139,7 +139,7 @@ TEST(DistanceWeightedTest, CloseWitnessesOutweighFar) {
 }
 
 TEST(BayesianTest, ConfidenceGrowsWithWitnesses) {
-  const BayesianInference v(0.8);
+  const BayesianInference v;
   const double one = v.evaluate(cluster_with(1, 0)).score;
   const double three = v.evaluate(cluster_with(3, 0)).score;
   EXPECT_GT(three, one);
@@ -147,7 +147,7 @@ TEST(BayesianTest, ConfidenceGrowsWithWitnesses) {
 }
 
 TEST(BayesianTest, BalancedEvidenceIsUncertain) {
-  const BayesianInference v(0.8);
+  const BayesianInference v;
   EXPECT_NEAR(v.evaluate(cluster_with(2, 2)).score, 0.5, 1e-9);
 }
 
@@ -172,11 +172,16 @@ TEST(DempsterShaferTest, ValidatorAcceptsConsensus) {
   EXPECT_FALSE(v.evaluate(cluster_with(0, 4)).accepted);
 }
 
-TEST(DempsterShaferTest, SingleWitnessLessConfidentThanBayes) {
-  const DempsterShafer ds(0.5);
-  const BayesianInference bayes(0.8);
-  const auto c = cluster_with(1, 0);
-  EXPECT_LT(ds.evaluate(c).score, bayes.evaluate(c).score);
+TEST(DempsterShaferTest, CorroborationLessConfidentThanBayes) {
+  // One report scores 0.6 + 0.4 / 2 = 0.8 under Dempster-Shafer, the same
+  // as Bayes' per-witness accuracy; every agreeing report after it leaves
+  // ignorance mass that Bayes does not keep.
+  const DempsterShafer ds;
+  const BayesianInference bayes;
+  for (int witnesses = 2; witnesses <= 4; ++witnesses) {
+    const auto c = cluster_with(witnesses, 0);
+    EXPECT_LT(ds.evaluate(c).score, bayes.evaluate(c).score) << witnesses;
+  }
 }
 
 // ---- Reputation ------------------------------------------------------------------

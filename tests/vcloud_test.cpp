@@ -71,13 +71,12 @@ TEST(Handover, EncryptionAddsLatency) {
   // KEM seal/unseal and one HMAC per MB.
   Task t;
   t.progress = 10;
-  const crypto::CostModel costs;
   const ResourceProfile p;
   const double mb = checkpoint_mb(t);
   const double transfer = mb * 8.0 / std::max(p.bandwidth_mbps, 0.1);
-  const double sealing = costs.cost(crypto::Op::kKemEncap) +
-                         costs.cost(crypto::Op::kKemDecap) +
-                         costs.cost(crypto::Op::kHmac) * std::max(1.0, mb);
+  const double sealing = crypto::cost(crypto::Op::kKemEncap) +
+                         crypto::cost(crypto::Op::kKemDecap) +
+                         crypto::cost(crypto::Op::kHmac) * std::max(1.0, mb);
   EXPECT_GT(sealing, 0.0);
   EXPECT_DOUBLE_EQ(migration_latency(t, p, p), transfer + sealing);
 }
@@ -343,8 +342,9 @@ TEST_F(CloudFixture, ParallelTasksUseMultipleWorkers) {
     cloud->submit(t);
   }
   sim_.run_until(300.0);
-  EXPECT_EQ(cloud->stats().completed, 4u);
-  EXPECT_TRUE(cloud->drained());
+  const CloudStats& st = cloud->stats();
+  EXPECT_EQ(st.completed, 4u);
+  EXPECT_EQ(st.completed + st.failed + st.expired, st.submitted);  // drained
 }
 
 TEST_F(CloudFixture, QueueDrainsWhenWorkersFree) {

@@ -97,8 +97,8 @@ class VerifiableFixture : public ::testing::Test {
 };
 
 TEST_F(VerifiableFixture, HonestWorkersAlwaysAccepted) {
-  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, {2, 1.0}, Rng(4));
-  submitter.attach(sim_, 1.0);
+  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, 2);
+  submitter.attach(sim_);
   for (int i = 0; i < 5; ++i) {
     vcloud::Task t;
     t.work = 3.0;
@@ -114,8 +114,8 @@ TEST_F(VerifiableFixture, SingleReplicaAcceptsCheaterResults) {
   // Everyone cheats: with r=1 there is nothing to compare against, so every
   // wrong result is accepted — the unverified baseline PTVC attacks.
   for (const VehicleId w : workers_) cheaters_.add(w);
-  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, {1, 1.0}, Rng(4));
-  submitter.attach(sim_, 1.0);
+  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, 1);
+  submitter.attach(sim_);
   for (int i = 0; i < 5; ++i) {
     vcloud::Task t;
     t.work = 2.0;
@@ -128,8 +128,8 @@ TEST_F(VerifiableFixture, SingleReplicaAcceptsCheaterResults) {
 
 TEST_F(VerifiableFixture, ReplicationCatchesLoneCheater) {
   cheaters_.add(workers_[0]);  // one bad apple among six
-  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, {3, 1.0}, Rng(4));
-  submitter.attach(sim_, 1.0);
+  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, 3);
+  submitter.attach(sim_);
   for (int i = 0; i < 8; ++i) {
     vcloud::Task t;
     t.work = 2.0;
@@ -148,8 +148,8 @@ TEST_F(VerifiableFixture, ReplicationCatchesLoneCheater) {
 TEST_F(VerifiableFixture, ReputationSeparatesHonestFromCheating) {
   cheaters_.add(workers_[0]);
   cheaters_.add(workers_[1]);
-  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, {2, 1.0}, Rng(4));
-  submitter.attach(sim_, 1.0);
+  vcloud::ReplicatedSubmitter submitter(*cloud_, cheaters_, 2);
+  submitter.attach(sim_);
   for (int i = 0; i < 12; ++i) {
     vcloud::Task t;
     t.work = 1.5;
