@@ -57,6 +57,25 @@ void SpatialGrid::build(const std::vector<Vec2>& points) {
   start_[0] = 0;
 }
 
+std::size_t SpatialGrid::max_block_points() const {
+  std::size_t most = 0;
+  for (std::int64_t cx = 0; cx < nx_; ++cx) {
+    for (std::int64_t cy = 0; cy < ny_; ++cy) {
+      // Cells (x, cy - 1..cy + 1) of one column are one run of points.
+      const std::int64_t y_lo = std::max<std::int64_t>(cy - 1, 0);
+      const std::int64_t y_hi = std::min<std::int64_t>(cy + 1, ny_ - 1);
+      std::size_t block = 0;
+      for (std::int64_t x = std::max<std::int64_t>(cx - 1, 0);
+           x <= std::min<std::int64_t>(cx + 1, nx_ - 1); ++x) {
+        block += start_[static_cast<std::size_t>(x * ny_ + y_hi + 1)] -
+                 start_[static_cast<std::size_t>(x * ny_ + y_lo)];
+      }
+      most = std::max(most, block);
+    }
+  }
+  return most;
+}
+
 template <typename Fn>
 void SpatialGrid::for_each_in_range(Vec2 center, double radius,
                                     Fn&& fn) const {

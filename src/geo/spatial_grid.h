@@ -40,6 +40,11 @@ class SpatialGrid {
   // Number of points `query` would return.
   [[nodiscard]] std::size_t count(Vec2 center, double radius) const;
 
+  // The most points in any 3x3 block of cells. A query around an indexed
+  // point with a radius of at most the cell size stays inside the block
+  // around its cell, so it returns at most this many. O(cells).
+  [[nodiscard]] std::size_t max_block_points() const;
+
   [[nodiscard]] std::size_t size() const { return pos_.size(); }
 
  private:

@@ -116,8 +116,9 @@ class SpeculativeRoutes {
     Pair pair;
     bool near;  // searched by open(), and again by find()
   };
-  // A helper's workspace, on cache lines of its own (as is each ring slot):
-  // a search writes its heap's bounds on every push and pop.
+  // A workspace of one HelpedRound index, on cache lines of its own (as is
+  // each ring slot): a search writes its heap's bounds on every push and
+  // pop.
   struct alignas(64) HelperSearch {
     geo::RouteSearch routes;
   };
@@ -129,8 +130,8 @@ class SpeculativeRoutes {
     std::vector<LinkId> links;
   };
 
-  // A helper's search of one chunk into a ring slot; false when its paths
-  // do not fit.
+  // The searches of one chunk into a ring slot, with the workspace of
+  // index `helper`; false when their paths do not fit.
   bool produce(std::size_t helper, std::size_t chunk, std::size_t slot);
   // The result of the next pair searched ahead.
   std::optional<std::vector<LinkId>> take(NodeId from, NodeId to,
@@ -144,8 +145,8 @@ class SpeculativeRoutes {
   std::size_t next_guess_ = 0;
   std::size_t next_ahead_ = 0;
   bool missed_ = false;
-  // The helped round, its ring and one workspace per helper, all sized on
-  // the calling thread by the first round that invites helpers.
+  // The helped round, its ring and one workspace per HelpedRound index, all
+  // sized on the calling thread by the first round that invites helpers.
   ThreadPool* pool_ = nullptr;  // non-null while a helped round is open
   std::shared_ptr<HelpedRound> round_;
   std::vector<Chunk> ring_;
@@ -184,7 +185,9 @@ void SpeculativeRoutes::open(Rng rng, std::size_t vehicles,
         2.0 * std::ceil(std::sqrt(static_cast<double>(net_.node_count()))));
     ring_.resize(kRouteSlots);
     for (Chunk& slot : ring_) slot.links.resize(kRouteChunk * per_path);
-    helpers_.resize(pool_->threads());
+    // One workspace per helper, and one for the chunks the calling thread
+    // searches into the ring while a helper holds the chunk it waits for.
+    helpers_.resize(pool_->threads() + 1);
     for (HelperSearch& h : helpers_) h.routes.reserve(net_);
   }
   round_->begin(
@@ -236,7 +239,7 @@ std::optional<std::vector<LinkId>> SpeculativeRoutes::take(
     slot_ = round_->acquire(chunk);
     chunk_ = chunk;
   }
-  // A chunk nobody claimed, or one a helper could not fit, is searched
+  // A chunk nobody claimed, or one that did not fit its slot, is searched
   // here pair by pair.
   if (slot_ == HelpedRound::kCaller) return routes.find(net_, from, to);
   const Chunk& in = ring_[slot_];

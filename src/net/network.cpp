@@ -99,9 +99,14 @@ void Network::open_helped_round(ThreadPool& pool, std::size_t chunks) {
   if (helped_ == nullptr) {
     helped_ = std::make_shared<HelpedRound>(kRowSlots, pool.threads());
     ring_.resize(kRowSlots);
-    helper_nearby_.resize(pool.threads());
+    // One grid query scratch per helper, and one for the calling thread's
+    // chunks produced into the ring.
+    helper_nearby_.resize(pool.threads() + 1);
   }
-  const std::size_t capacity = max_chunk_pairs_ + max_chunk_pairs_ / 4;
+  // The query radius is the grid's cell size, so a receiver's row holds at
+  // most the points of the 3x3 block of cells around it, itself excluded:
+  // every chunk of the round fits, the first round's too.
+  const std::size_t capacity = kRowChunk * index_.max_block_points();
   if (capacity > ring_.front().sender.size()) {
     for (RowChunk& slot : ring_) {
       slot.sender.resize(capacity);
@@ -189,9 +194,7 @@ void Network::beacon_round_tables() {
       const std::size_t slot =
           pool != nullptr ? helped_->acquire(c) : HelpedRound::kCaller;
       rows = slot == HelpedRound::kCaller ? &own_rows(c) : &ring_[slot];
-      const std::size_t chunk_pairs = rows->start[last - first];
-      pairs += chunk_pairs;
-      max_chunk_pairs_ = std::max(max_chunk_pairs_, chunk_pairs);
+      pairs += rows->start[last - first];
     }
     // Row i of the chunk is [start[i], start[i + 1]) of sender and prob.
     const std::uint32_t* start =

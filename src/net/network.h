@@ -204,15 +204,15 @@ class Network {
   std::size_t row_pairs_ = 0;  // pairs in the rows of the last computed round
   bool plan_valid_ = false;
   // Stage A buffers: the calling thread's own chunk, and for helped rounds
-  // the ring slots and one grid query scratch per helper. All are sized on
-  // the calling thread, so helpers allocate nothing. Ring slots hold the
-  // largest chunk seen so far plus a quarter; a chunk that does not fit is
-  // computed by the calling thread.
+  // the ring slots and one grid query scratch per helper and one for the
+  // calling thread. All are sized on the calling thread, so helpers
+  // allocate nothing. Ring slots hold the most pairs any chunk of the round
+  // can have (Network::open_helped_round); a chunk that still does not fit
+  // is computed by the calling thread.
   RowChunk own_rows_;
   std::shared_ptr<HelpedRound> helped_;  // created by the first helped round
   std::vector<RowChunk> ring_;
   std::vector<std::vector<std::uint32_t>> helper_nearby_;
-  std::size_t max_chunk_pairs_ = 0;
   // Neighbor table per vehicle id; departed vehicles' tables are emptied.
   std::vector<std::vector<NeighborEntry>> neighbor_tables_;
   // Beacon-round scratch: vehicle id -> 1 + position in the table being

@@ -9,20 +9,18 @@ namespace vcl {
 namespace {
 
 // One step of waiting for another thread of the round. The waits are short
-// while both sides run (one chunk's worth of work), so it spins; a wait
-// that outlasts the spin budget means the other side lost its CPU, and
-// then it yields.
+// while both sides run (one chunk's worth of work), so it spins; but the
+// other side may have lost its CPU, perhaps to this very thread, so every
+// few hundred pauses it yields. A yield is a system call: yielding on every
+// step of a long wait would add one to the end of each wait.
 void backoff(std::uint32_t& spins) {
-  if (spins < (1u << 16)) {
-    ++spins;
+  constexpr std::uint32_t kSpinsPerYield = 256;
 #if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
+  __builtin_ia32_pause();
 #elif defined(__aarch64__)
-    asm volatile("yield");
+  asm volatile("yield");
 #endif
-  } else {
-    std::this_thread::yield();
-  }
+  if (++spins % kSpinsPerYield == 0) std::this_thread::yield();
 }
 
 }  // namespace
@@ -45,7 +43,6 @@ void HelpedRound::begin(std::size_t chunks, Produce produce,
   next_.store(0);
   released_.store(0);
   for (auto& f : filled_) f.store(0);
-  helped_ = 0;
   // A helper reads chunks_ and produce_ only after it has seen the round
   // live, so these writes happen before any helper uses them.
   live_.store(true);
@@ -58,17 +55,24 @@ void HelpedRound::begin(std::size_t chunks, Produce produce,
 std::size_t HelpedRound::acquire(std::size_t chunk) {
   std::size_t unclaimed = chunk;
   if (next_.compare_exchange_strong(unclaimed, chunk + 1)) return kCaller;
-  // A helper claimed the chunk and is producing it now.
+  // A helper claimed the chunk and is producing it now. Meanwhile the
+  // caller produces later chunks as a helper would, but leaves one slot of
+  // the ring to each helper inside the round: that helper claims it as
+  // soon as it finishes its chunk, so taking it would idle the helper while
+  // the caller, whose own work no one else can do, produced it.
   const std::size_t slot = chunk % filled_.size();
   std::uint32_t spins = 0;
   for (;;) {
     const std::size_t f = filled_[slot].load(std::memory_order_acquire);
-    if (f == chunk + 1) {
-      ++helped_;
-      return slot;
-    }
+    if (f == chunk + 1) return slot;
     if (f == ((chunk + 1) | kNoFit)) return kCaller;
-    backoff(spins);
+    const std::size_t ahead =
+        filled_.size() - std::min(active_.load(), filled_.size());
+    if (produce_next(queued_.size(), ahead)) {
+      spins = 0;
+    } else {
+      backoff(spins);
+    }
   }
 }
 
@@ -84,25 +88,35 @@ void HelpedRound::end() {
   while (active_.load() != 0) backoff(spins);
 }
 
+bool HelpedRound::produce_next(std::size_t helper, std::size_t ahead) {
+  const std::size_t slots = filled_.size();
+  const std::size_t limit = std::min(
+      chunks_, released_.load(std::memory_order_acquire) + ahead);
+  std::size_t chunk = next_.load();
+  while (chunk < limit) {
+    if (next_.compare_exchange_weak(chunk, chunk + 1)) {
+      const bool fit = produce_(helper, chunk, chunk % slots);
+      filled_[chunk % slots].store(fit ? chunk + 1 : (chunk + 1) | kNoFit,
+                                   std::memory_order_release);
+      return true;
+    }
+  }
+  return false;
+}
+
 void HelpedRound::help(std::size_t helper) {
   active_.fetch_add(1);
   if (live_.load()) {
     const std::size_t slots = filled_.size();
     std::uint32_t spins = 0;
-    for (;;) {
-      std::size_t chunk = next_.load();
-      if (chunk >= chunks_) break;  // every chunk is claimed
-      if (chunk >= released_.load(std::memory_order_acquire) + slots) {
-        // The ring is full: wait for the caller, unless it closed the round.
-        if (!live_.load()) break;
-        backoff(spins);
+    while (next_.load() < chunks_) {
+      if (produce_next(helper, slots)) {
+        spins = 0;
         continue;
       }
-      if (!next_.compare_exchange_weak(chunk, chunk + 1)) continue;
-      spins = 0;
-      const bool fit = produce_(helper, chunk, chunk % slots);
-      filled_[chunk % slots].store(fit ? chunk + 1 : (chunk + 1) | kNoFit,
-                                   std::memory_order_release);
+      // The ring is full: wait for the caller, unless it closed the round.
+      if (!live_.load()) break;
+      backoff(spins);
     }
   }
   queued_[helper].store(false);

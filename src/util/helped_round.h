@@ -5,22 +5,27 @@
 // helper_pool()).
 //
 // The caller walks chunks 0, 1, ..., chunks - 1. For each one it either
-// finds the chunk produced by a helper in a ring slot, or produces it
-// itself: a chunk nobody has claimed yet, or one a helper could not fit
-// into its slot. Helpers claim chunks with one atomic counter, at most
-// `slots` chunks ahead of the caller, so the ring bounds the work done
-// ahead and its memory. Producing a chunk must be a pure function of inputs
-// that stay fixed during the round; then what the caller consumes cannot
-// depend on which thread produced it.
+// finds the chunk produced in a ring slot, or produces it itself: a chunk
+// nobody has claimed yet, or one that did not fit its slot. Helpers claim
+// chunks with one atomic counter, at most `slots` chunks ahead of the
+// caller, so the ring bounds the work done ahead and its memory. Producing
+// a chunk must be a pure function of inputs that stay fixed during the
+// round; then what the caller consumes cannot depend on which thread
+// produced it.
 //
-// Progress never depends on a helper being scheduled. The caller waits only
-// for a chunk that a running helper has claimed, and `end` waits only for
-// helpers inside the round. A helper task holds the round through a
+// The caller does not idle while there is work no helper would take up.
+// While a helper still produces the chunk the caller wants, the caller
+// claims and produces the next unclaimed chunk that fits the ring, into its
+// slot, as a helper would (with the scratch of index `helpers`, one past
+// the helpers' own). It leaves one slot of the ring to each helper inside
+// the round, which would claim it as soon as its own chunk is done. So
+// progress never depends on a helper being scheduled: the caller waits only
+// for chunks that helpers inside the round have claimed, and `end` waits
+// only for those helpers. A helper task holds the round through a
 // shared_ptr: one that starts after the round ended finds it closed and
 // returns without calling `produce`. A round keeps at most one task per
 // helper index queued on the pool, so a pool busy with other work collects
-// no backlog, and helper `h` may use scratch that belongs to index `h`
-// alone.
+// no backlog, and index `h` may use scratch that belongs to it alone.
 //
 // Caller's side (one thread; own the round through a shared_ptr):
 //
@@ -50,10 +55,11 @@ namespace vcl {
 
 class HelpedRound : public std::enable_shared_from_this<HelpedRound> {
  public:
-  // Produces chunk `chunk` into ring slot `slot` with the scratch of helper
-  // index `helper`. Returns false when the chunk does not fit the slot. It
-  // runs on helper threads: it must not throw or allocate, and it writes
-  // nothing but the slot and the helper's scratch.
+  // Produces chunk `chunk` into ring slot `slot` with the scratch of index
+  // `helper`: a helper's, or `helpers` on the calling thread. Returns false
+  // when the chunk does not fit the slot. It runs on helper threads: it
+  // must not throw or allocate, and it writes nothing but the slot and the
+  // index's scratch.
   using Produce =
       std::function<bool(std::size_t helper, std::size_t chunk,
                          std::size_t slot)>;
@@ -61,15 +67,17 @@ class HelpedRound : public std::enable_shared_from_this<HelpedRound> {
   // acquire(): the caller produces the chunk itself.
   static constexpr std::size_t kCaller = static_cast<std::size_t>(-1);
 
-  // A ring of `slots` slots served by up to `helpers` helper tasks a round.
+  // A ring of `slots` slots served by up to `helpers` helper tasks a round
+  // and the caller; `produce` sees indices 0 to `helpers`.
   HelpedRound(std::size_t slots, std::size_t helpers);
 
   // Opens a round of `chunks` chunks and queues one helper task on `pool`
   // for each helper index whose previous task has finished.
   void begin(std::size_t chunks, Produce produce, ThreadPool& pool);
   // Where chunk `chunk` is, once it is ready: its ring slot, or kCaller when
-  // nobody claimed it or a helper could not fit it. Chunks are acquired in
-  // order; each is released before the next is acquired.
+  // nobody claimed it or it did not fit. Waiting for it, the caller
+  // produces later chunks. Chunks are acquired in order; each is released
+  // before the next is acquired.
   std::size_t acquire(std::size_t chunk);
   // Hands the chunk's ring slot back to the helpers.
   void release(std::size_t chunk);
@@ -78,14 +86,15 @@ class HelpedRound : public std::enable_shared_from_this<HelpedRound> {
   // helper is inside it.
   void end();
 
-  // Chunks of the last round the caller found produced by a helper.
-  [[nodiscard]] std::size_t helped_chunks() const { return helped_; }
-
  private:
   // One helper task: claims and produces chunks while any is unclaimed.
   void help(std::size_t helper);
+  // Claims the lowest unclaimed chunk if it is fewer than `ahead` chunks
+  // past the released ones (at most the ring's slots) and produces it with
+  // the scratch of index `helper`; false when there is none.
+  bool produce_next(std::size_t helper, std::size_t ahead);
 
-  // filled_ value of a chunk a helper could not fit: (chunk + 1) | kNoFit.
+  // filled_ value of a chunk that did not fit its slot: (chunk + 1) | kNoFit.
   static constexpr std::size_t kNoFit =
       static_cast<std::size_t>(1) << (8 * sizeof(std::size_t) - 1);
 
@@ -100,7 +109,6 @@ class HelpedRound : public std::enable_shared_from_this<HelpedRound> {
   // Written by the caller only while no helper is inside the round.
   std::size_t chunks_ = 0;
   Produce produce_;
-  std::size_t helped_ = 0;  // caller only
 };
 
 }  // namespace vcl

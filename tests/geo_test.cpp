@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdlib>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -68,6 +71,53 @@ TEST(SpatialGrid, MatchesBruteForce) {
     std::sort(out.begin(), out.end());
     EXPECT_EQ(out, expected) << "trial " << trial;
   }
+}
+
+// The block bound: the most points in any 3x3 block of the points'
+// bounding box of cells, counted by brute force; no query of radius
+// cell_size around an indexed point returns more.
+TEST(SpatialGrid, MaxBlockPointsBoundsQueriesAroundPoints) {
+  Rng rng(11);
+  constexpr double kCell = 50.0;
+  SpatialGrid grid(kCell);
+  EXPECT_EQ(grid.max_block_points(), 0u);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 400; ++i) {
+    pts.push_back({rng.uniform(-300, 700), rng.uniform(0, 400)});
+  }
+  // A dense knot, as a fleet bunched at an intersection.
+  for (int i = 0; i < 60; ++i) {
+    pts.push_back({rng.uniform(100, 110), rng.uniform(195, 205)});
+  }
+  grid.build(pts);
+  const auto cell = [](double v) {
+    return static_cast<std::int64_t>(std::floor(v / kCell));
+  };
+  std::int64_t x_lo = INT64_MAX, x_hi = INT64_MIN;
+  std::int64_t y_lo = INT64_MAX, y_hi = INT64_MIN;
+  for (const Vec2 p : pts) {
+    x_lo = std::min(x_lo, cell(p.x));
+    x_hi = std::max(x_hi, cell(p.x));
+    y_lo = std::min(y_lo, cell(p.y));
+    y_hi = std::max(y_hi, cell(p.y));
+  }
+  std::size_t most = 0;
+  for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
+    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
+      std::size_t block = 0;
+      for (const Vec2 q : pts) {
+        block += std::abs(cell(q.x) - cx) <= 1 && std::abs(cell(q.y) - cy) <= 1;
+      }
+      most = std::max(most, block);
+    }
+  }
+  EXPECT_EQ(grid.max_block_points(), most);
+  EXPECT_GT(most, 60u);
+  for (const Vec2 p : pts) {
+    EXPECT_LE(grid.count(p, kCell), most);
+  }
+  grid.build({});
+  EXPECT_EQ(grid.max_block_points(), 0u);
 }
 
 TEST(SpatialGrid, NegativeCoordinates) {

@@ -169,7 +169,6 @@ TEST(HelpedRound, CallerFinishesRoundAloneWhileWorkersBusy) {
   // Both helper tasks are queued behind the busy workers: the caller
   // produces every chunk and end() does not wait for them.
   EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
-  EXPECT_EQ(round->helped_chunks(), 0u);
   // A second round queues no further tasks while the first ones wait.
   EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
   EXPECT_EQ(produced.load(), 0);
@@ -199,23 +198,26 @@ TEST(HelpedRound, LateHelperFindsRoundFinishedAndReturns) {
 TEST(HelpedRound, HelpersProduceAheadAndCallerConsumesInOrder) {
   constexpr std::size_t kChunks = 64;
   constexpr std::size_t kSlots = 4;
-  ThreadPool pool(3);
-  auto round = std::make_shared<HelpedRound>(kSlots, 3);
+  constexpr std::size_t kHelpers = 3;
+  ThreadPool pool(kHelpers);
+  auto round = std::make_shared<HelpedRound>(kSlots, kHelpers);
   std::vector<std::size_t> ring(kSlots, 0);
+  std::atomic<std::size_t> helped{0};
   // Chunk c holds c * c; every seventh chunk does not fit a slot. Producing
   // a chunk takes a while, on either side, so helpers get ahead of the
   // caller.
   const auto work = [] {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   };
-  const HelpedRound::Produce produce = [&](std::size_t, std::size_t chunk,
+  const HelpedRound::Produce produce = [&](std::size_t helper,
+                                           std::size_t chunk,
                                            std::size_t slot) {
     work();
+    helped += helper < kHelpers;
     if (chunk % 7 == 3) return false;
     ring[slot] = chunk * chunk;
     return true;
   };
-  std::size_t helped = 0;
   for (int r = 0; r < 50 && helped == 0; ++r) {
     round->begin(kChunks, produce, pool);
     for (std::size_t c = 0; c < kChunks; ++c) {
@@ -230,9 +232,89 @@ TEST(HelpedRound, HelpersProduceAheadAndCallerConsumesInOrder) {
       round->release(c);
     }
     round->end();
-    helped += round->helped_chunks();
   }
-  EXPECT_GT(helped, 0u);
+  EXPECT_GT(helped.load(), 0u);
+}
+
+// The work-first caller. The one helper parks inside `produce` on its first
+// chunk. The caller, waiting for that chunk, produces the later chunks that
+// fit the ring with its own index, but for the one slot it leaves to the
+// helper inside the round, and claims none beyond; once the latch opens, it
+// consumes every chunk in order and the round ends.
+TEST(HelpedRound, CallerProducesAheadWhileHelperIsParked) {
+  constexpr std::size_t kChunks = 32;
+  constexpr std::size_t kSlots = 4;
+  constexpr std::size_t kCallerIndex = 1;  // one helper: index 0
+  ThreadPool pool(1);
+  auto round = std::make_shared<HelpedRound>(kSlots, 1);
+  std::vector<std::size_t> ring(kSlots, 0);
+  std::promise<std::size_t> parked_on;  // the chunk the helper parks on
+  std::promise<void> latch;
+  const std::shared_future<void> opened = latch.get_future().share();
+  std::atomic<bool> open{false};
+  std::atomic<bool> parked{false};
+  // Chunks the caller released, counted before each release() so that it
+  // never lags the round's own count.
+  std::atomic<std::size_t> released{0};
+  std::atomic<std::size_t> beyond_ring{0};
+  std::atomic<std::size_t> wrong_index{0};
+  std::vector<std::size_t> caller_before_open;  // caller thread only
+  std::atomic<std::size_t> filled_ahead{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  const HelpedRound::Produce produce = [&](std::size_t helper,
+                                           std::size_t chunk,
+                                           std::size_t slot) {
+    beyond_ring += chunk >= released.load() + kSlots;
+    const bool on_caller = std::this_thread::get_id() == caller;
+    wrong_index += (helper == kCallerIndex) != on_caller;
+    if (on_caller && !open.load()) {
+      caller_before_open.push_back(chunk);
+      ++filled_ahead;
+    }
+    if (!on_caller && !parked.exchange(true)) {
+      parked_on.set_value(chunk);
+      opened.wait();
+    }
+    ring[slot] = chunk * chunk + 1;
+    return true;
+  };
+
+  round->begin(kChunks, produce, pool);
+  // The caller starts only once the helper holds a chunk: the first one.
+  EXPECT_EQ(parked_on.get_future().get(), 0u);
+  std::thread opener([&] {
+    // Once the caller has filled its share of the ring (or after 10 s), it
+    // gets 50 ms more, long enough for a caller that claimed beyond its
+    // share to show it, before the helper goes on.
+    for (int i = 0; i < 10000 && filled_ahead.load() < kSlots - 2; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    open = true;
+    latch.set_value();
+  });
+  std::size_t from_ring = 0;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    const std::size_t slot = round->acquire(c);
+    if (slot != HelpedRound::kCaller) {
+      // In order: the slot holds chunk c.
+      EXPECT_LT(slot, kSlots);
+      EXPECT_EQ(ring[slot % kSlots], c * c + 1) << "chunk " << c;
+      ++from_ring;
+    }
+    released = c + 1;
+    round->release(c);
+  }
+  // The round ends once the latch has opened and the helper is out.
+  round->end();
+  opener.join();
+
+  // While the helper was parked on chunk 0, the caller produced chunks 1
+  // and 2 into the ring, and no other: slot 3 is the helper's.
+  EXPECT_EQ(caller_before_open, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(beyond_ring.load(), 0u);
+  EXPECT_EQ(wrong_index.load(), 0u);
+  EXPECT_GE(from_ring, kSlots - 1);  // chunk 0 from the helper, 1, 2 its own
 }
 
 }  // namespace

@@ -10,14 +10,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <map>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/moving_zone.h"
 #include "core/scenario.h"
+#include "core/system.h"
 
 namespace vcl {
 namespace {
@@ -531,6 +538,154 @@ TEST(WorldRound, ParkedLotReplayMatchesKeyedReference) {
     EXPECT_EQ(replayed(r), !fresh) << "round " << r;
   }
   EXPECT_EQ(beacon_rounds, static_cast<std::size_t>(kRounds + 2));
+}
+
+// --- set-up pin --------------------------------------------------------------
+
+// FNV-1a over the bytes of the values folded in.
+class Digest {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ull;
+    }
+  }
+  void add(const geo::Vec2 v) {
+    add(v.x);
+    add(v.y);
+  }
+  void add(const std::vector<LinkId>& links) {
+    add(links.size());
+    for (const LinkId l : links) add(l.value());
+  }
+  [[nodiscard]] std::string hex() const {
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return out;
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// The fleet, its neighbour tables and the zone assignments, in id order.
+void add_world(Digest& d, core::VehicularCloudSystem& system) {
+  core::Scenario& s = system.scenario();
+  const std::map<std::uint64_t, const mobility::VehicleState*> fleet = [&] {
+    std::map<std::uint64_t, const mobility::VehicleState*> m;
+    for (const auto& [vid, v] : s.traffic().vehicles()) m[vid] = &v;
+    return m;
+  }();
+  d.add(fleet.size());
+  for (const auto& [vid, v] : fleet) {
+    d.add(vid);
+    d.add(v->link.value());
+    d.add(v->lane);
+    d.add(v->offset);
+    d.add(v->speed);
+    d.add(v->accel);
+    d.add(v->route);
+    d.add(v->route_index);
+    d.add(v->speed_factor);
+    d.add(v->automation);
+    d.add(v->pos);
+    d.add(v->vel);
+    const auto& table = s.network().neighbors(VehicleId{vid});
+    d.add(table.size());
+    for (const net::NeighborEntry& e : table) {
+      d.add(e.id.value());
+      d.add(e.pos);
+      d.add(e.vel);
+      d.add(e.last_heard);
+    }
+  }
+  const std::map<std::uint64_t, cluster::ClusterAssignment> zones(
+      system.clusters().assignments().begin(),
+      system.clusters().assignments().end());
+  d.add(zones.size());
+  for (const auto& [vid, a] : zones) {
+    d.add(vid);
+    d.add(a.head.value());
+    d.add(a.role);
+    d.add(a.head_since);
+  }
+}
+
+// The fabric's stream, through four draws of a copy of it.
+void add_fabric_rng(Digest& d, core::VehicularCloudSystem& system) {
+  Rng fabric = system.scenario().network().rng();
+  for (int i = 0; i < 4; ++i) d.add(fabric.engine()());
+}
+
+// Set-up of a city above both helper floors (a prefill of over 1024
+// searches, beacon rounds of over 256 receivers), so on a host with more
+// than one CPU its route searches and reception rows come through the
+// helpers' rings. Its digests were recorded from the build before
+// set-up's helped rounds let the calling thread produce chunks ahead; they
+// hold with any number of helpers. "start" covers the state right after
+// start(): the fleet, the neighbour tables, the zone assignments and the
+// fabric's stream, then the trip stream through two routes it draws.
+// "run_1s" covers the world a simulated second later, whose lane changes
+// draw from the traffic stream.
+TEST(SetUpPin, HelpedCitySetUpMatchesRecordedDigests) {
+  std::map<std::string, std::string> recorded;
+  {
+    std::ifstream in(VCL_TEST_DATA_DIR "/setup_pin.txt");
+    ASSERT_TRUE(in) << "missing " VCL_TEST_DATA_DIR "/setup_pin.txt";
+    std::string name, hex;
+    while (in >> name >> hex) recorded[name] = hex;
+  }
+  core::SystemConfig config;
+  config.scenario.grid_rows = 16;
+  config.scenario.grid_cols = 16;
+  config.scenario.vehicles = 1400;
+  config.scenario.seed = 29;
+  config.scenario.rsu_spacing = 600.0;
+  config.architecture = core::CloudArchitecture::kInfrastructureBased;
+  core::VehicularCloudSystem system(config);
+  system.start();
+  ASSERT_EQ(system.scenario().traffic().vehicle_count(), 1400u);
+
+  Digest start;
+  add_world(start, system);
+  add_fabric_rng(start, system);
+  for (int i = 0; i < 2; ++i) start.add(system.scenario().trips().random_route());
+  EXPECT_EQ(start.hex(), recorded["start"]);
+
+  system.run_for(1.0);
+  Digest run;
+  add_world(run, system);
+  add_fabric_rng(run, system);
+  EXPECT_EQ(run.hex(), recorded["run_1s"]);
+}
+
+// --- t=0 world frame ------------------------------------------------------------
+
+// A recorded expected violation. The prefill sets each vehicle's offset
+// after spawn placed it at its link's start, and the first beacon round
+// runs before any mobility step, so at start() every prefilled vehicle's
+// world position is still its link's start. The t=0 neighbour tables see
+// the fleet bunched there. Placing vehicles at their offsets changes every
+// output; when that lands, this count becomes 0.
+TEST(WorldFrame, PrefilledPositionsLagTheirOffsetsAtStart) {
+  core::ScenarioConfig config;
+  config.grid_rows = 12;
+  config.grid_cols = 12;
+  config.vehicles = 400;
+  core::Scenario s(config);
+  s.start();
+  std::size_t stale = 0;
+  for (const auto& [vid, v] : s.traffic().vehicles()) {
+    const geo::Vec2 at = s.road().position_on_link(v.link, v.offset);
+    stale += at.x != v.pos.x || at.y != v.pos.y;
+  }
+  EXPECT_EQ(s.traffic().vehicle_count(), 400u);
+  EXPECT_EQ(stale, 400u);
 }
 
 }  // namespace
