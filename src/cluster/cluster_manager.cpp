@@ -66,11 +66,19 @@ void ClusterManager::assign(VehicleId v, VehicleId head, ClusterRole role) {
     a.head_since = net_.simulator().now();
   }
   if (inserted || !(a.head == head) || a.role != role) ++generation_;
+  if (inserted && net_.traffic().find(v) == nullptr) prune_due_ = true;
   a.head = head;
   a.role = role;
 }
 
 void ClusterManager::prune_departed() {
+  // An entry made for a vehicle in traffic can only go stale by a
+  // departure, which traffic counts: without one since the last scan, and
+  // without an entry made for a vehicle not in traffic, none is stale.
+  const std::uint64_t departures = net_.traffic().departures();
+  if (!prune_due_ && pruned_departures_ == departures) return;
+  pruned_departures_ = departures;
+  prune_due_ = false;
   for (auto it = assignments_.begin(); it != assignments_.end();) {
     if (net_.traffic().find(VehicleId{it->first}) == nullptr) {
       it = assignments_.erase(it);

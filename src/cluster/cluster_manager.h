@@ -80,6 +80,10 @@ class ClusterManager {
  private:
   std::unordered_map<std::uint64_t, ClusterAssignment> assignments_;
   std::uint64_t generation_ = 0;
+  // Traffic's departures() at the last prune_departed() scan, and whether
+  // an entry was made since for a vehicle not in traffic.
+  std::uint64_t pruned_departures_ = 0;
+  bool prune_due_ = false;
   // clusters() cache, valid while built_generation_ == generation_.
   mutable ClusterList clusters_;
   mutable std::uint64_t built_generation_ = 0;

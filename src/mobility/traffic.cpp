@@ -62,6 +62,7 @@ VehicleId TrafficModel::spawn_parked(LinkId link, double offset) {
 
 void TrafficModel::despawn(VehicleId id) {
   ++epoch_;
+  ++departures_;
   vehicles_.erase(id.value());
 }
 
@@ -211,6 +212,7 @@ void TrafficModel::step(double dt) {
       if (v.parked) finished.push_back(v.id);  // trip ended this step
     }
   }
+  if (!finished.empty()) ++departures_;
   for (const VehicleId id : finished) vehicles_.erase(id.value());
   for (auto& [vid, v] : vehicles_) refresh_world_frame(v);
 }

@@ -66,6 +66,10 @@ class TrafficModel {
   // memoize what they derive from the vehicles on it (DESIGN.md §4
   // "Control-plane cost").
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  // Bumped whenever vehicles may have left: by despawn and by a step that
+  // ended trips. Readers that drop state of departed vehicles skip the
+  // scan while it holds still.
+  [[nodiscard]] std::uint64_t departures() const { return departures_; }
 
   // Predicted seconds until the vehicle exits the disc (center, radius),
   // walking its remaining route at current speed. Returns +inf for parked
@@ -109,6 +113,7 @@ class TrafficModel {
   RightOfWayFn right_of_way_;
   SimTime now_ = 0.0;
   std::uint64_t epoch_ = 0;
+  std::uint64_t departures_ = 0;
 };
 
 }  // namespace vcl::mobility

@@ -73,10 +73,11 @@ std::size_t Network::fill_rows(std::size_t chunk,
       if (n == self) continue;
       const double p =
           channel_.reception_probability(snap_pos_[n], pos, density);
+      // The channel's base loss keeps p below 1, as the threshold needs.
       if (p <= 0.0) continue;
       if (k < out.sender.size()) {
         out.sender[k] = n;
-        out.p[k] = p;
+        out.threshold[k] = Rng::bernoulli_threshold(p);
       }
       ++k;
     }
@@ -89,7 +90,7 @@ const Network::RowChunk& Network::own_rows(std::size_t chunk) {
   const std::size_t pairs = fill_rows(chunk, nearby_, own_rows_);
   if (pairs > own_rows_.sender.size()) {
     own_rows_.sender.resize(pairs);
-    own_rows_.p.resize(pairs);
+    own_rows_.threshold.resize(pairs);
     fill_rows(chunk, nearby_, own_rows_);
   }
   return own_rows_;
@@ -110,7 +111,7 @@ void Network::open_helped_round(ThreadPool& pool, std::size_t chunks) {
   if (capacity > ring_.front().sender.size()) {
     for (RowChunk& slot : ring_) {
       slot.sender.resize(capacity);
-      slot.p.resize(capacity);
+      slot.threshold.resize(capacity);
     }
   }
   // A grid query returns at most every snapshot slot.
@@ -140,7 +141,7 @@ void Network::beacon_round_tables() {
   if (!held_still) {
     plan_start_ = {};
     plan_sender_ = {};
-    plan_p_ = {};
+    plan_threshold_ = {};
     plan_valid_ = false;
     last_blackouts_ = channel_.blackouts();
   }
@@ -153,7 +154,7 @@ void Network::beacon_round_tables() {
     plan_start_.assign(1, 0);
     // The previous round computed the same rows: the plan's exact size.
     plan_sender_.reserve(row_pairs_);
-    plan_p_.reserve(row_pairs_);
+    plan_threshold_.reserve(row_pairs_);
   }
 
   // Drop tables of vehicles that left since the last round.
@@ -183,8 +184,10 @@ void Network::beacon_round_tables() {
     }
   } close_round{pool != nullptr ? helped_.get() : nullptr};
 
-  // Stage B, the one draw-and-merge loop: in snapshot order, sample each
-  // row's beacons at their p and merge the heard ones into the table.
+  // Stage B, the one draw-and-merge loop: in snapshot order, draw one word
+  // per pair of each row (a beacon is heard when the word is below the
+  // pair's threshold, Rng::bernoulli's outcome at its p) and merge the
+  // heard ones into the table.
   std::size_t pairs = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t first = c * kRowChunk;
@@ -196,12 +199,14 @@ void Network::beacon_round_tables() {
       rows = slot == HelpedRound::kCaller ? &own_rows(c) : &ring_[slot];
       pairs += rows->start[last - first];
     }
-    // Row i of the chunk is [start[i], start[i + 1]) of sender and prob.
+    // Row i of the chunk is [start[i], start[i + 1]) of sender and
+    // threshold.
     const std::uint32_t* start =
         replay ? plan_start_.data() + first : rows->start.data();
     const std::uint32_t* sender =
         replay ? plan_sender_.data() : rows->sender.data();
-    const double* prob = replay ? plan_p_.data() : rows->p.data();
+    const std::uint64_t* threshold =
+        replay ? plan_threshold_.data() : rows->threshold.data();
     for (std::size_t self = first; self < last; ++self) {
       auto& table = neighbor_tables_[snap_id_[self].value()];
       for (std::size_t k = 0; k < table.size(); ++k) {
@@ -211,7 +216,7 @@ void Network::beacon_round_tables() {
       const std::uint32_t row_begin = start[self - first];
       const std::uint32_t row_end = start[self - first + 1];
       for (std::uint32_t k = row_begin; k < row_end; ++k) {
-        if (!rng_.bernoulli(prob[k])) continue;
+        if (!(rng_.engine()() < threshold[k])) continue;
         const std::uint32_t n = sender[k];
         const NeighborEntry heard{snap_id_[n], snap_pos_[n], snap_vel_[n],
                                   now};
@@ -226,8 +231,10 @@ void Network::beacon_round_tables() {
       if (record) {
         plan_sender_.insert(plan_sender_.end(), sender + row_begin,
                             sender + row_end);
-        plan_p_.insert(plan_p_.end(), prob + row_begin, prob + row_end);
-        plan_start_.push_back(static_cast<std::uint32_t>(plan_p_.size()));
+        plan_threshold_.insert(plan_threshold_.end(), threshold + row_begin,
+                               threshold + row_end);
+        plan_start_.push_back(
+            static_cast<std::uint32_t>(plan_threshold_.size()));
       }
       for (const NeighborEntry& e : table) table_pos_by_id_[e.id.value()] = 0;
       // Expire stale entries and entries for departed or

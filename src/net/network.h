@@ -7,10 +7,13 @@
 //    reception from every in-range transmitter (an aggregate of per-beacon
 //    MAC behaviour; beacons themselves are not individually evented, which
 //    keeps a 1000-vehicle scenario tractable). A round has two stages.
-//    Stage A computes, for each receiver, a row of (sender, reception
-//    probability) pairs; it only reads the snapshot, the grid and the
-//    blackout set. Stage B draws each pair's reception and merges the
-//    heard beacons into the tables, serially, in snapshot order.
+//    Stage A computes, for each receiver, a row of (sender, threshold)
+//    pairs, the threshold being Rng::bernoulli_threshold of the pair's
+//    reception probability; it only reads the snapshot, the grid and the
+//    blackout set. Stage B draws one word per pair, hears the beacon when
+//    the word is below the threshold (an integer compare that gives
+//    Rng::bernoulli's outcome on that word), and merges the heard beacons
+//    into the tables, serially, in snapshot order.
 //    A world above a size floor has stage A rows computed ahead by up to 3
 //    helper threads (one fewer than the process's CPUs) that the calling
 //    thread joins; the draws and merges, and so every output, are the same
@@ -140,14 +143,15 @@ class Network {
 
  private:
   // Reception rows of kRowChunk consecutive snapshot slots (stage A): slot
-  // first + i hears senders sender[k] at probability p[k] for k in
-  // [start[i], start[i + 1]), in query order. Pairs at p <= 0 are left out:
-  // they draw nothing. sender and p are written by index up to their size.
+  // first + i hears senders sender[k] when a drawn word is below
+  // threshold[k], for k in [start[i], start[i + 1]), in query order. Pairs
+  // at p <= 0 are left out: they draw nothing. sender and threshold are
+  // written by index up to their size.
   static constexpr std::size_t kRowChunk = 16;
   struct RowChunk {
     std::array<std::uint32_t, kRowChunk + 1> start{};
     std::vector<std::uint32_t> sender;
-    std::vector<double> p;
+    std::vector<std::uint64_t> threshold;
   };
   // Rounds with fewer receivers than this compute every row on the calling
   // thread and never start a helper.
@@ -195,12 +199,12 @@ class Network {
   SimTime last_round_at_ = 0.0;
   std::vector<std::pair<std::uint64_t, BlackoutRegion>> last_blackouts_;
   // Reception plan: the rows of a whole round, slot s hearing senders
-  // plan_sender_[k] at probability plan_p_[k] for k in
+  // plan_sender_[k] at threshold plan_threshold_[k] for k in
   // [plan_start_[s], plan_start_[s + 1]). Held only while every round's
   // inputs equal the previous round's.
   std::vector<std::uint32_t> plan_start_;
   std::vector<std::uint32_t> plan_sender_;
-  std::vector<double> plan_p_;
+  std::vector<std::uint64_t> plan_threshold_;
   std::size_t row_pairs_ = 0;  // pairs in the rows of the last computed round
   bool plan_valid_ = false;
   // Stage A buffers: the calling thread's own chunk, and for helped rounds

@@ -139,12 +139,8 @@ const Task* VehicularCloud::find_task(TaskId id) const {
 
 void VehicularCloud::for_each_task(
     const std::function<void(const Task&)>& fn) const {
-  // Sorted ids so oracle reports are deterministic across runs.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(tasks_.size());
-  for (const auto& [tid, t] : tasks_) ids.push_back(tid);
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t tid : ids) fn(tasks_.at(tid));
+  // Id order, so oracle reports are deterministic across runs.
+  for (const Task* t : tasks_by_id_) fn(*t);
 }
 
 std::vector<TaskId> VehicularCloud::pending_ids() const {
@@ -232,7 +228,8 @@ TaskId VehicularCloud::submit(Task spec) {
   spec.state = TaskState::kPending;
   if (spec.created == 0.0) spec.created = net_.simulator().now();
   const TaskId id = spec.id;
-  tasks_.emplace(id.value(), std::move(spec));
+  tasks_by_id_.push_back(
+      &tasks_.emplace(id.value(), std::move(spec)).first->second);
   task_epoch_[id.value()] = 0;
   pending_.push_back(id);
   ++stats_.submitted;

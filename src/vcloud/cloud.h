@@ -379,6 +379,9 @@ class VehicularCloud {
   mutable CloudRegion dwell_region_;
   mutable std::uint64_t dwell_estimates_ = 0;
   std::unordered_map<std::uint64_t, Task> tasks_;
+  // Every task in id order. tasks_ is never erased from, and its nodes
+  // keep their addresses through a rehash.
+  std::vector<const Task*> tasks_by_id_;
   std::unordered_map<std::uint64_t, std::uint64_t> task_epoch_;
   std::unordered_map<std::uint64_t, ReplicaState> replicas_;
   std::deque<TaskId> pending_;

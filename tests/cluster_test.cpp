@@ -429,6 +429,40 @@ TEST_F(ClusterFixture, CachedClustersFollowEveryTableChange) {
   EXPECT_EQ(table.cluster_builds(), builds);
 }
 
+TEST_F(ClusterFixture, PruneDropsEveryKindOfStaleEntry) {
+  // An entry goes stale when it names a vehicle never in traffic, one
+  // despawned since, or one whose trip ended in a step; each is dropped by
+  // the next prune, and live entries stay.
+  const VehicleId kept = park_far(3, 10.0);
+  const VehicleId despawned = park_far(4, 10.0);
+  const VehicleId arriving = traffic_.spawn({LinkId{0}}, 15.0);
+  TableClusters table(net_);
+  const auto head = [&](VehicleId v) {
+    table.set(v.value(), v.value(), ClusterRole::kHead);
+  };
+  head(kept);
+  head(despawned);
+  head(arriving);
+  table.prune();
+  EXPECT_EQ(table.assignments().size(), 3u);
+  table.set(99, 99, ClusterRole::kHead);
+  table.prune();
+  EXPECT_EQ(table.assignments().size(), 3u);
+  EXPECT_EQ(table.assignments().count(99), 0u);
+  traffic_.despawn(despawned);
+  table.prune();
+  EXPECT_EQ(table.assignments().size(), 2u);
+  EXPECT_EQ(table.assignments().count(despawned.value()), 0u);
+  // Link 0 is 400 m: the trip ends well within 100 s.
+  for (int i = 0; i < 1000 && traffic_.find(arriving) != nullptr; ++i) {
+    traffic_.step(0.1);
+  }
+  ASSERT_EQ(traffic_.find(arriving), nullptr);
+  table.prune();
+  ASSERT_EQ(table.assignments().size(), 1u);
+  EXPECT_EQ(table.assignments().count(kept.value()), 1u);
+}
+
 TEST_F(ClusterFixture, ClustersRebuildAtMostOncePerUpdate) {
   geo::RoadNetwork road = geo::make_manhattan_grid(4, 4, 250.0);
   sim::Simulator sim;

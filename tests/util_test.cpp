@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -233,6 +234,230 @@ TEST(RngFork, DistinctSaltsNeverShareASequence) {
       EXPECT_NE(draws(parent.fork(a), 32), draws(parent.fork(b), 32))
           << "fork(" << a << ") and fork(" << b << ") collided";
     }
+  }
+}
+
+// ---- Mt19937_64 and the inline draws: std's words and outcomes ------------
+
+// Seeds at the edges of the seed space and the kind fork() derives.
+std::vector<std::uint64_t> engine_seeds() {
+  return {0, 1, ~std::uint64_t{0}, Rng(42).fork(7).seed(),
+          Rng(20260806).fork(1).seed()};
+}
+
+TEST(Mt19937_64, YieldsStdWords) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) mismatches += ours() != ref() ? 1 : 0;
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, CopyAndDiscardKeepStdSequence) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    // Lengths on either side of the 312-word state, from varying offsets.
+    for (const unsigned long long n : {0ull, 1ull, 155ull, 311ull, 312ull,
+                                       313ull, 624ull, 1000ull, 4097ull}) {
+      Mt19937_64 drawn = ours;
+      for (unsigned long long i = 0; i < n; ++i) drawn();
+      ours.discard(n);
+      ref.discard(n);
+      EXPECT_TRUE(ours == drawn) << "seed " << seed << " n " << n;
+      Mt19937_64 copy = ours;
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(ours(), want) << "seed " << seed << " n " << n;
+        ASSERT_EQ(copy(), want) << "seed " << seed << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64, EqualityAgreesWithStd) {
+  // Pairs driven alike compare alike, from either side.
+  Mt19937_64 a(5), b(5), c(6);
+  std::mt19937_64 ra(5), rb(5), rc(6);
+  const auto agree = [&](const char* step) {
+    EXPECT_EQ(a == b, ra == rb) << step;
+    EXPECT_EQ(b == a, rb == ra) << step;
+    EXPECT_EQ(a != c, ra != rc) << step;
+    EXPECT_EQ(c != a, rc != ra) << step;
+  };
+  agree("fresh");
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a != c);
+  a();
+  ra();
+  agree("a one word ahead");
+  EXPECT_TRUE(a != b);
+  b.discard(1);
+  rb.discard(1);
+  agree("b caught up");
+  EXPECT_TRUE(a == b);
+  // The same words at different positions are different states.
+  a.discard(312);
+  ra.discard(312);
+  agree("a a state ahead");
+  EXPECT_TRUE(a != b);
+}
+
+// An engine that yields one chosen word, to read std's distributions at it.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+bool std_bernoulli_at(double p, std::uint64_t word) {
+  FixedWord engine{word};
+  return std::bernoulli_distribution(p)(engine);
+}
+
+// A random p in (0, 1/2]: a random mantissa in a random binade, so p * 2^64
+// falls on either side of 2^53.
+double random_probability(std::mt19937_64& bits) {
+  const double mantissa =
+      1.0 + std::ldexp(static_cast<double>(bits() >> 12), -52);
+  return std::ldexp(mantissa, -1 - static_cast<int>(bits() % 64));
+}
+
+// Probabilities at powers of two, one ulp either side of them, and random
+// values across many binades.
+std::vector<double> probe_probabilities() {
+  std::vector<double> ps;
+  for (int e = 1; e <= 70; ++e) {
+    const double p = std::ldexp(1.0, -e);
+    ps.push_back(p);
+    ps.push_back(std::nextafter(p, 0.0));
+    if (e > 1) ps.push_back(std::nextafter(p, 1.0));
+  }
+  ps.push_back(std::nextafter(1.0, 0.0));
+  std::mt19937_64 bits(11);
+  for (int i = 0; i < 300; ++i) ps.push_back(random_probability(bits));
+  return ps;
+}
+
+TEST(Rng, DrawsMatchStdDistributionsOnStdEngine) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    Rng r(seed);
+    std::mt19937_64 e(seed);
+    for (const double p : probe_probabilities()) {
+      for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(r.bernoulli(p), std::bernoulli_distribution(p)(e))
+            << "seed " << seed << " p " << p;
+      }
+      // Outside (0, 1) no word is drawn.
+      EXPECT_FALSE(r.bernoulli(0.0));
+      EXPECT_FALSE(r.bernoulli(-p));
+      EXPECT_TRUE(r.bernoulli(1.0));
+      EXPECT_TRUE(r.bernoulli(1.0 + p));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const double lo = -50.0 + static_cast<double>(i % 7);
+      const double hi = lo + 0.5 + static_cast<double>(i % 13);
+      ASSERT_EQ(r.uniform(lo, hi),
+                std::uniform_real_distribution<double>(lo, hi)(e))
+          << "seed " << seed << " draw " << i;
+      ASSERT_EQ(r.uniform(), std::uniform_real_distribution<double>()(e));
+      ASSERT_EQ(r.uniform_int(-3, 40 + i),
+                std::uniform_int_distribution<std::int64_t>(-3, 40 + i)(e));
+      ASSERT_EQ(r.normal(2.0, 0.5),
+                std::normal_distribution<double>(2.0, 0.5)(e));
+      ASSERT_EQ(r.exponential(0.3),
+                std::exponential_distribution<double>(0.3)(e));
+      ASSERT_EQ(r.poisson(4.5), std::poisson_distribution<int>(4.5)(e));
+      EXPECT_EQ(r.poisson(0.0), 0);
+      const std::size_t n = 1 + static_cast<std::size_t>(i % 97);
+      ASSERT_EQ(r.index(n),
+                static_cast<std::size_t>(
+                    std::uniform_int_distribution<std::int64_t>(
+                        0, static_cast<std::int64_t>(n) - 1)(e)));
+    }
+    std::vector<int> ours(200), ref(200);
+    for (int i = 0; i < 200; ++i) ours[i] = ref[i] = i;
+    r.shuffle(ours);
+    std::shuffle(ref.begin(), ref.end(), e);
+    EXPECT_EQ(ours, ref) << "seed " << seed;
+    EXPECT_EQ(r.engine()(), e()) << "seed " << seed;
+  }
+}
+
+// Smallest word x whose draw fails bernoulli(p), by a 64-step bisection.
+std::uint64_t bisected_threshold(double p) {
+  const auto fails = [p](std::uint64_t x) {
+    return !(static_cast<double>(x) * 0x1p-64 < p);
+  };
+  std::uint64_t lo = 0, hi = ~std::uint64_t{0};
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (fails(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+void expect_threshold(double p) {
+  const std::uint64_t t = Rng::bernoulli_threshold(p);
+  ASSERT_EQ(t, bisected_threshold(p)) << std::hexfloat << "p " << p;
+  // std's own outcome on both sides of the threshold.
+  ASSERT_TRUE(std_bernoulli_at(p, t - 1)) << std::hexfloat << "p " << p;
+  ASSERT_FALSE(std_bernoulli_at(p, t)) << std::hexfloat << "p " << p;
+}
+
+TEST(Rng, BernoulliThresholdMatchesBisection) {
+  for (const double p : probe_probabilities()) expect_threshold(p);
+  // Subnormal and tiny p: the threshold is 1 (only word 0 succeeds).
+  for (int e = 60; e <= 1074; e += 7) expect_threshold(std::ldexp(1.0, -e));
+  // p * 2^64 within a few ulps of 2^53, where words stop converting
+  // exactly.
+  double up = 0x1p53, down = 0x1p53;
+  for (int k = 0; k < 16; ++k) {
+    expect_threshold(std::ldexp(up, -64));
+    expect_threshold(std::ldexp(down, -64));
+    up = std::nextafter(up, 0x1p64);
+    down = std::nextafter(down, 0.0);
+  }
+  // Binade edges and tie midpoints of every binade above 2^53: q at a
+  // power of two, and q with even and odd mantissas, whose midpoints with
+  // the double below round the two ways.
+  for (int e = 53; e < 64; ++e) {
+    double above = std::ldexp(1.0, e), below = above;
+    for (int k = 0; k < 4; ++k) {
+      expect_threshold(std::ldexp(above, -64));
+      expect_threshold(std::ldexp(below, -64));
+      above = std::nextafter(above, 0x1p64);
+      below = std::nextafter(below, 0.0);
+    }
+  }
+  // Random p, and random p in the top binade [1/2, 1).
+  std::mt19937_64 bits(20261020);
+  for (int i = 0; i < 20000; ++i) expect_threshold(random_probability(bits));
+  for (int i = 0; i < 2000; ++i) {
+    const double p = 0.5 + static_cast<double>(bits() >> 12) * 0x1p-53;
+    expect_threshold(p);
+  }
+}
+
+TEST(Rng, ThresholdDrawsMatchBernoulli) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    Rng a(seed), b(seed);
+    for (const double p : probe_probabilities()) {
+      const std::uint64_t t = Rng::bernoulli_threshold(p);
+      for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(a.engine()() < t, b.bernoulli(p))
+            << "seed " << seed << " p " << p;
+      }
+    }
+    EXPECT_TRUE(a.engine() == b.engine());
   }
 }
 
