@@ -26,14 +26,13 @@
 // near the undefended cells' — the defense costs quarantine capacity, not
 // task throughput.
 //
-// Runs through the experiment engine: an exp::Sweep spans the attack
-// intensity x defense grid and exp::Campaign replicates each cell
-// (--reps N --jobs J). Stat cells are bit-identical for any --jobs split.
+// Runs through the experiment engine: exp::Campaign replicates each cell of
+// the attack intensity x defense grid (--reps N --jobs J). Stat cells are
+// bit-identical for any --jobs split.
 #include <iostream>
 
 #include "core/system.h"
 #include "exp/campaign.h"
-#include "exp/sweep.h"
 #include "fault/chaos.h"
 #include "util/table.h"
 
@@ -45,8 +44,8 @@ constexpr SimTime kLoadWindow = 180.0;
 constexpr SimTime kDrain = 60.0;
 constexpr SimTime kSubmitPeriod = 0.5;
 
-// One sweep cell: the system under attack and the storm intensities it
-// faces (the attack axis scales the rates together).
+// One grid cell: the system under attack and the storm intensities it
+// faces (the attack intensity scales the rates together).
 struct AttackCell {
   core::SystemConfig sys;
   fault::StormConfig storms;
@@ -132,62 +131,54 @@ int main(int argc, char** argv) {
                "seed, dedicated RNG streams).\n\n";
   campaign.describe(std::cout);
 
-  exp::Sweep<AttackCell> sweep;
-  auto& attack_axis = sweep.axis("attack");
-  for (const double i : {0.5, 1.0, 2.0}) {
-    attack_axis.point(Table::num(i, 1), [i](AttackCell& c) {
-      c.storms.sybil_rate = 0.02 * i;
-      c.storms.revoke_rate = 0.01 * i;
-      c.storms.replay_rate = 0.01 * i;
-    });
-  }
-  auto& defense_axis = sweep.axis("defense");
-  for (const bool defend : {false, true}) {
-    defense_axis.point(defend ? "on" : "off", [defend](AttackCell& c) {
-      c.sys.admission.defend = defend;
-    });
-  }
-
   std::map<std::string, std::map<std::string, exp::Summary>> by_cell;
   std::vector<std::vector<exp::Cell>> rows;
-  for (const auto& cell : sweep.cells()) {
-    const auto summary =
-        campaign.replicate(1234, [&cell](const exp::RepContext& ctx) {
-          AttackCell base;
-          core::SystemConfig& cfg = base.sys;
-          cfg.scenario.environment = core::Environment::kParkingLot;
-          cfg.scenario.vehicles = 24;
-          cfg.scenario.vehicles_parked = true;
-          cfg.architecture = core::CloudArchitecture::kStationary;
-          cfg.stationary_radius = 5000.0;
-          // Full mitigation (the chaos-episode fixture): the defense runs
-          // on top of a working recovery stack, not instead of one.
-          cfg.cloud.dependability = vcloud::full_mitigation();
-          cfg.adversary = true;
-          cfg.admission.freshness_window = 4.0;
-          // Shared by both defense cells at this intensity: identical
-          // attack schedule and workload.
-          cfg.scenario.seed = ctx.seed;
-          if (!ctx.out_dir.empty()) {
-            cfg.telemetry.tracing = true;
-            cfg.telemetry.metrics = true;
-          }
-          return run_cell(cell.make(base), ctx.out_dir);
-        });
-    rows.push_back({exp::Cell(cell.labels[0]), exp::Cell(cell.labels[1]),
-                    exp::Cell(summary.at("completed"), 0),
-                    exp::Cell(summary.at("expired"), 0),
-                    exp::Cell(summary.at("completion"), 3),
-                    exp::Cell::tail(summary.at("task_lat"), 1),
-                    exp::Cell(summary.at("sybil_claims"), 0),
-                    exp::Cell(summary.at("sybil_admitted"), 0),
-                    exp::Cell(summary.at("quarantined"), 0),
-                    exp::Cell(summary.at("replays"), 0),
-                    exp::Cell(summary.at("replays_ok"), 0),
-                    exp::Cell(summary.at("revoked"), 0),
-                    exp::Cell(summary.at("evicted"), 0),
-                    exp::Cell(summary.at("revoked_retained"), 0)});
-    by_cell[cell.label()] = summary;
+  for (const double i : {0.5, 1.0, 2.0}) {
+    for (const bool defend : {false, true}) {
+      const auto summary =
+          campaign.replicate(1234, [&](const exp::RepContext& ctx) {
+            AttackCell cell;
+            core::SystemConfig& cfg = cell.sys;
+            cfg.scenario.environment = core::Environment::kParkingLot;
+            cfg.scenario.vehicles = 24;
+            cfg.scenario.vehicles_parked = true;
+            cfg.architecture = core::CloudArchitecture::kStationary;
+            cfg.stationary_radius = 5000.0;
+            // Full mitigation (the chaos-episode fixture): the defense runs
+            // on top of a working recovery stack, not instead of one.
+            cfg.cloud.dependability = vcloud::full_mitigation();
+            cfg.adversary = true;
+            cfg.admission.freshness_window = 4.0;
+            // Shared by both defense cells at this intensity: identical
+            // attack schedule and workload.
+            cfg.scenario.seed = ctx.seed;
+            if (!ctx.out_dir.empty()) {
+              cfg.telemetry.tracing = true;
+              cfg.telemetry.metrics = true;
+            }
+            cell.storms.sybil_rate = 0.02 * i;
+            cell.storms.revoke_rate = 0.01 * i;
+            cell.storms.replay_rate = 0.01 * i;
+            cfg.admission.defend = defend;
+            return run_cell(cell, ctx.out_dir);
+          });
+      const std::string attack = Table::num(i, 1);
+      const char* defense = defend ? "on" : "off";
+      rows.push_back({exp::Cell(attack), exp::Cell(defense),
+                      exp::Cell(summary.at("completed"), 0),
+                      exp::Cell(summary.at("expired"), 0),
+                      exp::Cell(summary.at("completion"), 3),
+                      exp::Cell::tail(summary.at("task_lat"), 1),
+                      exp::Cell(summary.at("sybil_claims"), 0),
+                      exp::Cell(summary.at("sybil_admitted"), 0),
+                      exp::Cell(summary.at("quarantined"), 0),
+                      exp::Cell(summary.at("replays"), 0),
+                      exp::Cell(summary.at("replays_ok"), 0),
+                      exp::Cell(summary.at("revoked"), 0),
+                      exp::Cell(summary.at("evicted"), 0),
+                      exp::Cell(summary.at("revoked_retained"), 0)});
+      by_cell[attack + "/" + defense] = summary;
+    }
   }
   campaign.emit("E24: completion and membership pollution by defense",
                 {"attack", "defense", "completed", "expired", "completion",

@@ -27,15 +27,14 @@
 // dwell prediction says they pay) and beats none because its backups skip
 // the detection-latency stall.
 //
-// Runs through the experiment engine: an exp::Sweep spans the crash-rate x
-// policy grid and exp::Campaign replicates each cell (--reps N --jobs J).
+// Runs through the experiment engine: exp::Campaign replicates each cell
+// of the crash-rate x policy grid (--reps N --jobs J).
 // Stat cells are bit-identical for any --jobs split.
 #include <iostream>
 
 #include "core/system.h"
 #include "dag/generator.h"
 #include "exp/campaign.h"
-#include "exp/sweep.h"
 #include "util/table.h"
 
 using namespace vcl;
@@ -105,60 +104,51 @@ int main(int argc, char** argv) {
                "dedicated RNG streams).\n\n";
   campaign.describe(std::cout);
 
-  exp::Sweep<core::SystemConfig> sweep;
-  auto& rate_axis = sweep.axis("crash_rate");
-  for (const double rate : {0.0, 0.01, 0.02}) {
-    rate_axis.point(Table::num(rate, 2), [rate](core::SystemConfig& c) {
-      c.faults.horizon = kLoadWindow;
-      c.faults.vehicle_crash_rate = rate;
-    });
-  }
-  auto& policy_axis = sweep.axis("policy");
-  for (const dag::DagPolicy policy :
-       {dag::DagPolicy::kNone, dag::DagPolicy::kBlindK,
-        dag::DagPolicy::kReliabilityAware}) {
-    policy_axis.point(dag::to_string(policy),
-                      [policy](core::SystemConfig& c) {
-                        c.dag.policy = policy;
-                      });
-  }
-
   std::map<std::string, std::map<std::string, exp::Summary>> by_cell;
   std::vector<std::vector<exp::Cell>> rows;
-  for (const auto& cell : sweep.cells()) {
-    const auto summary =
-        campaign.replicate(1234, [&cell](const exp::RepContext& ctx) {
-          core::SystemConfig cfg;
-          cfg.scenario.environment = core::Environment::kParkingLot;
-          cfg.scenario.vehicles = 24;
-          cfg.scenario.vehicles_parked = true;
-          cfg.architecture = core::CloudArchitecture::kStationary;
-          cfg.stationary_radius = 5000.0;
-          // Full mitigation (the chaos-episode fixture): the policies
-          // differ on top of a working recovery stack, not instead of one.
-          cfg.cloud.dependability = vcloud::full_mitigation();
-          cfg.dag.enabled = true;
-          cfg.dag.replicas = 2;  // equal budget k for blind-k and rel-aware
-          // Shared across every policy at this intensity: identical fault
-          // plan and graph stream.
-          cfg.scenario.seed = ctx.seed;
-          if (!ctx.out_dir.empty()) {
-            cfg.telemetry.tracing = true;
-            cfg.telemetry.metrics = true;
-          }
-          return run_cell(cell.make(cfg), ctx.out_dir);
-        });
-    rows.push_back({exp::Cell(cell.labels[0]), exp::Cell(cell.labels[1]),
-                    exp::Cell(summary.at("crashes"), 0),
-                    exp::Cell(summary.at("graphs"), 0),
-                    exp::Cell(summary.at("unfinished"), 0),
-                    exp::Cell(summary.at("makespan"), 1),
-                    exp::Cell::tail(summary.at("node_lat"), 1),
-                    exp::Cell(summary.at("attempts"), 0),
-                    exp::Cell(summary.at("backups"), 0),
-                    exp::Cell(summary.at("blind"), 0),
-                    exp::Cell(summary.at("transfer_mb"), 1)});
-    by_cell[cell.label()] = summary;
+  for (const double rate : {0.0, 0.01, 0.02}) {
+    for (const dag::DagPolicy policy :
+         {dag::DagPolicy::kNone, dag::DagPolicy::kBlindK,
+          dag::DagPolicy::kReliabilityAware}) {
+      const auto summary =
+          campaign.replicate(1234, [&](const exp::RepContext& ctx) {
+            core::SystemConfig cfg;
+            cfg.scenario.environment = core::Environment::kParkingLot;
+            cfg.scenario.vehicles = 24;
+            cfg.scenario.vehicles_parked = true;
+            cfg.architecture = core::CloudArchitecture::kStationary;
+            cfg.stationary_radius = 5000.0;
+            // Full mitigation (the chaos-episode fixture): the policies
+            // differ on top of a working recovery stack, not instead of one.
+            cfg.cloud.dependability = vcloud::full_mitigation();
+            cfg.dag.enabled = true;
+            cfg.dag.replicas = 2;  // equal budget k for blind-k and rel-aware
+            // Shared across every policy at this intensity: identical fault
+            // plan and graph stream.
+            cfg.scenario.seed = ctx.seed;
+            if (!ctx.out_dir.empty()) {
+              cfg.telemetry.tracing = true;
+              cfg.telemetry.metrics = true;
+            }
+            cfg.faults.horizon = kLoadWindow;
+            cfg.faults.vehicle_crash_rate = rate;
+            cfg.dag.policy = policy;
+            return run_cell(cfg, ctx.out_dir);
+          });
+      const std::string rate_label = Table::num(rate, 2);
+      const std::string policy_label = dag::to_string(policy);
+      rows.push_back({exp::Cell(rate_label), exp::Cell(policy_label),
+                      exp::Cell(summary.at("crashes"), 0),
+                      exp::Cell(summary.at("graphs"), 0),
+                      exp::Cell(summary.at("unfinished"), 0),
+                      exp::Cell(summary.at("makespan"), 1),
+                      exp::Cell::tail(summary.at("node_lat"), 1),
+                      exp::Cell(summary.at("attempts"), 0),
+                      exp::Cell(summary.at("backups"), 0),
+                      exp::Cell(summary.at("blind"), 0),
+                      exp::Cell(summary.at("transfer_mb"), 1)});
+      by_cell[rate_label + "/" + policy_label] = summary;
+    }
   }
   campaign.emit("E23: graph makespan and replica spend by policy",
                 {"crash_rate", "policy", "crashes", "graphs", "unfinished",

@@ -22,8 +22,8 @@
 // requeue-from-zero; full buys the last few points of completion at the
 // price of redundant replica work.
 //
-// Runs through the experiment engine: an exp::Sweep spans the crash-rate x
-// mode grid and exp::Campaign replicates each cell (--reps N --jobs J).
+// Runs through the experiment engine: exp::Campaign replicates each cell
+// of the crash-rate x mode grid (--reps N --jobs J).
 // Replication keeps the identical-fault-schedule property: replication r
 // uses the same derived seed in every cell, so at a given intensity all
 // modes still face the same fault plans. The default --reps 1 reproduces
@@ -32,7 +32,6 @@
 
 #include "core/system.h"
 #include "exp/campaign.h"
-#include "exp/sweep.h"
 #include "util/table.h"
 
 using namespace vcl;
@@ -115,59 +114,51 @@ int main(int argc, char** argv) {
                "stream).\n\n";
   campaign.describe(std::cout);
 
-  exp::Sweep<core::SystemConfig> sweep;
-  auto& rate_axis = sweep.axis("crash_rate");
-  for (const double rate : {0.0, 0.02, 0.05}) {
-    rate_axis.point(Table::num(rate, 2), [rate](core::SystemConfig& c) {
-      c.faults.horizon = 240.0;
-      c.faults.vehicle_crash_rate = rate;
-      c.faults.broker_crash_rate = rate / 4.0;
-      c.faults.blackout_rate = rate > 0.0 ? 0.01 : 0.0;
-      c.faults.blackout_mean_duration = 5.0;
-      c.faults.blackout_radius = 400.0;
-    });
-  }
-  auto& mode_axis = sweep.axis("mode");
-  for (const Mode& mode : modes()) {
-    mode_axis.point(mode.name, [dep = mode.dep](core::SystemConfig& c) {
-      c.cloud.dependability = dep;
-    });
-  }
-
   // Cell label ("rate/mode") -> metric summaries, for the epilogue checks.
   std::map<std::string, std::map<std::string, exp::Summary>> by_cell;
   std::vector<std::vector<exp::Cell>> rows;
-  for (const auto& cell : sweep.cells()) {
-    const auto summary =
-        campaign.replicate(1234, [&cell](const exp::RepContext& ctx) {
-          core::SystemConfig cfg;
-          cfg.scenario.environment = core::Environment::kParkingLot;
-          cfg.scenario.vehicles = 50;
-          cfg.scenario.vehicles_parked = true;
-          cfg.architecture = core::CloudArchitecture::kStationary;
-          cfg.stationary_radius = 5000.0;
-          // Shared across every mode at this intensity: identical fault plan.
-          cfg.scenario.seed = ctx.seed;
-          // --telemetry-dir: this replication exports its trace + metrics
-          // into its own pre-created rep directory.
-          if (!ctx.out_dir.empty()) {
-            cfg.telemetry.tracing = true;
-            cfg.telemetry.metrics = true;
-          }
-          return run_cell(cell.make(cfg), ctx.out_dir);
-        });
-    rows.push_back({exp::Cell(cell.labels[0]), exp::Cell(cell.labels[1]),
-                    exp::Cell(summary.at("crashes"), 0),
-                    exp::Cell(summary.at("completed"), 0),
-                    exp::Cell(summary.at("expired"), 0),
-                    exp::Cell(summary.at("completion"), 2),
-                    exp::Cell(summary.at("wasted"), 1),
-                    exp::Cell(summary.at("redundant"), 1),
-                    exp::Cell(summary.at("retries"), 0),
-                    exp::Cell(summary.at("kills"), 0),
-                    exp::Cell(summary.at("fp_kills"), 0),
-                    exp::Cell(summary.at("det_lat"), 2)});
-    by_cell[cell.label()] = summary;
+  for (const double rate : {0.0, 0.02, 0.05}) {
+    for (const Mode& mode : modes()) {
+      const auto summary =
+          campaign.replicate(1234, [&](const exp::RepContext& ctx) {
+            core::SystemConfig cfg;
+            cfg.scenario.environment = core::Environment::kParkingLot;
+            cfg.scenario.vehicles = 50;
+            cfg.scenario.vehicles_parked = true;
+            cfg.architecture = core::CloudArchitecture::kStationary;
+            cfg.stationary_radius = 5000.0;
+            // Shared across every mode at this intensity: identical fault
+            // plan.
+            cfg.scenario.seed = ctx.seed;
+            // --telemetry-dir: this replication exports its trace + metrics
+            // into its own pre-created rep directory.
+            if (!ctx.out_dir.empty()) {
+              cfg.telemetry.tracing = true;
+              cfg.telemetry.metrics = true;
+            }
+            cfg.faults.horizon = 240.0;
+            cfg.faults.vehicle_crash_rate = rate;
+            cfg.faults.broker_crash_rate = rate / 4.0;
+            cfg.faults.blackout_rate = rate > 0.0 ? 0.01 : 0.0;
+            cfg.faults.blackout_mean_duration = 5.0;
+            cfg.faults.blackout_radius = 400.0;
+            cfg.cloud.dependability = mode.dep;
+            return run_cell(cfg, ctx.out_dir);
+          });
+      const std::string rate_label = Table::num(rate, 2);
+      rows.push_back({exp::Cell(rate_label), exp::Cell(mode.name),
+                      exp::Cell(summary.at("crashes"), 0),
+                      exp::Cell(summary.at("completed"), 0),
+                      exp::Cell(summary.at("expired"), 0),
+                      exp::Cell(summary.at("completion"), 2),
+                      exp::Cell(summary.at("wasted"), 1),
+                      exp::Cell(summary.at("redundant"), 1),
+                      exp::Cell(summary.at("retries"), 0),
+                      exp::Cell(summary.at("kills"), 0),
+                      exp::Cell(summary.at("fp_kills"), 0),
+                      exp::Cell(summary.at("det_lat"), 2)});
+      by_cell[rate_label + "/" + mode.name] = summary;
+    }
   }
   campaign.emit("E22: completion and overheads by mitigation mode",
                 {"crash_rate", "mode", "crashes", "completed", "expired",

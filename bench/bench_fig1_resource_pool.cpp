@@ -14,7 +14,6 @@
 
 #include "core/system.h"
 #include "exp/campaign.h"
-#include "exp/sweep.h"
 #include "util/table.h"
 
 using namespace vcl;
@@ -41,54 +40,43 @@ int main(int argc, char** argv) {
       {"autonomous era (L4-L5)", {0.0, 0.0, 0.05, 0.15, 0.4, 0.4}},
   };
 
-  exp::Sweep<core::SystemConfig> sweep;
-  auto& mix_axis = sweep.axis("mix");
-  for (const MixSpec& mix : mixes) {
-    mix_axis.point(mix.label, [weights = mix.weights](core::SystemConfig& c) {
-      c.scenario.automation_weights = weights;
-    });
-  }
-  auto& density_axis = sweep.axis("vehicles");
-  for (const int vehicles : {40, 80, 160}) {
-    density_axis.point(std::to_string(vehicles),
-                       [vehicles](core::SystemConfig& c) {
-                         c.scenario.vehicles = vehicles;
-                       });
-  }
-
   std::vector<std::vector<exp::Cell>> rows;
-  for (const auto& cell : sweep.cells()) {
-    const auto summary =
-        campaign.replicate(5, [&](const exp::RepContext& ctx) {
-          core::SystemConfig cfg;
-          cfg.scenario.grid_rows = 6;
-          cfg.scenario.grid_cols = 6;
-          cfg = cell.make(cfg);
-          cfg.scenario.seed = ctx.seed;
-          core::VehicularCloudSystem system(cfg);
-          system.start();
-          // Sample the pool every 10 s over 2 minutes.
-          Accumulator members, compute, storage, sensors;
-          for (int s = 0; s < 12; ++s) {
-            system.run_for(10.0);
-            const auto pool = system.cloud().pool();
-            members.add(static_cast<double>(pool.members));
-            compute.add(pool.compute);
-            storage.add(pool.storage_mb / 1024.0);
-            sensors.add(static_cast<double>(pool.sensor_count));
-          }
-          exp::RepReport rep;
-          rep.value("members", members.mean());
-          rep.value("compute", compute.mean());
-          rep.value("storage", storage.mean());
-          rep.value("sensors", sensors.mean());
-          return rep;
-        });
-    rows.push_back({exp::Cell(cell.labels[0]), exp::Cell(cell.labels[1]),
-                    exp::Cell(summary.at("members"), 1),
-                    exp::Cell(summary.at("compute"), 1),
-                    exp::Cell(summary.at("storage"), 1),
-                    exp::Cell(summary.at("sensors"), 0)});
+  for (const MixSpec& mix : mixes) {
+    for (const int vehicles : {40, 80, 160}) {
+      const auto summary =
+          campaign.replicate(5, [&](const exp::RepContext& ctx) {
+            core::SystemConfig cfg;
+            cfg.scenario.grid_rows = 6;
+            cfg.scenario.grid_cols = 6;
+            cfg.scenario.automation_weights = mix.weights;
+            cfg.scenario.vehicles = vehicles;
+            cfg.scenario.seed = ctx.seed;
+            core::VehicularCloudSystem system(cfg);
+            system.start();
+            // Sample the pool every 10 s over 2 minutes.
+            Accumulator members, compute, storage, sensors;
+            for (int s = 0; s < 12; ++s) {
+              system.run_for(10.0);
+              const auto pool = system.cloud().pool();
+              members.add(static_cast<double>(pool.members));
+              compute.add(pool.compute);
+              storage.add(pool.storage_mb / 1024.0);
+              sensors.add(static_cast<double>(pool.sensor_count));
+            }
+            exp::RepReport rep;
+            rep.value("members", members.mean());
+            rep.value("compute", compute.mean());
+            rep.value("storage", storage.mean());
+            rep.value("sensors", sensors.mean());
+            return rep;
+          });
+      rows.push_back({exp::Cell(mix.label),
+                      exp::Cell(std::to_string(vehicles)),
+                      exp::Cell(summary.at("members"), 1),
+                      exp::Cell(summary.at("compute"), 1),
+                      exp::Cell(summary.at("storage"), 1),
+                      exp::Cell(summary.at("sensors"), 0)});
+    }
   }
   campaign.emit("pooled resources of the largest dynamic cloud (120 s mean)",
                 {"mix", "vehicles", "members", "compute_u/s", "storage_GB",

@@ -84,14 +84,14 @@ bool within_hops(const geo::RoadNetwork& net, NodeId from, NodeId to,
 // the generator's RNG and lists the searches the commit loop will run, in
 // order. A pair within kMinTripLinks - 1 hops may come out too short, so it
 // is searched there and then; any other pair is long enough if reachable,
-// is assumed reachable, and is searched in chunks on the helper pool while
-// the commit runs. find() hands out a listed result only for the pair the
+// is assumed reachable, and is searched in chunks of a helped round, ahead
+// of the commit or as it reaches them (helpers join from kHelpedFloor such
+// pairs on). find() hands out a listed result only for the pair the
 // speculation expected next; any other pair is searched on the calling
 // thread and marks the round missed.
 class SpeculativeRoutes {
  public:
   explicit SpeculativeRoutes(const geo::RoadNetwork& net) : net_(net) {}
-  ~SpeculativeRoutes() { close(); }
   SpeculativeRoutes(const SpeculativeRoutes&) = delete;
   SpeculativeRoutes& operator=(const SpeculativeRoutes&) = delete;
 
@@ -134,8 +134,7 @@ class SpeculativeRoutes {
   // index `helper`; false when their paths do not fit.
   bool produce(std::size_t helper, std::size_t chunk, std::size_t slot);
   // The result of the next pair searched ahead.
-  std::optional<std::vector<LinkId>> take(NodeId from, NodeId to,
-                                          geo::RouteSearch& routes);
+  std::optional<std::vector<LinkId>> take();
 
   static constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
 
@@ -146,13 +145,13 @@ class SpeculativeRoutes {
   std::size_t next_ahead_ = 0;
   bool missed_ = false;
   // The helped round, its ring and one workspace per HelpedRound index, all
-  // sized on the calling thread by the first round that invites helpers.
-  ThreadPool* pool_ = nullptr;  // non-null while a helped round is open
+  // sized on the calling thread by the first round.
   std::shared_ptr<HelpedRound> round_;
   std::vector<Chunk> ring_;
   std::vector<HelperSearch> helpers_;
+  HelpedRound::Open open_;        // the open round; empty once closed
   std::size_t chunk_ = kNoChunk;  // the chunk acquired last
-  std::size_t slot_ = HelpedRound::kCaller;
+  std::size_t slot_ = 0;          // its ring slot
 };
 
 void SpeculativeRoutes::open(Rng rng, std::size_t vehicles,
@@ -175,27 +174,25 @@ void SpeculativeRoutes::open(Rng rng, std::size_t vehicles,
     if (!drawn) break;
     for (int d = 0; d < kPostRouteDraws; ++d) rng.uniform();
   }
-  pool_ = ahead_.size() < kHelpedFloor ? nullptr : helper_pool();
-  if (pool_ == nullptr) return;
   if (round_ == nullptr) {
-    round_ = std::make_shared<HelpedRound>(kRouteSlots, pool_->threads());
+    round_ = std::make_shared<HelpedRound>(kRouteSlots, helper_threads());
     // A fastest path on a square grid has at most 2·sqrt(V) links. A chunk
-    // whose paths do not fit is searched by the calling thread.
+    // whose paths do not fit is searched again by the calling thread, which
+    // grows the slot.
     const auto per_path = static_cast<std::size_t>(
         2.0 * std::ceil(std::sqrt(static_cast<double>(net_.node_count()))));
     ring_.resize(kRouteSlots);
     for (Chunk& slot : ring_) slot.links.resize(kRouteChunk * per_path);
-    // One workspace per helper, and one for the chunks the calling thread
-    // searches into the ring while a helper holds the chunk it waits for.
-    helpers_.resize(pool_->threads() + 1);
+    // One workspace per helper, and one for the calling thread.
+    helpers_.resize(helper_threads() + 1);
     for (HelperSearch& h : helpers_) h.routes.reserve(net_);
   }
-  round_->begin(
+  open_ = round_->begin(
       (ahead_.size() + kRouteChunk - 1) / kRouteChunk,
       [this](std::size_t helper, std::size_t chunk, std::size_t slot) {
         return produce(helper, chunk, slot);
       },
-      *pool_);
+      ahead_.size() < kHelpedFloor ? nullptr : helper_pool());
 }
 
 bool SpeculativeRoutes::produce(std::size_t helper, std::size_t chunk,
@@ -206,11 +203,17 @@ bool SpeculativeRoutes::produce(std::size_t helper, std::size_t chunk,
   const std::size_t last = std::min(first + kRouteChunk, ahead_.size());
   std::size_t k = 0;
   for (std::size_t j = first; j < last; ++j) {
-    const auto links = routes.find_into(net_, ahead_[j].from, ahead_[j].to,
-                                        std::span(out.links).subspan(k));
+    auto links = routes.find_into(net_, ahead_[j].from, ahead_[j].to,
+                                  std::span(out.links).subspan(k));
+    if (links && k + *links > out.links.size()) {
+      if (helper + 1 < helpers_.size()) return false;
+      // The calling thread's chunk must fit: it grows the slot.
+      out.links.resize(k + *links);
+      links = routes.find_into(net_, ahead_[j].from, ahead_[j].to,
+                               std::span(out.links).subspan(k));
+    }
     out.reached[j - first] = links.has_value();
     if (links) k += *links;
-    if (k > out.links.size()) return false;
     out.start[j - first + 1] = static_cast<std::uint32_t>(k);
   }
   return true;
@@ -222,26 +225,21 @@ std::optional<std::vector<LinkId>> SpeculativeRoutes::find(
     const Guess& g = guesses_[next_guess_];
     if (g.pair.from == from && g.pair.to == to) {
       ++next_guess_;
-      return g.near ? routes.find(net_, from, to) : take(from, to, routes);
+      return g.near ? routes.find(net_, from, to) : take();
     }
   }
   missed_ = true;
   return routes.find(net_, from, to);
 }
 
-std::optional<std::vector<LinkId>> SpeculativeRoutes::take(
-    NodeId from, NodeId to, geo::RouteSearch& routes) {
+std::optional<std::vector<LinkId>> SpeculativeRoutes::take() {
   const std::size_t j = next_ahead_++;
-  if (pool_ == nullptr) return routes.find(net_, from, to);
   const std::size_t chunk = j / kRouteChunk;
   if (chunk != chunk_) {
     if (chunk_ != kNoChunk) round_->release(chunk_);
     slot_ = round_->acquire(chunk);
     chunk_ = chunk;
   }
-  // A chunk nobody claimed, or one that did not fit its slot, is searched
-  // here pair by pair.
-  if (slot_ == HelpedRound::kCaller) return routes.find(net_, from, to);
   const Chunk& in = ring_[slot_];
   const std::size_t i = j % kRouteChunk;
   if (!in.reached[i]) return std::nullopt;
@@ -249,10 +247,7 @@ std::optional<std::vector<LinkId>> SpeculativeRoutes::take(
                              in.links.begin() + in.start[i + 1]);
 }
 
-void SpeculativeRoutes::close() {
-  if (pool_ != nullptr) round_->end();
-  pool_ = nullptr;
-}
+void SpeculativeRoutes::close() { open_.reset(); }
 
 }  // namespace
 

@@ -86,23 +86,13 @@ std::size_t Network::fill_rows(std::size_t chunk,
   return k;
 }
 
-const Network::RowChunk& Network::own_rows(std::size_t chunk) {
-  const std::size_t pairs = fill_rows(chunk, nearby_, own_rows_);
-  if (pairs > own_rows_.sender.size()) {
-    own_rows_.sender.resize(pairs);
-    own_rows_.threshold.resize(pairs);
-    fill_rows(chunk, nearby_, own_rows_);
-  }
-  return own_rows_;
-}
-
-void Network::open_helped_round(ThreadPool& pool, std::size_t chunks) {
+HelpedRound::Open Network::open_helped_round(std::size_t chunks,
+                                             ThreadPool* pool) {
   if (helped_ == nullptr) {
-    helped_ = std::make_shared<HelpedRound>(kRowSlots, pool.threads());
+    helped_ = std::make_shared<HelpedRound>(kRowSlots, helper_threads());
     ring_.resize(kRowSlots);
-    // One grid query scratch per helper, and one for the calling thread's
-    // chunks produced into the ring.
-    helper_nearby_.resize(pool.threads() + 1);
+    // One grid query scratch per helper, and one for the calling thread.
+    helper_nearby_.resize(helper_threads() + 1);
   }
   // The query radius is the grid's cell size, so a receiver's row holds at
   // most the points of the 3x3 block of cells around it, itself excluded:
@@ -116,12 +106,19 @@ void Network::open_helped_round(ThreadPool& pool, std::size_t chunks) {
   }
   // A grid query returns at most every snapshot slot.
   for (auto& nearby : helper_nearby_) nearby.reserve(snap_pos_.size());
-  helped_->begin(
+  return helped_->begin(
       chunks,
       [this](std::size_t helper, std::size_t chunk, std::size_t slot) {
         RowChunk& rows = ring_[slot];
-        return fill_rows(chunk, helper_nearby_[helper], rows) <=
-               rows.sender.size();
+        std::vector<std::uint32_t>& nearby = helper_nearby_[helper];
+        const std::size_t pairs = fill_rows(chunk, nearby, rows);
+        if (pairs <= rows.sender.size()) return true;
+        if (helper + 1 < helper_nearby_.size()) return false;
+        // The calling thread's chunk must fit: it grows the slot.
+        rows.sender.resize(pairs);
+        rows.threshold.resize(pairs);
+        fill_rows(chunk, nearby, rows);
+        return true;
       },
       pool);
 }
@@ -168,21 +165,16 @@ void Network::beacon_round_tables() {
     }
   }
 
-  // Stage A's rows come from the plan, from helpers (a helped round) or
-  // from this thread. A helped round's helpers only read state that stays
-  // fixed until end(): the snapshot, the grid and the channel.
+  // Stage A's rows come from the plan or from a helped round, with helpers
+  // from kHelpedFloor receivers on. They only read state that stays fixed
+  // until the round ends: the snapshot, the grid and the channel.
   const std::size_t receivers = snap_id_.size();
   const std::size_t chunks = (receivers + kRowChunk - 1) / kRowChunk;
-  ThreadPool* pool =
-      replay || receivers < kHelpedFloor ? nullptr : helper_pool();
-  if (pool != nullptr) open_helped_round(*pool, chunks);
-  // Helpers read this Network until the round is closed, on every path.
-  struct CloseRound {
-    HelpedRound* round;
-    ~CloseRound() {
-      if (round != nullptr) round->end();
-    }
-  } close_round{pool != nullptr ? helped_.get() : nullptr};
+  HelpedRound::Open round;
+  if (!replay) {
+    round = open_helped_round(
+        chunks, receivers < kHelpedFloor ? nullptr : helper_pool());
+  }
 
   // Stage B, the one draw-and-merge loop: in snapshot order, draw one word
   // per pair of each row (a beacon is heard when the word is below the
@@ -194,9 +186,7 @@ void Network::beacon_round_tables() {
     const std::size_t last = std::min(first + kRowChunk, receivers);
     const RowChunk* rows = nullptr;
     if (!replay) {
-      const std::size_t slot =
-          pool != nullptr ? helped_->acquire(c) : HelpedRound::kCaller;
-      rows = slot == HelpedRound::kCaller ? &own_rows(c) : &ring_[slot];
+      rows = &ring_[helped_->acquire(c)];
       pairs += rows->start[last - first];
     }
     // Row i of the chunk is [start[i], start[i + 1]) of sender and
@@ -244,7 +234,7 @@ void Network::beacon_round_tables() {
         return slot_of(e.id) == kNoSlot;
       });
     }
-    if (pool != nullptr) helped_->release(c);
+    if (!replay) helped_->release(c);
   }
   if (!replay) row_pairs_ = pairs;
   if (record) plan_valid_ = true;

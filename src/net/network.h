@@ -14,12 +14,14 @@
 //    the word is below the threshold (an integer compare that gives
 //    Rng::bernoulli's outcome on that word), and merges the heard beacons
 //    into the tables, serially, in snapshot order.
-//    A world above a size floor has stage A rows computed ahead by up to 3
-//    helper threads (one fewer than the process's CPUs) that the calling
-//    thread joins; the draws and merges, and so every output, are the same
-//    with any number of helpers. A world that holds still (parked cars, no
-//    blackout change) replays its last round's rows instead of computing
-//    them.
+//    Stage A runs as one helped round: chunks of rows go through a ring
+//    that the calling thread reads in order. From a size floor on, up to 3
+//    helper threads (one fewer than the process's CPUs) compute chunks
+//    ahead; below it, or on one CPU, the calling thread computes each chunk
+//    into the ring itself, on the same path. The draws and merges, and so
+//    every output, are the same with any number of helpers. A world that
+//    holds still (parked cars, no blackout change) replays its last round's
+//    rows instead of computing them.
 //  * Data messages. `send`/`broadcast` are per-message: reception is
 //    sampled on the live channel and delivery callbacks fire after the
 //    sampled hop delay. One handler receives every message delivered to a
@@ -156,7 +158,7 @@ class Network {
   // Rounds with fewer receivers than this compute every row on the calling
   // thread and never start a helper.
   static constexpr std::size_t kHelpedFloor = 256;
-  static constexpr std::size_t kRowSlots = 4;  // ring slots of helped rounds
+  static constexpr std::size_t kRowSlots = 4;  // ring slots of stage A
 
   void beacon_round_tables();
   // Stage A of one chunk into `out`, with `nearby` as grid query scratch.
@@ -164,10 +166,10 @@ class Network {
   // at most out.sender.size(). Reads only state fixed during a round.
   std::size_t fill_rows(std::size_t chunk, std::vector<std::uint32_t>& nearby,
                         RowChunk& out) const;
-  // Stage A of one chunk on the calling thread.
-  const RowChunk& own_rows(std::size_t chunk);
-  // Sizes the ring and helper scratch, then opens a helped round.
-  void open_helped_round(ThreadPool& pool, std::size_t chunks);
+  // Sizes the ring and the grid query scratch, then opens the helped round
+  // of stage A, with helpers when given a pool.
+  [[nodiscard]] HelpedRound::Open open_helped_round(std::size_t chunks,
+                                                    ThreadPool* pool);
   void rebuild_index();
   void deliver(const Message& msg, Address to, SimTime delay);
   bool transmit(const Message& msg, Address to);
@@ -207,14 +209,13 @@ class Network {
   std::vector<std::uint64_t> plan_threshold_;
   std::size_t row_pairs_ = 0;  // pairs in the rows of the last computed round
   bool plan_valid_ = false;
-  // Stage A buffers: the calling thread's own chunk, and for helped rounds
-  // the ring slots and one grid query scratch per helper and one for the
-  // calling thread. All are sized on the calling thread, so helpers
-  // allocate nothing. Ring slots hold the most pairs any chunk of the round
-  // can have (Network::open_helped_round); a chunk that still does not fit
-  // is computed by the calling thread.
-  RowChunk own_rows_;
-  std::shared_ptr<HelpedRound> helped_;  // created by the first helped round
+  // Stage A buffers: the ring slots, and one grid query scratch per helper
+  // and one for the calling thread. All are sized on the calling thread, so
+  // helpers allocate nothing. Ring slots hold the most pairs any chunk of
+  // the round can have (Network::open_helped_round); a chunk that still
+  // does not fit is computed again by the calling thread, which grows the
+  // slot.
+  std::shared_ptr<HelpedRound> helped_;  // created by the first round
   std::vector<RowChunk> ring_;
   std::vector<std::vector<std::uint32_t>> helper_nearby_;
   // Neighbor table per vehicle id; departed vehicles' tables are emptied.
@@ -222,8 +223,7 @@ class Network {
   // Beacon-round scratch: vehicle id -> 1 + position in the table being
   // merged (0 = not in it); all zero between merges.
   std::vector<std::uint32_t> table_pos_by_id_;
-  // Grid query scratch of the calling thread (beacon rounds, broadcast,
-  // local_density).
+  // Grid query scratch of the calling thread (broadcast, local_density).
   mutable std::vector<std::uint32_t> nearby_;
   VehicleHandler vehicle_default_handler_;
   std::uint64_t next_msg_id_ = 1;

@@ -123,6 +123,50 @@ FileId StorageService::create(SimTime now) {
   return FileId{id};
 }
 
+SimTime StorageService::attempt_quorum(
+    const std::vector<VehicleId>& placement, net::MessageKind kind,
+    std::size_t bytes, std::size_t quorum, SimTime now,
+    const obs::TraceContext& op_ctx, std::vector<VehicleId>& replied,
+    const std::function<void(VehicleId, SimTime, const obs::TraceContext&)>&
+        on_reply) {
+  const bool traced = trace_ != nullptr;
+  SimTime elapsed = 0.0;
+  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
+    const SimTime leg_begin = elapsed;
+    obs::TraceContext leg_ctx;
+    if (traced) {
+      leg_ctx.trace_id = op_ctx.trace_id;
+      leg_ctx.span_id = trace_->begin_span(
+          now + leg_begin, obs::TraceCategory::kStorage, "storage.leg.attempt",
+          op_ctx, {{"attempt", static_cast<double>(attempt)}});
+    }
+    for (const VehicleId v : placement) {
+      if (std::find(replied.begin(), replied.end(), v) != replied.end()) {
+        continue;
+      }
+      if (!holder_alive(v)) continue;
+      if (!send_to(v, kind, bytes)) continue;
+      replied.push_back(v);
+      on_reply(v, now + leg_begin, leg_ctx);
+    }
+    if (replied.size() >= quorum || attempt == kRetry.max_attempts) {
+      if (traced) {
+        trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
+                         "storage.leg.attempt", leg_ctx);
+      }
+      break;
+    }
+    elapsed += vcloud::retry_backoff(kRetry, attempt, rng_);
+    if (traced) {
+      trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
+                       "storage.leg.attempt", leg_ctx,
+                       {{"backoff", elapsed - leg_begin}});
+    }
+    if (elapsed > kOpDeadline) break;
+  }
+  return elapsed;
+}
+
 WriteResult StorageService::put(std::uint64_t client, FileId object,
                                 SimTime now) {
   WriteResult result;
@@ -158,48 +202,18 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
   }
 
   std::vector<VehicleId> written;
-  SimTime elapsed = 0.0;
-  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
-    const SimTime leg_begin = elapsed;
-    obs::TraceContext leg_ctx;
-    if (traced) {
-      leg_ctx.trace_id = op_ctx.trace_id;
-      leg_ctx.span_id = trace_->begin_span(
-          now + leg_begin, obs::TraceCategory::kStorage, "storage.leg.attempt",
-          op_ctx, {{"attempt", static_cast<double>(attempt)}});
-    }
-    for (const VehicleId v : obj.placement) {
-      if (std::find(written.begin(), written.end(), v) != written.end()) {
-        continue;
-      }
-      if (!holder_alive(v)) continue;
-      if (!send_to(v, net::MessageKind::kStorageWrite, kObjectBytes)) {
-        continue;
-      }
-      obj.copy_version[v.value()] = version;
-      written.push_back(v);
-      if (traced) {
-        trace_->record(now + leg_begin, obs::TraceCategory::kStorage,
-                       "storage.replica.write", leg_ctx,
-                       {{"holder", static_cast<double>(v.value())},
-                        {"version", static_cast<double>(version)}});
-      }
-    }
-    if (written.size() >= kWriteQuorum || attempt == kRetry.max_attempts) {
-      if (traced) {
-        trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                         "storage.leg.attempt", leg_ctx);
-      }
-      break;
-    }
-    elapsed += vcloud::retry_backoff(kRetry, attempt, rng_);
-    if (traced) {
-      trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                       "storage.leg.attempt", leg_ctx,
-                       {{"backoff", elapsed - leg_begin}});
-    }
-    if (elapsed > kOpDeadline) break;
-  }
+  const SimTime elapsed = attempt_quorum(
+      obj.placement, net::MessageKind::kStorageWrite, kObjectBytes,
+      kWriteQuorum, now, op_ctx, written,
+      [&](VehicleId v, SimTime at, const obs::TraceContext& leg_ctx) {
+        obj.copy_version[v.value()] = version;
+        if (traced) {
+          trace_->record(at, obs::TraceCategory::kStorage,
+                         "storage.replica.write", leg_ctx,
+                         {{"holder", static_cast<double>(v.value())},
+                          {"version", static_cast<double>(version)}});
+        }
+      });
   stats_.put_latency_tail.add(elapsed);
 
   if (!written.empty()) obj.latest_version = version;
@@ -266,50 +280,21 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
 
   std::vector<VehicleId> answered;
   std::uint64_t max_seen = 0;
-  SimTime elapsed = 0.0;
-  for (int attempt = 1; attempt <= kRetry.max_attempts; ++attempt) {
-    const SimTime leg_begin = elapsed;
-    obs::TraceContext leg_ctx;
-    if (traced) {
-      leg_ctx.trace_id = op_ctx.trace_id;
-      leg_ctx.span_id = trace_->begin_span(
-          now + leg_begin, obs::TraceCategory::kStorage, "storage.leg.attempt",
-          op_ctx, {{"attempt", static_cast<double>(attempt)}});
-    }
-    for (const VehicleId v : obj.placement) {
-      if (std::find(answered.begin(), answered.end(), v) != answered.end()) {
-        continue;
-      }
-      if (!holder_alive(v)) continue;
-      if (!send_to(v, net::MessageKind::kStorageRead, 256)) continue;
-      answered.push_back(v);
-      const auto cv = obj.copy_version.find(v.value());
-      if (cv != obj.copy_version.end()) max_seen = std::max(max_seen, cv->second);
-      if (traced) {
-        trace_->record(now + leg_begin, obs::TraceCategory::kStorage,
-                       "storage.replica.read", leg_ctx,
-                       {{"holder", static_cast<double>(v.value())},
-                        {"version",
-                         static_cast<double>(cv != obj.copy_version.end()
-                                                 ? cv->second
-                                                 : 0)}});
-      }
-    }
-    if (answered.size() >= kReadQuorum || attempt == kRetry.max_attempts) {
-      if (traced) {
-        trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                         "storage.leg.attempt", leg_ctx);
-      }
-      break;
-    }
-    elapsed += vcloud::retry_backoff(kRetry, attempt, rng_);
-    if (traced) {
-      trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                       "storage.leg.attempt", leg_ctx,
-                       {{"backoff", elapsed - leg_begin}});
-    }
-    if (elapsed > kOpDeadline) break;
-  }
+  const SimTime elapsed = attempt_quorum(
+      obj.placement, net::MessageKind::kStorageRead, 256, kReadQuorum, now,
+      op_ctx, answered,
+      [&](VehicleId v, SimTime at, const obs::TraceContext& leg_ctx) {
+        const auto cv = obj.copy_version.find(v.value());
+        const std::uint64_t seen =
+            cv != obj.copy_version.end() ? cv->second : 0;
+        max_seen = std::max(max_seen, seen);
+        if (traced) {
+          trace_->record(at, obs::TraceCategory::kStorage,
+                         "storage.replica.read", leg_ctx,
+                         {{"holder", static_cast<double>(v.value())},
+                          {"version", static_cast<double>(seen)}});
+        }
+      });
   stats_.get_latency_tail.add(elapsed);
   const auto end_op_span = [&](double ok, double degraded) {
     if (!traced) return;

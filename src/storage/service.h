@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -161,6 +162,18 @@ class StorageService final : public vcloud::StorageIntrospection {
   bool send_to(VehicleId v, net::MessageKind kind, std::size_t bytes);
   bool send_between(VehicleId src, VehicleId dst, net::MessageKind kind,
                     std::size_t bytes);
+  // The attempt loop of put() and get(), on the op's virtual timeline
+  // (put() describes it): each attempt sends `kind` to every live placement
+  // member not yet in `replied`, appends each that takes it and runs
+  // `on_reply(v, leg start, leg span)`, which draws no RNG. Stops at
+  // `quorum` replies, the last attempt, or past kOpDeadline; returns the
+  // op's virtual duration.
+  SimTime attempt_quorum(
+      const std::vector<VehicleId>& placement, net::MessageKind kind,
+      std::size_t bytes, std::size_t quorum, SimTime now,
+      const obs::TraceContext& op_ctx, std::vector<VehicleId>& replied,
+      const std::function<void(VehicleId, SimTime, const obs::TraceContext&)>&
+          on_reply);
   // Live cloud members not in `exclude`, ranked by estimated dwell time in
   // the cloud region (descending; ties by ascending id).
   [[nodiscard]] std::vector<VehicleId> ranked_candidates(

@@ -25,19 +25,23 @@ void backoff(std::uint32_t& spins) {
 
 }  // namespace
 
-ThreadPool* helper_pool() {
+std::size_t helper_threads() {
   static const std::size_t helpers =
       std::min<std::size_t>(available_cpus() - 1, 3);
-  if (helpers == 0) return nullptr;
-  static ThreadPool pool(helpers);
+  return helpers;
+}
+
+ThreadPool* helper_pool() {
+  if (helper_threads() == 0) return nullptr;
+  static ThreadPool pool(helper_threads());
   return &pool;
 }
 
 HelpedRound::HelpedRound(std::size_t slots, std::size_t helpers)
     : filled_(std::max<std::size_t>(slots, 1)), queued_(helpers) {}
 
-void HelpedRound::begin(std::size_t chunks, Produce produce,
-                        ThreadPool& pool) {
+HelpedRound::Open HelpedRound::begin(std::size_t chunks, Produce produce,
+                                     ThreadPool* pool) {
   chunks_ = chunks;
   produce_ = std::move(produce);
   next_.store(0);
@@ -46,26 +50,33 @@ void HelpedRound::begin(std::size_t chunks, Produce produce,
   // A helper reads chunks_ and produce_ only after it has seen the round
   // live, so these writes happen before any helper uses them.
   live_.store(true);
-  for (std::size_t h = 0; h < queued_.size(); ++h) {
+  for (std::size_t h = 0; pool != nullptr && h < queued_.size(); ++h) {
     if (queued_[h].exchange(true)) continue;  // still queued or running
-    pool.submit([self = shared_from_this(), h] { self->help(h); });
+    pool->submit([self = shared_from_this(), h] { self->help(h); });
   }
+  return Open(this);
 }
 
 std::size_t HelpedRound::acquire(std::size_t chunk) {
+  const std::size_t slot = chunk % filled_.size();
   std::size_t unclaimed = chunk;
-  if (next_.compare_exchange_strong(unclaimed, chunk + 1)) return kCaller;
+  if (next_.compare_exchange_strong(unclaimed, chunk + 1)) {
+    produce_own(chunk);
+    return slot;
+  }
   // A helper claimed the chunk and is producing it now. Meanwhile the
   // caller produces later chunks as a helper would, but leaves one slot of
   // the ring to each helper inside the round: that helper claims it as
   // soon as it finishes its chunk, so taking it would idle the helper while
   // the caller, whose own work no one else can do, produced it.
-  const std::size_t slot = chunk % filled_.size();
   std::uint32_t spins = 0;
   for (;;) {
     const std::size_t f = filled_[slot].load(std::memory_order_acquire);
     if (f == chunk + 1) return slot;
-    if (f == ((chunk + 1) | kNoFit)) return kCaller;
+    if (f == ((chunk + 1) | kNoFit)) {
+      produce_own(chunk);
+      return slot;
+    }
     const std::size_t ahead =
         filled_.size() - std::min(active_.load(), filled_.size());
     if (produce_next(queued_.size(), ahead)) {
@@ -102,6 +113,12 @@ bool HelpedRound::produce_next(std::size_t helper, std::size_t ahead) {
     }
   }
   return false;
+}
+
+void HelpedRound::produce_own(std::size_t chunk) {
+  // The slot is free: the chunk it held last was released, and helpers
+  // claim no chunk that would take it again before this one is released.
+  produce_(queued_.size(), chunk, chunk % filled_.size());
 }
 
 void HelpedRound::help(std::size_t helper) {

@@ -11,7 +11,6 @@
 #include "core/system.h"
 #include "exp/campaign.h"
 #include "exp/replicator.h"
-#include "exp/sweep.h"
 #include "util/rng.h"
 
 namespace vcl::exp {
@@ -192,49 +191,6 @@ TEST(Replicate, EmptyOutDirLeavesContextsPathless) {
     rep.value("x", 0.0);
     return rep;
   });
-}
-
-// ---- Sweep ----------------------------------------------------------------
-
-struct ToyConfig {
-  int value = 0;
-  std::string tag;
-};
-
-TEST(Sweep, CartesianGridFirstAxisSlowest) {
-  Sweep<ToyConfig> sweep;
-  sweep.axis("a")
-      .point("a0", [](ToyConfig&) {})
-      .point("a1", [](ToyConfig&) {});
-  sweep.axis("b")
-      .point("b0", [](ToyConfig&) {})
-      .point("b1", [](ToyConfig&) {})
-      .point("b2", [](ToyConfig&) {});
-  const auto cells = sweep.cells();
-  ASSERT_EQ(cells.size(), 6u);
-  const std::vector<std::string> expect = {"a0/b0", "a0/b1", "a0/b2",
-                                           "a1/b0", "a1/b1", "a1/b2"};
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].label(), expect[i]);
-  }
-}
-
-TEST(Sweep, MutatorsApplyInAxisOrder) {
-  Sweep<ToyConfig> sweep;
-  sweep.axis("set").point("five", [](ToyConfig& c) { c.value = 5; });
-  sweep.axis("scale").point("x3", [](ToyConfig& c) { c.value *= 3; });
-  const auto cells = sweep.cells();
-  ASSERT_EQ(cells.size(), 1u);
-  ToyConfig base;
-  base.value = 1;
-  const ToyConfig made = cells[0].make(base);
-  EXPECT_EQ(made.value, 15);  // set THEN scale, never the reverse
-  EXPECT_EQ(base.value, 1);   // make() copies; the base is untouched
-}
-
-TEST(Sweep, EmptySweepHasNoCells) {
-  Sweep<ToyConfig> sweep;
-  EXPECT_TRUE(sweep.cells().empty());
 }
 
 // ---- Campaign -------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -143,36 +144,80 @@ class BusyWorkers {
   std::vector<std::future<void>> tasks_;
 };
 
-// Runs one round of `chunks` chunks; returns how many the caller produced.
-std::size_t run_round(HelpedRound& round, ThreadPool& pool,
-                      std::size_t chunks, const HelpedRound::Produce& produce) {
-  round.begin(chunks, produce, pool);
-  std::size_t own = 0;
+// Runs one round of `chunks` chunks of a round with `helpers` helpers;
+// returns how many the caller produced, by the index `produce` received.
+std::size_t run_round(HelpedRound& round, ThreadPool* pool,
+                      std::size_t helpers, std::size_t chunks,
+                      const HelpedRound::Produce& produce) {
+  std::atomic<std::size_t> own{0};
+  const HelpedRound::Open open = round.begin(
+      chunks,
+      [&](std::size_t helper, std::size_t chunk, std::size_t slot) {
+        own += helper == helpers;
+        return produce(helper, chunk, slot);
+      },
+      pool);
   for (std::size_t c = 0; c < chunks; ++c) {
-    own += round.acquire(c) == HelpedRound::kCaller;
+    round.acquire(c);
     round.release(c);
   }
-  round.end();
-  return own;
+  return own.load();
 }
 
 TEST(HelpedRound, CallerFinishesRoundAloneWhileWorkersBusy) {
-  std::atomic<int> produced{0};
+  std::atomic<int> helped{0};
   ThreadPool pool(2);
   BusyWorkers busy(pool);
   auto round = std::make_shared<HelpedRound>(4, 2);
-  const HelpedRound::Produce produce = [&](std::size_t, std::size_t,
+  const HelpedRound::Produce produce = [&](std::size_t helper, std::size_t,
                                            std::size_t) {
-    ++produced;
+    helped += helper < 2;
     return true;
   };
   // Both helper tasks are queued behind the busy workers: the caller
-  // produces every chunk and end() does not wait for them.
-  EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
+  // produces every chunk and the round's end does not wait for them.
+  EXPECT_EQ(run_round(*round, &pool, 2, 40, produce), 40u);
   // A second round queues no further tasks while the first ones wait.
-  EXPECT_EQ(run_round(*round, pool, 40, produce), 40u);
-  EXPECT_EQ(produced.load(), 0);
+  EXPECT_EQ(run_round(*round, &pool, 2, 40, produce), 40u);
+  EXPECT_EQ(helped.load(), 0);
   busy.release();
+}
+
+// A round with no pool has no helpers: the caller produces every chunk
+// with index `helpers`, into slot c % slots, as it reaches it.
+TEST(HelpedRound, RoundWithoutPoolProducesEveryChunkOnCaller) {
+  constexpr std::size_t kChunks = 11;
+  constexpr std::size_t kSlots = 4;
+  constexpr std::size_t kHelpers = 2;
+  auto round = std::make_shared<HelpedRound>(kSlots, kHelpers);
+  std::vector<std::size_t> ring(kSlots, 0);
+  std::vector<std::size_t> order;
+  std::size_t wrong = 0;
+  const HelpedRound::Produce produce = [&](std::size_t helper,
+                                           std::size_t chunk,
+                                           std::size_t slot) {
+    wrong += helper != kHelpers || slot != chunk % kSlots;
+    order.push_back(chunk);
+    ring[slot] = chunk * chunk + 1;
+    return true;
+  };
+  for (int r = 0; r < 2; ++r) {
+    order.clear();
+    const HelpedRound::Open open = round->begin(kChunks, produce, nullptr);
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      const std::size_t slot = round->acquire(c);
+      EXPECT_EQ(slot, c % kSlots);
+      EXPECT_EQ(ring[slot], c * c + 1) << "chunk " << c;
+      // Produced as the caller reached it, not ahead.
+      EXPECT_EQ(order.size(), c + 1);
+      round->release(c);
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  std::vector<std::size_t> in_order(kChunks);
+  std::iota(in_order.begin(), in_order.end(), 0);
+  EXPECT_EQ(order, in_order);
+  EXPECT_EQ(run_round(*round, nullptr, kHelpers, kChunks, produce), kChunks);
 }
 
 TEST(HelpedRound, LateHelperFindsRoundFinishedAndReturns) {
@@ -182,10 +227,11 @@ TEST(HelpedRound, LateHelperFindsRoundFinishedAndReturns) {
     BusyWorkers busy(pool);
     {
       auto round = std::make_shared<HelpedRound>(2, 1);
-      run_round(*round, pool, 8, [&](std::size_t, std::size_t, std::size_t) {
-        ++produced;
-        return true;
-      });
+      run_round(*round, &pool, 1, 8,
+                [&](std::size_t helper, std::size_t, std::size_t) {
+                  produced += helper == 0;
+                  return true;
+                });
       // The queued helper task now holds the only reference to the round.
     }
     busy.release();
@@ -203,8 +249,10 @@ TEST(HelpedRound, HelpersProduceAheadAndCallerConsumesInOrder) {
   auto round = std::make_shared<HelpedRound>(kSlots, kHelpers);
   std::vector<std::size_t> ring(kSlots, 0);
   std::atomic<std::size_t> helped{0};
-  // Chunk c holds c * c; every seventh chunk does not fit a slot. Producing
-  // a chunk takes a while, on either side, so helpers get ahead of the
+  std::atomic<std::size_t> no_fit{0};
+  // Chunk c holds c * c; every seventh chunk does not fit a slot on a
+  // helper, and the caller produces it again into that slot. Producing a
+  // chunk takes a while, on either side, so helpers get ahead of the
   // caller.
   const auto work = [] {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -214,26 +262,25 @@ TEST(HelpedRound, HelpersProduceAheadAndCallerConsumesInOrder) {
                                            std::size_t slot) {
     work();
     helped += helper < kHelpers;
-    if (chunk % 7 == 3) return false;
+    if (chunk % 7 == 3 && helper < kHelpers) {
+      ++no_fit;
+      ring[slot] = 0;
+      return false;
+    }
     ring[slot] = chunk * chunk;
     return true;
   };
-  for (int r = 0; r < 50 && helped == 0; ++r) {
-    round->begin(kChunks, produce, pool);
+  for (int r = 0; r < 50 && no_fit == 0; ++r) {
+    const HelpedRound::Open open = round->begin(kChunks, produce, &pool);
     for (std::size_t c = 0; c < kChunks; ++c) {
       const std::size_t slot = round->acquire(c);
-      if (slot == HelpedRound::kCaller) {
-        work();
-      } else {
-        EXPECT_NE(c % 7, 3u) << "chunk " << c;
-        ASSERT_LT(slot, kSlots);
-        EXPECT_EQ(ring[slot], c * c) << "chunk " << c;
-      }
+      ASSERT_EQ(slot, c % kSlots);
+      EXPECT_EQ(ring[slot], c * c) << "chunk " << c;
       round->release(c);
     }
-    round->end();
   }
   EXPECT_GT(helped.load(), 0u);
+  EXPECT_GT(no_fit.load(), 0u);
 }
 
 // The work-first caller. The one helper parks inside `produce` on its first
@@ -279,7 +326,7 @@ TEST(HelpedRound, CallerProducesAheadWhileHelperIsParked) {
     return true;
   };
 
-  round->begin(kChunks, produce, pool);
+  HelpedRound::Open in_round = round->begin(kChunks, produce, &pool);
   // The caller starts only once the helper holds a chunk: the first one.
   EXPECT_EQ(parked_on.get_future().get(), 0u);
   std::thread opener([&] {
@@ -293,20 +340,16 @@ TEST(HelpedRound, CallerProducesAheadWhileHelperIsParked) {
     open = true;
     latch.set_value();
   });
-  std::size_t from_ring = 0;
   for (std::size_t c = 0; c < kChunks; ++c) {
     const std::size_t slot = round->acquire(c);
-    if (slot != HelpedRound::kCaller) {
-      // In order: the slot holds chunk c.
-      EXPECT_LT(slot, kSlots);
-      EXPECT_EQ(ring[slot % kSlots], c * c + 1) << "chunk " << c;
-      ++from_ring;
-    }
+    // In order: the slot holds chunk c.
+    EXPECT_EQ(slot, c % kSlots);
+    EXPECT_EQ(ring[slot % kSlots], c * c + 1) << "chunk " << c;
     released = c + 1;
     round->release(c);
   }
   // The round ends once the latch has opened and the helper is out.
-  round->end();
+  in_round.reset();
   opener.join();
 
   // While the helper was parked on chunk 0, the caller produced chunks 1
@@ -314,7 +357,6 @@ TEST(HelpedRound, CallerProducesAheadWhileHelperIsParked) {
   EXPECT_EQ(caller_before_open, (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(beyond_ring.load(), 0u);
   EXPECT_EQ(wrong_index.load(), 0u);
-  EXPECT_GE(from_ring, kSlots - 1);  // chunk 0 from the helper, 1, 2 its own
 }
 
 }  // namespace
